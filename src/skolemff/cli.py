@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import (
@@ -193,9 +192,7 @@ def _run_instance_command(args, handler, command: dict) -> int:
             for name in os.listdir(args.dir)
             if name.endswith(".json")
         )
-        with ThreadPoolExecutor(max_workers=min(8, max(1, len(files)))) as pool:
-            reports = list(pool.map(lambda p: _run_single(handler, p, command), files))
-        reports.sort(key=lambda r: r["command"]["file"])
+        reports = [_run_single(handler, path, command) for path in files]
         code = EXIT_OK
         for rep in reports:
             if _SEVERITY[rep["exit_code"]] > _SEVERITY[code]:
@@ -247,40 +244,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Per instance command: its handler and the options echoed in the report's command dict.
+_INSTANCE_COMMANDS = {
+    "solve": (lambda p, a: _cmd_solve(p, a.n_bound), ("n_bound",)),
+    "local": (lambda p, a: _cmd_local(p, a.a, a.k_bound), ("a", "k_bound")),
+    "certify": (lambda p, a: _cmd_certify(p, a.k_bound), ("k_bound",)),
+    "smallcoef": (lambda p, a: _cmd_smallcoef(p, a.rho, a.k_bound), ("rho", "k_bound")),
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        if args.cmd == "solve":
+        if args.cmd in _INSTANCE_COMMANDS:
             if not args.dir and not args.file:
                 raise SystemExit(2)
-            return _run_instance_command(
-                args, lambda p: _cmd_solve(p, args.n_bound), {"cmd": "solve", "n_bound": args.n_bound}
-            )
-        if args.cmd == "local":
-            if not args.dir and not args.file:
-                raise SystemExit(2)
-            return _run_instance_command(
-                args,
-                lambda p: _cmd_local(p, args.a, args.k_bound),
-                {"cmd": "local", "a": args.a, "k_bound": args.k_bound},
-            )
-        if args.cmd == "certify":
-            if not args.dir and not args.file:
-                raise SystemExit(2)
-            return _run_instance_command(
-                args,
-                lambda p: _cmd_certify(p, args.k_bound),
-                {"cmd": "certify", "k_bound": args.k_bound},
-            )
-        if args.cmd == "smallcoef":
-            if not args.dir and not args.file:
-                raise SystemExit(2)
-            return _run_instance_command(
-                args,
-                lambda p: _cmd_smallcoef(p, args.rho, args.k_bound),
-                {"cmd": "smallcoef", "rho": args.rho, "k_bound": args.k_bound},
-            )
+            handler, options = _INSTANCE_COMMANDS[args.cmd]
+            command = {"cmd": args.cmd, **{name: getattr(args, name) for name in options}}
+            return _run_instance_command(args, lambda p: handler(p, args), command)
         if args.cmd == "verify":
             command = {
                 "cmd": "verify",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FieldTooSmall, InvalidInstance
-from .intutil import cyclotomic_poly, factorize, is_prime
+from .intutil import base_digits, cyclotomic_poly, factorize, fp_gcd, fp_powmod, fp_sub, is_prime
 
 __all__ = [
     "FieldSpec",
@@ -58,74 +58,15 @@ class FieldSpec:
         return self.characteristic > 0
 
 
-# ---------------------------------------------------------------------------
-# Raw GF(p)[x] helpers (int lists, little-endian) used to pick defining polys.
-# ---------------------------------------------------------------------------
-
-
-def _gfp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gfp_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce mod the monic modulus
-    d = len(mod) - 1
-    for i in range(len(res) - 1, d - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(d):
-                res[i - d + j] = (res[i - d + j] - c * mod[j]) % p
-    return _gfp_trim(res[:d])
-
-
-def _gfp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    out = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _gfp_mulmod(out, base, mod, p)
-        base = _gfp_mulmod(base, base, mod, p)
-        e >>= 1
-    return out
-
-
-def _gfp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _gfp_trim(list(a)), _gfp_trim(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        for i in range(len(r) - 1, len(b) - 2, -1):
-            c = r[i]
-            if c:
-                q = c * inv % p
-                for j in range(len(b)):
-                    r[i - len(b) + 1 + j] = (r[i - len(b) + 1 + j] - q * b[j]) % p
-        a, b = b, _gfp_trim(r)
-    return a
-
-
-def _gfp_sub_x(a: list[int], p: int) -> list[int]:
-    out = list(a) + [0] * max(0, 2 - len(a))
-    out[1] = (out[1] - 1) % p
-    return _gfp_trim(out)
-
-
 def _gfp_is_irreducible(f: list[int], p: int) -> bool:
+    """Rabin's test for a monic f of degree d >= 2 over F_p."""
     d = len(f) - 1
     x = [0, 1]
-    if _gfp_sub_x(_gfp_powmod(x, p**d, f, p), p):
+    if fp_powmod(x, p**d, f, p) != x:
         return False  # x^{p^d} != x mod f
     for ell in factorize(d):
-        diff = _gfp_sub_x(_gfp_powmod(x, p ** (d // ell), f, p), p)
-        if not diff or len(_gfp_gcd(f, diff, p)) != 1:
+        diff = fp_sub(fp_powmod(x, p ** (d // ell), f, p), x, p)
+        if not diff or len(fp_gcd(f, diff, p)) != 1:
             return False
     return True
 
@@ -135,13 +76,8 @@ def _defining_poly(p: int, d: int) -> tuple[int, ...]:
     """Canonical monic irreducible of degree d over F_p: least coefficient vector."""
     if d == 1:
         return (0, 1)
-    total = p**d
-    for idx in range(total):
-        coeffs, n = [], idx
-        for _ in range(d):
-            coeffs.append(n % p)
-            n //= p
-        f = coeffs + [1]
+    for idx in range(p**d):
+        f = base_digits(idx, p, d) + [1]
         if _gfp_is_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -363,13 +299,7 @@ class Field:
         q1 = self.p**self.d - 1
         primes = list(factorize(q1))
         for idx in range(2, self.p**self.d):
-            coeffs, m = [], idx
-            for _ in range(self.d):
-                coeffs.append(m % self.p)
-                m //= self.p
-            g = tuple(coeffs)
-            if self.is_zero_raw(g):
-                continue
+            g = tuple(base_digits(idx, self.p, self.d))
             if all(self.pow_raw(g, q1 // ell) != self.one_raw for ell in primes):
                 return g
         raise AssertionError("no generator found")  # unreachable

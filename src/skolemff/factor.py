@@ -21,11 +21,23 @@ import os
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as igcd, isqrt, lcm as ilcm
+from math import isqrt
 
 from .constants import ConstantValue, Field
 from .errors import FactorizationTooHard, ZeroInput
-from .intutil import is_probable_prime
+from .intutil import (
+    fp_deriv,
+    fp_divmod,
+    fp_gcd,
+    fp_monic,
+    fp_mul,
+    fp_powmod,
+    fp_sub,
+    fp_trim,
+    is_probable_prime,
+    zx_div_exact,
+    zx_primitive,
+)
 from .funfield import Polynomial, squarefree_decomposition
 
 __all__ = ["factor_poly", "roots_in_F", "max_degree_cap", "monic_divisors"]
@@ -173,102 +185,6 @@ def _equal_degree_split(f: Polynomial, d: int) -> list[Polynomial]:
 # ---------------------------------------------------------------------------
 
 
-def _to_primitive_int(f: Polynomial) -> list[int]:
-    den = 1
-    for c in f.coeffs:
-        den = ilcm(den, c.raw[0].denominator)
-    v = [int(c.raw[0] * den) for c in f.coeffs]
-    g = 0
-    for c in v:
-        g = igcd(g, c)
-    v = [c // (g or 1) for c in v]
-    if v[-1] < 0:
-        v = [-c for c in v]
-    return v
-
-
-def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int] | None:
-    """Quotient of exact division in Z[x], or None when inexact."""
-    num = list(num)
-    if len(num) < len(den):
-        return None
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1]:
-            return None
-        q = c // den[-1]
-        out[i] = q
-        if q:
-            for j, dc in enumerate(den):
-                num[i + j] -= q * dc
-    if any(num[: len(den) - 1]):
-        return None
-    return out
-
-
-# -- raw mod-p polynomial helpers (little-endian int lists, huge p allowed) --
-
-
-def _m_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _m_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _m_trim(out)
-
-
-def _m_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    inv = pow(b[-1], p - 2, p)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i]
-        if c:
-            q = c * inv % p
-            for j in range(len(b)):
-                a[i - len(b) + 1 + j] = (a[i - len(b) + 1 + j] - q * b[j]) % p
-    return _m_trim(a[: len(b) - 1])
-
-
-def _m_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _m_trim(list(a)), _m_trim(list(b))
-    while b:
-        a, b = b, _m_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _m_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    out = [1]
-    a = _m_rem(a, mod, p) if len(a) >= len(mod) else list(a)
-    while e:
-        if e & 1:
-            out = _m_rem(_m_mul(out, a, p), mod, p)
-        a = _m_rem(_m_mul(a, a, p), mod, p)
-        e >>= 1
-    return out
-
-
-def _m_monic(a: list[int], p: int) -> list[int]:
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _m_deriv(a: list[int], p: int) -> list[int]:
-    return _m_trim([c * i % p for i, c in enumerate(a)][1:])
-
-
 def _factor_mod_p(f: list[int], p: int, rng: random.Random) -> list[list[int]]:
     """Monic squarefree f over F_p into monic irreducibles (distinct-degree + CZ)."""
     out: list[list[int]] = []
@@ -278,49 +194,30 @@ def _factor_mod_p(f: list[int], p: int, rng: random.Random) -> list[list[int]]:
     rest = list(f)
     while len(rest) - 1 > 2 * (d + 1) - 1:
         d += 1
-        h = _m_powmod(h, p, rest, p)
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        g = _m_gcd(rest, _m_trim(diff), p)
+        h = fp_powmod(h, p, rest, p)
+        g = fp_gcd(rest, fp_sub(h, x, p), p)
         if len(g) > 1:
             out.extend(_m_equal_degree(g, d, p, rng))
-            rest = _int_modp_div(rest, g, p)
-            h = _m_rem(h, rest, p) if len(h) >= len(rest) else h
+            rest = fp_divmod(rest, g, p)[0]
+            h = fp_divmod(h, rest, p)[1]
     if len(rest) > 1:
-        out.append(_m_monic(rest, p))
+        out.append(fp_monic(rest, p))
     return out
-
-
-def _int_modp_div(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    inv = pow(b[-1], p - 2, p)
-    out = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i]
-        if c:
-            q = c * inv % p
-            out[i - len(b) + 1] = q
-            for j in range(len(b)):
-                a[i - len(b) + 1 + j] = (a[i - len(b) + 1 + j] - q * b[j]) % p
-    return _m_trim(out)
 
 
 def _m_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
     if len(f) - 1 == d:
-        return [_m_monic(f, p)]
+        return [fp_monic(f, p)]
     while True:
-        h = [rng.randrange(p) for _ in range(len(f) - 1)]
-        h = _m_trim(h)
-        if len(h) < 1:
+        h = fp_trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        if not h:
             continue
-        g = _m_gcd(f, h, p)
+        g = fp_gcd(f, h, p)
         if len(g) == 1:
-            z = _m_powmod(h, (p**d - 1) // 2, f, p)
-            z = list(z) + [0] * max(0, 1 - len(z))
-            z[0] = (z[0] - 1) % p
-            g = _m_gcd(f, _m_trim(z), p)
+            g = fp_gcd(f, fp_sub(fp_powmod(h, (p**d - 1) // 2, f, p), [1], p), p)
         if 1 < len(g) < len(f):
-            return _m_equal_degree(g, d, p, rng) + _m_equal_degree(_int_modp_div(f, g, p), d, p, rng)
+            quo = fp_divmod(f, g, p)[0]
+            return _m_equal_degree(g, d, p, rng) + _m_equal_degree(quo, d, p, rng)
 
 
 def _mignotte_prime(f: list[int]) -> int:
@@ -334,7 +231,7 @@ def _mignotte_prime(f: list[int]) -> int:
             p += 1
         if f[-1] % p != 0:
             fp = [c % p for c in f]
-            if len(_m_gcd(fp, _m_deriv(fp, p), p)) == 1:
+            if len(fp_gcd(fp, fp_deriv(fp, p), p)) == 1:
                 return p
         p += 1
 
@@ -348,10 +245,10 @@ def _factor_sqfree_q(f: Polynomial) -> list[Polynomial]:
     fld = f.field
     if f.degree == 1:
         return [f.monic()]
-    F = _to_primitive_int(f)
+    F = zx_primitive([c.raw[0] for c in f.coeffs])
     p = _mignotte_prime(F)
     rng = random.Random(_CZ_SEED ^ len(F))
-    mods = _factor_mod_p(_m_monic([c % p for c in F], p), p, rng)
+    mods = _factor_mod_p(fp_monic([c % p for c in F], p), p, rng)
     mods.sort(key=lambda m: (len(m), m))
     found: list[list[int]] = []
     s = 1
@@ -362,24 +259,12 @@ def _factor_sqfree_q(f: Polynomial) -> list[Polynomial]:
             for combo in combinations(range(len(mods)), s):
                 prod = [F[-1] % p]
                 for i in combo:
-                    prod = _m_mul(prod, mods[i], p)
-                cand = [_sym_lift(c, p) for c in prod]
-                g = 0
-                for c in cand:
-                    g = igcd(g, c)
-                cand = [c // (g or 1) for c in cand]
-                if cand[-1] < 0:
-                    cand = [-c for c in cand]
-                quo = _int_poly_div_exact(F, cand)
+                    prod = fp_mul(prod, mods[i], p)
+                cand = zx_primitive([_sym_lift(c, p) for c in prod])
+                quo = zx_div_exact(F, cand)
                 if quo is not None:
                     found.append(cand)
-                    g2 = 0
-                    for c in quo:
-                        g2 = igcd(g2, c)
-                    quo = [c // (g2 or 1) for c in quo]
-                    if quo[-1] < 0:
-                        quo = [-c for c in quo]
-                    F = quo
+                    F = zx_primitive(quo)
                     mods = [m for i, m in enumerate(mods) if i not in combo]
                     restart = 2 * s <= len(mods)
                     break

@@ -17,6 +17,7 @@ from math import inf
 
 from .constants import ConstantValue, Field
 from .errors import AllZero, ConstantInput, InvalidInstance, NotSInteger, ZeroInput
+from .intutil import zx_primitive
 
 __all__ = [
     "Polynomial",
@@ -262,29 +263,9 @@ def _q_coeffs(p: Polynomial) -> list[Fraction]:
     return [c.raw[0] for c in p.coeffs]
 
 
-def _int_content(v: list[int]) -> int:
-    from math import gcd as igcd
-
-    g = 0
-    for c in v:
-        g = igcd(g, c)
-    return g or 1
-
-
 def _gcd_q(a: Polynomial, b: Polynomial) -> Polynomial:
     """Primitive pseudo-remainder sequence over Z, returned monic over Q."""
-    from math import lcm as ilcm
-
-    def to_int(p: Polynomial) -> list[int]:
-        qs = _q_coeffs(p)
-        den = 1
-        for q in qs:
-            den = ilcm(den, q.denominator)
-        v = [int(q * den) for q in qs]
-        g = _int_content(v)
-        return [c // g for c in v]
-
-    A, B = to_int(a), to_int(b)
+    A, B = zx_primitive(_q_coeffs(a)), zx_primitive(_q_coeffs(b))
     if len(A) < len(B):
         A, B = B, A
     while B:
@@ -304,8 +285,7 @@ def _gcd_q(a: Polynomial, b: Polynomial) -> Polynomial:
         while R and R[-1] == 0:
             R.pop()
         if R:
-            g = _int_content(R)
-            R = [c // g for c in R]
+            R = zx_primitive(R)
         A, B = B, R
     fld = a.field
     lead = Fraction(A[-1])
@@ -915,9 +895,9 @@ def deg_ins(f: RationalFunction) -> int:
             return out
 
 
-def chi_S(S: PlaceSet, genus: int = 0) -> int:
-    """chi_S = 2*genus - 2 + (degree-weighted size of S)."""
-    return 2 * genus - 2 + S.weighted_size
+def chi_S(S: PlaceSet) -> int:
+    """chi_S = 2*genus - 2 + (degree-weighted size of S), with genus 0 on P^1."""
+    return S.weighted_size - 2
 
 
 def is_s_integer(f: RationalFunction, S: PlaceSet) -> bool:

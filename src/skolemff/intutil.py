@@ -1,4 +1,5 @@
-"""Integer and cyclotomic utilities: primality, factoring, totient, Phi_k.
+"""Integer and cyclotomic utilities: primality, factoring, totient, Phi_k, and
+the raw Z[x] / F_p[x] polynomial kernel shared by the field and factor code.
 
 Everything here is exact big-integer arithmetic.  Integer factoring is trial
 division up to 10^6 backed by a Miller-Rabin test that is deterministic below
@@ -24,6 +25,17 @@ __all__ = [
     "divisors",
     "valuation_int",
     "cyclotomic_poly",
+    "base_digits",
+    "fp_trim",
+    "fp_sub",
+    "fp_mul",
+    "fp_divmod",
+    "fp_monic",
+    "fp_gcd",
+    "fp_powmod",
+    "fp_deriv",
+    "zx_div_exact",
+    "zx_primitive",
 ]
 
 _TRIAL_LIMIT = 10**6
@@ -152,22 +164,121 @@ def valuation_int(n: int, p: int) -> int:
     return v
 
 
-def _zpoly_div(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (little-endian), den monic-ish."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("inexact integer polynomial division")
-        q = c // den[-1]
-        out[i] = q
-        if q:
-            for j, d in enumerate(den):
-                num[i + j] -= q * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("nonzero remainder in exact division")
+def base_digits(n: int, base: int, length: int) -> list[int]:
+    """The first `length` little-endian base-`base` digits of n >= 0."""
+    out = []
+    for _ in range(length):
+        n, r = divmod(n, base)
+        out.append(r)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Raw polynomials: little-endian int lists, the zero polynomial is [].
+# F_p[x] helpers take reduced coefficients, for any prime p (also above 2^61).
+# ---------------------------------------------------------------------------
+
+
+def fp_trim(a: list[int]) -> list[int]:
+    """Drop trailing zeros in place and return a."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    a = a + [0] * (n - len(a))
+    b = b + [0] * (n - len(b))
+    return fp_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return fp_trim([c % p for c in out])
+
+
+def fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b over F_p."""
+    n = len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(r) - n)
+    inv = pow(b[-1], p - 2, p)
+    for i in range(len(r) - 1, n - 1, -1):
+        c = r[i] % p * inv % p
+        if c:
+            q[i - n] = c
+            for j in range(n):
+                r[i - n + j] -= c * b[j]
+    return fp_trim(q), fp_trim([c % p for c in r[:n]])
+
+
+def fp_monic(a: list[int], p: int) -> list[int]:
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p ([] when both are zero)."""
+    a, b = fp_trim(list(a)), fp_trim(list(b))
+    while b:
+        a, b = b, fp_divmod(a, b, p)[1]
+    return fp_monic(a, p) if a else a
+
+
+def fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """a^e modulo mod over F_p, e >= 0."""
+    out = [1]
+    a = fp_divmod(a, mod, p)[1]
+    while e:
+        if e & 1:
+            out = fp_divmod(fp_mul(out, a, p), mod, p)[1]
+        e >>= 1
+        if e:
+            a = fp_divmod(fp_mul(a, a, p), mod, p)[1]
+    return out
+
+
+def fp_deriv(a: list[int], p: int) -> list[int]:
+    return fp_trim([c * i % p for i, c in enumerate(a)][1:])
+
+
+def zx_div_exact(num: list[int], den: list[int]) -> list[int] | None:
+    """Quotient num / den in Z[x] (den trimmed, nonzero), or None when inexact."""
+    n = len(den) - 1
+    if len(num) <= n:
+        return None
+    num = list(num)
+    out = [0] * (len(num) - n)
+    for i in range(len(num) - 1, n - 1, -1):
+        q, r = divmod(num[i], den[-1])
+        if r:
+            return None
+        out[i - n] = q
+        if q:
+            for j in range(n):
+                num[i - n + j] -= q * den[j]
+    if any(num[:n]):
+        return None
+    return out
+
+
+def zx_primitive(coeffs) -> list[int]:
+    """Primitive part of a nonzero Z[x] or Q[x] vector: integral, content 1, lead > 0."""
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.denominator)
+    v = [int(c * den) for c in coeffs]
+    g = gcd(*v)
+    if v[-1] < 0:
+        g = -g
+    return [c // g for c in v]
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,5 +295,6 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
     num[0], num[k] = -1, 1
     for d in divisors(k):
         if d < k:
-            num = _zpoly_div(num, list(cyclotomic_poly(d)))
+            num = zx_div_exact(num, list(cyclotomic_poly(d)))
+            assert num is not None
     return tuple(num)

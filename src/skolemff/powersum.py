@@ -49,7 +49,7 @@ from .funfield import (
     radical,
     strip_places,
 )
-from .intutil import cyclotomic_poly, divisors, euler_phi
+from .intutil import base_digits, cyclotomic_poly, divisors, euler_phi
 from .kroots import RootSearch, find_roots_in_K
 from .multstruct import DependenceWitness, dependence_exponents
 from .vd_theorems import InequalityReport
@@ -93,7 +93,6 @@ class PowerSumInstance:
     exponents: tuple[int, ...]
     f: RationalFunction
     places: PlaceSet
-    genus: int = 0
 
     def __post_init__(self):
         m = len(self.lambdas)
@@ -292,16 +291,7 @@ class LocalChecker:
         for cond in self.conditions:
             if not self._class_sum(cond, k).is_zero:
                 return False
-        if self.inf_condition is not None:
-            ic = self.inf_condition
-            val = None
-            for i, r in enumerate(self.inst.exponents):
-                eps = self._eps_pow[i][k % self.inst.epsilons[i].order]
-                term = ic["lam_inf"][i] * eps * ic["f_inf"] ** ((r * k) % ic["order"])
-                val = term if val is None else val + term
-            if not val.is_zero:
-                return False
-        return True
+        return self.check_infinity(k)
 
     def failing_places(self, k: int) -> tuple[Place, ...]:
         from .factor import factor_poly
@@ -316,7 +306,7 @@ class LocalChecker:
                 out.extend(Place(g) for g, _ in factor_poly(fail)[1])
             except FactorizationTooHard:
                 pass
-        if self.inf_condition is not None and not self.check_infinity(k):
+        if not self.check_infinity(k):
             out.append(INFINITY)
         return tuple(sorted(out, key=Place.sort_key))
 
@@ -368,15 +358,10 @@ def _first_points(fld, how_many: int):
             out.append(ConstantValue(fld, fld.from_int(k)))
             k = -k + (1 if k <= 0 else 0)
         return out
-    out = []
-    total = fld.p**fld.d
-    for idx in range(min(how_many, total)):
-        coeffs, m = [], idx
-        for _ in range(fld.d):
-            coeffs.append(m % fld.p)
-            m //= fld.p
-        out.append(ConstantValue(fld, tuple(coeffs)))
-    return out
+    return [
+        ConstantValue(fld, tuple(base_digits(idx, fld.p, fld.d)))
+        for idx in range(min(how_many, fld.p**fld.d))
+    ]
 
 
 def _kpoly_vanishes_at_power(P: KPolynomial, g: RationalFunction, m: int) -> bool:
@@ -529,16 +514,9 @@ def choose_p(witnesses, q: int) -> int:
         cand += 1
 
 
-def ell_bound(
-    P: KPolynomial,
-    f: RationalFunction,
-    S: PlaceSet,
-    p: int,
-    q: int,
-    genus: int = 0,
-) -> int:
+def ell_bound(P: KPolynomial, f: RationalFunction, S: PlaceSet, p: int, q: int) -> int:
     """Smallest l where (phi(p^l)-2) h(f) - chi_S beats the cubed gcd bound."""
-    chi = chi_S(S, genus)
+    chi = chi_S(S)
     if chi < 0:
         raise BadChiS("ell_bound needs chi_S >= 0")
     if f.is_constant:
@@ -572,9 +550,9 @@ def _working_S(inst: PowerSumInstance, splits) -> PlaceSet:
                 continue
             extra.update(divisor(beta))
     S = S.union(extra)
-    if 2 * inst.genus - 2 + S.weighted_size < 0:
+    if chi_S(S) < 0:
         S = S.union({INFINITY})
-    if 2 * inst.genus - 2 + S.weighted_size < 0:
+    if chi_S(S) < 0:
         S = S.union({Place(Polynomial.t(inst.field))})
     return S
 
@@ -603,10 +581,8 @@ def _claimD_impl(split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: i
     )
 
 
-def _claimI_impl(
-    split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int, genus: int = 0
-) -> InequalityReport:
-    chi = chi_S(S, genus)
+def _claimI_impl(split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int) -> InequalityReport:
+    chi = chi_S(S)
     if chi < 0:
         raise BadChiS("claim I needs chi_S >= 0")
     if not split.complete:
@@ -648,7 +624,7 @@ def lemma_claimI_check(inst: PowerSumInstance, c: int, n: int, p: int, ell: int,
         raise PreconditionGlobalZeroExists("the instance has a global zero")
     split = split_dep_ind(inst, c)
     S = _working_S(inst, [split])
-    return _claimI_impl(split, S, n, p, ell, q, inst.genus)
+    return _claimI_impl(split, S, n, p, ell, q)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +688,7 @@ def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> Certific
         witnesses = [w for _, _, w in split.dep]
         q = choose_q(witnesses, global_zero_absent=True)
         p = choose_p(witnesses, q)
-        ell = ell_bound(split.poly, split.g, S_work, p, q, inst.genus)
+        ell = ell_bound(split.poly, split.g, S_work, p, q)
         a_c = p**ell * q
         a_parts.append(a_c)
         checks: list[InequalityReport] = []
@@ -720,7 +696,7 @@ def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> Certific
         if split.complete and split.remainder.degree == 0 and phi_degree <= local_degree_cap():
             for n in (1, 2):
                 checks.append(_claimD_impl(split, S_work, n, p, ell, q))
-                checks.append(_claimI_impl(split, S_work, n, p, ell, q, inst.genus))
+                checks.append(_claimI_impl(split, S_work, n, p, ell, q))
         else:
             if phi_degree > local_degree_cap():
                 notes.append(f"class {split.residue_class}: lemma evaluation skipped (degree {phi_degree})")

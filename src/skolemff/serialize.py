@@ -68,7 +68,9 @@ def fieldspec_to_json(spec: FieldSpec) -> dict:
     return out
 
 
-def fieldspec_from_json(obj: dict) -> FieldSpec:
+def fieldspec_from_json(obj) -> FieldSpec:
+    if not isinstance(obj, dict):
+        raise InvalidInstance("field must be {characteristic, ...}")
     ch = int(obj.get("characteristic", "0"))
     if ch == 0:
         return FieldSpec(0, int(obj.get("cyclotomic_order", "1")), 1)
@@ -109,6 +111,8 @@ def place_to_json(p: Place) -> dict:
 
 
 def place_from_json(field: Field, obj) -> Place:
+    if not isinstance(obj, dict):
+        raise InvalidInstance("place must be {type, poly}")
     if obj.get("type") == "infinity":
         return INFINITY
     if obj.get("type") != "finite":
@@ -168,8 +172,6 @@ def instance_to_json(inst: PowerSumInstance, metadata: dict | None = None) -> di
         "r": [str(r) for r in inst.exponents],
         "S": [place_to_json(p) for p in inst.places],
     }
-    if inst.genus:
-        out["genus"] = str(inst.genus)
     if metadata:
         out["metadata"] = metadata
     return out
@@ -178,6 +180,8 @@ def instance_to_json(inst: PowerSumInstance, metadata: dict | None = None) -> di
 def instance_from_json(obj: dict) -> PowerSumInstance:
     if not isinstance(obj, dict):
         raise InvalidInstance("instance file must hold a JSON object")
+    if obj.get("genus", "0") != "0":
+        raise InvalidInstance("K = F(t) has genus 0")
     try:
         spec = fieldspec_from_json(obj.get("field", {}))
         field = field_for(spec)
@@ -186,7 +190,6 @@ def instance_from_json(obj: dict) -> PowerSumInstance:
         epsilons = tuple(epsilon_from_json(field, x) for x in obj["epsilons"])
         exponents = tuple(int(x) for x in obj["r"])
         places = PlaceSet([place_from_json(field, x) for x in obj["S"]])
-        genus = int(obj.get("genus", "0"))
     except KeyError as exc:
         raise InvalidInstance(f"missing instance field: {exc}") from exc
     except (ValueError, TypeError) as exc:
@@ -197,7 +200,6 @@ def instance_from_json(obj: dict) -> PowerSumInstance:
         exponents=exponents,
         f=f,
         places=places,
-        genus=genus,
     )
 
 

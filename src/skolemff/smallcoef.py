@@ -30,12 +30,12 @@ __all__ = [
 ]
 
 
-def gamma_bound(rho: Fraction, S: PlaceSet, genus: int = 0) -> Fraction:
-    """Gamma = (2 - rho)/(1 - rho) * (2g + |S|), an exact rational."""
+def gamma_bound(rho: Fraction, S: PlaceSet) -> Fraction:
+    """Gamma = (2 - rho)/(1 - rho) * (2g + |S|) with g = 0, an exact rational."""
     rho = Fraction(rho)
     if not 0 < rho < 1:
         raise InvalidInstance("rho must satisfy 0 < rho < 1")
-    return (2 - rho) / (1 - rho) * (2 * genus + S.weighted_size)
+    return (2 - rho) / (1 - rho) * S.weighted_size
 
 
 def growth_check(inst: PowerSumInstance, rho: Fraction) -> bool:
@@ -49,7 +49,7 @@ def growth_check(inst: PowerSumInstance, rho: Fraction) -> bool:
 
 def min_e(inst: PowerSumInstance, rho: Fraction) -> int:
     """Smallest e > Gamma killing every eps_i (and coprime to p in char p)."""
-    gamma = gamma_bound(rho, inst.places, inst.genus)
+    gamma = gamma_bound(rho, inst.places)
     base = 1
     for eps in inst.epsilons:
         base = lcm(base, eps.order)
@@ -60,9 +60,9 @@ def min_e(inst: PowerSumInstance, rho: Fraction) -> int:
     return e
 
 
-def admissible_a(e: int, N: int, rho: Fraction, S: PlaceSet, genus: int = 0) -> int:
+def admissible_a(e: int, N: int, rho: Fraction, S: PlaceSet) -> int:
     """Smallest a with q^(1 + ord_q a - ord_q e) > N + Gamma for every prime q | e."""
-    gamma = gamma_bound(rho, S, genus)
+    gamma = gamma_bound(rho, S)
     target = N + gamma
     a = 1
     for qp, _ in factorize(e).items():
@@ -131,8 +131,8 @@ def smallcoef_end_to_end(inst: PowerSumInstance, rho: Fraction, k_bound: int = 1
     if not growth_check(inst, rho):
         return SmallCoefReport(status="rejected_growth", rho=rho, k_bound=k_bound)
     e = min_e(inst, rho)
-    a = admissible_a(e, inst.N, rho, inst.places, inst.genus)
-    gamma = gamma_bound(rho, inst.places, inst.genus)
+    a = admissible_a(e, inst.N, rho, inst.places)
+    gamma = gamma_bound(rho, inst.places)
     witness = find_local_witness(inst, a, k_bound)
     if witness is None:
         return SmallCoefReport(

@@ -70,12 +70,7 @@ def _zero_places(b: RationalFunction, S: PlaceSet) -> tuple[Place, ...]:
     return tuple(out)
 
 
-def verify_smt(
-    f: RationalFunction,
-    S: PlaceSet,
-    b: list[ConstantValue],
-    genus: int = 0,
-) -> InequalityReport:
+def verify_smt(f: RationalFunction, S: PlaceSet, b: list[ConstantValue]) -> InequalityReport:
     """Truncated second main theorem: (q-2) h(f)/deg_ins <= sum N_S(f - b_i) + chi_S."""
     if f.is_constant:
         raise ConstantInput("second main theorem needs nonconstant f")
@@ -85,7 +80,7 @@ def verify_smt(
     q = len(b)
     counts = [truncated_counting(f - bi, S) for bi in b]
     lhs = (q - 2) * height(f)
-    rhs = di * (sum(counts) + chi_S(S, genus))
+    rhs = di * (sum(counts) + chi_S(S))
     holds = lhs <= rhs
     witnesses: tuple[Place, ...] = ()
     if not holds:
@@ -100,13 +95,8 @@ def verify_smt(
     )
 
 
-def verify_sunit_count(
-    f: RationalFunction,
-    S: PlaceSet,
-    candidates: list[ConstantValue],
-    genus: int = 0,
-) -> InequalityReport:
-    """At most 2g + |S| constants c can make f - c an S-unit."""
+def verify_sunit_count(f: RationalFunction, S: PlaceSet, candidates: list[ConstantValue]) -> InequalityReport:
+    """At most 2g + |S| = |S| constants c can make f - c an S-unit (g = 0 on P^1)."""
     if f.is_constant:
         raise ConstantInput("S-unit count needs nonconstant f")
     if not is_s_integer(f, S):
@@ -115,7 +105,7 @@ def verify_sunit_count(
         raise InvalidInstance("candidates must be pairwise distinct")
     unit_cs = [c for c in candidates if is_s_unit(f - c, S)]
     lhs = len(unit_cs)
-    rhs = 2 * genus + S.weighted_size
+    rhs = S.weighted_size
     return InequalityReport(
         lhs=lhs,
         rhs=rhs,
@@ -125,12 +115,7 @@ def verify_sunit_count(
     )
 
 
-def verify_cz_gcd(
-    a: RationalFunction,
-    b: RationalFunction,
-    S: PlaceSet,
-    genus: int = 0,
-) -> InequalityReport:
+def verify_cz_gcd(a: RationalFunction, b: RationalFunction, S: PlaceSet) -> InequalityReport:
     """gcd bound: N_S(gcd(1-a, 1-b))^3 <= 54 * h(a) h(b) chi_S for independent S-units."""
     if a.field.char != 0:
         raise CharPUnsupported("the gcd theorem holds in characteristic 0")
@@ -141,7 +126,7 @@ def verify_cz_gcd(
         raise MultiplicativelyDependent("constant pair rejected: bound is vacuous")
     if not is_mult_independent(a, b):
         raise MultiplicativelyDependent("arguments are multiplicatively dependent")
-    chi = chi_S(S, genus)
+    chi = chi_S(S)
     if chi < 0:
         raise BadChiS("the gcd bound needs chi_S >= 0")
     N = gcd_counting(1 - a, 1 - b, S, truncated=False)

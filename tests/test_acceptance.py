@@ -161,7 +161,7 @@ def test_criterion_6_effective_pipeline():
                     if x != y:
                         assert (x - y) % cc.p  # p divides no nonzero r-difference
             # the cubed inequality fails at ell and not at ell - 1
-            chi = 2 * inst.genus - 2 + rep.s_work.weighted_size
+            chi = 2 * 0 - 2 + rep.s_work.weighted_size
             hg = height(split.g)
             hp = poly_height(split.poly)
             degp = split.poly.degree

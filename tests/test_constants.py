@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from skolemff.constants import ConstantValue, FieldSpec, RootOfUnity, field_for, roots_of_unity, zeta
+from skolemff.constants import ConstantValue, FieldSpec, RootOfUnity, _defining_poly, field_for, roots_of_unity, zeta
 from skolemff.errors import FieldTooSmall, InvalidInstance
 
 
@@ -124,3 +124,33 @@ def test_serialization_format():
     f3 = field_for(FieldSpec(3, 1, 1))
     with pytest.raises(InvalidInstance):
         ConstantValue.from_strings(f3, ["4"])  # outside [0, p)
+
+
+def _monic_polys(p, d):
+    """Monic degree-d polynomials over F_p, little-endian, lower coefficients read as base-p digits."""
+    for idx in range(p**d):
+        low = []
+        for _ in range(d):
+            low.append(idx % p)
+            idx //= p
+        yield low + [1]
+
+
+def _divides(g, f, p):
+    r = list(f)
+    for i in range(len(r) - 1, len(g) - 2, -1):
+        c = r[i]
+        for j, gj in enumerate(g):
+            r[i - len(g) + 1 + j] = (r[i - len(g) + 1 + j] - c * gj) % p
+    return not any(r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_defining_poly_is_first_irreducible(p):
+    # the defining polynomial fixes the F_{p^d} element encoding of every report
+    for d in range(1, 5):
+        expect = next(
+            f for f in _monic_polys(p, d)
+            if not any(_divides(g, f, p) for k in range(1, d // 2 + 1) for g in _monic_polys(p, k))
+        )
+        assert list(_defining_poly(p, d)) == expect, (p, d)

@@ -306,7 +306,6 @@ def test_chi_S(Q):
     assert chi_S(PlaceSet([Place(t), Place(t - one), INFINITY])) == 1
     # degree weighting: a quadratic place counts twice
     assert chi_S(PlaceSet([Place(t * t + one)])) == 0
-    assert chi_S(PlaceSet([INFINITY]), genus=2) == 3
 
 
 def test_s_integers_and_units(Q):

@@ -194,7 +194,7 @@ def test_cli_batch_dir(instance_dir):
     assert by_name["example-1.json"]["result"]["global_zero"] is None
 
 
-def test_cli_exit_codes(tmp_path, instance_dir):
+def test_cli_exit_codes(tmp_path, instance_dir, Q):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     code, rep = run_cli(["solve", str(bad)])
@@ -207,6 +207,16 @@ def test_cli_exit_codes(tmp_path, instance_dir):
     bad2.write_text(json.dumps({"field": {"characteristic": "0"}, "f": {"num": [["1"]]}}))
     code, rep = run_cli(["solve", str(bad2)])
     assert code == 2
+    # malformed shapes and a nonzero genus are invalid input, not a traceback
+    good = instance_to_json(example1_instance(Q))
+    for name, patch in (("place", {"S": ["oops"]}), ("field", {"field": "Q"}), ("genus", {"genus": "7"})):
+        path = tmp_path / f"bad-{name}.json"
+        path.write_text(json.dumps(dict(good, **patch)))
+        code, rep = run_cli(["solve", str(path)])
+        assert code == 2 and rep["result"]["error"] == "InvalidInstance", name
+    genus0 = tmp_path / "genus0.json"
+    genus0.write_text(json.dumps(dict(good, genus="0")))
+    assert run_cli(["solve", str(genus0)])[0] == 0
     # batch dir aggregates the worst code
     code, rep = run_cli(["solve", "--dir", str(tmp_path)])
     assert code == 2
