@@ -34,12 +34,10 @@ from .intutil import cyclotomic_poly, euler_phi
 from .multstruct import DependenceWitness, dependence_exponents, is_mult_independent, is_power_of
 from .powersum import (
     CertificateReport,
-    CompanionPolynomial,
     PowerSumInstance,
     certify_local_global,
     choose_p,
     choose_q,
-    companion_poly,
     decide_global_zero,
     ell_bound,
     eval_B,
@@ -93,12 +91,10 @@ __all__ = [
     "is_mult_independent",
     "is_power_of",
     "CertificateReport",
-    "CompanionPolynomial",
     "PowerSumInstance",
     "certify_local_global",
     "choose_p",
     "choose_q",
-    "companion_poly",
     "decide_global_zero",
     "ell_bound",
     "eval_B",

@@ -20,7 +20,15 @@ from .errors import InvalidInstance
 from .funfield import INFINITY, KPolynomial, Place, PlaceSet, Polynomial, RationalFunction
 from .powersum import PowerSumInstance, decide_global_zero
 
-__all__ = ["generate_instance", "PROFILES", "rand_const", "rand_poly", "rand_ratfunc", "place_pool"]
+__all__ = [
+    "generate_instance",
+    "instance_from_roots",
+    "PROFILES",
+    "rand_const",
+    "rand_poly",
+    "rand_ratfunc",
+    "place_pool",
+]
 
 PROFILES = ("small", "dep-heavy", "charp")
 
@@ -80,6 +88,19 @@ def _one_ru(fld: Field) -> RootOfUnity:
 
 def _neg_ru(fld: Field) -> RootOfUnity:
     return RootOfUnity(2, ConstantValue(fld, fld.from_int(-1)))
+
+
+def instance_from_roots(roots, f: RationalFunction, S: PlaceSet, shift: int = 0) -> PowerSumInstance:
+    """The instance B(n) = f^{shift n} prod_beta (f^n - beta): its companion is prod(X - beta).
+
+    Every nonzero coefficient of prod(X - beta) becomes one term with eps = 1.
+    """
+    fld = f.field
+    P = KPolynomial.from_roots(fld, roots)
+    terms = [(coeff, i + shift) for i, coeff in enumerate(P.coeffs) if not coeff.is_zero]
+    return PowerSumInstance(
+        tuple(coeff for coeff, _ in terms), (_one_ru(fld),) * len(terms), tuple(r for _, r in terms), f, S
+    )
 
 
 def _rand_epsilon(rng: random.Random, fld: Field) -> RootOfUnity:
@@ -179,16 +200,7 @@ def _gen_dep_heavy(rng: random.Random) -> PowerSumInstance:
         roots.append(RationalFunction.constant(fld, sign) * t**s)
     if rng.random() < 0.3:
         roots.append(RationalFunction.constant(fld, -1))  # constant torsion root
-    P = KPolynomial.from_roots(fld, roots)
-    shift = rng.randint(-1, 2)
-    lambdas, epsilons, exponents = [], [], []
-    for i, coeff in enumerate(P.coeffs):
-        if coeff.is_zero:
-            continue
-        lambdas.append(coeff)
-        epsilons.append(_one_ru(fld))
-        exponents.append(i + shift)
-    inst = PowerSumInstance(tuple(lambdas), tuple(epsilons), tuple(exponents), f, S)
+    inst = instance_from_roots(roots, f, S, shift=rng.randint(-1, 2))
     assert decide_global_zero(inst) is None, "dep-heavy generator produced a global zero"
     return inst
 

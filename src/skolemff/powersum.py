@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import lcm
 
@@ -40,6 +41,7 @@ from .funfield import (
     Polynomial,
     RationalFunction,
     chi_S,
+    divisor,
     gcd_counting,
     height,
     is_s_integer,
@@ -49,18 +51,16 @@ from .funfield import (
     radical,
     strip_places,
 )
-from .intutil import base_digits, cyclotomic_poly, divisors, euler_phi
+from .intutil import base_digits, cyclotomic_poly, divisors, euler_phi, is_prime
 from .kroots import RootSearch, find_roots_in_K
-from .multstruct import DependenceWitness, dependence_exponents
+from .multstruct import DependenceWitness, dependence_exponents, is_power_of
 from .vd_theorems import InequalityReport
 
 __all__ = [
     "PowerSumInstance",
-    "CompanionPolynomial",
     "SplitResult",
     "CertificateReport",
     "eval_B",
-    "companion_poly",
     "class_reduction",
     "local_vanishing_check",
     "find_local_witness",
@@ -141,14 +141,6 @@ class PowerSumInstance:
         return self.f.field
 
 
-@dataclass(frozen=True)
-class CompanionPolynomial:
-    """P_c(X) = sum_i lambda_i eps_i^c X^{r_i - r_min}; B(n) = f^{r_min n} P_c(f^n) on n = c mod e."""
-
-    residue_class: int
-    poly: KPolynomial
-
-
 def eval_B(inst: PowerSumInstance, n: int) -> RationalFunction:
     """Exact value of B(n) in K (any integer n; f is a unit)."""
     out = RationalFunction.zero(inst.field)
@@ -156,14 +148,6 @@ def eval_B(inst: PowerSumInstance, n: int) -> RationalFunction:
         c = eps.value ** (n % eps.order)
         out = out + lam * c * inst.f ** (r * n)
     return out
-
-
-def companion_poly(inst: PowerSumInstance, c: int) -> CompanionPolynomial:
-    rmin = inst.r_min
-    coeffs = [RationalFunction.zero(inst.field) for _ in range(inst.N + 1)]
-    for lam, eps, r in zip(inst.lambdas, inst.epsilons, inst.exponents):
-        coeffs[r - rmin] = coeffs[r - rmin] + lam * (eps.value ** (c % eps.order))
-    return CompanionPolynomial(residue_class=c % inst.e, poly=KPolynomial(inst.field, coeffs))
 
 
 def class_reduction(inst: PowerSumInstance, c: int) -> tuple[KPolynomial, RationalFunction]:
@@ -216,12 +200,11 @@ def _phi_numerator(d: int, f: RationalFunction) -> Polynomial:
     return acc
 
 
-def _phi_of(d: int, g: RationalFunction) -> RationalFunction:
-    """Phi_d(g) as an element of K."""
-    acc = RationalFunction.zero(g.field)
-    for j, cj in enumerate(reversed(cyclotomic_poly(d))):
-        acc = acc * g + cj
-    return acc
+def _phi_pair(g: RationalFunction, p: int, ell: int, q: int) -> tuple[RationalFunction, RationalFunction]:
+    """Phi_{p^l}(g) and Phi_{p^l q}(g) in K, the targets of both lemma checks."""
+    return tuple(
+        RationalFunction(_phi_numerator(d, g), g.den ** euler_phi(d)) for d in (p**ell, p**ell * q)
+    )
 
 
 class LocalChecker:
@@ -398,9 +381,7 @@ def decide_global_zero(inst: PowerSumInstance, n_bound: int | None = None) -> in
     for c in range(e):
         P, g = class_reduction(inst, c)
         if P.is_zero:
-            candidates.append(c)
-            if e > 0 and c - e != c:
-                candidates.append(c - e)
+            candidates.extend((c, c - e))
             continue
         hg = height(g)
         if n_bound is not None:
@@ -437,18 +418,11 @@ class SplitResult:
     leading: RationalFunction
     complete: bool
 
-    @property
+    @cached_property
     def p_dep(self) -> KPolynomial:
-        fld = self.poly.field
-        out = KPolynomial(fld, (RationalFunction.one(fld),))
-        one = RationalFunction.one(fld)
-        for beta, mult, _ in self.dep:
-            lin = KPolynomial(fld, (-beta, one))
-            for _ in range(mult):
-                out = out * lin
-        return out
+        return KPolynomial.from_roots(self.poly.field, [b for b, mult, _ in self.dep for _ in range(mult)])
 
-    @property
+    @cached_property
     def p_ind(self) -> KPolynomial:
         return self.poly.exact_div(self.p_dep)
 
@@ -507,8 +481,6 @@ def choose_p(witnesses, q: int) -> int:
     diffs = {abs(x - y) for x in rbetas for y in rbetas if x != y}
     cand = 2
     while True:
-        from .intutil import is_prime
-
         if is_prime(cand) and q % cand and all(d % cand for d in diffs):
             return cand
         cand += 1
@@ -540,15 +512,12 @@ def ell_bound(P: KPolynomial, f: RationalFunction, S: PlaceSet, p: int, q: int) 
 
 def _working_S(inst: PowerSumInstance, splits) -> PlaceSet:
     """S plus the supports of all located roots, padded so chi_S >= 0."""
-    from .funfield import divisor
-
     S = inst.places
     extra = set()
     for split in splits:
-        for beta, _, *_ in list(split.dep) + [(b, m, None) for b, m in split.ind]:
-            if beta.is_constant:
-                continue
-            extra.update(divisor(beta))
+        for beta, *_ in split.dep + split.ind:
+            if not beta.is_constant:
+                extra.update(divisor(beta))
     S = S.union(extra)
     if chi_S(S) < 0:
         S = S.union({INFINITY})
@@ -557,8 +526,9 @@ def _working_S(inst: PowerSumInstance, splits) -> PlaceSet:
     return S
 
 
-def _claimD_impl(split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int) -> InequalityReport:
-    fld = split.poly.field
+def _claimD_impl(
+    split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int, phis: tuple[RationalFunction, RationalFunction]
+) -> InequalityReport:
     if not split.dep:
         return InequalityReport(
             lhs=0, rhs=0, holds=True,
@@ -568,10 +538,8 @@ def _claimD_impl(split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: i
     x = split.p_dep.evaluate(split.g**n)
     if x.is_zero:
         raise PreconditionGlobalZeroExists("P_dep(g^n) = 0: a global zero exists")
-    y1 = _phi_of(p**ell, split.g)
-    y2 = _phi_of(p**ell * q, split.g)
-    n1 = gcd_counting(x, y1, S, truncated=False)
-    n2 = gcd_counting(x, y2, S, truncated=False)
+    n1 = gcd_counting(x, phis[0], S, truncated=False)
+    n2 = gcd_counting(x, phis[1], S, truncated=False)
     return InequalityReport(
         lhs=min(n1, n2),
         rhs=0,
@@ -581,17 +549,16 @@ def _claimD_impl(split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: i
     )
 
 
-def _claimI_impl(split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int) -> InequalityReport:
+def _claimI_impl(
+    split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int, phi_prod: RationalFunction
+) -> InequalityReport:
     chi = chi_S(S)
     if chi < 0:
         raise BadChiS("claim I needs chi_S >= 0")
-    if not split.complete:
-        raise FactorizationTooHard("claim I needs a complete root search")
     period = p**ell * q
     n_red = n % period
     x = split.p_ind.evaluate(split.g**n_red)
-    gred = _phi_of(p**ell, split.g) * _phi_of(period, split.g)
-    lhs = gcd_counting(x, gred, S, truncated=False)
+    lhs = gcd_counting(x, phi_prod, S, truncated=False)
     hg = height(split.g)
     hp = poly_height(split.poly)
     degp = split.poly.degree
@@ -605,26 +572,41 @@ def _claimI_impl(split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: i
     )
 
 
-def lemma_claimD_check(inst: PowerSumInstance, c: int, n: int, p: int, ell: int, q: int) -> InequalityReport:
-    """Either gcd count of P_dep(g^n) with Phi_{p^l}(g) or with Phi_{p^l q}(g) is zero."""
-    if decide_global_zero(inst) is not None:
-        raise PreconditionGlobalZeroExists("the instance has a global zero")
-    split = split_dep_ind(inst, c)
+def _require_no_class_zero(split: SplitResult, claim: str) -> None:
+    """The lemmas' hypothesis, read off a complete split: no root of P'_c is a power g^m.
+
+    A root g^m of P'_c is dependent on g, so on a complete split this holds
+    exactly when the class c of the split contains no global zero.
+    """
     if not split.complete:
-        raise FactorizationTooHard("claim D needs a complete root search")
+        raise FactorizationTooHard(f"claim {claim} needs a complete root search")
+    if any(is_power_of(beta, split.g) is not None for beta, _, _ in split.dep):
+        raise PreconditionGlobalZeroExists(f"class {split.residue_class} has a global zero")
+
+
+def lemma_claimD_check(inst: PowerSumInstance, split: SplitResult, n: int, p: int, ell: int, q: int) -> InequalityReport:
+    """Either gcd count of P_dep(g^n) with Phi_{p^l}(g) or with Phi_{p^l q}(g) is zero.
+
+    `split` is split_dep_ind(inst, c).  It must be complete, and the class c
+    must hold no global zero (PreconditionGlobalZeroExists otherwise).
+    """
+    _require_no_class_zero(split, "D")
     S = _working_S(inst, [split])
-    return _claimD_impl(split, S, n, p, ell, q)
+    return _claimD_impl(split, S, n, p, ell, q, _phi_pair(split.g, p, ell, q))
 
 
-def lemma_claimI_check(inst: PowerSumInstance, c: int, n: int, p: int, ell: int, q: int) -> InequalityReport:
-    """gcd count of P_ind(g^n) with g = Phi_{p^l}(g)Phi_{p^l q}(g) obeys the cubed bound."""
+def lemma_claimI_check(inst: PowerSumInstance, split: SplitResult, n: int, p: int, ell: int, q: int) -> InequalityReport:
+    """gcd count of P_ind(g^n) with Phi_{p^l}(g)Phi_{p^l q}(g) obeys the cubed bound.
+
+    `split` is split_dep_ind(inst, c), under the same per-class precondition
+    as lemma_claimD_check.
+    """
     if inst.field.char != 0:
         raise CharPUnsupported("claim I holds in characteristic 0")
-    if decide_global_zero(inst) is not None:
-        raise PreconditionGlobalZeroExists("the instance has a global zero")
-    split = split_dep_ind(inst, c)
+    _require_no_class_zero(split, "I")
     S = _working_S(inst, [split])
-    return _claimI_impl(split, S, n, p, ell, q)
+    y1, y2 = _phi_pair(split.g, p, ell, q)
+    return _claimI_impl(split, S, n, p, ell, q, y1 * y2)
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +676,11 @@ def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> Certific
         checks: list[InequalityReport] = []
         phi_degree = euler_phi(p**ell * q) * height(split.g)
         if split.complete and split.remainder.degree == 0 and phi_degree <= local_degree_cap():
+            phis = _phi_pair(split.g, p, ell, q)
+            phi_prod = phis[0] * phis[1]
             for n in (1, 2):
-                checks.append(_claimD_impl(split, S_work, n, p, ell, q))
-                checks.append(_claimI_impl(split, S_work, n, p, ell, q))
+                checks.append(_claimD_impl(split, S_work, n, p, ell, q, phis))
+                checks.append(_claimI_impl(split, S_work, n, p, ell, q, phi_prod))
         else:
             if phi_degree > local_degree_cap():
                 notes.append(f"class {split.residue_class}: lemma evaluation skipped (degree {phi_degree})")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InvalidInstance
 from .funfield import PlaceSet, RationalFunction, deg_ins, height
@@ -50,9 +49,7 @@ def growth_check(inst: PowerSumInstance, rho: Fraction) -> bool:
 def min_e(inst: PowerSumInstance, rho: Fraction) -> int:
     """Smallest e > Gamma killing every eps_i (and coprime to p in char p)."""
     gamma = gamma_bound(rho, inst.places)
-    base = 1
-    for eps in inst.epsilons:
-        base = lcm(base, eps.order)
+    base = inst.e
     ch = inst.field.char
     e = base
     while Fraction(e) <= gamma or (ch and e % ch == 0):

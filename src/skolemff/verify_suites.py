@@ -25,8 +25,15 @@ from .funfield import (
     poly_height,
     poly_valuation,
 )
-from .generate import generate_instance, place_pool, rand_const, rand_ratfunc
-from .powersum import choose_p, choose_q, lemma_claimD_check, lemma_claimI_check, split_dep_ind
+from .generate import generate_instance, instance_from_roots, place_pool, rand_const, rand_ratfunc
+from .powersum import (
+    choose_p,
+    choose_q,
+    decide_global_zero,
+    lemma_claimD_check,
+    lemma_claimI_check,
+    split_dep_ind,
+)
 from .vd_theorems import verify_cz_gcd, verify_smt, verify_sunit_count
 
 __all__ = ["SuiteResult", "run_suite", "SUITES"]
@@ -290,7 +297,7 @@ def _run_claimD(seed: int, count: int, max_deg: int) -> SuiteResult:
         p = choose_p([w for _, _, w in split.dep], q)
         ell = rng.choice([1, 2])
         n = rng.randint(-8, 8)
-        rep = lemma_claimD_check(inst, 0, n, p, ell, q)
+        rep = lemma_claimD_check(inst, split, n, p, ell, q)
         res.checked += 1
         if not rep.holds:
             res.violations += 1
@@ -306,7 +313,6 @@ def _run_claimI(seed: int, count: int, max_deg: int) -> SuiteResult:
     for i in range(count):
         fld = field_for(FieldSpec(0, 1))
         tp = Polynomial.t(fld)
-        one = Polynomial.one(fld)
         t = RationalFunction.t(fld)
         S = PlaceSet([Place(tp), INFINITY])
         j = rng.randint(1, 2)
@@ -317,20 +323,7 @@ def _run_claimI(seed: int, count: int, max_deg: int) -> SuiteResult:
             s = rng.choice([x for x in range(-3, 4) if x != 0])
             sign = -1 if (s % j == 0) else rng.choice([1, -1])
             roots.append(RationalFunction.constant(fld, sign) * t**s)
-        P = KPolynomial.from_roots(fld, roots)
-        lambdas, epsilons, exponents = [], [], []
-        from .constants import RootOfUnity
-
-        one_ru = RootOfUnity(1, ConstantValue(fld, fld.one_raw))
-        for k, coeff in enumerate(P.coeffs):
-            if coeff.is_zero:
-                continue
-            lambdas.append(coeff)
-            epsilons.append(one_ru)
-            exponents.append(k)
-        from .powersum import PowerSumInstance, decide_global_zero
-
-        inst = PowerSumInstance(tuple(lambdas), tuple(epsilons), tuple(exponents), f, S)
+        inst = instance_from_roots(roots, f, S)
         if decide_global_zero(inst) is not None:
             continue
         split = split_dep_ind(inst, 0)
@@ -338,7 +331,7 @@ def _run_claimI(seed: int, count: int, max_deg: int) -> SuiteResult:
         p = choose_p([w for _, _, w in split.dep], q)
         ell = 1 if p >= 5 else rng.choice([1, 2])
         n = rng.randint(0, 8)
-        rep = lemma_claimI_check(inst, 0, n, p, ell, q)
+        rep = lemma_claimI_check(inst, split, n, p, ell, q)
         res.checked += 1
         if not rep.holds:
             res.violations += 1

@@ -8,7 +8,7 @@ symbolic evaluation in characteristic p where the point count may fall short.
 
 from fractions import Fraction
 
-from skolemff import ConstantValue, height
+from skolemff import ConstantValue, RationalFunction, cyclotomic_poly, height
 from skolemff.powersum import eval_B
 
 
@@ -86,3 +86,11 @@ def ell_oracle(p: int, q: int, hf: int, degp: int, hp: int, chi: int) -> int:
         if L > 0 and L**3 > 54 * degp**3 * chi * (p**ell * q * hf + hp) ** 2:
             return ell
         ell += 1
+
+
+def horner_phi(d: int, g):
+    """Phi_d(g) in K by Horner's rule, one K operation per coefficient."""
+    acc = RationalFunction.zero(g.field)
+    for cj in reversed(cyclotomic_poly(d)):
+        acc = acc * g + cj
+    return acc

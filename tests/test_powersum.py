@@ -15,7 +15,6 @@ from skolemff import (
     certify_local_global,
     choose_p,
     choose_q,
-    companion_poly,
     decide_global_zero,
     ell_bound,
     eval_B,
@@ -40,7 +39,7 @@ from skolemff.powersum import class_reduction
 from conftest import example1_instance, neg_ru, one_ru
 
 
-from oracles import brute_zero_scan
+from oracles import brute_zero_scan, horner_phi
 
 
 # -- instances and eval ---------------------------------------------------------
@@ -71,25 +70,28 @@ def test_eval_B_examples(Q, ex1):
 
 def test_companion_examples(Q, ex1):
     one = RationalFunction.one(Q)
-    c0 = companion_poly(ex1, 0)
-    assert c0.poly == KPolynomial(Q, (one, one, one, one))
-    c1 = companion_poly(ex1, 1)
-    assert c1.poly == KPolynomial(Q, (-one, -one, one, one))
-    # single-term instance: the companion is a monomial
     t = RationalFunction.t(Q)
+    P0, g = class_reduction(ex1, 0)
+    assert P0 == KPolynomial(Q, (one, one, one, one)) and g == t**2
+    # class 1 carries the twist eps_i f^{r_i}
+    P1, _ = class_reduction(ex1, 1)
+    assert P1 == KPolynomial(Q, (-t, -(t**2), t**3, t**4))
+    # single-term instance: the companion is a monomial
     S = PlaceSet([Place(Polynomial.t(Q)), INFINITY])
     m1 = PowerSumInstance((t,), (neg_ru(Q),), (3,), t, S)
-    assert companion_poly(m1, 1).poly == KPolynomial(Q, (-t,))
+    assert class_reduction(m1, 1)[0] == KPolynomial(Q, (-(t**4),))
 
 
 def test_companion_identity_random(Q):
     checked = 0
     for seed in range(10):
         inst, _ = generate_instance(seed, "small")
-        f = inst.f
+        reductions = [class_reduction(inst, c) for c in range(inst.e)]
         for n in range(-20, 21):
+            m, c = divmod(n, inst.e)
+            P, g = reductions[c]
             lhs = eval_B(inst, n)
-            rhs = (f ** (inst.r_min * n)) * companion_poly(inst, n % inst.e).poly.evaluate(f**n)
+            rhs = (g ** (inst.r_min * m)) * P.evaluate(g**m)
             assert lhs == rhs
             checked += 1
     assert checked > 300
@@ -388,12 +390,12 @@ def test_lemma_claimD_examples(Q):
     t = RationalFunction.t(Q)
     S = PlaceSet([Place(Polynomial.t(Q)), INFINITY])
     inst = PowerSumInstance((RationalFunction.one(Q), -(t**3)), (one_ru(Q),) * 2, (1, 0), t**2, S)
-    rep = lemma_claimD_check(inst, 0, 1, 5, 1, 2)
+    rep = lemma_claimD_check(inst, split_dep_ind(inst, 0), 1, 5, 1, 2)
     assert rep.holds and rep.lhs == 0
     # trivial case: no dependent roots
     inst2 = PowerSumInstance((-(t - 1), RationalFunction.one(Q)), (one_ru(Q),) * 2, (0, 1), t,
                              PlaceSet([Place(Polynomial.t(Q)), Place(Polynomial.t(Q) - Polynomial.one(Q)), INFINITY]))
-    rep2 = lemma_claimD_check(inst2, 0, 3, 3, 1, 2)
+    rep2 = lemma_claimD_check(inst2, split_dep_ind(inst2, 0), 3, 3, 1, 2)
     assert rep2.holds and rep2.detail.get("trivial")
 
 
@@ -401,7 +403,7 @@ def test_lemma_claimD_precondition(Q, ex2):
     from skolemff.errors import PreconditionGlobalZeroExists
 
     with pytest.raises(PreconditionGlobalZeroExists):
-        lemma_claimD_check(ex2, 0, 1, 3, 1, 2)
+        lemma_claimD_check(ex2, split_dep_ind(ex2, 0), 1, 3, 1, 2)
 
 
 def test_lemma_claimI_examples(Q):
@@ -410,10 +412,59 @@ def test_lemma_claimI_examples(Q):
     one = Polynomial.one(Q)
     S = PlaceSet([Place(tp), Place(tp - one), INFINITY])
     inst = PowerSumInstance((-(t - 1), RationalFunction.one(Q)), (one_ru(Q),) * 2, (0, 1), t, S)
-    rep = lemma_claimI_check(inst, 0, 1, 3, 1, 2)
+    split = split_dep_ind(inst, 0)
+    rep = lemma_claimI_check(inst, split, 1, 3, 1, 2)
     assert rep.holds and rep.lhs == 0
-    rep2 = lemma_claimI_check(inst, 0, 4, 3, 1, 2)
+    rep2 = lemma_claimI_check(inst, split, 4, 3, 1, 2)
     assert rep2.holds
+
+
+def test_lemma_checks_reuse_the_callers_split(monkeypatch):
+    # each claimD / claimI suite instance is split once and decided once
+    import sys
+
+    from skolemff import powersum
+    from skolemff.verify_suites import run_suite
+
+    calls = dict.fromkeys(("decide_global_zero", "split_dep_ind"), 0)
+    for name in calls:
+        orig = getattr(powersum, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.partition(".")[0] == "skolemff" and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    for suite in ("claimD", "claimI"):
+        for name in calls:
+            calls[name] = 0
+        res = run_suite(suite, 0, 4)
+        assert res.checked == 4 and res.violations == 0
+        assert calls == {"decide_global_zero": 4, "split_dep_ind": 4}, suite
+
+
+def test_phi_pair_matches_horner(Q):
+    from skolemff.powersum import _phi_pair
+
+    # the lemma targets of every certified dep-heavy class
+    pairs = 0
+    for seed in range(10):
+        inst, _ = generate_instance(seed, "dep-heavy")
+        rep = certify_local_global(inst, k_bound=1)
+        for cc in rep.per_class:
+            _, g = class_reduction(inst, cc.residue)
+            y1, y2 = _phi_pair(g, cc.p, cc.ell, cc.q)
+            assert y1 == horner_phi(cc.p**cc.ell, g)
+            assert y2 == horner_phi(cc.p**cc.ell * cc.q, g)
+            pairs += 2
+    assert pairs >= 20
+    # dep-heavy has g = t^j with denominator 1; cover nontrivial denominators too
+    t = RationalFunction.t(Q)
+    for g in ((t + 2) / (t**2 - 3), t**-3):
+        for d in range(1, 13):
+            assert _phi_pair(g, d, 1, 1) == (horner_phi(d, g),) * 2
 
 
 def test_certify_examples(Q, Qi):
