@@ -33,6 +33,7 @@ from .errors import (
     QEqualsOne,
     ZeroInput,
 )
+from .factor import _pow_mod, factor_poly
 from .funfield import (
     INFINITY,
     KPolynomial,
@@ -212,8 +213,11 @@ class LocalChecker:
 
     Per divisor d | a let G_d be the S-stripped radical of the numerator of
     Phi_d(f).  Modulo G_d the function f is a unit of exact order d, so
-    B(k) mod G_d = sum_i lam_i eps_i^k fbar^{(r_i k) mod d}; the reductions
-    lam_i * fbar^j are tabulated once, leaving O(m * deg G_d) scalar work per k.
+    B(k) mod G_d = sum_i lam_i eps_i^k fbar^{(r_i k) mod d}, which depends only
+    on k mod lcm(d, e): eps_i^k on k mod ord(eps_i), a divisor of e, and
+    fbar^{r_i k} on k mod d.  The powers fbar^j and the entries
+    lam_i * fbar^j mod G_d are computed on first use and kept, and each
+    condition's sum, like the test at infinity, is computed once per residue.
     """
 
     def __init__(self, inst: PowerSumInstance, a: int):
@@ -225,10 +229,11 @@ class LocalChecker:
                 a //= ch  # zeros of f^a - 1 match those of the p-free part
         self.inst = inst
         self.a = a
-        f, S = inst.f, inst.places
-        if a * max(1, height(f)) > local_degree_cap():
+        f, S, e = inst.f, inst.places, inst.e
+        degree, cap = a * max(1, height(f)), local_degree_cap()
+        if degree > cap:
             raise FactorizationTooHard(
-                f"local check at f^{a}-1 exceeds SKOLEMFF_MAX_LOCAL_DEGREE"
+                f"local check at f^{a}-1: degree {degree} exceeds SKOLEMFF_MAX_LOCAL_DEGREE={cap}"
             )
         self.conditions = []
         for d in divisors(a):
@@ -237,72 +242,84 @@ class LocalChecker:
             if G.degree == 0:
                 continue
             fbar = (f.num % G) * _poly_invmod(f.den % G, G) % G
-            powers = [Polynomial.one(f.field)]
-            for _ in range(d - 1):
-                powers.append(powers[-1] * fbar % G)
-            if not (powers[-1] * fbar % G == Polynomial.one(f.field)):
+            if not (_pow_mod(fbar, d, G) == Polynomial.one(f.field)):
                 raise AssertionError("fbar does not have order dividing d mod G_d")
-            tables = []
-            for lam in inst.lambdas:
-                lam_bar = (lam.num % G) * _poly_invmod(lam.den % G, G) % G
-                tables.append([lam_bar * pw % G for pw in powers])
-            self.conditions.append({"d": d, "G": G, "tables": tables})
+            lam_bar = [(lam.num % G) * _poly_invmod(lam.den % G, G) % G for lam in inst.lambdas]
+            self.conditions.append(
+                {"d": d, "G": G, "fbar": fbar, "lam_bar": lam_bar, "period": lcm(d, e),
+                 "powers": {}, "entries": {}, "sums": {}}
+            )
         self.inf_condition = None
         if not S.has_infinity:
             f_inf = f.value_at_infinity()
             if (f_inf**a).is_one:
+                order = f_inf.order()
                 self.inf_condition = {
                     "f_inf": f_inf,
                     "lam_inf": [lam.value_at_infinity() for lam in inst.lambdas],
-                    "order": f_inf.order(),
+                    "order": order,
+                    "period": lcm(order, e),
+                    "verdicts": {},
                 }
         self._eps_pow = [
             [eps.value**j for j in range(eps.order)] for eps in inst.epsilons
         ]
 
+    def _entry(self, cond, i: int, j: int) -> Polynomial:
+        """lam_bar_i * fbar^j mod G_d."""
+        entries, powers = cond["entries"], cond["powers"]
+        if (i, j) not in entries:
+            if j not in powers:
+                powers[j] = _pow_mod(cond["fbar"], j, cond["G"])
+            entries[i, j] = cond["lam_bar"][i] * powers[j] % cond["G"]
+        return entries[i, j]
+
     def _class_sum(self, cond, k: int) -> Polynomial:
         inst = self.inst
-        fld = inst.field
-        d = cond["d"]
-        acc = Polynomial.zero(fld)
+        acc = Polynomial.zero(inst.field)
         for i, r in enumerate(inst.exponents):
             eps = self._eps_pow[i][k % inst.epsilons[i].order]
-            acc = acc + cond["tables"][i][(r * k) % d] * eps
+            acc = acc + self._entry(cond, i, (r * k) % cond["d"]) * eps
         return acc % cond["G"]
+
+    def _residue_sum(self, cond, k: int) -> Polynomial:
+        """B(k) mod G_d, computed once per residue of k mod lcm(d, e)."""
+        res, sums = k % cond["period"], cond["sums"]
+        if res not in sums:
+            sums[res] = self._class_sum(cond, res)
+        return sums[res]
 
     def check(self, k: int) -> bool:
         for cond in self.conditions:
-            if not self._class_sum(cond, k).is_zero:
+            if not self._residue_sum(cond, k).is_zero:
                 return False
         return self.check_infinity(k)
 
     def failing_places(self, k: int) -> tuple[Place, ...]:
-        from .factor import factor_poly
-
         out = []
         for cond in self.conditions:
-            s = self._class_sum(cond, k)
+            s = self._residue_sum(cond, k)
             if s.is_zero:
                 continue
             fail = cond["G"].exact_div(poly_gcd(cond["G"], s))
-            try:
-                out.extend(Place(g) for g, _ in factor_poly(fail)[1])
-            except FactorizationTooHard:
-                pass
+            out.extend(Place(g) for g, _ in factor_poly(fail)[1])
         if not self.check_infinity(k):
             out.append(INFINITY)
         return tuple(sorted(out, key=Place.sort_key))
 
     def check_infinity(self, k: int) -> bool:
-        if self.inf_condition is None:
-            return True
         ic = self.inf_condition
-        val = None
-        for i, r in enumerate(self.inst.exponents):
-            eps = self._eps_pow[i][k % self.inst.epsilons[i].order]
-            term = ic["lam_inf"][i] * eps * ic["f_inf"] ** ((r * k) % ic["order"])
-            val = term if val is None else val + term
-        return val.is_zero
+        if ic is None:
+            return True
+        res, verdicts = k % ic["period"], ic["verdicts"]
+        if res not in verdicts:
+            val = None
+            for i, r in enumerate(self.inst.exponents):
+                eps = self._eps_pow[i][res % self.inst.epsilons[i].order]
+                term = ic["lam_inf"][i] * eps * ic["f_inf"] ** ((r * res) % ic["order"])
+                val = term if val is None else val + term
+            verdicts[res] = val.is_zero
+        return verdicts[res]
 
 
 def local_vanishing_check(inst: PowerSumInstance, k: int, a: int) -> tuple[bool, tuple[Place, ...]]:

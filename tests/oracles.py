@@ -8,7 +8,8 @@ symbolic evaluation in characteristic p where the point count may fall short.
 
 from fractions import Fraction
 
-from skolemff import ConstantValue, RationalFunction, cyclotomic_poly, height
+from skolemff import INFINITY, ConstantValue, Place, RationalFunction, cyclotomic_poly, height, valuation
+from skolemff.factor import factor_poly
 from skolemff.powersum import eval_B
 
 
@@ -37,6 +38,23 @@ def is_identically_zero(inst, n: int) -> bool:
             return False
         found += 1
     assert found >= need, "not enough evaluation points"
+    return True
+
+
+def brute_local_check(inst, k, a):
+    """Direct definition: v_p(B(k)) >= min(1, v_p(f^a - 1)) for all p outside S."""
+    target = inst.f**a - 1
+    if target.is_zero:
+        return True
+    B = eval_B(inst, k)
+    places = [Place(g) for g, _ in factor_poly(target.num)[1]]
+    places.append(INFINITY)
+    for p in places:
+        if p in inst.places:
+            continue
+        v_target = valuation(target, p)
+        if v_target >= 1 and not (B.is_zero or valuation(B, p) >= 1):
+            return False
     return True
 
 

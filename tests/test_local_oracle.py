@@ -5,39 +5,22 @@ tests v_p(B(k)) >= 1 place by place - no radicals, no modular tables.
 """
 
 import random
+from math import lcm
 
 from skolemff import (
     INFINITY,
-    FieldSpec,
     Place,
     PlaceSet,
     Polynomial,
+    PowerSumInstance,
     RationalFunction,
-    field_for,
     local_vanishing_check,
     valuation,
 )
-from skolemff.factor import factor_poly
 from skolemff.generate import generate_instance
-from skolemff.powersum import eval_B, find_local_witness
-from conftest import example1_instance, one_ru
-
-
-def brute_local_check(inst, k, a):
-    """Direct definition: v_p(B(k)) >= min(1, v_p(f^a - 1)) for all p outside S."""
-    target = inst.f**a - 1
-    if target.is_zero:
-        return True
-    B = eval_B(inst, k)
-    places = [Place(g) for g, _ in factor_poly(target.num)[1]]
-    places.append(INFINITY)
-    for p in places:
-        if p in inst.places:
-            continue
-        v_target = valuation(target, p)
-        if v_target >= 1 and not (B.is_zero or valuation(B, p) >= 1):
-            return False
-    return True
+from skolemff.powersum import LocalChecker, _poly_invmod, eval_B, find_local_witness
+from conftest import example1_instance, neg_ru, one_ru
+from oracles import brute_local_check
 
 
 def test_local_checker_matches_brute_oracle():
@@ -102,3 +85,38 @@ def test_witness_scan_matches_oracle_on_example1(Q):
                 expect = k
                 break
         assert got == expect, a
+
+
+def test_reused_checker_matches_oracle_over_residue_windows(Q):
+    # One checker answers every k of a window longer than 2 lcm(d, e), negative
+    # k included, so each memoised result is read back for other k.  Each
+    # condition's sum must equal B(k) reduced modulo G_d and the test at
+    # infinity must match v_inf(B(k)) >= 1, whether or not check reaches them;
+    # check(k) must match the definition oracle.
+    tp, one = Polynomial.t(Q), Polynomial.one(Q)
+    f = RationalFunction(tp + one * 2, tp - one)  # f(inf) = 1, whose order 1 is below e = 2
+    S = PlaceSet([Place(tp - one), Place(tp + one * 2)])
+    inf_inst = PowerSumInstance((RationalFunction.one(Q),) * 2, (neg_ru(Q), one_ru(Q)), (1, 0), f, S)
+    cases = [
+        (generate_instance(0, "small")[0], 6),  # Q, e = 2
+        (generate_instance(9, "small")[0], 2),  # Q(i), e = 4
+        (generate_instance(2, "charp")[0], 4),  # F_3, e = 2
+        (generate_instance(6, "charp")[0], 3),  # F_5, e = 2
+        (inf_inst, 2),
+    ]
+    at_infinity = set()
+    for inst, a in cases:
+        assert inst.e >= 2 and any(inst.exponents)
+        checker = LocalChecker(inst, a)
+        W = lcm(checker.a, inst.e) + 1
+        for k in range(-W, W + 1):
+            assert checker.check(k) == brute_local_check(inst, k, a), (inst.field.spec, a, k)
+            B = eval_B(inst, k)
+            for cond in checker.conditions:
+                G = cond["G"]
+                assert checker._residue_sum(cond, k) == B.num * _poly_invmod(B.den % G, G) % G, (a, k, cond["d"])
+            if checker.inf_condition is not None:
+                vanishes = B.is_zero or valuation(B, INFINITY) >= 1
+                assert checker.check_infinity(k) == vanishes, (a, k)
+                at_infinity.add(vanishes)
+    assert at_infinity == {True, False}

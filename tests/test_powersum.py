@@ -1,4 +1,7 @@
 import random
+import re
+from collections import Counter
+from math import lcm
 
 import pytest
 
@@ -29,13 +32,14 @@ from skolemff import (
 from skolemff.errors import (
     CharPUnsupported,
     ConstantInput,
+    FactorizationTooHard,
     InvalidInstance,
     QEqualsOne,
     ZeroInput,
 )
 from skolemff.generate import generate_instance
 from skolemff.multstruct import DependenceWitness
-from skolemff.powersum import class_reduction
+from skolemff.powersum import LocalChecker, class_reduction
 from conftest import example1_instance, neg_ru, one_ru
 
 
@@ -130,6 +134,37 @@ def test_find_local_witness_examples(ex1, ex2):
     assert find_local_witness(ex2, 5, 50) == 4
     assert find_local_witness(ex1, 72, 200) is None
     assert find_local_witness(ex1, 2, 50) == 1
+
+
+def test_each_residue_sum_computed_once(ex1, monkeypatch):
+    # B(k) mod G_d depends only on k mod lcm(d, e): a scan over 401 k computes
+    # each condition's sum at most once per residue.
+    seen = Counter()
+    class_sum = LocalChecker._class_sum
+
+    def counted(self, cond, k):
+        seen[id(cond), k % lcm(cond["d"], ex1.e)] += 1
+        return class_sum(self, cond, k)
+
+    monkeypatch.setattr(LocalChecker, "_class_sum", counted)
+    assert find_local_witness(ex1, 72, 200) is None
+    assert seen and max(seen.values()) == 1
+
+
+def test_failing_places_raises_when_a_place_cannot_be_factored(ex1, monkeypatch):
+    t = Polynomial.t(ex1.field)
+    one = Polynomial.one(ex1.field)
+    assert local_vanishing_check(ex1, 1, 6) == (False, (Place(t * t - t + one), Place(t * t + t + one)))
+    monkeypatch.setenv("SKOLEMFF_MAX_DEGREE", "1")
+    with pytest.raises(FactorizationTooHard):
+        local_vanishing_check(ex1, 1, 6)
+
+
+def test_local_cap_reports_degree_and_cap(ex2, monkeypatch):
+    monkeypatch.setenv("SKOLEMFF_MAX_LOCAL_DEGREE", "8")
+    msg = "local check at f^6-1: degree 12 exceeds SKOLEMFF_MAX_LOCAL_DEGREE=8"
+    with pytest.raises(FactorizationTooHard, match=re.escape(msg)):
+        LocalChecker(ex2, 6)
 
 
 def test_local_monotone_in_a(ex1, ex2):
