@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import (
     FactorizationTooHard,
+    InvalidInstance,
     PreconditionGlobalZeroExists,
     QEqualsOne,
     SkolemffError,
@@ -42,12 +43,17 @@ EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _exit_code_for(exc: SkolemffError) -> int:
+def _exit_code_for(exc: SkolemffError | OSError) -> int:
     if isinstance(exc, (FactorizationTooHard, UnsupportedConstantPair)):
         return EXIT_INCONCLUSIVE
     if isinstance(exc, (QEqualsOne, PreconditionGlobalZeroExists)):
         return EXIT_VIOLATION
-    return EXIT_INVALID
+    return EXIT_INVALID  # invalid input, or a file that cannot be read or written
+
+
+def _error_result(exc: SkolemffError | OSError) -> dict:
+    name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+    return {"error": name, "message": str(exc)}
 
 
 def _report_inequality(rep) -> dict:
@@ -111,8 +117,12 @@ def _cmd_certify(path: str, k_bound: int) -> tuple[dict, int]:
 
 
 def _cmd_smallcoef(path: str, rho: str, k_bound: int) -> tuple[dict, int]:
+    try:
+        rho_q = Fraction(rho)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInstance(f"--rho {rho!r} is not a rational number") from None
     inst, doc = load_instance(path)
-    rep = smallcoef_end_to_end(inst, Fraction(rho), k_bound=k_bound)
+    rep = smallcoef_end_to_end(inst, rho_q, k_bound=k_bound)
     result = {
         "status": rep.status,
         "rho": str(rep.rho),
@@ -173,12 +183,8 @@ def _run_single(handler, path: str, command: dict):
         pass
     try:
         result, code = handler(path)
-    except SkolemffError as exc:
-        code = _exit_code_for(exc)
-        result = {"error": type(exc).__name__, "message": str(exc)}
-    except OSError as exc:
-        code = EXIT_INVALID
-        result = {"error": "OSError", "message": str(exc)}
+    except (SkolemffError, OSError) as exc:
+        code, result = _exit_code_for(exc), _error_result(exc)
     return _envelope(dict(command, file=path), result, code, started, digest)
 
 
@@ -279,11 +285,9 @@ def main(argv=None) -> int:
             result, code = _cmd_gen(args.seed, args.profile, args.out)
             print(canonical_dumps(stringify_numbers(_envelope(command, result, code, started, None))))
             return code
-    except SkolemffError as exc:
+    except (SkolemffError, OSError) as exc:
         code = _exit_code_for(exc)
-        doc = _envelope(
-            {"cmd": args.cmd}, {"error": type(exc).__name__, "message": str(exc)}, code, started, None
-        )
+        doc = _envelope({"cmd": args.cmd}, _error_result(exc), code, started, None)
         print(canonical_dumps(stringify_numbers(doc)))
         return code
     raise AssertionError("unreachable")

@@ -53,10 +53,6 @@ class FieldSpec:
             if self.extension_degree < 1:
                 raise InvalidInstance("extension_degree must be >= 1")
 
-    @property
-    def is_charp(self) -> bool:
-        return self.characteristic > 0
-
 
 def _gfp_is_irreducible(f: list[int], p: int) -> bool:
     """Rabin's test for a monic f of degree d >= 2 over F_p."""
@@ -259,6 +255,14 @@ class Field:
                 out = self.mul_raw(out, base)
             base = self.mul_raw(base, base)
             e >>= 1
+        return out
+
+    def conjugate_raw(self, a: tuple, k: int) -> tuple:
+        """sigma_k(a) for the automorphism zeta -> zeta^k of Q(zeta_M), k coprime to M."""
+        zk = self.pow_raw(self._zeta_raw(), k)
+        out = self.zero_raw
+        for c in reversed(a):
+            out = self.add_raw(self.mul_raw(out, zk), self.from_fraction(c))
         return out
 
     # -- torsion --------------------------------------------------------------
@@ -506,10 +510,6 @@ class RootOfUnity:
         for p in factorize(self.order):
             if f.pow_raw(self.value.raw, self.order // p) == f.one_raw:
                 raise InvalidInstance(f"declared order {self.order} is not minimal")
-
-    @property
-    def is_primitive_for(self) -> int:
-        return self.order
 
 
 def zeta(field: Field, order: int) -> ConstantValue:

@@ -7,8 +7,9 @@ Three backends behind one entry point:
 * Q              -- primitive integer form, then a big-prime variant of
                     Zassenhaus: one prime above twice the Landau-Mignotte bound,
                     modular factors recombined by exact trial division over Z;
-* Q(zeta_M), M>1 -- Trager norm descent: factor Res_y(Phi_M(y), A(x - s*zeta))
-                    over Q, pull factors back through gcds over Q(zeta).
+* Q(zeta_M), M>1 -- Trager norm descent: factor the norm of A(x - s*zeta), the
+                    product of its Galois conjugates zeta -> zeta^k, over Q,
+                    pull factors back through gcds over Q(zeta).
 
 The environment variable SKOLEMFF_MAX_DEGREE (default 64) caps the degree any
 backend will attempt, including the descent norm; beyond it the answer is an
@@ -21,7 +22,7 @@ import os
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 from .constants import ConstantValue, Field
 from .errors import FactorizationTooHard, ZeroInput
@@ -283,77 +284,14 @@ def _factor_sqfree_q(f: Polynomial) -> list[Polynomial]:
 # ---------------------------------------------------------------------------
 
 
-def _resultant_q(f: list[Fraction], g: list[Fraction]) -> Fraction:
-    """Res(f, g) of univariate polynomials over Q by the Euclidean formula."""
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    f, g = trim(f), trim(g)
-    if not f or not g:
-        return Fraction(0)
-    res = Fraction(1)
-    while len(g) > 1:
-        r = list(f)
-        inv = 1 / g[-1]
-        for i in range(len(r) - 1, len(g) - 2, -1):
-            c = r[i]
-            if c:
-                q = c * inv
-                for j in range(len(g)):
-                    r[i - len(g) + 1 + j] -= q * g[j]
-        r = trim(r[: len(g) - 1])
-        df, dg = len(f) - 1, len(g) - 1
-        dr = len(r) - 1 if r else 0
-        if not r:
-            return Fraction(0)
-        res *= g[-1] ** (df - dr) * (-1) ** (df * dg)
-        f, g = g, r
-    return res * g[0] ** (len(f) - 1)
-
-
-def _lagrange(points: list[tuple[int, Fraction]]) -> list[Fraction]:
-    """Interpolating polynomial through exact points (Newton form)."""
-    xs = [Fraction(x) for x, _ in points]
-    coeffs = [y for _, y in points]
-    # divided differences
-    for j in range(1, len(points)):
-        for i in range(len(points) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)]
-    for i in range(len(points) - 1, -1, -1):
-        # poly = poly*(x - xs[i]) + coeffs[i]
-        poly = [Fraction(0)] + poly
-        for k in range(len(poly) - 1):
-            poly[k] -= xs[i] * poly[k + 1]
-        poly[0] += coeffs[i]
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
 def _norm_to_q(a: Polynomial) -> list[Fraction]:
-    """Norm from Q(zeta)[x] down to Q[x]: Res_y(Phi_M(y), a(x) with zeta -> y)."""
+    """Norm from Q(zeta)[x] down to Q[x]: the product of the conjugates sigma_k(a), k in (Z/M)^*."""
     fld = a.field
-    phi = [Fraction(c) for c in fld._modulus]
-    n = fld.degree
-    deg_bound = a.degree * n
-    pts: list[tuple[int, Fraction]] = []
-    x0 = 0
-    while len(pts) < deg_bound + 1:
-        # evaluate a at x = x0: polynomial in y of degree < n
-        ay = [Fraction(0)] * n
-        for i, c in enumerate(a.coeffs):
-            xi = Fraction(x0) ** i
-            for j in range(n):
-                ay[j] += c.raw[j] * xi
-        pts.append((x0, _resultant_q(phi, ay)))
-        x0 = -x0 + (1 if x0 <= 0 else 0)  # 0, 1, -1, 2, -2, ...
-    return _lagrange(pts)
+    norm = a
+    for k in range(2, fld.M):
+        if gcd(k, fld.M) == 1:
+            norm = norm * Polynomial(fld, [ConstantValue(fld, fld.conjugate_raw(c.raw, k)) for c in a.coeffs])
+    return [c.raw[0] for c in norm.coeffs]
 
 
 def _factor_sqfree_cyclo(f: Polynomial) -> list[Polynomial]:

@@ -29,6 +29,7 @@ __all__ = [
     "divisor",
     "height",
     "projective_height",
+    "clear_denominators",
     "KPolynomial",
     "poly_valuation",
     "poly_height",
@@ -80,10 +81,6 @@ class Polynomial:
     @classmethod
     def t(cls, field: Field) -> "Polynomial":
         return cls(field, (0, 1))
-
-    @classmethod
-    def from_ints(cls, field: Field, ints) -> "Polynomial":
-        return cls(field, list(ints))
 
     # -- basic data -----------------------------------------------------------
     @property
@@ -319,8 +316,6 @@ def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
     if f.degree == 0:
         return []
     ch = f.field.char
-    if ch == 0:
-        return _yun(f)
     out: list[tuple[Polynomial, int]] = []
     fp = f.derivative()
     if fp.is_zero:
@@ -337,28 +332,9 @@ def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
         V = W
         T = T.exact_div(W)
         i += 1
-    if T.degree > 0:
+    if T.degree > 0:  # only in characteristic p: in characteristic 0, T ends constant
         root = poly_pth_root(T)
         out.extend((g, ch * m) for g, m in squarefree_decomposition(root))
-    return out
-
-
-def _yun(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    out = []
-    df = f.derivative()
-    a = poly_gcd(f, df)
-    b = f.exact_div(a)
-    c = df.exact_div(a)
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        a = poly_gcd(b, d)
-        if a.degree > 0:
-            out.append((a, i))
-        b = b.exact_div(a)
-        c = d.exact_div(a)
-        d = c - b.derivative()
-        i += 1
     return out
 
 
@@ -497,15 +473,8 @@ class RationalFunction:
         if e < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of 0")
-            return RationalFunction(self.den, self.num) ** (-e)
-        out = RationalFunction.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+            return RationalFunction(self.den ** (-e), self.num ** (-e))
+        return RationalFunction(self.num**e, self.den**e)
 
     def inverse(self) -> "RationalFunction":
         return self ** (-1)
@@ -689,16 +658,23 @@ def projective_height(xs) -> int:
     nonzero = [x for x in xs if not x.is_zero]
     if not nonzero:
         raise AllZero("projective height of the zero vector")
-    fld = nonzero[0].field
+    return max(a.degree for a in clear_denominators(nonzero))
+
+
+def clear_denominators(xs) -> list[Polynomial]:
+    """The list xs of elements of K, not all 0, scaled by one element of K* into F[t], content 1."""
+    fld = xs[0].field
     den = Polynomial.one(fld)
-    for x in nonzero:
-        g = poly_gcd(den, x.den)
-        den = den * x.den.exact_div(g)
-    cleared = [x.num * den.exact_div(x.den) for x in nonzero]
-    g = Polynomial.zero(fld)
-    for a in cleared:
-        g = poly_gcd(g, a)
-    return max(a.degree for a in cleared) - g.degree
+    for x in xs:
+        if x.den.degree > 0:
+            den = den * x.den.exact_div(poly_gcd(den, x.den))
+    polys = [x.num * den.exact_div(x.den) for x in xs]
+    content = Polynomial.zero(fld)
+    for a in polys:
+        content = poly_gcd(content, a)
+        if content.degree == 0:
+            return polys
+    return [a.exact_div(content) for a in polys]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import FactorizationTooHard, ZeroInput
 from .factor import monic_divisors, roots_in_F
-from .funfield import KPolynomial, Polynomial, RationalFunction, poly_gcd
+from .funfield import KPolynomial, Polynomial, RationalFunction, clear_denominators, poly_gcd
 
 __all__ = ["RootSearch", "find_roots_in_K"]
 
@@ -30,25 +30,6 @@ class RootSearch:
     remainder: KPolynomial  # monic, no roots in K (when complete)
     leading: RationalFunction
     complete: bool
-
-
-def _clear_denominators(P: KPolynomial) -> list[Polynomial]:
-    """Scale P by an element of K* to land in F[t][X], primitive over F[t]."""
-    fld = P.field
-    den = Polynomial.one(fld)
-    for c in P.coeffs:
-        if not c.is_zero:
-            g = poly_gcd(den, c.den)
-            den = den * c.den.exact_div(g)
-    polys = [c.num * den.exact_div(c.den) if not c.is_zero else Polynomial.zero(fld) for c in P.coeffs]
-    content = Polynomial.zero(fld)
-    for a in polys:
-        content = poly_gcd(content, a)
-        if content.degree == 0 and not content.is_zero:
-            break
-    if content.degree > 0:
-        polys = [a.exact_div(content) if not a.is_zero else a for a in polys]
-    return polys
 
 
 def find_roots_in_K(P: KPolynomial) -> RootSearch:
@@ -66,7 +47,7 @@ def find_roots_in_K(P: KPolynomial) -> RootSearch:
     if work.degree == 0:
         return RootSearch((), zero_mult, work, leading, True)
 
-    polys = _clear_denominators(KPolynomial(fld, coeffs))
+    polys = clear_denominators(coeffs)
     a0, ad = polys[0], polys[-1]
     one = RationalFunction.one(fld)
     candidates: list[RationalFunction] = []

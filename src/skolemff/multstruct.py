@@ -1,10 +1,12 @@
 """Multiplicative structure of K*: independence tests and dependence exponents.
 
 Dependence is measured modulo torsion: a and b are dependent when some
-a^m b^n with (m, n) != (0, 0) is a root of unity.  Divisors turn the question
-into exact linear algebra on at most two vectors in the free abelian group on
-places; the leftover constant is then tested for torsion, which is decidable
-in every supported field.
+a^m b^n with (m, n) != (0, 0) is a root of unity.  Divisors (for two rational
+constants, their prime-exponent vectors) turn the question into one primitive
+relation m*va + n*vb = 0 between two integer vectors, solved by `_relation`
+for every test here; the leftover constant is then tested for torsion, which
+is decidable in every supported field.  `is_power_of` is the case q = 1 with
+trivial torsion of `dependence_exponents`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from math import gcd
 
 from .constants import ConstantValue, RootOfUnity
 from .errors import ConstantInput, UnsupportedConstantPair, ZeroInput
-from .funfield import Place, RationalFunction, divisor
+from .funfield import RationalFunction, divisor
+from .intutil import factorize
 
 __all__ = ["DependenceWitness", "is_mult_independent", "dependence_exponents", "is_power_of"]
 
@@ -36,36 +39,34 @@ class DependenceWitness:
     def exact_r(self) -> int:
         return self.r * self.torsion.order
 
+    @property
+    def power(self) -> int | None:
+        """n with beta = f^n exactly, when q = 1 and the torsion is 1; else None."""
+        return self.r if self.q == 1 and self.torsion.value.is_one else None
+
 
 def _as_root_of_unity(c: ConstantValue) -> RootOfUnity:
     return RootOfUnity(order=c.order(), value=c)
 
 
-def _parallel_relation(da: dict[Place, int], db: dict[Place, int]) -> tuple[int, int] | None:
-    """Primitive (m, n) != 0 with m*da + n*db = 0, or None when independent."""
-    support = sorted(set(da) | set(db), key=Place.sort_key)
-    pivot = next((p for p in support if da.get(p, 0)), None)
-    if pivot is None:
-        # da = 0: relation is (1, 0) if db also empty handled by caller; else (0,...)
-        return (1, 0) if not any(db.values()) else None
-    m, n = db.get(pivot, 0), -da[pivot]
+def _relation(va: dict, vb: dict) -> tuple[int, int] | None:
+    """The primitive (m, n) with m > 0 and m*va + n*vb = 0, or None; vb must be nonzero."""
+    pivot = next(k for k, v in vb.items() if v)
+    m, n = vb[pivot], -va.get(pivot, 0)
     g = gcd(m, n)
     m, n = m // g, n // g
-    for p in support:
-        if m * da.get(p, 0) + n * db.get(p, 0) != 0:
-            return None
-    return (m, n)
+    if m < 0:
+        m, n = -m, -n
+    if any(m * va.get(k, 0) + n * vb.get(k, 0) for k in va.keys() | vb.keys()):
+        return None
+    return m, n
 
 
 def _rational_exponent_vector(c: ConstantValue) -> dict[int, int]:
-    from .intutil import factorize
-
     q = c.as_fraction()
-    out: dict[int, int] = {}
-    for p, e in factorize(abs(q.numerator)).items():
-        out[p] = out.get(p, 0) + e
+    out = dict(factorize(abs(q.numerator)))
     for p, e in factorize(q.denominator).items():
-        out[p] = out.get(p, 0) - e
+        out[p] = -e
     return out
 
 
@@ -77,33 +78,20 @@ def is_mult_independent(a: RationalFunction, b: RationalFunction) -> bool:
         if x.is_constant and x.constant_value().is_torsion():
             return False
     if a.is_constant and b.is_constant:
+        # neither is torsion, so the field has characteristic 0
         ca, cb = a.constant_value(), b.constant_value()
-        if ca.field.char > 0:
-            return False  # every nonzero constant is torsion
-        if ca.is_rational() and cb.is_rational():
-            va = _rational_exponent_vector(ca)
-            vb = _rational_exponent_vector(cb)
-            primes = sorted(set(va) | set(vb))
-            pivot = next((p for p in primes if va.get(p, 0)), None)
-            if pivot is None:
-                return False  # ca = +-1 is torsion; unreachable (handled above)
-            m, n = vb.get(pivot, 0), -va[pivot]
-            g = gcd(m, n)
-            m, n = m // g, n // g
-            return any(m * va.get(p, 0) + n * vb.get(p, 0) for p in primes)
-        raise UnsupportedConstantPair(
-            "dependence of two non-torsion cyclotomic constants is out of scope"
-        )
+        if not (ca.is_rational() and cb.is_rational()):
+            raise UnsupportedConstantPair(
+                "dependence of two non-torsion cyclotomic constants is out of scope"
+            )
+        return _relation(_rational_exponent_vector(ca), _rational_exponent_vector(cb)) is None
     if a.is_constant or b.is_constant:
         return True  # non-torsion constant vs nonconstant: no relation possible
-    da, db = divisor(a), divisor(b)
-    rel = _parallel_relation(da, db)
+    rel = _relation(divisor(a), divisor(b))
     if rel is None:
         return True
     m, n = rel
-    c = (a**m) * (b**n)
-    cv = c.constant_value()
-    return not cv.is_torsion()
+    return not ((a**m) * (b**n)).constant_value().is_torsion()
 
 
 def dependence_exponents(beta: RationalFunction, f: RationalFunction) -> DependenceWitness | None:
@@ -117,35 +105,17 @@ def dependence_exponents(beta: RationalFunction, f: RationalFunction) -> Depende
         if cv.is_torsion():
             return DependenceWitness(q=1, r=0, torsion=_as_root_of_unity(cv))
         return None
-    db, df = divisor(beta), divisor(f)
-    pivot = next(p for p in sorted(df, key=Place.sort_key) if df[p])
-    r0, q0 = db.get(pivot, 0), df[pivot]
-    g = gcd(r0, q0)
-    r0, q0 = r0 // g, q0 // g
-    if q0 < 0:
-        r0, q0 = -r0, -q0
-    support = set(db) | set(df)
-    if any(q0 * db.get(p, 0) != r0 * df.get(p, 0) for p in support):
+    rel = _relation(divisor(beta), divisor(f))
+    if rel is None:
         return None
-    eps = (beta**q0) / (f**r0)
-    cv = eps.constant_value()
+    q, r = rel[0], -rel[1]
+    cv = ((beta**q) / (f**r)).constant_value()
     if not cv.is_torsion():
         return None
-    return DependenceWitness(q=q0, r=r0, torsion=_as_root_of_unity(cv))
+    return DependenceWitness(q=q, r=r, torsion=_as_root_of_unity(cv))
 
 
 def is_power_of(beta: RationalFunction, f: RationalFunction) -> int | None:
     """The unique n with beta = f^n, if any; constant beta matches only beta = 1."""
-    if beta.is_zero or f.is_zero:
-        raise ZeroInput("power test of 0")
-    if f.is_constant:
-        raise ConstantInput("f must be nonconstant")
-    if beta.is_constant:
-        return 0 if beta.constant_value().is_one else None
-    db, df = divisor(beta), divisor(f)
-    pivot = next(p for p in sorted(df, key=Place.sort_key) if df[p])
-    vb, vf = db.get(pivot, 0), df[pivot]
-    if vb % vf:
-        return None
-    n = vb // vf
-    return n if beta == f**n else None
+    w = dependence_exponents(beta, f)
+    return None if w is None else w.power

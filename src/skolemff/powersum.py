@@ -567,7 +567,7 @@ def _claimD_impl(
 
 
 def _claimI_impl(
-    split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int, phi_prod: RationalFunction
+    split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int, phis: tuple[RationalFunction, RationalFunction]
 ) -> InequalityReport:
     chi = chi_S(S)
     if chi < 0:
@@ -575,7 +575,10 @@ def _claimI_impl(
     period = p**ell * q
     n_red = n % period
     x = split.p_ind.evaluate(split.g**n_red)
-    lhs = gcd_counting(x, phi_prod, S, truncated=False)
+    # Phi_{p^l}(g) and Phi_{p^l q}(g) have disjoint zeros (g is a primitive root of
+    # unity of a different order at each), also at infinity, so the count against
+    # their product is the sum of the two counts.
+    lhs = sum(gcd_counting(x, y, S, truncated=False) for y in phis)
     hg = height(split.g)
     hp = poly_height(split.poly)
     degp = split.poly.degree
@@ -622,8 +625,7 @@ def lemma_claimI_check(inst: PowerSumInstance, split: SplitResult, n: int, p: in
         raise CharPUnsupported("claim I holds in characteristic 0")
     _require_no_class_zero(split, "I")
     S = _working_S(inst, [split])
-    y1, y2 = _phi_pair(split.g, p, ell, q)
-    return _claimI_impl(split, S, n, p, ell, q, y1 * y2)
+    return _claimI_impl(split, S, n, p, ell, q, _phi_pair(split.g, p, ell, q))
 
 
 # ---------------------------------------------------------------------------
@@ -694,10 +696,9 @@ def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> Certific
         phi_degree = euler_phi(p**ell * q) * height(split.g)
         if split.complete and split.remainder.degree == 0 and phi_degree <= local_degree_cap():
             phis = _phi_pair(split.g, p, ell, q)
-            phi_prod = phis[0] * phis[1]
             for n in (1, 2):
                 checks.append(_claimD_impl(split, S_work, n, p, ell, q, phis))
-                checks.append(_claimI_impl(split, S_work, n, p, ell, q, phi_prod))
+                checks.append(_claimI_impl(split, S_work, n, p, ell, q, phis))
         else:
             if phi_degree > local_degree_cap():
                 notes.append(f"class {split.residue_class}: lemma evaluation skipped (degree {phi_degree})")

@@ -112,3 +112,25 @@ def horner_phi(d: int, g):
     for cj in reversed(cyclotomic_poly(d)):
         acc = acc * g + cj
     return acc
+
+
+def brute_dependence(beta, f):
+    """Smallest q > 0, with its r, making beta^q / f^r a torsion constant, by search.
+
+    q runs up to h(f): if q*div(beta) = r*div(f) with (q, r) primitive, then
+    div(f) is q times an integral divisor, so h(f) >= q.  Then |r| h(f) = q h(beta).
+    """
+    hb = 0 if beta.is_constant else height(beta)
+    for q in range(1, height(f) + 1):
+        bq = beta**q
+        for r in range(-q * hb, q * hb + 1):
+            ratio = bq / f**r
+            if ratio.is_constant and ratio.constant_value().is_torsion():
+                return q, r, ratio.constant_value()
+    return None
+
+
+def brute_power(beta, f):
+    """The n with beta = f^n, by trying every |n| <= h(beta)."""
+    hb = 0 if beta.is_constant else height(beta)
+    return next((n for n in range(-hb, hb + 1) if beta == f**n), None)

@@ -130,3 +130,24 @@ def test_degree_cap(Q, monkeypatch):
 def test_factor_zero_raises(Q):
     with pytest.raises(ZeroInput):
         factor_poly(Polynomial.zero(Q))
+
+
+def test_norm_matches_sympy_resultant():
+    """The conjugate-product norm equals Res_y(Phi_M(y), A(x, y)), sign included."""
+    sympy = pytest.importorskip("sympy")
+    from skolemff import ConstantValue
+    from skolemff.factor import _norm_to_q
+
+    x, y = sympy.symbols("x y")
+    rng = random.Random(83)
+    for M in (3, 4, 8, 12):
+        fld = field_for(FieldSpec(0, M))
+        for _ in range(4):
+            deg = rng.randint(1, 3)
+            raws = [[rng.randint(-4, 4) for _ in range(fld.degree)] for _ in range(deg + 1)]
+            raws[-1][rng.randrange(fld.degree)] = rng.choice((-3, -1, 2))  # not always monic
+            A = Polynomial(fld, [ConstantValue(fld, fld.from_coeffs(r)) for r in raws])
+            A_xy = sum(x**i * sum(c * y**j for j, c in enumerate(r)) for i, r in enumerate(raws))
+            res = sympy.Poly(sympy.resultant(sympy.cyclotomic_poly(M, y), A_xy, y), x)
+            want = [sympy.Rational(c) for c in reversed(res.all_coeffs())]
+            assert [sympy.Rational(c.numerator, c.denominator) for c in _norm_to_q(A)] == want, (M, raws)

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 from math import inf
 
 import pytest
 
 from skolemff import (
     INFINITY,
+    ConstantValue,
     KPolynomial,
     Place,
     PlaceSet,
@@ -69,6 +71,49 @@ def test_squarefree_decomposition(Q, F3):
     parts3 = squarefree_decomposition(f3)
     got = {(str(g), m) for g, m in parts3}
     assert got == {("t + 1", 3), ("t", 2)}
+
+
+def test_squarefree_decomposition_matches_sympy(Q, Qi):
+    """The one squarefree loop agrees with sympy.sqf_list over Q and Q(i)."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    def to_sympy(c):
+        return sum(sympy.Rational(v.numerator, v.denominator) * sympy.I**j for j, v in enumerate(c.raw))
+
+    def from_sympy(fld, g):
+        coeffs = []
+        for c in reversed(sympy.Poly(g, x).monic().all_coeffs()):
+            coeffs.append([Fraction(str(sympy.re(c))), Fraction(str(sympy.im(c)))][: fld.degree])
+        return Polynomial(fld, [ConstantValue(fld, fld.from_coeffs(v)) for v in coeffs])
+
+    rng = random.Random(89)
+    for fld in (Q, Qi):
+        for _ in range(12):
+            f = rand_poly(rng, fld, 1)
+            for m in range(1, 4):
+                for _ in range(rng.randint(0, 2)):
+                    f = f * rand_poly(rng, fld, rng.randint(1, 2)) ** m
+            if f.is_constant:
+                continue
+            ours = sorted((str(g), m) for g, m in squarefree_decomposition(f))
+            expr = sum(to_sympy(c) * x**i for i, c in enumerate(f.coeffs))
+            _, parts = sympy.sqf_list(expr, x, gaussian=fld is Qi)
+            theirs = sorted((str(from_sympy(fld, g)), m) for g, m in parts)
+            assert ours == theirs, f
+
+
+def test_power_matches_repeated_products(Q, Qi, F3):
+    rng = random.Random(97)
+    for fld in (Q, Qi, F3):
+        for _ in range(6):
+            f = rand_ratfunc(rng, fld, 2)
+            if f.is_zero:
+                continue
+            prod = RationalFunction.one(fld)
+            for e in range(7):
+                assert f**e == prod and f ** (-e) == RationalFunction.one(fld) / prod, (f, e)
+                prod = prod * f
 
 
 # -- valuations / divisors -----------------------------------------------------

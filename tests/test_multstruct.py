@@ -123,3 +123,40 @@ def test_agreement_power_implies_witness(Q):
     for n in (-3, 2, 5):
         w = dependence_exponents(f**n, f)
         assert w is not None and (w.q, w.r) == (1, n) and w.torsion.value.is_one
+
+
+
+def test_dependence_matches_brute_force(Q, Qi, F3):
+    """dependence_exponents and is_power_of against a direct search over (q, r)."""
+    from oracles import brute_dependence, brute_power
+    from skolemff import FieldSpec, field_for, roots_of_unity
+
+    F25 = field_for(FieldSpec(5, 1, 2))
+    rng = random.Random(59)
+    seen = {"dependent": 0, "independent": 0, "power": 0, "torsion": 0, "constant_numerator": 0}
+    for fld in (Q, Qi, F3, F25):
+        roots = [x.value for x in roots_of_unity(fld.torsion_exponent, fld.spec)]
+        for _ in range(10):
+            base = rand_ratfunc(rng, fld, 1, nonconstant=True)
+            if base.num.degree and rng.random() < 0.4:
+                base = RationalFunction.one(fld) / RationalFunction(base.num)  # pivot valuation < 0
+            f = base ** rng.choice((-3, -2, -1, 1, 2, 3))
+            kind = rng.randrange(4)
+            if kind == 0:
+                beta = RationalFunction.constant(fld, rng.choice(roots)) * base ** rng.randint(-4, 4)
+            elif kind == 1:
+                beta = RationalFunction.constant(fld, 2) * base ** rng.randint(-3, 3)
+            elif kind == 2:
+                beta = rand_ratfunc(rng, fld, 2, nonconstant=True)
+            else:
+                beta = f ** rng.randint(-2, 2)
+            want = brute_dependence(beta, f)
+            w = dependence_exponents(beta, f)
+            assert (None if w is None else (w.q, w.r, w.torsion.value)) == want, (fld, beta, f)
+            power = brute_power(beta, f)
+            assert is_power_of(beta, f) == power, (fld, beta, f)
+            seen["dependent" if want else "independent"] += 1
+            seen["power"] += power is not None
+            seen["torsion"] += bool(want and not want[2].is_one)
+            seen["constant_numerator"] += f.num.degree == 0
+    assert all(seen.values()), seen

@@ -454,6 +454,44 @@ def test_lemma_claimI_examples(Q):
     assert rep2.holds
 
 
+def test_claimI_count_is_the_sum_over_the_phi_pair(Q):
+    """N_S(gcd(x, y1 y2)) = N_S(gcd(x, y1)) + N_S(gcd(x, y2)): y1, y2 have disjoint zeros."""
+    from skolemff import gcd_counting, valuation
+    from skolemff.powersum import _phi_pair, _working_S
+
+    t = RationalFunction.t(Q)
+    tp = Polynomial.t(Q)
+    rng = random.Random(61)
+    positive = at_infinity = 0
+    S0, S1 = PlaceSet([Place(tp)]), PlaceSet([Place(tp), INFINITY])
+    for g, S in ((-(t + 1) / t, S0), ((t + 1) / t, S0), (t, S1), ((t**2 - 3) / t, S1)):
+        for p, ell, q in ((2, 1, 3), (3, 1, 2), (2, 2, 3)):
+            y1, y2 = _phi_pair(g, p, ell, q)
+            for _ in range(4):
+                num = y1.num ** rng.randint(0, 2) * y2.num ** rng.randint(0, 2)
+                num = num * (tp - Polynomial(Q, (rng.randint(2, 9),))) ** rng.randint(0, 1)
+                x = RationalFunction(num, tp ** (num.degree + rng.randint(0, 2)))
+                count = gcd_counting(x, y1, S) + gcd_counting(x, y2, S)
+                assert gcd_counting(x, y1 * y2, S) == count, (g, p, ell, q, x)
+                positive += count > 0
+                at_infinity += not S.has_infinity and valuation(x, INFINITY) > 0 and valuation(y1, INFINITY) > 0
+    assert positive >= 10 and at_infinity >= 1
+    # the lemma check itself: x = t^n - t + 1 meets Phi_6(t) exactly when n = 2 mod 6
+    S = PlaceSet([Place(tp), Place(tp - Polynomial.one(Q)), INFINITY])
+    inst = PowerSumInstance((-(t - 1), RationalFunction.one(Q)), (one_ru(Q),) * 2, (0, 1), t, S)
+    split = split_dep_ind(inst, 0)
+    S_work = _working_S(inst, [split])
+    lhs = []
+    for p, ell, q in ((3, 1, 2), (2, 1, 3)):
+        y1, y2 = _phi_pair(split.g, p, ell, q)
+        for n in range(6):
+            rep = lemma_claimI_check(inst, split, n, p, ell, q)
+            x = split.p_ind.evaluate(split.g**n)
+            assert rep.lhs == gcd_counting(x, y1 * y2, S_work)
+            lhs.append(rep.lhs)
+    assert lhs == [0, 0, 2, 0, 0, 0] * 2
+
+
 def test_lemma_checks_reuse_the_callers_split(monkeypatch):
     # each claimD / claimI suite instance is split once and decided once
     import sys

@@ -220,3 +220,21 @@ def test_cli_exit_codes(tmp_path, instance_dir, Q):
     # batch dir aggregates the worst code
     code, rep = run_cli(["solve", "--dir", str(tmp_path)])
     assert code == 2
+    # a bad --rho is invalid input for each file, and a --dir batch still runs every file
+    ex1 = str(instance_dir / "example-1.json")
+    for rho in ("abc", "1/0"):
+        code, rep = run_cli(["smallcoef", ex1, "--rho", rho])
+        assert code == 2 and rep["result"]["error"] == "InvalidInstance", rho
+        code, rep = run_cli(["smallcoef", "--dir", str(tmp_path), "--rho", rho])
+        assert code == 2 and len(rep["reports"]) == len(list(tmp_path.glob("*.json")))
+        assert {r["exit_code"] for r in rep["reports"]} == {"2"}
+    code, rep = run_cli(["smallcoef", ex1, "--rho", "1/2"])
+    assert code == 0 and rep["command"] == {"cmd": "smallcoef", "file": ex1, "k_bound": "100", "rho": "1/2"}
+    # unreadable or unwritable paths outside an instance file
+    missing_dir = str(tmp_path / "no-such-dir")
+    for argv in (
+        ["gen", "--seed", "0", "--profile", "charp", "--out", os.path.join(missing_dir, "x.json")],
+        ["solve", "--dir", missing_dir],
+    ):
+        code, rep = run_cli(argv)
+        assert code == 2 and rep["exit_code"] == "2" and rep["result"]["error"] == "OSError", argv
