@@ -8,16 +8,35 @@ makes the algebraically-closed-field formulas exact without ever leaving F.
 Counting functions never factor anything: common zeros come from polynomial
 gcds, distinct zeros from squarefree radicals, and S-places are divided out
 directly.  Full factorization (divisor support) lives in skolemff.factor.
+
+Gcds in F[t] for F = Q(zeta_M) (M = 1 is Q) are modular (Brown 1971; Langemyr
+and McCallum 1989).  Scale a and b into Z[zeta][t] by a common denominator.
+Take a prime p = 1 mod M, a primitive M-th root of unity w mod p and k prime
+to M; then P = (p, zeta - w^k) is a prime of Z[zeta] with residue field F_p,
+and reduction mod P maps zeta to w^k.  The localisation of Z[zeta] at P is a
+discrete valuation ring.  If both leading coefficients are units there, Gauss's
+lemma over it writes the monic gcd g as a unit times a primitive polynomial
+with unit leading coefficient, so its image divides both images and
+    deg gcd(a mod P, b mod P) >= deg g.
+Hence an image of degree 0 proves g = 1.  Otherwise let D be the least image
+degree seen; images of degree D at all phi(M) primes over p give g's power-
+basis coefficients mod p, and several p combine by CRT and rational
+reconstruction into a candidate h.  If h is monic of degree D and divides a and
+b exactly, then h | g and deg h = D >= deg g, so h = g.  Only finitely many P
+are unlucky (an image of degree above deg g), so D reaches deg g, the
+accumulated modulus outgrows g's coefficients, and the loop ends.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from math import inf
+from itertools import count
+from math import gcd, inf, isqrt, lcm
 
 from .constants import ConstantValue, Field
 from .errors import AllZero, ConstantInput, InvalidInstance, NotSInteger, ZeroInput
-from .intutil import zx_primitive
+from .intutil import cyclotomic_poly, factorize, fp_divmod, fp_gcd, is_prime
 
 __all__ = [
     "Polynomial",
@@ -243,50 +262,128 @@ def _const(field: Field, v) -> ConstantValue:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd; fast integer primitive-PRS path over Q, monic Euclid otherwise."""
+    """Monic gcd in F[t]: Euclid over F_{p^d}, the modular gcd over Q(zeta_M).
+
+    In characteristic 0 the gcd is read off images modulo primes P of Z[zeta]
+    over p = 1 mod M.  Where both leading coefficients are P-units, Gauss's
+    lemma gives deg gcd(a mod P, b mod P) >= deg gcd(a, b) (module docstring):
+    - so an image of degree 0 proves that the gcd is 1;
+    - otherwise the images of the least degree D seen are combined by CRT and
+      rational reconstruction, and a candidate is returned only when it is
+      monic of degree D and divides a and b exactly, which makes it the gcd.
+      A smaller image degree restarts the CRT; only finitely many primes are
+      unlucky, so the loop ends.
+    """
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
     fld = a.field
-    if fld.char == 0 and fld.M == 1:
-        return _gcd_q(a, b)
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    if fld.char:
+        while not b.is_zero:
+            a, b = b, a % b
+        return a.monic()
+    if a.degree == 0 or b.degree == 0:
+        return Polynomial.one(fld)
+    return _modular_gcd(a, b)
 
 
-def _q_coeffs(p: Polynomial) -> list[Fraction]:
-    return [c.raw[0] for c in p.coeffs]
+_GCD_PRIME_FLOOR = 2**61
 
 
-def _gcd_q(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Primitive pseudo-remainder sequence over Z, returned monic over Q."""
-    A, B = zx_primitive(_q_coeffs(a)), zx_primitive(_q_coeffs(b))
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        # pseudo-remainder: scale by lc(B) once per elimination step
-        R = list(A)
-        lb = B[-1]
-        while len(R) >= len(B):
-            if R[-1] == 0:
-                R.pop()
-                continue
-            shift = len(R) - len(B)
-            top = R[-1]
-            R = [lb * c for c in R]
-            for j, bcoef in enumerate(B):
-                R[shift + j] -= top * bcoef
-            R.pop()
-        while R and R[-1] == 0:
-            R.pop()
-        if R:
-            R = zx_primitive(R)
-        A, B = B, R
+@functools.lru_cache(maxsize=None)
+def _gcd_prime(M: int, i: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The i-th prime p = 1 mod M above 2^61, with the images of the power basis.
+
+    Row r holds x_r^j mod p for j < phi(M), where x_r = w^(k_r) for a primitive
+    M-th root of unity w mod p and k_r in (Z/M)^*: mapping zeta to x_r is
+    reduction modulo the prime P_r = (p, zeta - x_r) of Z[zeta], whose residue
+    field is F_p.  Column r is the Lagrange basis element of
+    F_p[x]/(Phi_M) = F_p[x]/prod_r (x - x_r) that is 1 at x_r, so the columns
+    take the phi(M) images of an element back to its power-basis vector.
+    """
+    p = _gcd_prime(M, i - 1)[0] if i else _GCD_PRIME_FLOOR - (_GCD_PRIME_FLOOR - 1) % M
+    p += M
+    while not is_prime(p):
+        p += M
+    w = next(
+        w
+        for w in (pow(y, (p - 1) // M, p) for y in count(2))
+        if all(pow(w, M // ell, p) != 1 for ell in factorize(M))
+    )
+    phi = [c % p for c in cyclotomic_poly(M)]
+    rows, cols = [], []
+    for x in (pow(w, k, p) for k in range(1, M + 1) if gcd(k, M) == 1):
+        rows.append(tuple(pow(x, j, p) for j in range(len(phi) - 1)))
+        basis = fp_divmod(phi, [-x % p, 1], p)[0]
+        scale = pow(sum(c * v for c, v in zip(basis, rows[-1])), -1, p)
+        cols.append(tuple(c * scale % p for c in basis))
+    return p, tuple(rows), tuple(cols)
+
+
+def _integral(a: Polynomial) -> list[list[int]]:
+    """The coefficient vectors of a times their common denominator: a in Z[zeta][t]."""
+    den = lcm(*(x.denominator for c in a.coeffs for x in c.raw))
+    return [[x.numerator * (den // x.denominator) for x in c.raw] for c in a.coeffs]
+
+
+def _image(A: list[list[int]], row: tuple[int, ...], p: int) -> list[int]:
+    """A mod the prime P of Z[zeta] over p whose powers of zeta are `row`."""
+    return [sum(x * w for x, w in zip(c, row)) % p for c in A]
+
+
+def _rational(u: int, m: int) -> Fraction | None:
+    """The n/d = u mod m with |n|, d <= sqrt(m/2), or None (Wang's reconstruction)."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _modular_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd of a, b of positive degree over Q(zeta_M), from images mod p."""
     fld = a.field
-    lead = Fraction(A[-1])
-    return Polynomial(fld, [Fraction(c) / lead for c in A])
+    n = fld.degree
+    A, B = _integral(a), _integral(b)
+    D = None  # least image degree so far: an upper bound on deg gcd(a, b)
+    for i in count():
+        p, rows, cols = _gcd_prime(fld.M, i)
+        images = []
+        for row in rows:
+            ga, gb = _image(A, row, p), _image(B, row, p)
+            if not ga[-1] or not gb[-1]:
+                break  # a leading coefficient is not a unit at P: skip p
+            g = fp_gcd(ga, gb, p)
+            if len(g) == 1:
+                return Polynomial.one(fld)
+            images.append(g)
+        else:
+            d = min(len(g) for g in images) - 1
+            if D is None or d < D:
+                D, m, acc = d, 1, [0] * (d * n)  # earlier primes were unlucky
+            if any(len(g) != D + 1 for g in images):
+                continue  # unlucky at some P over p
+            res = [
+                sum(img[j] * col[k] for img, col in zip(images, cols)) % p
+                for j in range(D)
+                for k in range(n)
+            ]
+            step = pow(m, -1, p)
+            acc = [x + m * ((r - x) * step % p) for x, r in zip(acc, res)]
+            m *= p
+            fr = [_rational(x, m) for x in acc]
+            if None in fr:
+                continue
+            h = Polynomial(
+                fld,
+                [ConstantValue(fld, tuple(fr[j * n : (j + 1) * n])) for j in range(D)] + [1],
+            )
+            if a.divmod(h)[1].is_zero and b.divmod(h)[1].is_zero:
+                return h
 
 
 # -- squarefree machinery ------------------------------------------------------

@@ -393,6 +393,8 @@ def decide_global_zero(inst: PowerSumInstance, n_bound: int | None = None) -> in
     Per residue class the window |m| <= poly_height(P'_c) / h(g) is provably
     complete: a root beta = g^m has |m| h(g) = h(beta) <= h(P'_c).
     """
+    if n_bound is not None and n_bound < 0:
+        raise InvalidInstance(f"n_bound must be nonnegative, got {n_bound}")
     candidates: list[int] = []
     e = inst.e
     for c in range(e):
@@ -737,9 +739,12 @@ def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> Certific
             notes=tuple(notes),
         )
 
-    violation = witness is not None
+    # The lemmas, and so the theorem, assume every class splits completely over K.
+    violation = witness is not None and all(cc.split_complete for cc in per_class)
     if violation:
         notes.append("local witness found although no global zero exists")
+    elif witness is not None:
+        notes.append("local witness found, but a split is incomplete: the theorem's hypotheses are unmet")
     verdict = "InconclusiveWithinBounds" if inconclusive else "LocalObstruction"
     return CertificateReport(
         verdict=verdict,

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .constants import ConstantValue, FieldSpec, field_for, roots_of_unity
-from .errors import MultiplicativelyDependent, SkolemffError
+from .errors import InvalidInstance, MultiplicativelyDependent, SkolemffError
 from .funfield import (
     INFINITY,
     KPolynomial,
@@ -59,6 +59,8 @@ class SuiteResult:
 def run_suite(suite: str, seed: int, count: int, max_deg: int = 12) -> SuiteResult:
     if suite not in SUITES:
         raise SkolemffError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if count < 1:
+        raise InvalidInstance(f"count must be positive, got {count}")
     runner = {
         "smt": _run_smt,
         "czgcd": _run_czgcd,

@@ -41,6 +41,13 @@ def is_identically_zero(inst, n: int) -> bool:
     return True
 
 
+def euclid_gcd(a, b):
+    """Monic gcd in F[t] by Euclid's algorithm, one exact division per step."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
 def brute_local_check(inst, k, a):
     """Direct definition: v_p(B(k)) >= min(1, v_p(f^a - 1)) for all p outside S."""
     target = inst.f**a - 1

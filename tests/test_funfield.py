@@ -7,6 +7,7 @@ import pytest
 from skolemff import (
     INFINITY,
     ConstantValue,
+    FieldSpec,
     KPolynomial,
     Place,
     PlaceSet,
@@ -15,6 +16,7 @@ from skolemff import (
     chi_S,
     deg_ins,
     divisor,
+    field_for,
     gcd_counting,
     height,
     is_s_integer,
@@ -25,9 +27,11 @@ from skolemff import (
     truncated_counting,
     valuation,
 )
+from skolemff import funfield
 from skolemff.errors import ConstantInput, NotSInteger, ZeroInput
 from skolemff.funfield import poly_gcd, radical, squarefree_decomposition
 from skolemff.generate import rand_poly, rand_ratfunc
+from oracles import euclid_gcd
 
 
 def t_of(fld):
@@ -56,6 +60,89 @@ def test_poly_gcd_properties(Q, F5):
             # c divides the gcd of (ac, bc)
             q, r = g.divmod(c.monic())
             assert r.is_zero
+
+
+CYCLOTOMIC_ORDERS = (1, 3, 4, 8, 12)
+
+
+def _rand_cyclo_poly(rng, fld, deg, height=4):
+    """Degree-deg polynomial with random small rationals in every power-basis slot."""
+    while True:
+        coeffs = [
+            ConstantValue(fld, tuple(Fraction(rng.randint(-height, height), rng.randint(1, 3)) for _ in range(fld.degree)))
+            for _ in range(deg + 1)
+        ]
+        p = Polynomial(fld, coeffs)
+        if p.degree == deg:
+            return p
+
+
+def _limit_primes(monkeypatch, limit):
+    """Make the modular gcd fail once it asks for more than `limit` primes; return the indices asked for."""
+    real, asked = funfield._gcd_prime, []
+
+    def limited(M, i):
+        asked.append(i)
+        assert i < limit, f"modular gcd needed more than {limit} primes"
+        return real(M, i)
+
+    monkeypatch.setattr(funfield, "_gcd_prime", limited)
+    return asked
+
+
+def test_poly_gcd_matches_euclid(monkeypatch):
+    """The modular gcd over Q(zeta_M) equals monic Euclid, coprime or not."""
+    asked = _limit_primes(monkeypatch, 8)
+    rng = random.Random(61)
+    for M in CYCLOTOMIC_ORDERS:
+        fld = field_for(FieldSpec(0, M))
+        t, one = Polynomial.t(fld), Polynomial.one(fld)
+        for _ in range(6):
+            a, b = (_rand_cyclo_poly(rng, fld, rng.randint(1, 4)) for _ in range(2))
+            c = _rand_cyclo_poly(rng, fld, rng.randint(1, 3))
+            for x, y in ((a, b), (a * c, b * c), (a * c * c, c * b), (c, c * c)):
+                assert poly_gcd(x, y) == euclid_gcd(x, y), (M, x, y)
+        # a planted gcd with coefficients above 2^70 needs several primes and the CRT
+        big = [
+            ConstantValue(fld, tuple(Fraction(2**71 + rng.randint(1, 99), 2**70 + rng.randint(1, 99)) for _ in range(fld.degree)))
+            for _ in range(2)
+        ]
+        h = Polynomial(fld, big + [1])
+        a, b = h * (t + one), h * (t * t - one * 3)
+        asked.clear()
+        assert poly_gcd(a, b) == euclid_gcd(a, b) == h, M
+        assert max(asked) >= 2, asked
+        # p1, the first prime: a leading coefficient or a denominator that vanishes
+        # mod p1 makes the gcd skip it, and p1 is unlucky for (t+1)t and (t+1)(t-p1)
+        p1 = funfield._gcd_prime(M, 0)[0]
+        for a in (t * p1 + one, t + Polynomial(fld, [Fraction(1, p1)])):
+            asked.clear()
+            assert poly_gcd(a, a * (t + one * 2)) == a.monic(), (M, a)
+            assert max(asked) >= 1
+        a, b = (t + one) * t, (t + one) * (t - one * p1)
+        assert poly_gcd(a, b) == euclid_gcd(a, b) == t + one, M
+
+
+def test_poly_gcd_matches_sympy():
+    """The modular gcd agrees with sympy.gcd over QQ<zeta_M>, in the same power basis."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(67)
+    for M in CYCLOTOMIC_ORDERS:
+        fld = field_for(FieldSpec(0, M))
+        K = sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / M))
+
+        def to_sympy(f):
+            return sympy.Poly.from_list(
+                [K([sympy.QQ(v.numerator, v.denominator) for v in reversed(c.raw)]) for c in reversed(f.coeffs)],
+                x,
+                domain=K,
+            )
+
+        for _ in range(4):
+            a, b, c = (_rand_cyclo_poly(rng, fld, rng.randint(1, 3)) for _ in range(3))
+            for u, v in ((a, b), (a * c, b * c)):
+                assert to_sympy(poly_gcd(u, v)) == sympy.gcd(to_sympy(u), to_sympy(v)).monic(), (M, u, v)
 
 
 def test_squarefree_decomposition(Q, F3):

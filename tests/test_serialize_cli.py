@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from skolemff import INFINITY, Place, PlaceSet, Polynomial, PowerSumInstance, RationalFunction
 from skolemff.cli import main
 from skolemff.errors import InvalidInstance
 from skolemff.generate import generate_instance
@@ -17,7 +18,7 @@ from skolemff.serialize import (
     save_instance,
     stringify_numbers,
 )
-from conftest import example1_instance, example2_instance
+from conftest import example1_instance, example2_instance, one_ru
 
 
 def run_cli(args):
@@ -130,6 +131,22 @@ def test_cli_certify(instance_dir):
     assert code == 3 and rep["result"]["verdict"] == "InconclusiveWithinBounds"
 
 
+def test_cli_certify_witness_without_complete_split(tmp_path, Q):
+    """B(n) = t^{8n} - t^4 over Q: its class does not split over K, so the lemmas'
+    hypotheses are unmet and a local witness is no theorem violation."""
+    t = RationalFunction.t(Q)
+    S = PlaceSet([Place(Polynomial.t(Q)), INFINITY])
+    inst = PowerSumInstance((RationalFunction.one(Q), -(t**4)), (one_ru(Q),) * 2, (8, 0), t, S)
+    path = tmp_path / "degree-8-remainder.json"
+    path.write_text(json.dumps(instance_to_json(inst)))
+    code, rep = run_cli(["certify", str(path), "--k-bound", "100"])
+    res = rep["result"]
+    assert code == 3 and res["verdict"] == "InconclusiveWithinBounds"
+    assert res["theorem_violation"] is False and res["local_witness"] == "5"
+    assert "class 0: companion does not split over K (degree 8 remainder)" in res["notes"]
+    assert any("hypotheses are unmet" in note for note in res["notes"])
+
+
 def test_cli_smallcoef(instance_dir):
     code, rep = run_cli(["smallcoef", str(instance_dir / "example-1.json"), "--rho", "1/10", "--k-bound", "200"])
     assert code == 0
@@ -238,3 +255,13 @@ def test_cli_exit_codes(tmp_path, instance_dir, Q):
     ):
         code, rep = run_cli(argv)
         assert code == 2 and rep["exit_code"] == "2" and rep["result"]["error"] == "OSError", argv
+    # a negative --n-bound or a --count below 1 is invalid input, not an empty answer
+    small10 = str(tmp_path / "small-10.json")
+    assert run_cli(["gen", "--seed", "10", "--profile", "small", "--out", small10])[0] == 0
+    for argv in (
+        ["solve", small10, "--n-bound", "-3"],
+        ["verify", "smt", "--seed", "0", "--count", "-1"],
+        ["verify", "smt", "--seed", "0", "--count", "0"],
+    ):
+        code, rep = run_cli(argv)
+        assert code == 2 and rep["result"]["error"] == "InvalidInstance", argv
