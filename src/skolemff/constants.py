@@ -127,7 +127,7 @@ class Field:
 
     def _sinv(self, a):
         if self.char:
-            return pow(a, self.p - 2, self.p)
+            return pow(a, -1, self.p)
         return 1 / a
 
     def _neg_vec(self, v):
@@ -158,7 +158,7 @@ class Field:
             if den == 0:
                 raise InvalidInstance("denominator divisible by the characteristic")
             v = list(self.zero_raw)
-            v[0] = num * pow(den, self.p - 2, self.p) % self.p
+            v[0] = num * pow(den, -1, self.p) % self.p
             return tuple(v)
         v = list(self.zero_raw)
         v[0] = q

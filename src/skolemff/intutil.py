@@ -209,7 +209,7 @@ def fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
     n = len(b) - 1
     r = list(a)
     q = [0] * max(0, len(r) - n)
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, p)
     for i in range(len(r) - 1, n - 1, -1):
         c = r[i] % p * inv % p
         if c:
@@ -220,7 +220,7 @@ def fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
 
 
 def fp_monic(a: list[int], p: int) -> list[int]:
-    inv = pow(a[-1], p - 2, p)
+    inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 

@@ -215,7 +215,9 @@ class LocalChecker:
     Phi_d(f).  Modulo G_d the function f is a unit of exact order d, so
     B(k) mod G_d = sum_i lam_i eps_i^k fbar^{(r_i k) mod d}, which depends only
     on k mod lcm(d, e): eps_i^k on k mod ord(eps_i), a divisor of e, and
-    fbar^{r_i k} on k mod d.  The powers fbar^j and the entries
+    fbar^{r_i k} on k mod d.  G_d, fbar and lam_bar are built when a check
+    first reads the condition of d, so the divisors after the first failing
+    condition cost nothing.  The powers fbar^j and the entries
     lam_i * fbar^j mod G_d are computed on first use and kept, and each
     condition's sum, like the test at infinity, is computed once per residue.
     """
@@ -235,20 +237,8 @@ class LocalChecker:
             raise FactorizationTooHard(
                 f"local check at f^{a}-1: degree {degree} exceeds SKOLEMFF_MAX_LOCAL_DEGREE={cap}"
             )
-        self.conditions = []
-        for d in divisors(a):
-            nd = _phi_numerator(d, f)
-            G = strip_places(radical(nd), S)
-            if G.degree == 0:
-                continue
-            fbar = (f.num % G) * _poly_invmod(f.den % G, G) % G
-            if not (_pow_mod(fbar, d, G) == Polynomial.one(f.field)):
-                raise AssertionError("fbar does not have order dividing d mod G_d")
-            lam_bar = [(lam.num % G) * _poly_invmod(lam.den % G, G) % G for lam in inst.lambdas]
-            self.conditions.append(
-                {"d": d, "G": G, "fbar": fbar, "lam_bar": lam_bar, "period": lcm(d, e),
-                 "powers": {}, "entries": {}, "sums": {}}
-            )
+        self.divisors = divisors(a)
+        self._conditions = {}
         self.inf_condition = None
         if not S.has_infinity:
             f_inf = f.value_at_infinity()
@@ -264,6 +254,26 @@ class LocalChecker:
         self._eps_pow = [
             [eps.value**j for j in range(eps.order)] for eps in inst.epsilons
         ]
+
+    def condition(self, d: int) -> dict | None:
+        """The condition of d, built and its order asserted on first call; None when G_d = 1."""
+        if d not in self._conditions:
+            inst, cond = self.inst, None
+            G = strip_places(radical(_phi_numerator(d, inst.f)), inst.places)
+            if G.degree > 0:
+                fbar = (inst.f.num % G) * _poly_invmod(inst.f.den % G, G) % G
+                if not (_pow_mod(fbar, d, G) == Polynomial.one(inst.field)):
+                    raise AssertionError("fbar does not have order dividing d mod G_d")
+                lam_bar = [(lam.num % G) * _poly_invmod(lam.den % G, G) % G for lam in inst.lambdas]
+                cond = {"d": d, "G": G, "fbar": fbar, "lam_bar": lam_bar, "period": lcm(d, inst.e),
+                        "powers": {}, "entries": {}, "sums": {}}
+            self._conditions[d] = cond
+        return self._conditions[d]
+
+    @property
+    def conditions(self) -> list[dict]:
+        """Every nontrivial condition in ascending d, building whatever is missing."""
+        return [c for c in map(self.condition, self.divisors) if c is not None]
 
     def _entry(self, cond, i: int, j: int) -> Polynomial:
         """lam_bar_i * fbar^j mod G_d."""
@@ -290,8 +300,9 @@ class LocalChecker:
         return sums[res]
 
     def check(self, k: int) -> bool:
-        for cond in self.conditions:
-            if not self._residue_sum(cond, k).is_zero:
+        for d in self.divisors:
+            cond = self.condition(d)
+            if cond is not None and not self._residue_sum(cond, k).is_zero:
                 return False
         return self.check_infinity(k)
 

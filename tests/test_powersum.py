@@ -37,7 +37,9 @@ from skolemff.errors import (
     QEqualsOne,
     ZeroInput,
 )
+from skolemff import powersum
 from skolemff.generate import generate_instance
+from skolemff.intutil import divisors
 from skolemff.multstruct import DependenceWitness
 from skolemff.powersum import LocalChecker, class_reduction
 from conftest import example1_instance, neg_ru, one_ru
@@ -149,6 +151,48 @@ def test_each_residue_sum_computed_once(ex1, monkeypatch):
     monkeypatch.setattr(LocalChecker, "_class_sum", counted)
     assert find_local_witness(ex1, 72, 200) is None
     assert seen and max(seen.values()) == 1
+
+
+def _count_built_conditions(monkeypatch) -> list[int]:
+    """Record d each time a LocalChecker builds the numerator of Phi_d(f)."""
+    built, phi_numerator = [], powersum._phi_numerator
+
+    def counted(d, f):
+        built.append(d)
+        return phi_numerator(d, f)
+
+    monkeypatch.setattr(powersum, "_phi_numerator", counted)
+    return built
+
+
+def test_checker_builds_only_the_conditions_its_checks_read(ex1, monkeypatch):
+    # Every k of the scan fails at a small d, so the larger divisors of 72
+    # are never built.
+    nontrivial = len(LocalChecker(ex1, 72).conditions)
+    built = _count_built_conditions(monkeypatch)
+    assert find_local_witness(ex1, 72, 200) is None
+    assert len(built) == len(set(built)) and 0 < len(built) < nontrivial == 12
+
+
+def test_witness_scan_builds_every_condition(ex1, ex2, monkeypatch):
+    # A witness passes every condition, so every divisor has been built once.
+    built = _count_built_conditions(monkeypatch)
+    for inst, a, witness in ((ex2, 3, 2), (ex2, 5, 4), (ex2, 6, 5), (ex1, 2, 1), (ex1, 6, 3)):
+        built.clear()
+        assert find_local_witness(inst, a, 50) == witness
+        assert sorted(built) == divisors(a), (a, built)
+
+
+def test_order_assertion_runs_when_a_condition_is_first_read(ex1, monkeypatch):
+    checker = LocalChecker(ex1, 6)
+    assert not checker.check(0)  # fails at d = 1 and builds nothing else
+    invmod = powersum._poly_invmod
+    monkeypatch.setattr(powersum, "_poly_invmod", lambda p, mod: invmod(p, mod) * 2 % mod)
+    corrupted = LocalChecker(ex1, 6)  # fbar = 2t mod G_d, built on first read only
+    with pytest.raises(AssertionError, match="order dividing d"):
+        checker.check(1)  # passes d = 1, then builds d = 2
+    with pytest.raises(AssertionError, match="order dividing d"):
+        corrupted.check(0)
 
 
 def test_failing_places_raises_when_a_place_cannot_be_factored(ex1, monkeypatch):
