@@ -66,9 +66,9 @@ def _report_inequality(rep) -> dict:
     }
 
 
-def _cmd_solve(path: str, n_bound: int | None) -> tuple[dict, int]:
+def _cmd_solve(path: str) -> tuple[dict, int]:
     inst, doc = load_instance(path)
-    n = decide_global_zero(inst, n_bound=n_bound)
+    n = decide_global_zero(inst)
     result: dict = {"global_zero": n}
     if n is not None:
         result["verified_zero"] = eval_B(inst, n).is_zero
@@ -223,8 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dir", help="process every *.json in a directory")
         return p
 
-    p = add_instance_cmd("solve", "decide whether some B(n) vanishes identically")
-    p.add_argument("--n-bound", type=int, default=None, help="override the scan window on |n|")
+    add_instance_cmd("solve", "decide whether some B(n) vanishes identically")
 
     p = add_instance_cmd("local", "search a local witness k for f^a - 1")
     p.add_argument("--a", type=int, required=True)
@@ -252,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Per instance command: its handler and the options echoed in the report's command dict.
 _INSTANCE_COMMANDS = {
-    "solve": (lambda p, a: _cmd_solve(p, a.n_bound), ("n_bound",)),
+    "solve": (lambda p, a: _cmd_solve(p), ()),
     "local": (lambda p, a: _cmd_local(p, a.a, a.k_bound), ("a", "k_bound")),
     "certify": (lambda p, a: _cmd_certify(p, a.k_bound), ("k_bound",)),
     "smallcoef": (lambda p, a: _cmd_smallcoef(p, a.rho, a.k_bound), ("rho", "k_bound")),

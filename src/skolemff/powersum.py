@@ -7,11 +7,13 @@ Everything reduces through companion polynomials.  For a residue class c mod e
     P'_c(X)    = sum_i (lambda_i eps_i^c f^{r_i c}) X^{r_i - r_min},
 
 which is torsion free: a root beta of P'_c is a power g^m exactly when the
-class contains a global zero.  Global zeros are decided exactly (root heights
-bound the scan window via the height of P'_c), local vanishing at the zeros of
-f^a - 1 is checked by exact modular arithmetic with the radical of each
-Phi_d(f), and the effective certificate (q, p, l, a) follows the dependent /
-independent root split with both lemma checks evaluated on concrete exponents.
+class contains a global zero.  Global zeros are decided exactly: root heights
+bound the scan window via the height of P'_c, one point of F per class
+prefilters it, and P'_c(g^m) = 0 in K proves each zero.  Local vanishing at
+the zeros of f^a - 1 is checked by exact modular arithmetic with the radical
+of each Phi_d(f), and the effective certificate (q, p, l, a) follows the
+dependent / independent root split with both lemma checks evaluated on
+concrete exponents.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from math import lcm
 
 from .constants import ConstantValue, RootOfUnity
@@ -140,6 +142,11 @@ class PowerSumInstance:
     @property
     def field(self):
         return self.f.field
+
+    @cached_property
+    def classes(self) -> tuple[tuple[KPolynomial, RationalFunction], ...]:
+        """class_reduction(self, c) for every residue c < e, built once per instance."""
+        return tuple(class_reduction(self, c) for c in range(self.e))
 
 
 def eval_B(inst: PowerSumInstance, n: int) -> RationalFunction:
@@ -361,68 +368,53 @@ def find_local_witness(inst: PowerSumInstance, a: int, k_bound: int) -> int | No
 # ---------------------------------------------------------------------------
 
 
-def _first_points(fld, how_many: int):
-    """Deterministic evaluation points in F for prefilters."""
+def _points(fld):
+    """F in a fixed order: 0, 1, -1, 2, -2, ... in characteristic 0, else every element."""
     if fld.char == 0:
-        k, out = 0, []
-        while len(out) < how_many:
-            out.append(ConstantValue(fld, fld.from_int(k)))
-            k = -k + (1 if k <= 0 else 0)
-        return out
-    return [
-        ConstantValue(fld, tuple(base_digits(idx, fld.p, fld.d)))
-        for idx in range(min(how_many, fld.p**fld.d))
-    ]
+        return (ConstantValue(fld, fld.from_int((k + 1) // 2 * (1 if k % 2 else -1))) for k in count())
+    return (ConstantValue(fld, tuple(base_digits(i, fld.p, fld.d))) for i in range(fld.p**fld.d))
 
 
-def _kpoly_vanishes_at_power(P: KPolynomial, g: RationalFunction, m: int) -> bool:
-    """Exact test P(g^m) = 0 with a point-evaluation prefilter."""
+def _separating_point(P: KPolynomial, g: RationalFunction) -> tuple[ConstantValue, Polynomial] | None:
+    """(g(x), P_x) at the first x in F that separates the powers of g, or None.
+
+    P_x is P with each coefficient evaluated at x.  At x, g and every
+    coefficient of P are finite, g(x) != 0, P_x != 0 and, in
+    characteristic 0, g(x) is no root of unity; only finitely many x fail then.
+    """
     fld = P.field
-    for pt in _first_points(fld, 4):
+    for x in _points(fld):
         try:
-            gv = g.evaluate(pt)
-            if gv.is_zero and m < 0:
-                continue
-            acc = ConstantValue(fld, fld.zero_raw)
-            gp = gv**m
-            cur = ConstantValue(fld, fld.one_raw)
-            for c in P.coeffs:
-                if not c.is_zero:
-                    acc = acc + c.evaluate(pt) * cur
-                cur = cur * gp
+            gx = g.evaluate(x)
+            Px = Polynomial(fld, [c.evaluate(x) for c in P.coeffs])
         except ZeroDivisionError:
             continue
-        if not acc.is_zero:
-            return False
-        break
-    return P.evaluate(g**m).is_zero
+        if not (gx.is_zero or Px.is_zero or (fld.char == 0 and gx.is_torsion())):
+            return gx, Px
+    return None
 
 
-def decide_global_zero(inst: PowerSumInstance, n_bound: int | None = None) -> int | None:
+def decide_global_zero(inst: PowerSumInstance) -> int | None:
     """Smallest-|n| integer with B(n) identically 0 (ties positive), or None.
 
     Per residue class the window |m| <= poly_height(P'_c) / h(g) is provably
-    complete: a root beta = g^m has |m| h(g) = h(beta) <= h(P'_c).
+    complete: a root beta = g^m has |m| h(g) = h(beta) <= h(P'_c).  Only an m
+    with P'_c(g^m) = 0 at the class's separating point x gets the exact test
+    in K.  In characteristic 0 the g(x)^m are distinct, so at most deg P'_c
+    exponents per class do; without such a point (a finite F only) all do.
     """
-    if n_bound is not None and n_bound < 0:
-        raise InvalidInstance(f"n_bound must be nonnegative, got {n_bound}")
     candidates: list[int] = []
     e = inst.e
-    for c in range(e):
-        P, g = class_reduction(inst, c)
+    for c, (P, g) in enumerate(inst.classes):
         if P.is_zero:
             candidates.extend((c, c - e))
             continue
-        hg = height(g)
-        if n_bound is not None:
-            lo = -((n_bound + c) // e)
-            hi = (n_bound - c) // e
-            ms = range(lo, hi + 1)
-        else:
-            W = poly_height(P) // hg
-            ms = range(-W, W + 1)
-        for m in ms:
-            if _kpoly_vanishes_at_power(P, g, m):
+        W = poly_height(P) // height(g)
+        point = _separating_point(P, g)
+        for m in range(-W, W + 1):
+            if point is not None and not point[1].evaluate(point[0] ** m).is_zero:
+                continue
+            if P.evaluate(g**m).is_zero:
                 candidates.append(c + e * m)
     if not candidates:
         return None
@@ -459,7 +451,7 @@ class SplitResult:
 
 def split_dep_ind(inst: PowerSumInstance, c: int) -> SplitResult:
     """Split P'_c by multiplicative dependence of its roots with g = f^e."""
-    P, g = class_reduction(inst, c)
+    P, g = inst.classes[c % inst.e]
     if P.is_zero:
         raise ZeroInput("companion polynomial is identically zero")
     search: RootSearch = find_roots_in_K(P)
@@ -678,6 +670,8 @@ class CertificateReport:
 
 def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> CertificateReport:
     """Run the effective pipeline: global decision, (q, p, l, a), witness scan."""
+    if k_bound < 1:
+        raise InvalidInstance("a and k_bound must be positive")
     if inst.field.char != 0:
         raise CharPUnsupported("certification requires characteristic 0")
     gz = decide_global_zero(inst)

@@ -299,27 +299,60 @@ def test_decide_handles_identically_zero_class(Q):
 
 
 def test_decide_agrees_with_brute_oracle():
-    rng = random.Random(79)
-    agreements = 0
-    seed = 0
-    while agreements < 40:
-        inst, _ = generate_instance(seed, "small")
-        seed += 1
-        windows = []
-        for c in range(inst.e):
-            P, g = class_reduction(inst, c)
-            if P.is_zero:
-                windows.append(0)
-            else:
-                windows.append(poly_height(P) // height(g))
-        if max(windows) > 50:
-            continue
-        got = decide_global_zero(inst)
-        expect = brute_zero_scan(inst, 50)
-        if got is not None and abs(got) > 50:
-            got = None  # outside the oracle window (cannot happen with window <= 50)
-        assert got == expect, (seed - 1, got, expect)
-        agreements += 1
+    # over F_p the oracle's powers f^(r n) grow in degree fast, and charp windows are at most 2
+    for profile, bound in (("small", 50), ("charp", 12)):
+        agreements = 0
+        seed = 0
+        while agreements < 40:
+            inst, _ = generate_instance(seed, profile)
+            seed += 1
+            windows = []
+            for P, g in inst.classes:
+                if P.is_zero:
+                    windows.append(0)
+                else:
+                    windows.append(poly_height(P) // height(g))
+            if max(windows) > bound:
+                continue
+            got = decide_global_zero(inst)
+            expect = brute_zero_scan(inst, bound)
+            if got is not None and abs(got) > bound:
+                got = None  # outside the oracle window
+            assert got == expect, (profile, seed - 1, got, expect)
+            agreements += 1
+
+
+def test_window_prefilter_sends_at_most_deg_exponents_to_the_exact_test(monkeypatch):
+    # in characteristic 0 the separating point's powers g(x)^m are distinct
+    exact = Counter()
+    orig = KPolynomial.evaluate
+    monkeypatch.setattr(KPolynomial, "evaluate", lambda P, x: exact.update([id(P)]) or orig(P, x))
+    for profile in ("small", "dep-heavy"):
+        for seed in range(20):
+            inst, _ = generate_instance(seed, profile)
+            exact.clear()
+            zero = decide_global_zero(inst)
+            for P, _ in inst.classes:
+                assert exact[id(P)] <= P.degree, (profile, seed)
+            if profile == "dep-heavy":
+                assert zero is None and not exact, seed
+
+
+def test_decide_without_a_separating_point(F3):
+    # over F_3, g = t vanishes at 0 and lambda has poles at 1 and 2: no point of
+    # F_3 qualifies, so every exponent of the window gets the exact test
+    tp = Polynomial.t(F3)
+    one = Polynomial.one(F3)
+    poles = [tp - Polynomial(F3, (i,)) for i in (1, 2)]
+    den = poles[0] * poles[1]
+    S = PlaceSet([Place(tp), INFINITY] + [Place(q) for q in poles])
+    lam = RationalFunction(one, den)
+    for other, planted in ((tp * tp, 2), (tp * tp * Polynomial(F3, (2,)), None)):
+        inst = PowerSumInstance((lam, -RationalFunction(other, den)), (one_ru(F3),) * 2, (1, 0), RationalFunction.t(F3), S)
+        (P, g), = inst.classes
+        assert powersum._separating_point(P, g) is None
+        assert poly_height(P) // height(g) <= 20
+        assert decide_global_zero(inst) == brute_zero_scan(inst, 20) == planted
 
 
 def test_decide_found_zero_passes_local_checks(Q, ex2):
@@ -537,13 +570,13 @@ def test_claimI_count_is_the_sum_over_the_phi_pair(Q):
 
 
 def test_lemma_checks_reuse_the_callers_split(monkeypatch):
-    # each claimD / claimI suite instance is split once and decided once
+    # each claimD / claimI suite instance is reduced once, split once and decided once
     import sys
 
     from skolemff import powersum
     from skolemff.verify_suites import run_suite
 
-    calls = dict.fromkeys(("decide_global_zero", "split_dep_ind"), 0)
+    calls = dict.fromkeys(("class_reduction", "decide_global_zero", "split_dep_ind"), 0)
     for name in calls:
         orig = getattr(powersum, name)
 
@@ -559,7 +592,7 @@ def test_lemma_checks_reuse_the_callers_split(monkeypatch):
             calls[name] = 0
         res = run_suite(suite, 0, 4)
         assert res.checked == 4 and res.violations == 0
-        assert calls == {"decide_global_zero": 4, "split_dep_ind": 4}, suite
+        assert calls == {"class_reduction": 4, "decide_global_zero": 4, "split_dep_ind": 4}, suite
 
 
 def test_phi_pair_matches_horner(Q):
@@ -604,6 +637,15 @@ def test_certify_examples(Q, Qi):
     assert rep1.verdict == "LocalObstruction" and rep1.a == 72
     assert not rep1.theorem_violation
     assert all(chk.holds for chk in rep1.lemma_checks)
+
+
+def test_certify_reduces_each_class_once(Qi, monkeypatch):
+    calls = []
+    orig = powersum.class_reduction
+    monkeypatch.setattr(powersum, "class_reduction", lambda inst, c: calls.append(c) or orig(inst, c))
+    inst = example1_instance(Qi)
+    assert certify_local_global(inst).verdict == "LocalObstruction"
+    assert sorted(calls) == list(range(inst.e)) and inst.e == 2
 
 
 def test_certify_charp_rejected(F3):

@@ -1,12 +1,14 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 
 import pytest
 
 from skolemff import INFINITY, Place, PlaceSet, Polynomial, PowerSumInstance, RationalFunction
-from skolemff.cli import main
+from skolemff.cli import _build_parser, main
 from skolemff.errors import InvalidInstance
 from skolemff.generate import generate_instance
 from skolemff.serialize import (
@@ -106,11 +108,6 @@ def test_cli_solve(instance_dir):
     code, rep = run_cli(["solve", str(instance_dir / "example-1.json")])
     assert code == 0 and rep["result"]["global_zero"] is None
     assert rep["instance_digest"].startswith("sha256:")
-
-
-def test_cli_solve_n_bound(instance_dir):
-    code, rep = run_cli(["solve", str(instance_dir / "translated-example-2.json"), "--n-bound", "10"])
-    assert code == 0 and rep["result"]["global_zero"] == "-1"
 
 
 def test_cli_local(instance_dir):
@@ -255,13 +252,29 @@ def test_cli_exit_codes(tmp_path, instance_dir, Q):
     ):
         code, rep = run_cli(argv)
         assert code == 2 and rep["exit_code"] == "2" and rep["result"]["error"] == "OSError", argv
-    # a negative --n-bound or a --count below 1 is invalid input, not an empty answer
+    # a --k-bound or --count below 1 is invalid input on every instance, not an empty answer
     small10 = str(tmp_path / "small-10.json")
     assert run_cli(["gen", "--seed", "10", "--profile", "small", "--out", small10])[0] == 0
+    charp0 = str(tmp_path / "charp-0.json")
+    assert run_cli(["gen", "--seed", "0", "--profile", "charp", "--out", charp0])[0] == 0
     for argv in (
-        ["solve", small10, "--n-bound", "-3"],
+        ["certify", small10, "--k-bound", "0"],
+        ["smallcoef", charp0, "--rho", "1/2", "--k-bound", "0"],
+        ["local", small10, "--a", "1", "--k-bound", "0"],
         ["verify", "smt", "--seed", "0", "--count", "-1"],
         ["verify", "smt", "--seed", "0", "--count", "0"],
     ):
         code, rep = run_cli(argv)
         assert code == 2 and rep["result"]["error"] == "InvalidInstance", argv
+
+
+def test_readme_cli_flags_exist_in_the_parser():
+    # every --flag on a `skolemff <cmd>` line of the README is an option of that subcommand
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = [m.groups() for m in re.finditer(r"^\$? *skolemff (\w+)([^#\n]*)", fh.read(), re.M)]
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {cmd for cmd, _ in lines} == set(sub.choices)
+    for cmd, rest in lines:
+        for flag in re.findall(r"--[\w-]+", rest):
+            assert flag in sub.choices[cmd]._option_string_actions, (cmd, flag)
