@@ -142,8 +142,8 @@ def _cmd_smallcoef(path: str, rho: str, k_bound: int) -> tuple[dict, int]:
     return result, EXIT_VIOLATION if rep.status == "theorem_violation" else EXIT_OK
 
 
-def _cmd_verify(suite: str, seed: int, count: int, max_deg: int) -> tuple[dict, int]:
-    res = run_suite(suite, seed, count, max_deg)
+def _cmd_verify(suite: str, seed: int, count: int) -> tuple[dict, int]:
+    res = run_suite(suite, seed, count)
     result = {
         "suite": res.suite,
         "seed": res.seed,
@@ -240,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--max-deg", type=int, default=12)
 
     p = sub.add_parser("gen", help="generate a random valid instance")
     p.add_argument("--seed", type=int, required=True)
@@ -274,9 +273,8 @@ def main(argv=None) -> int:
                 "suite": args.suite,
                 "seed": args.seed,
                 "count": args.count,
-                "max_deg": args.max_deg,
             }
-            result, code = _cmd_verify(args.suite, args.seed, args.count, args.max_deg)
+            result, code = _cmd_verify(args.suite, args.seed, args.count)
             print(canonical_dumps(stringify_numbers(_envelope(command, result, code, started, None))))
             return code
         if args.cmd == "gen":

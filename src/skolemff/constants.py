@@ -478,7 +478,10 @@ class ConstantValue:
         if len(items) > field.degree:
             raise InvalidInstance("constant vector longer than the field degree")
         if field.char == 0:
-            coeffs = [Fraction(s) for s in items]
+            try:
+                coeffs = [Fraction(s) for s in items]
+            except ZeroDivisionError as exc:
+                raise InvalidInstance(f"constant {items} has a zero denominator") from exc
         else:
             coeffs = []
             for s in items:

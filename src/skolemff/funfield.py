@@ -66,10 +66,126 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class Polynomial:
-    """Univariate polynomial over F; the zero polynomial has empty coefficients."""
+class _Dense:
+    """Dense univariate polynomial, little-endian; the zero polynomial has no coefficients.
+
+    Everything here reads the coefficients only through their ring operations
+    and builds results with type(self)(field, coeffs), so F[t] (`Polynomial`)
+    and K[X] (`KPolynomial`) share it; a subclass supplies its ring's zero.
+    """
 
     __slots__ = ("field", "coeffs")
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # -- basic data -----------------------------------------------------------
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def is_constant(self) -> bool:
+        return len(self.coeffs) <= 1
+
+    def lc(self):
+        if self.is_zero:
+            raise ZeroInput("leading coefficient of 0")
+        return self.coeffs[-1]
+
+    def constant_coeff(self):
+        return self.coeffs[0] if self.coeffs else self._zero()
+
+    # -- arithmetic -------------------------------------------------------------
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return type(self)(self.field, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.field, [-c for c in self.coeffs])
+
+    def divmod(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        new, fld = type(self), self.field
+        rem = list(self.coeffs)
+        d = other.degree
+        if self.degree < d:
+            return new(fld, ()), self
+        inv_lead = other.lc().inverse()
+        quo = [self._zero()] * (len(rem) - d)
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = rem[i]
+            if c.is_zero:
+                continue
+            q = c * inv_lead
+            quo[i - d] = q
+            for j, oc in enumerate(other.coeffs):
+                rem[i - d + j] = rem[i - d + j] - q * oc
+        return new(fld, quo), new(fld, rem[:d])
+
+    def __floordiv__(self, other):
+        return self.divmod(other)[0]
+
+    def __mod__(self, other):
+        return self.divmod(other)[1]
+
+    def exact_div(self, other):
+        q, r = self.divmod(other)
+        if not r.is_zero:
+            raise ArithmeticError("inexact polynomial division")
+        return q
+
+    def divide_out(self, p):
+        """(q, m) with self = p^m q and p not dividing q, for p of positive degree."""
+        if self.is_zero:
+            raise ZeroInput("dividing a power out of 0")
+        f, m = self, 0
+        while True:
+            q, r = f.divmod(p)
+            if not r.is_zero:
+                return f, m
+            f, m = q, m + 1
+
+    def monic(self):
+        if self.is_zero:
+            return self
+        inv = self.lc().inverse()
+        return type(self)(self.field, [c * inv for c in self.coeffs])
+
+    def evaluate(self, x):
+        acc = self._zero()
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.field.spec == other.field.spec
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.field.spec, self.coeffs))
+
+
+class Polynomial(_Dense):
+    """Univariate polynomial over F; the zero polynomial has empty coefficients."""
+
+    __slots__ = ()
 
     def __init__(self, field: Field, coeffs=()):
         cs = []
@@ -85,8 +201,8 @@ class Polynomial:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Polynomial is immutable")
+    def _zero(self) -> ConstantValue:
+        return _const(self.field, 0)
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -101,42 +217,9 @@ class Polynomial:
     def t(cls, field: Field) -> "Polynomial":
         return cls(field, (0, 1))
 
-    # -- basic data -----------------------------------------------------------
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def lc(self) -> ConstantValue:
-        if self.is_zero:
-            raise ZeroInput("leading coefficient of 0")
-        return self.coeffs[-1]
-
-    def constant_coeff(self) -> ConstantValue:
-        return self.coeffs[0] if self.coeffs else _const(self.field, 0)
-
     # -- arithmetic -------------------------------------------------------------
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(self.field, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, [-c for c in self.coeffs])
+    # bound here too, so that a wrapper on Polynomial.divmod sees no division in K[X]
+    divmod = _Dense.divmod
 
     def __mul__(self, other):
         if isinstance(other, (ConstantValue, int, Fraction)):
@@ -170,68 +253,14 @@ class Polynomial:
             e >>= 1
         return out
 
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        fld = self.field
-        rem = list(self.coeffs)
-        d = other.degree
-        if self.degree < d:
-            return Polynomial.zero(fld), self
-        inv_lead = other.lc().inverse()
-        quo = [_const(fld, 0)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c.is_zero:
-                continue
-            q = c * inv_lead
-            quo[i - d] = q
-            for j, oc in enumerate(other.coeffs):
-                rem[i - d + j] = rem[i - d + j] - q * oc
-        return Polynomial(fld, quo), Polynomial(fld, rem[:d])
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        inv = self.lc().inverse()
-        return Polynomial(self.field, [c * inv for c in self.coeffs])
-
     def derivative(self) -> "Polynomial":
         return Polynomial(self.field, [c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, x: ConstantValue) -> ConstantValue:
-        acc = _const(self.field, 0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def compose(self, g: "Polynomial") -> "Polynomial":
         acc = Polynomial.zero(self.field)
         for c in reversed(self.coeffs):
             acc = acc * g + Polynomial(self.field, (c,))
         return acc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.field.spec == other.field.spec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.spec, self.coeffs))
 
     def __repr__(self):
         if self.is_zero:
@@ -446,14 +475,8 @@ def radical(f: Polynomial) -> Polynomial:
 def strip_places(f: Polynomial, places: "PlaceSet") -> Polynomial:
     """Divide out every factor of f supported at a finite place of S."""
     for pl in places:
-        if pl.is_infinite:
-            continue
-        while True:
-            q, r = f.divmod(pl.poly)
-            if r.is_zero and not q.is_zero:
-                f = q
-            else:
-                break
+        if not pl.is_infinite:
+            f = f.divide_out(pl.poly)[0]
     return f
 
 
@@ -704,24 +727,13 @@ class PlaceSet:
 # ---------------------------------------------------------------------------
 
 
-def _multiplicity(f: Polynomial, p: Polynomial) -> int:
-    m = 0
-    while not f.is_zero:
-        q, r = f.divmod(p)
-        if not r.is_zero:
-            break
-        f = q
-        m += 1
-    return m
-
-
 def valuation(f: RationalFunction, p: Place):
     """Normalized order of f at p; +inf sentinel for f = 0."""
     if f.is_zero:
         return inf
     if p.is_infinite:
         return f.den.degree - f.num.degree
-    return _multiplicity(f.num, p.poly) - _multiplicity(f.den, p.poly)
+    return f.num.divide_out(p.poly)[1] - f.den.divide_out(p.poly)[1]
 
 
 def divisor(f: RationalFunction) -> dict[Place, int]:
@@ -779,10 +791,10 @@ def clear_denominators(xs) -> list[Polynomial]:
 # ---------------------------------------------------------------------------
 
 
-class KPolynomial:
+class KPolynomial(_Dense):
     """Polynomial in a formal variable X with coefficients in K."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
     def __init__(self, field: Field, coeffs=()):
         cs = list(coeffs)
@@ -791,8 +803,8 @@ class KPolynomial:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, *a):
-        raise AttributeError("KPolynomial is immutable")
+    def _zero(self) -> RationalFunction:
+        return RationalFunction.zero(self.field)
 
     @classmethod
     def from_roots(cls, field: Field, roots) -> "KPolynomial":
@@ -800,31 +812,6 @@ class KPolynomial:
         for b in roots:
             out = out * cls(field, (-b, RationalFunction.one(field)))
         return out
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def lc(self) -> RationalFunction:
-        if self.is_zero:
-            raise ZeroInput("leading coefficient of 0")
-        return self.coeffs[-1]
-
-    def __add__(self, other: "KPolynomial") -> "KPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return KPolynomial(self.field, out)
-
-    def __sub__(self, other) -> "KPolynomial":
-        return self + KPolynomial(self.field, [-c for c in other.coeffs])
 
     def __mul__(self, other) -> "KPolynomial":
         if isinstance(other, RationalFunction):
@@ -840,53 +827,6 @@ class KPolynomial:
                 if not bj.is_zero:
                     out[i + j] = out[i + j] + ai * bj
         return KPolynomial(self.field, out)
-
-    def divmod(self, other: "KPolynomial") -> tuple["KPolynomial", "KPolynomial"]:
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        d = other.degree
-        if self.degree < d:
-            return KPolynomial(self.field, ()), self
-        inv = other.lc().inverse()
-        quo = [RationalFunction.zero(self.field)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c.is_zero:
-                continue
-            q = c * inv
-            quo[i - d] = q
-            for j, oc in enumerate(other.coeffs):
-                rem[i - d + j] = rem[i - d + j] - q * oc
-        return KPolynomial(self.field, quo), KPolynomial(self.field, rem[:d])
-
-    def exact_div(self, other: "KPolynomial") -> "KPolynomial":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ArithmeticError("inexact division in K[X]")
-        return q
-
-    def evaluate(self, x: RationalFunction) -> RationalFunction:
-        acc = RationalFunction.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def monic(self) -> "KPolynomial":
-        if self.is_zero:
-            return self
-        inv = self.lc().inverse()
-        return KPolynomial(self.field, [c * inv for c in self.coeffs])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KPolynomial)
-            and self.field.spec == other.field.spec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.spec, self.coeffs))
 
     def __repr__(self):
         if self.is_zero:

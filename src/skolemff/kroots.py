@@ -43,9 +43,9 @@ def find_roots_in_K(P: KPolynomial) -> RootSearch:
     while coeffs and coeffs[0].is_zero:
         zero_mult += 1
         coeffs.pop(0)
-    work = KPolynomial(fld, coeffs).monic()
-    if work.degree == 0:
-        return RootSearch((), zero_mult, work, leading, True)
+    rem = KPolynomial(fld, coeffs).monic()
+    if rem.degree == 0:
+        return RootSearch((), zero_mult, rem, leading, True)
 
     polys = clear_denominators(coeffs)
     a0, ad = polys[0], polys[-1]
@@ -66,20 +66,8 @@ def find_roots_in_K(P: KPolynomial) -> RootSearch:
         complete = False
 
     roots: list[tuple[RationalFunction, int]] = []
-    rem = work
-    seen = set()
     for beta in candidates:
-        if beta in seen:
-            continue
-        seen.add(beta)
-        mult = 0
-        lin = KPolynomial(fld, (-beta, one))
-        while rem.degree > 0:
-            q, r = rem.divmod(lin)
-            if not r.is_zero:
-                break
-            rem = q
-            mult += 1
+        rem, mult = rem.divide_out(KPolynomial(fld, (-beta, one)))
         if mult:
             roots.append((beta, mult))
     roots.sort(key=lambda rm: (str(rm[0]),))

@@ -144,9 +144,19 @@ class PowerSumInstance:
         return self.f.field
 
     @cached_property
+    def g(self) -> RationalFunction:
+        """g = f^e, whose powers g^m run through each residue class."""
+        return self.f**self.e
+
+    @cached_property
     def classes(self) -> tuple[tuple[KPolynomial, RationalFunction], ...]:
         """class_reduction(self, c) for every residue c < e, built once per instance."""
         return tuple(class_reduction(self, c) for c in range(self.e))
+
+    @cached_property
+    def class_heights(self) -> tuple[int | None, ...]:
+        """poly_height(P'_c) for every class c (None where P'_c = 0), computed once."""
+        return tuple(None if P.is_zero else poly_height(P) for P, _ in self.classes)
 
 
 def eval_B(inst: PowerSumInstance, n: int) -> RationalFunction:
@@ -161,13 +171,12 @@ def eval_B(inst: PowerSumInstance, n: int) -> RationalFunction:
 def class_reduction(inst: PowerSumInstance, c: int) -> tuple[KPolynomial, RationalFunction]:
     """Torsion-free form of class c: (P'_c, g) with B(c + e m) = g^{r_min m} P'_c(g^m)."""
     c %= inst.e
-    g = inst.f**inst.e
     rmin = inst.r_min
     coeffs = [RationalFunction.zero(inst.field) for _ in range(inst.N + 1)]
     for lam, eps, r in zip(inst.lambdas, inst.epsilons, inst.exponents):
         tw = lam * (eps.value ** (c % eps.order)) * inst.f ** (r * c)
         coeffs[r - rmin] = coeffs[r - rmin] + tw
-    return KPolynomial(inst.field, coeffs), g
+    return KPolynomial(inst.field, coeffs), inst.g
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +418,7 @@ def decide_global_zero(inst: PowerSumInstance) -> int | None:
         if P.is_zero:
             candidates.extend((c, c - e))
             continue
-        W = poly_height(P) // height(g)
+        W = inst.class_heights[c] // height(g)
         point = _separating_point(P, g)
         for m in range(-W, W + 1):
             if point is not None and not point[1].evaluate(point[0] ** m).is_zero:
@@ -432,6 +441,7 @@ class SplitResult:
 
     residue_class: int
     poly: KPolynomial
+    height: int  # poly_height(poly)
     g: RationalFunction
     dep: tuple[tuple[RationalFunction, int, DependenceWitness], ...]
     ind: tuple[tuple[RationalFunction, int], ...]
@@ -474,6 +484,7 @@ def split_dep_ind(inst: PowerSumInstance, c: int) -> SplitResult:
     return SplitResult(
         residue_class=c % inst.e,
         poly=P,
+        height=inst.class_heights[c % inst.e],
         g=g,
         dep=tuple(dep),
         ind=tuple(ind),
@@ -484,7 +495,7 @@ def split_dep_ind(inst: PowerSumInstance, c: int) -> SplitResult:
     )
 
 
-def choose_q(witnesses, global_zero_absent: bool = True) -> int:
+def choose_q(witnesses) -> int:
     """q = 2 with no dependent roots; else the lcm of the exact power exponents."""
     ws = list(witnesses)
     if not ws:
@@ -492,7 +503,7 @@ def choose_q(witnesses, global_zero_absent: bool = True) -> int:
     q = 1
     for w in ws:
         q = lcm(q, w.exact_q)
-    if q == 1 and global_zero_absent:
+    if q == 1:
         raise QEqualsOne("q = 1 contradicts the excluded global zero")
     return q
 
@@ -508,16 +519,14 @@ def choose_p(witnesses, q: int) -> int:
         cand += 1
 
 
-def ell_bound(P: KPolynomial, f: RationalFunction, S: PlaceSet, p: int, q: int) -> int:
-    """Smallest l where (phi(p^l)-2) h(f) - chi_S beats the cubed gcd bound."""
+def ell_bound(hp: int, degp: int, f: RationalFunction, S: PlaceSet, p: int, q: int) -> int:
+    """Smallest l where (phi(p^l)-2) h(f) - chi_S beats the cubed gcd bound; hp = h(P), degp = deg P."""
     chi = chi_S(S)
     if chi < 0:
         raise BadChiS("ell_bound needs chi_S >= 0")
     if f.is_constant:
         raise ConstantInput("ell_bound needs nonconstant f")
     hf = height(f)
-    hp = poly_height(P)
-    degp = P.degree
     ell = 1
     while True:
         phi = euler_phi(p**ell)
@@ -585,7 +594,7 @@ def _claimI_impl(
     # their product is the sum of the two counts.
     lhs = sum(gcd_counting(x, y, S, truncated=False) for y in phis)
     hg = height(split.g)
-    hp = poly_height(split.poly)
+    hp = split.height
     degp = split.poly.degree
     rhs = 54 * degp**3 * chi * (period * hg + hp) ** 2
     return InequalityReport(
@@ -694,9 +703,9 @@ def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> Certific
     a_parts: list[int] = []
     for split in splits:
         witnesses = [w for _, _, w in split.dep]
-        q = choose_q(witnesses, global_zero_absent=True)
+        q = choose_q(witnesses)
         p = choose_p(witnesses, q)
-        ell = ell_bound(split.poly, split.g, S_work, p, q)
+        ell = ell_bound(split.height, split.poly.degree, split.g, S_work, p, q)
         a_c = p**ell * q
         a_parts.append(a_c)
         checks: list[InequalityReport] = []

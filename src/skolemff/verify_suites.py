@@ -40,6 +40,8 @@ __all__ = ["SuiteResult", "run_suite", "SUITES"]
 
 SUITES = ("smt", "czgcd", "gauss", "sunit", "claimD", "claimI")
 
+MAX_DEG = 12  # degree scale of the random polynomials and functions the suites draw
+
 _CHAR0_SPECS = [FieldSpec(0, 1), FieldSpec(0, 4)]
 _ALL_SPECS = [FieldSpec(0, 1), FieldSpec(0, 4), FieldSpec(3, 1, 1), FieldSpec(5, 1, 1)]
 
@@ -56,7 +58,7 @@ class SuiteResult:
     notes: list[str] = dc_field(default_factory=list)
 
 
-def run_suite(suite: str, seed: int, count: int, max_deg: int = 12) -> SuiteResult:
+def run_suite(suite: str, seed: int, count: int) -> SuiteResult:
     if suite not in SUITES:
         raise SkolemffError(f"unknown suite {suite!r}; choose from {SUITES}")
     if count < 1:
@@ -69,7 +71,7 @@ def run_suite(suite: str, seed: int, count: int, max_deg: int = 12) -> SuiteResu
         "claimD": _run_claimD,
         "claimI": _run_claimI,
     }[suite]
-    return runner(seed, count, max_deg)
+    return runner(seed, count)
 
 
 def _distinct_consts(rng: random.Random, fld, how_many: int) -> list[ConstantValue]:
@@ -89,12 +91,12 @@ def _rand_S(rng: random.Random, fld) -> PlaceSet:
     return PlaceSet(rng.sample(pool, size))
 
 
-def _run_smt(seed: int, count: int, max_deg: int) -> SuiteResult:
+def _run_smt(seed: int, count: int) -> SuiteResult:
     res = SuiteResult("smt", seed, count)
     rng = random.Random(seed)
     for i in range(count):
         fld = field_for(_ALL_SPECS[i % len(_ALL_SPECS)])
-        f = rand_ratfunc(rng, fld, max(2, max_deg // 2), nonconstant=True)
+        f = rand_ratfunc(rng, fld, MAX_DEG // 2, nonconstant=True)
         S = _rand_S(rng, fld)
         b = _distinct_consts(rng, fld, rng.randint(1, 8))
         rep = verify_smt(f, S, b)
@@ -128,7 +130,7 @@ def _shrink_smt(f, S, b) -> dict:
     }
 
 
-def _run_sunit(seed: int, count: int, max_deg: int) -> SuiteResult:
+def _run_sunit(seed: int, count: int) -> SuiteResult:
     res = SuiteResult("sunit", seed, count)
     rng = random.Random(seed)
     for i in range(count):
@@ -137,10 +139,10 @@ def _run_sunit(seed: int, count: int, max_deg: int) -> SuiteResult:
         S = _rand_S(rng, fld)
         from .generate import _s_integer
 
-        f = _s_integer(rng, fld, S, max(2, max_deg // 3))
+        f = _s_integer(rng, fld, S, MAX_DEG // 3)
         tries = 0
         while (f.is_zero or f.is_constant) and tries < 50:
-            f = _s_integer(rng, fld, S, max(2, max_deg // 3))
+            f = _s_integer(rng, fld, S, MAX_DEG // 3)
             tries += 1
         if f.is_zero or f.is_constant:
             continue
@@ -166,7 +168,7 @@ def _run_sunit(seed: int, count: int, max_deg: int) -> SuiteResult:
     return res
 
 
-def _run_czgcd(seed: int, count: int, max_deg: int) -> SuiteResult:
+def _run_czgcd(seed: int, count: int) -> SuiteResult:
     from fractions import Fraction
 
     res = SuiteResult("czgcd", seed, count)
@@ -258,13 +260,13 @@ def _support_places(polys, fld) -> list[Place]:
     return out
 
 
-def _run_gauss(seed: int, count: int, max_deg: int) -> SuiteResult:
+def _run_gauss(seed: int, count: int) -> SuiteResult:
     res = SuiteResult("gauss", seed, count)
     rng = random.Random(seed)
     for i in range(count):
         fld = field_for(_ALL_SPECS[i % len(_ALL_SPECS)])
-        A = _rand_kpoly(rng, fld, rng.randint(1, 3), max(1, max_deg // 6))
-        B = _rand_kpoly(rng, fld, rng.randint(1, 3), max(1, max_deg // 6))
+        A = _rand_kpoly(rng, fld, rng.randint(1, 3), MAX_DEG // 6)
+        B = _rand_kpoly(rng, fld, rng.randint(1, 3), MAX_DEG // 6)
         C = A * B
         ok = poly_height(C) == poly_height(A) + poly_height(B)
         polys = []
@@ -277,7 +279,7 @@ def _run_gauss(seed: int, count: int, max_deg: int) -> SuiteResult:
                 ok = False
                 break
         # product of linear factors: h(prod (X - beta_i)) = sum h(beta_i)
-        roots = [rand_ratfunc(rng, fld, max(1, max_deg // 6)) for _ in range(rng.randint(1, 3))]
+        roots = [rand_ratfunc(rng, fld, MAX_DEG // 6) for _ in range(rng.randint(1, 3))]
         L = KPolynomial.from_roots(fld, roots)
         if poly_height(L) != sum(height(b) for b in roots):
             ok = False
@@ -289,7 +291,7 @@ def _run_gauss(seed: int, count: int, max_deg: int) -> SuiteResult:
     return res
 
 
-def _run_claimD(seed: int, count: int, max_deg: int) -> SuiteResult:
+def _run_claimD(seed: int, count: int) -> SuiteResult:
     res = SuiteResult("claimD", seed, count)
     rng = random.Random(seed)
     for i in range(count):
@@ -309,7 +311,7 @@ def _run_claimD(seed: int, count: int, max_deg: int) -> SuiteResult:
     return res
 
 
-def _run_claimI(seed: int, count: int, max_deg: int) -> SuiteResult:
+def _run_claimI(seed: int, count: int) -> SuiteResult:
     res = SuiteResult("claimI", seed, count)
     rng = random.Random(seed)
     for i in range(count):

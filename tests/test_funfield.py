@@ -344,6 +344,79 @@ def test_height_of_linear_factor_products(Q):
         assert poly_height(A) == sum(height(b) for b in roots)
 
 
+# -- dense arithmetic shared by F[t] and K[X] --------------------------------------
+
+
+def _rand_kpoly(rng, fld, deg):
+    """A K[X] polynomial of exact degree deg (rand_ratfunc never returns 0)."""
+    return KPolynomial(fld, [rand_ratfunc(rng, fld, 2) for _ in range(deg + 1)])
+
+
+def _power(p, k, one):
+    out = one
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def test_kpoly_division_with_remainder(Q, Qi, F3):
+    rng = random.Random(41)
+    for fld in (Q, Qi, F3):
+        inexact = 0
+        for _ in range(6):
+            a = _rand_kpoly(rng, fld, rng.randint(2, 4))
+            b = _rand_kpoly(rng, fld, rng.randint(1, 2))
+            q, r = a.divmod(b)
+            assert q * b + r == a and a - q * b == r
+            assert r.is_zero or r.degree < b.degree
+            if not r.is_zero:
+                inexact += 1
+                with pytest.raises(ArithmeticError):
+                    a.exact_div(b)
+            assert (a * b).exact_div(b) == a
+        assert inexact > 0, fld.spec
+
+
+def test_divide_out_matches_repeated_exact_div(Q, Qi, F3):
+    rng = random.Random(43)
+    for fld in (Q, Qi, F3):
+        one_k = KPolynomial(fld, (RationalFunction.one(fld),))
+        cases = []
+        for _ in range(5):
+            k = rng.randint(0, 3)
+            p = _rand_kpoly(rng, fld, 1)
+            cases.append((_rand_kpoly(rng, fld, rng.randint(0, 2)) * _power(p, k, one_k), p, k))
+            p = rand_poly(rng, fld, 2)
+            if p.degree > 0:
+                cases.append((rand_poly(rng, fld, 3) * p**k, p, k))
+        for a, p, k in cases:
+            oracle_q, oracle_m = a, 0
+            while True:
+                try:
+                    oracle_q = oracle_q.exact_div(p)
+                except ArithmeticError:
+                    break
+                oracle_m += 1
+            assert a.divide_out(p) == (oracle_q, oracle_m) and oracle_m >= k
+        x = KPolynomial(fld, (RationalFunction.zero(fld), RationalFunction.one(fld)))
+        for zero, p in ((KPolynomial(fld, ()), x), (Polynomial.zero(fld), t_of(fld))):
+            with pytest.raises(ZeroInput):
+                zero.divide_out(p)
+
+
+def test_kpoly_divmod_over_constants_matches_polynomial_divmod(Q, Qi, F3):
+    # a polynomial in F[t] read as one in K[X] with constant coefficients, X for t
+    rng = random.Random(47)
+    for fld in (Q, Qi, F3):
+        def embed(a):
+            return KPolynomial(fld, [RationalFunction.constant(fld, c) for c in a.coeffs])
+
+        for _ in range(10):
+            a, b = rand_poly(rng, fld, 5), rand_poly(rng, fld, 3)
+            q, r = a.divmod(b)
+            assert embed(a).divmod(embed(b)) == (embed(q), embed(r))
+
+
 # -- counting functions -----------------------------------------------------------
 
 

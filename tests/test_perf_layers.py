@@ -1,0 +1,37 @@
+"""Every layer of the traced benchmark binds on the real package (perfbench/layers.py).
+
+A method moved out of the class body a layer names would otherwise fail only
+`perfbench/run.py --trace 1`.
+"""
+
+import os
+import sys
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.append(PERFBENCH)
+
+import layers  # noqa: E402
+from tracer import Tracer, bind, unbind  # noqa: E402
+
+from skolemff import KPolynomial, Polynomial, RationalFunction  # noqa: E402
+
+
+def test_every_layer_binds_and_divmod_counts_only_divisions_in_F_t(Q):
+    one, t = Polynomial.one(Q), Polynomial.t(Q)
+    a, b = t * t + one, t + one
+    # X^2 + tX + 1 divided by X + t: every coefficient is a polynomial, so the
+    # K arithmetic inside this division divides nothing in F[t]
+    one_k, t_k = RationalFunction.one(Q), RationalFunction.t(Q)
+    A, B = KPolynomial(Q, (one_k, t_k, one_k)), KPolynomial(Q, (t_k, one_k))
+    tracer = Tracer()
+    undo = bind(tracer, layers.make_layers(), "skolemff")
+    try:
+        q, r = a.divmod(b)
+        qk, rk = A.divmod(B)
+    finally:
+        unbind(undo)
+    assert tracer.stat("funfield.Polynomial.divmod").calls == 1
+    assert tracer.stat("funfield.RationalFunction.init").calls > 0  # the K[X] division was traced
+    assert q * b + r == a and qk * B + rk == A
+    assert vars(Polynomial)["divmod"] is KPolynomial.divmod  # one implementation, unwrapped again

@@ -440,7 +440,6 @@ def test_choose_q(Q):
     assert choose_q([DependenceWitness(2, 3, triv), DependenceWitness(3, 1, triv)]) == 6
     with pytest.raises(QEqualsOne):
         choose_q([DependenceWitness(1, 4, triv)])
-    assert choose_q([DependenceWitness(1, 4, triv)], global_zero_absent=False) == 1
 
 
 def test_choose_p(Q):
@@ -486,13 +485,14 @@ def test_ell_bound_examples(Q):
     S_chi1 = PlaceSet([Place(tp), Place(tp - one), INFINITY])
     S_chi0 = PlaceSet([Place(tp), INFINITY])
     P_deg1 = KPolynomial(Q, (RationalFunction.one(Q), RationalFunction.one(Q)))  # X + 1
-    assert ell_bound(P_deg1, t, S_chi1, 5, 2) == 4 == _ell_oracle(5, 2, 1, 1, 0, 1)
-    assert ell_bound(P_deg1, t, S_chi0, 5, 2) == 1
+    h1 = poly_height(P_deg1)
+    assert ell_bound(h1, P_deg1.degree, t, S_chi1, 5, 2) == 4 == _ell_oracle(5, 2, 1, 1, 0, 1)
+    assert ell_bound(h1, P_deg1.degree, t, S_chi0, 5, 2) == 1
     # third example: p=3, q=2, h(f)=2, deg P=2, h(P)=3, chi=1; oracle computes it
     P3 = KPolynomial(Q, (t**3, RationalFunction.zero(Q), RationalFunction.one(Q)))
     assert poly_height(P3) == 3 and P3.degree == 2
     expect = _ell_oracle(3, 2, 2, 2, 3, 1)
-    assert ell_bound(P3, t**2, S_chi1, 3, 2) == expect == 8
+    assert ell_bound(poly_height(P3), P3.degree, t**2, S_chi1, 3, 2) == expect == 8
 
 
 # -- lemma checks and certification ------------------------------------------------------
@@ -646,6 +646,17 @@ def test_certify_reduces_each_class_once(Qi, monkeypatch):
     inst = example1_instance(Qi)
     assert certify_local_global(inst).verdict == "LocalObstruction"
     assert sorted(calls) == list(range(inst.e)) and inst.e == 2
+
+
+def test_certify_computes_each_class_height_and_g_once(Qi, monkeypatch):
+    calls = []
+    orig = powersum.poly_height
+    monkeypatch.setattr(powersum, "poly_height", lambda P: calls.append(P) or orig(P))
+    inst = example1_instance(Qi)
+    rep = certify_local_global(inst)
+    assert rep.verdict == "LocalObstruction" and rep.lemma_checks
+    assert len(calls) == inst.e == 2
+    assert inst.classes[0][1] is inst.classes[1][1] is inst.g
 
 
 def test_certify_charp_rejected(F3):

@@ -231,6 +231,15 @@ def test_cli_exit_codes(tmp_path, instance_dir, Q):
     genus0 = tmp_path / "genus0.json"
     genus0.write_text(json.dumps(dict(good, genus="0")))
     assert run_cli(["solve", str(genus0)])[0] == 0
+    # a constant with a zero denominator is invalid input, alone and inside a --dir batch
+    batch = tmp_path / "zero-denominator"
+    batch.mkdir()
+    (batch / "bad.json").write_text(json.dumps(dict(good, f={"num": [["1/0"]]})))
+    (batch / "good.json").write_text(json.dumps(good))
+    code, rep = run_cli(["solve", str(batch / "bad.json")])
+    assert code == 2 and rep["result"]["error"] == "InvalidInstance"
+    code, rep = run_cli(["solve", "--dir", str(batch)])
+    assert code == 2 and [r["exit_code"] for r in rep["reports"]] == ["2", "0"]
     # batch dir aggregates the worst code
     code, rep = run_cli(["solve", "--dir", str(tmp_path)])
     assert code == 2
