@@ -10,6 +10,7 @@ contract.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -210,7 +211,9 @@ def _run_instance_command(args, handler, command: dict) -> int:
     return report["exit_code"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later main() call."""
     ap = argparse.ArgumentParser(
         prog="skolemff",
         description="Exact power-sum local-global toolkit on F(t)",

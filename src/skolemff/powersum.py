@@ -4,16 +4,32 @@ Everything reduces through companion polynomials.  For a residue class c mod e
 (e = lcm of the eps orders) the class reduction is
 
     B(c + e*m) = g^{r_min*m} * P'_c(g^m),   g := f^e,
-    P'_c(X)    = sum_i (lambda_i eps_i^c f^{r_i c}) X^{r_i - r_min},
+    P'_c(X)    = sum_j mu_{c,j} f^{(j+r_min)c} X^j,
+    mu_{c,j}   = sum of lambda_i eps_i^c over the i with r_i = j + r_min,
 
 which is torsion free: a root beta of P'_c is a power g^m exactly when the
 class contains a global zero.  Global zeros are decided exactly: root heights
 bound the scan window via the height of P'_c, one point of F per class
-prefilters it, and P'_c(g^m) = 0 in K proves each zero.  Local vanishing at
-the zeros of f^a - 1 is checked by exact modular arithmetic with the radical
-of each Phi_d(f), and the effective certificate (q, p, l, a) follows the
-dependent / independent root split with both lemma checks evaluated on
-concrete exponents.
+prefilters it, and P'_c(g^m) = 0 in K proves each zero.
+
+Each mu_{c,j} is an S-integer and f is an S-unit, so h(P'_c) is read off
+valuations at S without expanding a power of f:
+
+    h(P'_c) = sum_{v in S} deg v * max_j(-v(mu_{c,j}) - (j+r_min) c v(f))
+              - deg strip_S(gcd_j num mu_{c,j})
+              - [inf not in S] * min_j v_inf(mu_{c,j}).
+
+Proof: h(P'_c) = sum over all places v of deg v * max_j(-v(x_j)) for the
+coefficients x_j = mu_{c,j} f^{(j+r_min)c}.  At v in S, v(x_j) = v(mu_{c,j}) +
+(j+r_min) c v(f).  Off S, v(f) = 0 and v(x_j) = v(mu_{c,j}) >= 0; at a finite
+such v the denominators of the mu_{c,j} (supported on S) do not count, so
+min_j v(x_j) = v(gcd_j num mu_{c,j}), and these sum to deg strip_S of that
+gcd.  Infinity off S adds -min_j v_inf(mu_{c,j}).
+
+Local vanishing at the zeros of f^a - 1 is checked by exact modular arithmetic
+with the radical of each Phi_d(f), and the effective certificate (q, p, l, a)
+follows the dependent / independent root split with both lemma checks
+evaluated on concrete exponents.
 """
 
 from __future__ import annotations
@@ -50,9 +66,9 @@ from .funfield import (
     is_s_integer,
     is_s_unit,
     poly_gcd,
-    poly_height,
     radical,
     strip_places,
+    valuation,
 )
 from .intutil import base_digits, cyclotomic_poly, divisors, euler_phi, is_prime
 from .kroots import RootSearch, find_roots_in_K
@@ -149,14 +165,45 @@ class PowerSumInstance:
         return self.f**self.e
 
     @cached_property
+    def mus(self) -> tuple[tuple[tuple[int, RationalFunction], ...], ...]:
+        """Per class c, the nonzero mu_{c,j} as (j, mu_{c,j}) in ascending j, built once."""
+        out = []
+        for c in range(self.e):
+            mu: dict[int, RationalFunction] = {}
+            for lam, eps, r in zip(self.lambdas, self.epsilons, self.exponents):
+                j, term = r - self.r_min, lam * eps.value ** (c % eps.order)
+                mu[j] = mu[j] + term if j in mu else term
+            out.append(tuple((j, mu[j]) for j in sorted(mu) if not mu[j].is_zero))
+        return tuple(out)
+
+    @cached_property
     def classes(self) -> tuple[tuple[KPolynomial, RationalFunction], ...]:
         """class_reduction(self, c) for every residue c < e, built once per instance."""
         return tuple(class_reduction(self, c) for c in range(self.e))
 
     @cached_property
     def class_heights(self) -> tuple[int | None, ...]:
-        """poly_height(P'_c) for every class c (None where P'_c = 0), computed once."""
-        return tuple(None if P.is_zero else poly_height(P) for P, _ in self.classes)
+        """h(P'_c) for every class c (None where P'_c = 0), computed once."""
+        v_f = [(v, valuation(self.f, v)) for v in self.places]
+        return tuple(_class_height(self, c, v_f) for c in range(self.e))
+
+
+def _class_height(inst: PowerSumInstance, c: int, v_f) -> int | None:
+    """h(P'_c) by the module docstring's formula, given v_f = [(v, v(f)) for v in S]; None for P'_c = 0."""
+    terms = inst.mus[c]
+    if not terms:
+        return None
+    S, rmin = inst.places, inst.r_min
+    h = 0
+    for v, vf in v_f:
+        h += v.degree * max(-valuation(mu, v) - (j + rmin) * c * vf for j, mu in terms)
+    gcd = Polynomial.zero(inst.field)
+    for _, mu in terms:
+        gcd = poly_gcd(gcd, mu.num)
+    h -= strip_places(gcd, S).degree
+    if not S.has_infinity:
+        h -= min(valuation(mu, INFINITY) for _, mu in terms)
+    return h
 
 
 def eval_B(inst: PowerSumInstance, n: int) -> RationalFunction:
@@ -171,11 +218,9 @@ def eval_B(inst: PowerSumInstance, n: int) -> RationalFunction:
 def class_reduction(inst: PowerSumInstance, c: int) -> tuple[KPolynomial, RationalFunction]:
     """Torsion-free form of class c: (P'_c, g) with B(c + e m) = g^{r_min m} P'_c(g^m)."""
     c %= inst.e
-    rmin = inst.r_min
-    coeffs = [RationalFunction.zero(inst.field) for _ in range(inst.N + 1)]
-    for lam, eps, r in zip(inst.lambdas, inst.epsilons, inst.exponents):
-        tw = lam * (eps.value ** (c % eps.order)) * inst.f ** (r * c)
-        coeffs[r - rmin] = coeffs[r - rmin] + tw
+    coeffs = [RationalFunction.zero(inst.field)] * (inst.N + 1)
+    for j, mu in inst.mus[c]:
+        coeffs[j] = mu * inst.f ** ((j + inst.r_min) * c)
     return KPolynomial(inst.field, coeffs), inst.g
 
 
@@ -384,45 +429,72 @@ def _points(fld):
     return (ConstantValue(fld, tuple(base_digits(i, fld.p, fld.d))) for i in range(fld.p**fld.d))
 
 
-def _separating_point(P: KPolynomial, g: RationalFunction) -> tuple[ConstantValue, Polynomial] | None:
-    """(g(x), P_x) at the first x in F that separates the powers of g, or None.
+def _separating_points(inst: PowerSumInstance) -> list[tuple[ConstantValue, ConstantValue, Polynomial] | None]:
+    """Per class c, (x, g(x), P_x) at the first x in F that separates the powers of g, or None.
 
-    P_x is P with each coefficient evaluated at x.  At x, g and every
-    coefficient of P are finite, g(x) != 0, P_x != 0 and, in
-    characteristic 0, g(x) is no root of unity; only finitely many x fail then.
+    P_x is P'_c with each coefficient evaluated at x, mu_{c,j}(x) f(x)^{(j+r_min)c};
+    f and the lambda_i are evaluated once per point, for every class.  At x, f
+    and every lambda_i are finite, f(x) != 0, P_x != 0 and, in characteristic
+    0, f(x) (so g(x) = f(x)^e) is no root of unity; only finitely many x fail
+    then.  A class with P'_c = 0 gets None.
     """
-    fld = P.field
+    fld, rmin = inst.field, inst.r_min
+    out = [None] * inst.e
+    todo = [c for c in range(inst.e) if inst.mus[c]]
+    zero = ConstantValue(fld, fld.zero_raw)
     for x in _points(fld):
+        if not todo:
+            break
         try:
-            gx = g.evaluate(x)
-            Px = Polynomial(fld, [c.evaluate(x) for c in P.coeffs])
+            fx = inst.f.evaluate(x)
+            lams = [lam.evaluate(x) for lam in inst.lambdas]
         except ZeroDivisionError:
             continue
-        if not (gx.is_zero or Px.is_zero or (fld.char == 0 and gx.is_torsion())):
-            return gx, Px
-    return None
+        if fx.is_zero or (fld.char == 0 and fx.is_torsion()):
+            continue
+        for c in list(todo):
+            mu = [zero] * (inst.N + 1)
+            for lx, eps, r in zip(lams, inst.epsilons, inst.exponents):
+                mu[r - rmin] = mu[r - rmin] + lx * eps.value ** (c % eps.order)
+            Px = Polynomial(fld, [m * fx ** ((j + rmin) * c) for j, m in enumerate(mu)])
+            if not Px.is_zero:
+                out[c] = (x, fx**inst.e, Px)
+                todo.remove(c)
+    return out
 
 
 def decide_global_zero(inst: PowerSumInstance) -> int | None:
     """Smallest-|n| integer with B(n) identically 0 (ties positive), or None.
 
-    Per residue class the window |m| <= poly_height(P'_c) / h(g) is provably
-    complete: a root beta = g^m has |m| h(g) = h(beta) <= h(P'_c).  Only an m
-    with P'_c(g^m) = 0 at the class's separating point x gets the exact test
-    in K.  In characteristic 0 the g(x)^m are distinct, so at most deg P'_c
-    exponents per class do; without such a point (a finite F only) all do.
+    Per residue class the window |m| <= h(P'_c) / h(g), with h(g) = e h(f),
+    is provably complete: a root beta = g^m has |m| h(g) = h(beta) <= h(P'_c).
+    P'_c = sum_j mu_{c,j} f^{(j+r_min)c} X^j with S-integers mu_{c,j} and the
+    S-unit f, so no power of f is expanded for the window:
+
+        h(P'_c) = sum_{v in S} deg v * max_j(-v(mu_{c,j}) - (j+r_min) c v(f))
+                  - deg strip_S(gcd_j num mu_{c,j}) - [inf not in S] * min_j v_inf(mu_{c,j}),
+
+    since h = sum over all places of deg v * max_j(-v(coefficient j)), off S
+    v(f) = 0 and v(mu_{c,j}) >= 0, and at a finite v off S the minimum is
+    v(gcd_j num mu_{c,j}) (module docstring).
+
+    Only an m with P_x(g(x)^m) = 0 at the class's separating point x gets the
+    exact test P'_c(g^m) = 0 in K, and only then is P'_c expanded.  In
+    characteristic 0 the g(x)^m are distinct, so at most deg P'_c exponents
+    per class pass; without such a point (a finite F only) all do.
     """
     candidates: list[int] = []
-    e = inst.e
-    for c, (P, g) in enumerate(inst.classes):
-        if P.is_zero:
+    e, hg = inst.e, inst.e * height(inst.f)
+    points = _separating_points(inst)
+    for c, (hp, point) in enumerate(zip(inst.class_heights, points)):
+        if hp is None:
             candidates.extend((c, c - e))
             continue
-        W = inst.class_heights[c] // height(g)
-        point = _separating_point(P, g)
+        W = hp // hg
         for m in range(-W, W + 1):
-            if point is not None and not point[1].evaluate(point[0] ** m).is_zero:
+            if point is not None and not point[2].evaluate(point[1] ** m).is_zero:
                 continue
+            P, g = inst.classes[c]
             if P.evaluate(g**m).is_zero:
                 candidates.append(c + e * m)
     if not candidates:
@@ -441,7 +513,7 @@ class SplitResult:
 
     residue_class: int
     poly: KPolynomial
-    height: int  # poly_height(poly)
+    height: int  # h(poly)
     g: RationalFunction
     dep: tuple[tuple[RationalFunction, int, DependenceWitness], ...]
     ind: tuple[tuple[RationalFunction, int], ...]

@@ -4,6 +4,9 @@ A method moved out of the class body a layer names would otherwise fail only
 `perfbench/run.py --trace 1`.
 """
 
+import contextlib
+import io
+import json
 import os
 import sys
 
@@ -14,7 +17,9 @@ if PERFBENCH not in sys.path:
 import layers  # noqa: E402
 from tracer import Tracer, bind, unbind  # noqa: E402
 
-from skolemff import KPolynomial, Polynomial, RationalFunction  # noqa: E402
+from skolemff import KPolynomial, Polynomial, RationalFunction, cli  # noqa: E402
+from skolemff.generate import generate_instance  # noqa: E402
+from skolemff.serialize import save_instance  # noqa: E402
 
 
 def test_every_layer_binds_and_divmod_counts_only_divisions_in_F_t(Q):
@@ -35,3 +40,20 @@ def test_every_layer_binds_and_divmod_counts_only_divisions_in_F_t(Q):
     assert tracer.stat("funfield.RationalFunction.init").calls > 0  # the K[X] division was traced
     assert q * b + r == a and qk * B + rk == A
     assert vars(Polynomial)["divmod"] is KPolynomial.divmod  # one implementation, unwrapped again
+
+
+def test_solve_on_a_planted_zero_reaches_class_reduction_and_eval_B(tmp_path):
+    # small seed 12 has a planted zero at n = 2: the exact test expands P'_c and
+    # the report verifies the zero with eval_B
+    path = str(tmp_path / "small-12.json")
+    save_instance(generate_instance(12, "small")[0], path, {})
+    tracer = Tracer()
+    undo = bind(tracer, layers.make_layers(), "skolemff")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["solve", path])
+    finally:
+        unbind(undo)
+    assert code == 0 and json.loads(out.getvalue())["result"]["global_zero"] == "2"
+    for name in ("powersum.class_reduction", "powersum.eval_B", "powersum.decide_global_zero"):
+        assert tracer.stat(name).calls > 0, name

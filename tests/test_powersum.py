@@ -8,6 +8,7 @@ import pytest
 from skolemff import (
     INFINITY,
     ConstantValue,
+    FieldSpec,
     KPolynomial,
     Place,
     PlaceSet,
@@ -21,6 +22,7 @@ from skolemff import (
     decide_global_zero,
     ell_bound,
     eval_B,
+    field_for,
     find_local_witness,
     height,
     lemma_claimD_check,
@@ -38,6 +40,7 @@ from skolemff.errors import (
     ZeroInput,
 )
 from skolemff import powersum
+from skolemff.constants import zeta
 from skolemff.generate import generate_instance
 from skolemff.intutil import divisors
 from skolemff.multstruct import DependenceWitness
@@ -338,6 +341,36 @@ def test_window_prefilter_sends_at_most_deg_exponents_to_the_exact_test(monkeypa
                 assert zero is None and not exact, seed
 
 
+def test_decide_expands_P_only_when_an_exponent_passes_the_prefilter(monkeypatch):
+    calls = []
+    orig = powersum.class_reduction
+    monkeypatch.setattr(powersum, "class_reduction", lambda inst, c: calls.append(c) or orig(inst, c))
+    for seed in range(20):
+        inst, _ = generate_instance(seed, "dep-heavy")
+        assert decide_global_zero(inst) is None
+        assert not calls and "classes" not in vars(inst), seed
+    # small seed 12 has a planted zero at n = 2
+    inst, _ = generate_instance(12, "small")
+    assert decide_global_zero(inst) == brute_zero_scan(inst, 3) == 2
+    assert sorted(calls) == list(range(inst.e))
+
+
+def test_separating_point_evaluates_P_coefficientwise():
+    checked = 0
+    for profile in ("small", "charp"):
+        for seed in range(10):
+            inst, _ = generate_instance(seed, profile)
+            for c, point in enumerate(powersum._separating_points(inst)):
+                if point is None:
+                    continue
+                P, g = class_reduction(inst, c)
+                x, gx, Px = point
+                assert gx == g.evaluate(x)
+                assert Px == Polynomial(inst.field, [co.evaluate(x) for co in P.coeffs]), (profile, seed, c)
+                checked += 1
+    assert checked > 20
+
+
 def test_decide_without_a_separating_point(F3):
     # over F_3, g = t vanishes at 0 and lambda has poles at 1 and 2: no point of
     # F_3 qualifies, so every exponent of the window gets the exact test
@@ -350,7 +383,7 @@ def test_decide_without_a_separating_point(F3):
     for other, planted in ((tp * tp, 2), (tp * tp * Polynomial(F3, (2,)), None)):
         inst = PowerSumInstance((lam, -RationalFunction(other, den)), (one_ru(F3),) * 2, (1, 0), RationalFunction.t(F3), S)
         (P, g), = inst.classes
-        assert powersum._separating_point(P, g) is None
+        assert powersum._separating_points(inst) == [None]
         assert poly_height(P) // height(g) <= 20
         assert decide_global_zero(inst) == brute_zero_scan(inst, 20) == planted
 
@@ -381,6 +414,52 @@ def test_collision_bound_regression(Q):
     )
     assert decide_global_zero(inst) == 1
     assert eval_B(inst, 1).is_zero
+
+
+def _height_cases():
+    """Crafted instances for the valuation formula of h(P'_c)."""
+    out = []
+    for spec in (FieldSpec(0, 1), FieldSpec(0, 4), FieldSpec(0, 3), FieldSpec(3, 1, 2), FieldSpec(5, 1, 1)):
+        fld = field_for(spec)
+        one, tp = Polynomial.one(fld), Polynomial.t(fld)
+        t, u = RationalFunction.t(fld), RationalFunction(tp + one)
+        order = 4 if spec.characteristic else spec.cyclotomic_order * (2 if spec.cyclotomic_order % 2 else 1)
+        z = RootOfUnity(order, zeta(fld, order)) if order > 2 else neg_ru(fld)
+        with_inf = PlaceSet([Place(tp), Place(tp + one), INFINITY])
+        without_inf = PlaceSet([Place(tp), Place(tp + one)])
+        out += [
+            # a repeated exponent: t - t vanishes in the odd classes, 2t survives in the even ones
+            PowerSumInstance((t, t, u**2), (one_ru(fld), neg_ru(fld), z), (2, 2, 0), t * u, with_inf),
+            # the same alone: P'_c = 0 in the odd classes
+            PowerSumInstance((t, t), (one_ru(fld), neg_ru(fld)), (2, 2), t * u, with_inf),
+            # negative exponents and poles at both finite places of S
+            PowerSumInstance((t**-2 * u, u**-1, t + 3), (z, one_ru(fld), neg_ru(fld)), (-2, 1, 3), t**2 / u, with_inf),
+            # S without infinity: every lambda vanishes there, so the inf term is positive
+            PowerSumInstance((1 / (t * u), 1 / u, t / u**2), (one_ru(fld), z, neg_ru(fld)), (-1, 0, 2), t / u, without_inf),
+            # a common zero (t - 1)^2 outside S, in every class
+            PowerSumInstance(
+                ((t - 1) ** 2 * t, (t - 1) ** 2 / u, (t - 1) ** 3), (z, one_ru(fld), neg_ru(fld)), (3, 1, 0), t**3, with_inf
+            ),
+        ]
+    return out
+
+
+def test_class_heights_formula_is_exact():
+    # the valuation formula equals the projective height of the expanded P'_c
+    insts = [generate_instance(seed, profile)[0] for profile in ("small", "dep-heavy", "charp") for seed in range(25)]
+    cases = _height_cases()
+    insts += cases
+    zero_classes = inf_terms = 0
+    for inst in insts:
+        for c in range(inst.e):
+            P, _ = class_reduction(inst, c)
+            want = None if P.is_zero else poly_height(P)
+            assert inst.class_heights[c] == want, (inst, c)
+            zero_classes += P.is_zero
+        inf_terms += not inst.places.has_infinity
+    assert inf_terms == 5 and zero_classes == 5
+    # the repeated exponent drops out of the odd classes
+    assert all(len(rep.mus[c]) == 2 - c % 2 for rep in cases[::5] for c in range(rep.e))
 
 
 def test_root_heights_bounded_by_poly_height(Q):
@@ -650,12 +729,12 @@ def test_certify_reduces_each_class_once(Qi, monkeypatch):
 
 def test_certify_computes_each_class_height_and_g_once(Qi, monkeypatch):
     calls = []
-    orig = powersum.poly_height
-    monkeypatch.setattr(powersum, "poly_height", lambda P: calls.append(P) or orig(P))
+    orig = powersum._class_height
+    monkeypatch.setattr(powersum, "_class_height", lambda inst, c, v_f: calls.append(c) or orig(inst, c, v_f))
     inst = example1_instance(Qi)
     rep = certify_local_global(inst)
     assert rep.verdict == "LocalObstruction" and rep.lemma_checks
-    assert len(calls) == inst.e == 2
+    assert sorted(calls) == list(range(inst.e)) and inst.e == 2
     assert inst.classes[0][1] is inst.classes[1][1] is inst.g
 
 

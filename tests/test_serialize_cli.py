@@ -198,6 +198,35 @@ def test_cli_determinism(instance_dir):
     assert strip(va) == strip(vb)
 
 
+def test_cli_main_reuses_one_parser_across_calls(instance_dir):
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        rep = json.loads(out.getvalue()) if out.getvalue() else None
+        if rep is not None:
+            rep.pop("timing_ms")
+        return code, rep, err.getvalue()
+
+    calls = (
+        ["verify", "smt", "--seed", "4", "--count", "5"],
+        ["solve", "--no-such-flag"],
+        ["solve", str(instance_dir / "translated-example-2.json")],
+    )
+    in_sequence = [call(argv) for argv in calls]
+    assert _build_parser.cache_info().currsize == 1
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(call(argv))
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [0, 2, 0]
+    assert "unrecognized arguments: --no-such-flag" in alone[1][2]
+
+
 def test_cli_batch_dir(instance_dir):
     code, rep = run_cli(["solve", "--dir", str(instance_dir)])
     assert code == 0
