@@ -28,7 +28,6 @@ class RootSearch:
     roots: tuple[tuple[RationalFunction, int], ...]
     zero_multiplicity: int
     remainder: KPolynomial  # monic, no roots in K (when complete)
-    leading: RationalFunction
     complete: bool
 
 
@@ -37,7 +36,6 @@ def find_roots_in_K(P: KPolynomial) -> RootSearch:
     if P.is_zero:
         raise ZeroInput("root search on the zero polynomial")
     fld = P.field
-    leading = P.lc()
     zero_mult = 0
     coeffs = list(P.coeffs)
     while coeffs and coeffs[0].is_zero:
@@ -45,7 +43,7 @@ def find_roots_in_K(P: KPolynomial) -> RootSearch:
         coeffs.pop(0)
     rem = KPolynomial(fld, coeffs).monic()
     if rem.degree == 0:
-        return RootSearch((), zero_mult, rem, leading, True)
+        return RootSearch((), zero_mult, rem, True)
 
     polys = clear_denominators(coeffs)
     a0, ad = polys[0], polys[-1]
@@ -71,7 +69,7 @@ def find_roots_in_K(P: KPolynomial) -> RootSearch:
         if mult:
             roots.append((beta, mult))
     roots.sort(key=lambda rm: (str(rm[0]),))
-    return RootSearch(tuple(roots), zero_mult, rem, leading, complete)
+    return RootSearch(tuple(roots), zero_mult, rem, complete)
 
 
 def _scalar_solutions(polys: list[Polynomial], u: Polynomial, v: Polynomial) -> list:

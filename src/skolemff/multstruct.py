@@ -3,10 +3,11 @@
 Dependence is measured modulo torsion: a and b are dependent when some
 a^m b^n with (m, n) != (0, 0) is a root of unity.  Divisors (for two rational
 constants, their prime-exponent vectors) turn the question into one primitive
-relation m*va + n*vb = 0 between two integer vectors, solved by `_relation`
-for every test here; the leftover constant is then tested for torsion, which
-is decidable in every supported field.  `is_power_of` is the case q = 1 with
-trivial torsion of `dependence_exponents`.
+relation m*va + n*vb = 0 between two integer vectors, solved by `_relation`;
+the leftover constant is then tested for torsion, which is decidable in every
+supported field.  For two nonconstant functions that test is
+`dependence_exponents`, which `is_mult_independent` reads, and `is_power_of`
+is its case q = 1 with trivial torsion.
 """
 
 from __future__ import annotations
@@ -87,11 +88,7 @@ def is_mult_independent(a: RationalFunction, b: RationalFunction) -> bool:
         return _relation(_rational_exponent_vector(ca), _rational_exponent_vector(cb)) is None
     if a.is_constant or b.is_constant:
         return True  # non-torsion constant vs nonconstant: no relation possible
-    rel = _relation(divisor(a), divisor(b))
-    if rel is None:
-        return True
-    m, n = rel
-    return not ((a**m) * (b**n)).constant_value().is_torsion()
+    return dependence_exponents(a, b) is None
 
 
 def dependence_exponents(beta: RationalFunction, f: RationalFunction) -> DependenceWitness | None:

@@ -71,8 +71,8 @@ from .funfield import (
     valuation,
 )
 from .intutil import base_digits, cyclotomic_poly, divisors, euler_phi, is_prime
-from .kroots import RootSearch, find_roots_in_K
-from .multstruct import DependenceWitness, dependence_exponents, is_power_of
+from .kroots import find_roots_in_K
+from .multstruct import DependenceWitness, dependence_exponents
 from .vd_theorems import InequalityReport
 
 __all__ = [
@@ -509,7 +509,12 @@ def decide_global_zero(inst: PowerSumInstance) -> int | None:
 
 @dataclass(frozen=True)
 class SplitResult:
-    """P'_c = leading * X^zero_mult * P_dep * (monic ind part) * remainder."""
+    """The roots of P'_c in K*, split by dependence on g, with multiplicities.
+
+    Each dependent root carries its `dependence_exponents(beta, g)` witness;
+    P'_c = P_dep * P_ind, where P_ind keeps the independent roots, any root 0,
+    the leading coefficient and the rootless monic remainder.
+    """
 
     residue_class: int
     poly: KPolynomial
@@ -517,9 +522,7 @@ class SplitResult:
     g: RationalFunction
     dep: tuple[tuple[RationalFunction, int, DependenceWitness], ...]
     ind: tuple[tuple[RationalFunction, int], ...]
-    zero_multiplicity: int
     remainder: KPolynomial
-    leading: RationalFunction
     complete: bool
 
     @cached_property
@@ -532,22 +535,13 @@ class SplitResult:
 
 
 def split_dep_ind(inst: PowerSumInstance, c: int) -> SplitResult:
-    """Split P'_c by multiplicative dependence of its roots with g = f^e."""
+    """Split P'_c by multiplicative dependence of its roots with g = f^e, decided once per root."""
     P, g = inst.classes[c % inst.e]
     if P.is_zero:
         raise ZeroInput("companion polynomial is identically zero")
-    search: RootSearch = find_roots_in_K(P)
+    search = find_roots_in_K(P)
     dep, ind = [], []
     for beta, mult in search.roots:
-        if beta.is_constant:
-            cv = beta.constant_value()
-            if cv.is_torsion():
-                one = ConstantValue(inst.field, inst.field.one_raw)
-                w = DependenceWitness(q=cv.order(), r=0, torsion=RootOfUnity(1, one))
-                dep.append((beta, mult, w))
-            else:
-                ind.append((beta, mult))
-            continue
         w = dependence_exponents(beta, g)
         if w is not None:
             dep.append((beta, mult, w))
@@ -560,9 +554,7 @@ def split_dep_ind(inst: PowerSumInstance, c: int) -> SplitResult:
         g=g,
         dep=tuple(dep),
         ind=tuple(ind),
-        zero_multiplicity=search.zero_multiplicity,
         remainder=search.remainder,
-        leading=search.leading,
         complete=search.complete,
     )
 
@@ -618,7 +610,9 @@ def _working_S(inst: PowerSumInstance, splits) -> PlaceSet:
     S = inst.places
     extra = set()
     for split in splits:
-        for beta, *_ in split.dep + split.ind:
+        # a nonconstant dependent root has q div(beta) = r div(g), and g is an
+        # S-unit, so its support already lies in S: only the independent roots add places
+        for beta, _ in split.ind:
             if not beta.is_constant:
                 extra.update(divisor(beta))
     S = S.union(extra)
@@ -681,12 +675,13 @@ def _claimI_impl(
 def _require_no_class_zero(split: SplitResult, claim: str) -> None:
     """The lemmas' hypothesis, read off a complete split: no root of P'_c is a power g^m.
 
-    A root g^m of P'_c is dependent on g, so on a complete split this holds
-    exactly when the class c of the split contains no global zero.
+    A root g^m of P'_c is dependent on g, and its split witness has power m,
+    so on a complete split this holds exactly when the class c of the split
+    contains no global zero.
     """
     if not split.complete:
         raise FactorizationTooHard(f"claim {claim} needs a complete root search")
-    if any(is_power_of(beta, split.g) is not None for beta, _, _ in split.dep):
+    if any(w.power is not None for _, _, w in split.dep):
         raise PreconditionGlobalZeroExists(f"class {split.residue_class} has a global zero")
 
 
@@ -771,45 +766,38 @@ def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> Certific
     S_work = _working_S(inst, splits)
 
     per_class: list[ClassCertificate] = []
-    inconclusive = any(not s.complete for s in splits)
-    a_parts: list[int] = []
+    skipped = False
     for split in splits:
         witnesses = [w for _, _, w in split.dep]
         q = choose_q(witnesses)
         p = choose_p(witnesses, q)
         ell = ell_bound(split.height, split.poly.degree, split.g, S_work, p, q)
-        a_c = p**ell * q
-        a_parts.append(a_c)
+        split_complete = split.complete and split.remainder.degree == 0
         checks: list[InequalityReport] = []
         phi_degree = euler_phi(p**ell * q) * height(split.g)
-        if split.complete and split.remainder.degree == 0 and phi_degree <= local_degree_cap():
+        if phi_degree > local_degree_cap():
+            notes.append(f"class {split.residue_class}: lemma evaluation skipped (degree {phi_degree})")
+            skipped = True
+        elif split_complete:
             phis = _phi_pair(split.g, p, ell, q)
             for n in (1, 2):
                 checks.append(_claimD_impl(split, S_work, n, p, ell, q, phis))
                 checks.append(_claimI_impl(split, S_work, n, p, ell, q, phis))
-        else:
-            if phi_degree > local_degree_cap():
-                notes.append(f"class {split.residue_class}: lemma evaluation skipped (degree {phi_degree})")
-                inconclusive = True
-            if split.remainder.degree > 0:
-                inconclusive = True
         per_class.append(
             ClassCertificate(
                 residue=split.residue_class,
                 q=q,
                 p=p,
                 ell=ell,
-                a=a_c,
+                a=p**ell * q,
                 dep_roots=sum(m for _, m, _ in split.dep),
                 ind_roots=sum(m for _, m in split.ind),
-                split_complete=split.complete and split.remainder.degree == 0,
+                split_complete=split_complete,
                 lemma_checks=tuple(checks),
             )
         )
-
-    a = inst.e
-    for ac in a_parts:
-        a = lcm(a, inst.e * ac)
+    inconclusive = skipped or not all(cc.split_complete for cc in per_class)
+    a = lcm(inst.e, *(inst.e * cc.a for cc in per_class))
 
     witness = None
     try:

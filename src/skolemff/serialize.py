@@ -192,7 +192,8 @@ def instance_from_json(obj: dict) -> PowerSumInstance:
         places = PlaceSet([place_from_json(field, x) for x in obj["S"]])
     except KeyError as exc:
         raise InvalidInstance(f"missing instance field: {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
+        # OverflowError: int() of a number JSON parsed as float inf, such as 1e400
         raise InvalidInstance(f"malformed instance value: {exc}") from exc
     return PowerSumInstance(
         lambdas=lambdas,

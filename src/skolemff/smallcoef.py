@@ -95,18 +95,15 @@ def conclude_from_witness(inst: PowerSumInstance, k: int, e: int) -> ConcludeRep
             distinct_exponents=distinct,
             detail={"sum_lambda": repr(total)},
         )
-    # collect coefficients of sum lambda_i eps_i^k X^{r_i} by exponent
-    sums: dict[int, RationalFunction] = {}
-    for lam, eps, r in zip(inst.lambdas, inst.epsilons, inst.exponents):
-        term = lam * (eps.value ** (k % eps.order))
-        sums[r] = sums.get(r, RationalFunction.zero(inst.field)) + term
-    ok = all(v.is_zero for v in sums.values())
+    # the coefficients of sum lambda_i eps_i^k X^{r_i}, grouped by exponent, are
+    # the mu_{c,j} of the class c = k mod e(inst), which keeps only the nonzero ones
+    ok = not inst.mus[k % inst.e]
     return ConcludeReport(
         branch="e_not_divides_k",
         verified=ok,
         theorem_violation=not ok,
         distinct_exponents=distinct,
-        detail={"coefficient_exponents": sorted(sums)},
+        detail={"coefficient_exponents": sorted(set(inst.exponents))},
     )
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .constants import ConstantValue, FieldSpec, field_for, roots_of_unity
 from .errors import InvalidInstance, MultiplicativelyDependent, SkolemffError
+from .factor import factor_poly
 from .funfield import (
     INFINITY,
     KPolynomial,
@@ -25,7 +27,7 @@ from .funfield import (
     poly_height,
     poly_valuation,
 )
-from .generate import generate_instance, instance_from_roots, place_pool, rand_const, rand_ratfunc
+from .generate import _s_integer, generate_instance, instance_from_roots, place_pool, rand_const, rand_ratfunc
 from .powersum import (
     choose_p,
     choose_q,
@@ -137,8 +139,6 @@ def _run_sunit(seed: int, count: int) -> SuiteResult:
         spec = _ALL_SPECS[i % len(_ALL_SPECS)]
         fld = field_for(spec)
         S = _rand_S(rng, fld)
-        from .generate import _s_integer
-
         f = _s_integer(rng, fld, S, MAX_DEG // 3)
         tries = 0
         while (f.is_zero or f.is_constant) and tries < 50:
@@ -169,10 +169,9 @@ def _run_sunit(seed: int, count: int) -> SuiteResult:
 
 
 def _run_czgcd(seed: int, count: int) -> SuiteResult:
-    from fractions import Fraction
-
     res = SuiteResult("czgcd", seed, count)
     rng = random.Random(seed)
+    nontrivial = 0
     for i in range(count):
         fld = field_for(_CHAR0_SPECS[i % 2])
         t = Polynomial.t(fld)
@@ -223,13 +222,13 @@ def _run_czgcd(seed: int, count: int) -> SuiteResult:
             res.skipped_dependent += 1
             continue
         res.checked += 1
-        if rep.lhs > 0:
-            res.notes = res.notes or ["nontrivial_counts:0"]
-            res.notes[0] = f"nontrivial_counts:{int(res.notes[0].split(':')[1]) + 1}"
+        nontrivial += rep.lhs > 0
         if not rep.holds:
             res.violations += 1
             if res.reproducer is None:
                 res.reproducer = {"a": repr(a), "b": repr(b), "S": repr(S)}
+    if nontrivial:
+        res.notes.append(f"nontrivial_counts:{nontrivial}")
     return res
 
 
@@ -247,8 +246,6 @@ def _rand_kpoly(rng: random.Random, fld, deg: int, coeff_deg: int) -> KPolynomia
 
 
 def _support_places(polys, fld) -> list[Place]:
-    from .factor import factor_poly
-
     seen = {}
     for p in polys:
         if p.degree < 1:

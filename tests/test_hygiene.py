@@ -1,0 +1,66 @@
+"""Static checks over the package source: every imported name is used."""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "skolemff")
+MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with its line."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return out
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, inside string annotations, or listed in __all__."""
+    used = _names(tree)
+    for ann in filter(None, _annotations(tree)):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _names(ast.parse(node.value, mode="eval"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def _unused_imports(source: str) -> list[tuple[str, int]]:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return sorted((name, line) for name, line in _imported_names(tree).items() if name not in used)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert _unused_imports(fh.read()) == [], module
+
+
+def test_unused_import_detection():
+    assert _unused_imports("import os\nfrom a.b import c as d, e\nx = e\n") == [("d", 2), ("os", 1)]
+    assert _unused_imports("from a import B, C\ndef f(x: 'B') -> None: pass\n__all__ = ['C']\n") == []
+    assert _unused_imports("from __future__ import annotations\nimport os.path\nos.path.join\n") == []

@@ -497,11 +497,47 @@ def test_split_examples(Q):
     S2 = PlaceSet([Place(tp), INFINITY])
     inst2 = PowerSumInstance((RationalFunction.one(Q),) * 2, (one_ru(Q),) * 2, (0, 1), t, S2)
     sp2 = split_dep_ind(inst2, 0)
-    assert len(sp2.dep) == 1 and (sp2.dep[0][2].q, sp2.dep[0][2].r) == (2, 0)
+    # the root -1 carries dependence_exponents' minimal form: q = 1 with torsion -1 of order 2
+    w = sp2.dep[0][2]
+    assert len(sp2.dep) == 1 and (w.q, w.r, w.torsion.order, w.exact_q, w.exact_r) == (1, 0, 2, 2, 0)
 
     inst3 = PowerSumInstance((-t, RationalFunction.one(Q)), (one_ru(Q),) * 2, (0, 2), t, S2)
     sp3 = split_dep_ind(inst3, 0)
     assert not sp3.dep and not sp3.ind and sp3.remainder.degree == 2 and sp3.complete
+
+
+def test_working_S_reads_only_the_independent_roots():
+    """On small and dep-heavy seeds 0-19, S_work from split.ind equals S_work from every root."""
+    from skolemff import divisor, is_power_of
+    from skolemff.funfield import chi_S
+    from skolemff.powersum import _working_S
+
+    def all_roots_S(inst, splits):
+        S = inst.places.union(
+            {v for sp in splits for beta, *_ in sp.dep + sp.ind if not beta.is_constant for v in divisor(beta)}
+        )
+        if chi_S(S) < 0:
+            S = S.union({INFINITY})
+        if chi_S(S) < 0:
+            S = S.union({Place(Polynomial.t(inst.field))})
+        return S
+
+    dep_nonconstant = ind_nonconstant = 0
+    for profile in ("small", "dep-heavy"):
+        for seed in range(20):
+            inst, _ = generate_instance(seed, profile)
+            splits = [split_dep_ind(inst, c) for c in range(inst.e) if inst.mus[c]]
+            assert list(_working_S(inst, splits)) == list(all_roots_S(inst, splits))
+            for sp in splits:
+                assert list(_working_S(inst, [sp])) == list(all_roots_S(inst, [sp]))
+                for beta, _, w in sp.dep:
+                    # the split's witness decides the lemma precondition as a fresh power test would
+                    assert w.power == is_power_of(beta, sp.g)
+                    if not beta.is_constant:
+                        dep_nonconstant += 1
+                        assert set(divisor(beta)) <= set(inst.places), beta
+                ind_nonconstant += sum(not beta.is_constant for beta, _ in sp.ind)
+    assert dep_nonconstant >= 20 and ind_nonconstant >= 5
 
 
 def test_split_zero_poly_raises(Q):

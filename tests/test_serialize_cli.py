@@ -306,6 +306,38 @@ def test_cli_exit_codes(tmp_path, instance_dir, Q):
         assert code == 2 and rep["result"]["error"] == "InvalidInstance", argv
 
 
+def test_overflowing_instance_values_are_invalid_input(tmp_path):
+    # JSON reads 1e400 as float inf, which int() cannot convert: invalid input, not a traceback
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        example = re.search(r"```json\n(.*?)```", fh.read(), re.S).group(1)
+    mutations = {
+        "r": ('"r": ["4"', '"r": [1e400'),
+        "epsilon-order": ('["2", "1"]', '[1e400, "1"]'),
+        "characteristic": ('"characteristic": "0"', '"characteristic": 1e400'),
+    }
+    for name, (old, new) in mutations.items():
+        assert old in example, name
+        path = tmp_path / f"overflow-{name}.json"
+        path.write_text(example.replace(old, new, 1))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", str(path)])
+        rep = json.loads(out.getvalue())
+        assert code == 2 and rep["result"]["error"] == "InvalidInstance" and err.getvalue() == "", name
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "example-1.json").write_text(example)
+    (batch / "overflow-r.json").write_text((tmp_path / "overflow-r.json").read_text())
+    code, rep = run_cli(["solve", "--dir", str(batch)])
+    assert code == 2
+    assert [(os.path.basename(r["command"]["file"]), r["exit_code"]) for r in rep["reports"]] == [
+        ("example-1.json", "0"),
+        ("overflow-r.json", "2"),
+    ]
+    assert rep["reports"][0]["result"] == {"global_zero": None}
+
+
 def test_readme_cli_flags_exist_in_the_parser():
     # every --flag on a `skolemff <cmd>` line of the README is an option of that subcommand
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

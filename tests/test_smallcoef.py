@@ -147,6 +147,42 @@ def test_conclude_from_witness_branches(Q):
     assert rep3.branch == "e_divides_k" and not rep3.verified and rep3.theorem_violation
 
 
+def test_conclude_regroups_the_class_of_k(Q, Qi):
+    """The e-not-dividing-k branch against sum lambda_i eps_i^k X^{r_i} regrouped by exponent."""
+    import random
+
+    from skolemff import RootOfUnity
+    from skolemff.constants import zeta
+
+    rng = random.Random(17)
+    outcomes = set()
+    for fld in (Q, Qi):
+        t = RationalFunction.t(fld)
+        orders = (1, 2) if fld is Q else (1, 2, 4)
+        for _ in range(30):
+            m = rng.randint(1, 4)
+            lams = tuple(rng.choice([t, -t, t + 1, RationalFunction.constant(fld, 2)]) for _ in range(m))
+            eps = []
+            for _ in range(m):
+                d = rng.choice(orders)
+                eps.append(RootOfUnity(d, zeta(fld, d)))
+            rs = tuple(rng.choice([0, 1, 1, 2]) for _ in range(m))
+            inst = PowerSumInstance(lams, tuple(eps), rs, t, S2_of(fld))
+            for k in range(-5, 6):
+                if k % inst.e == 0:
+                    continue
+                sums = {}
+                for lam, ep, r in zip(inst.lambdas, inst.epsilons, inst.exponents):
+                    sums[r] = sums.get(r, RationalFunction.zero(fld)) + lam * ep.value ** (k % ep.order)
+                ok = all(v.is_zero for v in sums.values())
+                rep = conclude_from_witness(inst, k, 2 * inst.e)
+                assert rep.branch == "e_not_divides_k"
+                assert (rep.verified, rep.theorem_violation) == (ok, not ok)
+                assert rep.detail == {"coefficient_exponents": sorted(sums)}
+                outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
 def test_smallcoef_pipeline_example1(Q, ex1):
     rep = smallcoef_end_to_end(ex1, Fraction(1, 10), k_bound=200)
     assert rep.status == "consistent_no_witness"
