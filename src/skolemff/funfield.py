@@ -517,6 +517,15 @@ class RationalFunction:
 
     # -- constructors -----------------------------------------------------------
     @classmethod
+    def _reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den that is already reduced with den monic (zero as 0/1): no gcd is taken."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", num.field)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
+
+    @classmethod
     def t(cls, field: Field) -> "RationalFunction":
         return cls(Polynomial.t(field))
 
@@ -550,10 +559,10 @@ class RationalFunction:
     def _co(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
         if isinstance(other, (int, ConstantValue, Fraction)):
-            return RationalFunction(Polynomial(self.field, (other,)))
+            other = Polynomial(self.field, (other,))
+        if isinstance(other, Polynomial):
+            return RationalFunction._reduced(other, Polynomial.one(other.field))
         raise InvalidInstance(f"cannot coerce {other!r} into K")
 
     def __add__(self, other):
@@ -571,11 +580,14 @@ class RationalFunction:
         return o - self
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __mul__(self, other):
         o = self._co(other)
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        if (self.is_constant or o.is_constant) and not (self.is_zero or o.is_zero):
+            # a nonzero constant times a reduced fraction with a monic denominator is reduced
+            return RationalFunction._reduced(self.num * o.num, self.den * o.den)
+        return RationalFunction(self.num * o.num, self.den * o.den)  # a zero product takes no gcd
 
     __rmul__ = __mul__
 

@@ -244,21 +244,17 @@ def _poly_invmod(p: Polynomial, mod: Polynomial) -> Polynomial:
         t0, t1 = t1, (t0 - q * t1) % mod
 
 
+def _reduce_mod(h: RationalFunction, G: Polynomial) -> Polynomial:
+    """h mod G in F[t], for h whose denominator is prime to G."""
+    return (h.num % G) * _poly_invmod(h.den % G, G) % G
+
+
 def _phi_numerator(d: int, f: RationalFunction) -> Polynomial:
-    """Numerator of Phi_d(f): den^phi(d) * Phi_d(num/den)."""
-    phi = cyclotomic_poly(d)
-    deg = len(phi) - 1
-    fld = f.field
-    denpows = [Polynomial.one(fld)]
-    for _ in range(deg):
-        denpows.append(denpows[-1] * f.den)
-    acc = Polynomial.zero(fld)
-    numpow = Polynomial.one(fld)
-    for j, cj in enumerate(phi):
-        if cj:
-            acc = acc + numpow * denpows[deg - j] * cj
-        if j < deg:
-            numpow = numpow * f.num
+    """Numerator of Phi_d(f): den^phi(d) * Phi_d(num/den), by homogeneous Horner."""
+    acc = denpow = Polynomial.one(f.field)  # Phi_d is monic
+    for cj in reversed(cyclotomic_poly(d)[:-1]):
+        denpow = denpow * f.den
+        acc = acc * f.num + denpow * cj
     return acc
 
 
@@ -273,14 +269,14 @@ class LocalChecker:
     """Decides v_p(B(k)) >= min(1, v_p(f^a - 1)) outside S for many k cheaply.
 
     Per divisor d | a let G_d be the S-stripped radical of the numerator of
-    Phi_d(f).  Modulo G_d the function f is a unit of exact order d, so
-    B(k) mod G_d = sum_i lam_i eps_i^k fbar^{(r_i k) mod d}, which depends only
-    on k mod lcm(d, e): eps_i^k on k mod ord(eps_i), a divisor of e, and
-    fbar^{r_i k} on k mod d.  G_d, fbar and lam_bar are built when a check
-    first reads the condition of d, so the divisors after the first failing
-    condition cost nothing.  The powers fbar^j and the entries
-    lam_i * fbar^j mod G_d are computed on first use and kept, and each
-    condition's sum, like the test at infinity, is computed once per residue.
+    Phi_d(f).  Modulo G_d the function f is a unit of exact order d and the
+    mu_{c,j} of `PowerSumInstance.mus` reduce (their denominators lie on S),
+    so with c = k mod e, B(k) mod G_d = sum_j mu_{c,j} fbar^{((j+r_min) k) mod d},
+    which depends only on k mod lcm(d, e).  G_d, fbar and the mu_{c,j} mod G_d
+    are built when a check first reads the condition of d, so the divisors
+    after the first failing condition cost nothing.  The powers fbar^j are
+    kept, and each condition's sum, like the same sum at infinity, is computed
+    once per residue.
     """
 
     def __init__(self, inst: PowerSumInstance, a: int):
@@ -307,14 +303,11 @@ class LocalChecker:
                 order = f_inf.order()
                 self.inf_condition = {
                     "f_inf": f_inf,
-                    "lam_inf": [lam.value_at_infinity() for lam in inst.lambdas],
+                    "mu_inf": [[(j, mu.value_at_infinity()) for j, mu in terms] for terms in inst.mus],
                     "order": order,
                     "period": lcm(order, e),
                     "verdicts": {},
                 }
-        self._eps_pow = [
-            [eps.value**j for j in range(eps.order)] for eps in inst.epsilons
-        ]
 
     def condition(self, d: int) -> dict | None:
         """The condition of d, built and its order asserted on first call; None when G_d = 1."""
@@ -322,12 +315,12 @@ class LocalChecker:
             inst, cond = self.inst, None
             G = strip_places(radical(_phi_numerator(d, inst.f)), inst.places)
             if G.degree > 0:
-                fbar = (inst.f.num % G) * _poly_invmod(inst.f.den % G, G) % G
+                fbar = _reduce_mod(inst.f, G)
                 if not (_pow_mod(fbar, d, G) == Polynomial.one(inst.field)):
                     raise AssertionError("fbar does not have order dividing d mod G_d")
-                lam_bar = [(lam.num % G) * _poly_invmod(lam.den % G, G) % G for lam in inst.lambdas]
-                cond = {"d": d, "G": G, "fbar": fbar, "lam_bar": lam_bar, "period": lcm(d, inst.e),
-                        "powers": {}, "entries": {}, "sums": {}}
+                mu_bar = [[(j, _reduce_mod(mu, G)) for j, mu in terms] for terms in inst.mus]
+                cond = {"d": d, "G": G, "fbar": fbar, "mu_bar": mu_bar, "period": lcm(d, inst.e),
+                        "powers": {}, "sums": {}}
             self._conditions[d] = cond
         return self._conditions[d]
 
@@ -336,22 +329,16 @@ class LocalChecker:
         """Every nontrivial condition in ascending d, building whatever is missing."""
         return [c for c in map(self.condition, self.divisors) if c is not None]
 
-    def _entry(self, cond, i: int, j: int) -> Polynomial:
-        """lam_bar_i * fbar^j mod G_d."""
-        entries, powers = cond["entries"], cond["powers"]
-        if (i, j) not in entries:
-            if j not in powers:
-                powers[j] = _pow_mod(cond["fbar"], j, cond["G"])
-            entries[i, j] = cond["lam_bar"][i] * powers[j] % cond["G"]
-        return entries[i, j]
-
     def _class_sum(self, cond, k: int) -> Polynomial:
-        inst = self.inst
-        acc = Polynomial.zero(inst.field)
-        for i, r in enumerate(inst.exponents):
-            eps = self._eps_pow[i][k % inst.epsilons[i].order]
-            acc = acc + self._entry(cond, i, (r * k) % cond["d"]) * eps
-        return acc % cond["G"]
+        """sum_j mu_{c,j} fbar^{((j+r_min) k) mod d} mod G_d for c = k mod e."""
+        rmin, d, G, powers = self.inst.r_min, cond["d"], cond["G"], cond["powers"]
+        acc = Polynomial.zero(self.inst.field)
+        for j, mu in cond["mu_bar"][k % self.inst.e]:
+            n = (j + rmin) * k % d
+            if n not in powers:
+                powers[n] = _pow_mod(cond["fbar"], n, G)
+            acc = acc + mu * powers[n]
+        return acc % G
 
     def _residue_sum(self, cond, k: int) -> Polynomial:
         """B(k) mod G_d, computed once per residue of k mod lcm(d, e)."""
@@ -385,11 +372,10 @@ class LocalChecker:
             return True
         res, verdicts = k % ic["period"], ic["verdicts"]
         if res not in verdicts:
-            val = None
-            for i, r in enumerate(self.inst.exponents):
-                eps = self._eps_pow[i][res % self.inst.epsilons[i].order]
-                term = ic["lam_inf"][i] * eps * ic["f_inf"] ** ((r * res) % ic["order"])
-                val = term if val is None else val + term
+            inst, f_inf, order = self.inst, ic["f_inf"], ic["order"]
+            val = ConstantValue(inst.field, inst.field.zero_raw)
+            for j, mu in ic["mu_inf"][res % inst.e]:
+                val = val + mu * f_inf ** ((j + inst.r_min) * res % order)
             verdicts[res] = val.is_zero
         return verdicts[res]
 
@@ -432,11 +418,11 @@ def _points(fld):
 def _separating_points(inst: PowerSumInstance) -> list[tuple[ConstantValue, ConstantValue, Polynomial] | None]:
     """Per class c, (x, g(x), P_x) at the first x in F that separates the powers of g, or None.
 
-    P_x is P'_c with each coefficient evaluated at x, mu_{c,j}(x) f(x)^{(j+r_min)c};
-    f and the lambda_i are evaluated once per point, for every class.  At x, f
-    and every lambda_i are finite, f(x) != 0, P_x != 0 and, in characteristic
-    0, f(x) (so g(x) = f(x)^e) is no root of unity; only finitely many x fail
-    then.  A class with P'_c = 0 gets None.
+    P_x is P'_c with each coefficient evaluated at x, mu_{c,j}(x) f(x)^{(j+r_min)c},
+    read from the class's mu_{c,j} (`PowerSumInstance.mus`).  At x, f and every
+    mu_{c,j} of the class are finite, f(x) != 0, P_x != 0 and, in
+    characteristic 0, f(x) (so g(x) = f(x)^e) is no root of unity; only
+    finitely many x fail then.  A class with P'_c = 0 gets None.
     """
     fld, rmin = inst.field, inst.r_min
     out = [None] * inst.e
@@ -447,16 +433,16 @@ def _separating_points(inst: PowerSumInstance) -> list[tuple[ConstantValue, Cons
             break
         try:
             fx = inst.f.evaluate(x)
-            lams = [lam.evaluate(x) for lam in inst.lambdas]
         except ZeroDivisionError:
             continue
         if fx.is_zero or (fld.char == 0 and fx.is_torsion()):
             continue
         for c in list(todo):
-            mu = [zero] * (inst.N + 1)
-            for lx, eps, r in zip(lams, inst.epsilons, inst.exponents):
-                mu[r - rmin] = mu[r - rmin] + lx * eps.value ** (c % eps.order)
-            Px = Polynomial(fld, [m * fx ** ((j + rmin) * c) for j, m in enumerate(mu)])
+            try:
+                mx = {j: mu.evaluate(x) * fx ** ((j + rmin) * c) for j, mu in inst.mus[c]}
+            except ZeroDivisionError:
+                continue
+            Px = Polynomial(fld, [mx.get(j, zero) for j in range(inst.N + 1)])
             if not Px.is_zero:
                 out[c] = (x, fx**inst.e, Px)
                 todo.remove(c)
@@ -469,14 +455,9 @@ def decide_global_zero(inst: PowerSumInstance) -> int | None:
     Per residue class the window |m| <= h(P'_c) / h(g), with h(g) = e h(f),
     is provably complete: a root beta = g^m has |m| h(g) = h(beta) <= h(P'_c).
     P'_c = sum_j mu_{c,j} f^{(j+r_min)c} X^j with S-integers mu_{c,j} and the
-    S-unit f, so no power of f is expanded for the window:
-
-        h(P'_c) = sum_{v in S} deg v * max_j(-v(mu_{c,j}) - (j+r_min) c v(f))
-                  - deg strip_S(gcd_j num mu_{c,j}) - [inf not in S] * min_j v_inf(mu_{c,j}),
-
-    since h = sum over all places of deg v * max_j(-v(coefficient j)), off S
-    v(f) = 0 and v(mu_{c,j}) >= 0, and at a finite v off S the minimum is
-    v(gcd_j num mu_{c,j}) (module docstring).
+    S-unit f, so h(P'_c) is read off valuations at S (`class_heights`, by the
+    formula the module docstring proves) and no power of f is expanded for
+    the window.
 
     Only an m with P_x(g(x)^m) = 0 at the class's separating point x gets the
     exact test P'_c(g^m) = 0 in K, and only then is P'_c expanded.  In
@@ -799,19 +780,11 @@ def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> Certific
     inconclusive = skipped or not all(cc.split_complete for cc in per_class)
     a = lcm(inst.e, *(inst.e * cc.a for cc in per_class))
 
-    witness = None
     try:
         witness = find_local_witness(inst, a, k_bound)
     except FactorizationTooHard as exc:
         notes.append(str(exc))
-        return CertificateReport(
-            verdict="InconclusiveWithinBounds",
-            a=a,
-            per_class=tuple(per_class),
-            k_bound=k_bound,
-            s_work=S_work,
-            notes=tuple(notes),
-        )
+        witness, inconclusive = None, True
 
     # The lemmas, and so the theorem, assume every class splits completely over K.
     violation = witness is not None and all(cc.split_complete for cc in per_class)

@@ -16,8 +16,10 @@ import json
 from fractions import Fraction
 
 from .constants import ConstantValue, Field, FieldSpec, RootOfUnity, field_for, zeta
-from .errors import InvalidInstance
+from .errors import FactorizationTooHard, InvalidInstance
+from .factor import factor_poly, max_degree_cap
 from .funfield import INFINITY, Place, PlaceSet, Polynomial, RationalFunction
+from .intutil import euler_phi
 from .powersum import PowerSumInstance
 
 __all__ = [
@@ -68,13 +70,26 @@ def fieldspec_to_json(spec: FieldSpec) -> dict:
     return out
 
 
+def _int(x) -> int:
+    """An integer field of the format: a decimal string or a JSON integer, never a float or boolean."""
+    if isinstance(x, (bool, float)):
+        raise InvalidInstance(f"expected an integer, got {json.dumps(x)}")
+    return int(x)
+
+
 def fieldspec_from_json(obj) -> FieldSpec:
+    """The declared field; a degree [F:F_0] above SKOLEMFF_MAX_DEGREE is too big to build."""
     if not isinstance(obj, dict):
         raise InvalidInstance("field must be {characteristic, ...}")
-    ch = int(obj.get("characteristic", "0"))
+    ch = _int(obj.get("characteristic", "0"))
     if ch == 0:
-        return FieldSpec(0, int(obj.get("cyclotomic_order", "1")), 1)
-    return FieldSpec(ch, 1, int(obj.get("extension_degree", "1")))
+        spec = FieldSpec(0, _int(obj.get("cyclotomic_order", "1")), 1)
+    else:
+        spec = FieldSpec(ch, 1, _int(obj.get("extension_degree", "1")))
+    degree, cap = euler_phi(spec.cyclotomic_order) * spec.extension_degree, max_degree_cap()
+    if degree > cap:
+        raise FactorizationTooHard(f"field degree {degree} exceeds SKOLEMFF_MAX_DEGREE={cap}")
+    return spec
 
 
 # -- constants / polynomials / functions ---------------------------------------
@@ -122,8 +137,6 @@ def place_from_json(field: Field, obj) -> Place:
         raise InvalidInstance("finite place needs positive degree")
     if not poly.lc().is_one:
         raise InvalidInstance("finite place polynomial must be monic")
-    from .factor import factor_poly
-
     _, factors = factor_poly(poly)
     if len(factors) != 1 or factors[0][1] != 1:
         raise InvalidInstance(f"place polynomial {poly!r} is not irreducible")
@@ -146,7 +159,7 @@ def epsilon_from_json(field: Field, obj) -> RootOfUnity:
     if isinstance(obj, list):
         if len(obj) != 2:
             raise InvalidInstance("epsilon pair must be [order, exponent]")
-        order, exponent = int(obj[0]), int(obj[1])
+        order, exponent = _int(obj[0]), _int(obj[1])
         if order < 1:
             raise InvalidInstance("epsilon order must be positive")
         root = zeta(field, order) ** (exponent % order)
@@ -154,7 +167,7 @@ def epsilon_from_json(field: Field, obj) -> RootOfUnity:
         return RootOfUnity(order=true_order, value=root)
     if isinstance(obj, dict):
         value = ConstantValue.from_strings(field, obj["value"])
-        declared = int(obj["order"])
+        declared = _int(obj["order"])
         return RootOfUnity(order=declared, value=value)  # verifies exactness
     raise InvalidInstance("epsilon must be a pair or {order, value}")
 
@@ -188,7 +201,7 @@ def instance_from_json(obj: dict) -> PowerSumInstance:
         f = ratfunc_from_json(field, obj["f"])
         lambdas = tuple(ratfunc_from_json(field, x) for x in obj["lambdas"])
         epsilons = tuple(epsilon_from_json(field, x) for x in obj["epsilons"])
-        exponents = tuple(int(x) for x in obj["r"])
+        exponents = tuple(_int(x) for x in obj["r"])
         places = PlaceSet([place_from_json(field, x) for x in obj["S"]])
     except KeyError as exc:
         raise InvalidInstance(f"missing instance field: {exc}") from exc

@@ -30,7 +30,7 @@ from skolemff import (
 from skolemff import funfield
 from skolemff.errors import ConstantInput, NotSInteger, ZeroInput
 from skolemff.funfield import poly_gcd, radical, squarefree_decomposition
-from skolemff.generate import rand_poly, rand_ratfunc
+from skolemff.generate import rand_const, rand_poly, rand_ratfunc
 from oracles import euclid_gcd
 
 
@@ -201,6 +201,34 @@ def test_power_matches_repeated_products(Q, Qi, F3):
             for e in range(7):
                 assert f**e == prod and f ** (-e) == RationalFunction.one(fld) / prod, (f, e)
                 prod = prod * f
+
+
+def test_constant_products_skip_the_gcd_and_match_the_normalising_constructor(Q, Qi, F3, monkeypatch):
+    # a nonzero constant times a reduced fraction with a monic denominator is
+    # reduced, so products with a constant and negation take no gcd; each must
+    # equal the normal form that RationalFunction(num, den) computes
+    F9 = field_for(FieldSpec(3, 1, 2))
+    rng = random.Random(131)
+    cases = []
+    for fld in (Q, Qi, F3, F9):
+        for trial in range(10):
+            f = RationalFunction.zero(fld) if trial == 0 else rand_ratfunc(rng, fld, 3)
+            consts = [ConstantValue(fld, fld.zero_raw), rand_const(rng, fld), rand_const(rng, fld, nonzero=True)]
+            for c in consts + [0, 2, 3]:  # 3 is zero in F_3 and F_9
+                cases.append((f, c, RationalFunction.constant(fld, c), RationalFunction(f.num * c, f.den)))
+            cases.append((f, None, None, RationalFunction(-f.num, f.den)))
+    assert any(not f.den.is_constant for f, *_ in cases)
+
+    def no_gcd(*args):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(funfield, "poly_gcd", no_gcd)
+    for f, c, k, expect in cases:
+        if c is None:
+            assert -f == expect, f
+            continue
+        for got in (f * c, c * f, f * k, k * f):
+            assert got == expect and got.den.lc().is_one, (f, c)
 
 
 # -- valuations / divisors -----------------------------------------------------

@@ -97,19 +97,28 @@ def test_reused_checker_matches_oracle_over_residue_windows(Q):
     f = RationalFunction(tp + one * 2, tp - one)  # f(inf) = 1, whose order 1 is below e = 2
     S = PlaceSet([Place(tp - one), Place(tp + one * 2)])
     inf_inst = PowerSumInstance((RationalFunction.one(Q),) * 2, (neg_ru(Q), one_ru(Q)), (1, 0), f, S)
+    # a repeated exponent whose mu_{1,1} = 1 - 1 cancels: B(k) = (1 + (-1)^k) t^k - 2 t^2
+    t, one = RationalFunction.t(Q), RationalFunction.one(Q)
+    repeated = PowerSumInstance(
+        (one, one, -2 * t**2), (one_ru(Q), neg_ru(Q), one_ru(Q)), (1, 1, 0), t, PlaceSet([Place(tp), INFINITY])
+    )
+    assert [j for j, _ in repeated.mus[1]] == [0]
     cases = [
         (generate_instance(0, "small")[0], 6),  # Q, e = 2
         (generate_instance(9, "small")[0], 2),  # Q(i), e = 4
         (generate_instance(2, "charp")[0], 4),  # F_3, e = 2
         (generate_instance(6, "charp")[0], 3),  # F_5, e = 2
         (inf_inst, 2),
+        (repeated, 4),
     ]
+    repeated_passes = 0
     at_infinity = set()
     for inst, a in cases:
         assert inst.e >= 2 and any(inst.exponents)
         checker = LocalChecker(inst, a)
         W = lcm(checker.a, inst.e) + 1
         for k in range(-W, W + 1):
+            repeated_passes += inst is repeated and checker.check(k)
             assert checker.check(k) == brute_local_check(inst, k, a), (inst.field.spec, a, k)
             B = eval_B(inst, k)
             for cond in checker.conditions:
@@ -120,3 +129,4 @@ def test_reused_checker_matches_oracle_over_residue_windows(Q):
                 assert checker.check_infinity(k) == vanishes, (a, k)
                 at_infinity.add(vanishes)
     assert at_infinity == {True, False}
+    assert repeated_passes > 0  # the repeated exponent passes at k = 2 mod 4

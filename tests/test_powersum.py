@@ -355,20 +355,25 @@ def test_decide_expands_P_only_when_an_exponent_passes_the_prefilter(monkeypatch
     assert sorted(calls) == list(range(inst.e))
 
 
-def test_separating_point_evaluates_P_coefficientwise():
+def test_separating_point_evaluates_P_coefficientwise(Q):
+    # generated profiles have distinct exponents; the repeated exponent 1 has
+    # mu_{1,1} = 1 - 1 = 0, so mus[1] loses its j = 1 term
+    t, one = RationalFunction.t(Q), RationalFunction.one(Q)
+    S = PlaceSet([Place(Polynomial.t(Q)), INFINITY])
+    repeated = PowerSumInstance((one, one, t), (one_ru(Q), neg_ru(Q), one_ru(Q)), (1, 1, 0), t, S)
+    assert [j for j, _ in repeated.mus[0]] == [0, 1] and [j for j, _ in repeated.mus[1]] == [0]
+    insts = [generate_instance(seed, profile)[0] for profile in ("small", "charp") for seed in range(10)]
     checked = 0
-    for profile in ("small", "charp"):
-        for seed in range(10):
-            inst, _ = generate_instance(seed, profile)
-            for c, point in enumerate(powersum._separating_points(inst)):
-                if point is None:
-                    continue
-                P, g = class_reduction(inst, c)
-                x, gx, Px = point
-                assert gx == g.evaluate(x)
-                assert Px == Polynomial(inst.field, [co.evaluate(x) for co in P.coeffs]), (profile, seed, c)
-                checked += 1
-    assert checked > 20
+    for inst in insts + [repeated]:
+        for c, point in enumerate(powersum._separating_points(inst)):
+            if point is None:
+                continue
+            P, g = class_reduction(inst, c)
+            x, gx, Px = point
+            assert gx == g.evaluate(x)
+            assert Px == Polynomial(inst.field, [co.evaluate(x) for co in P.coeffs]), (inst, c)
+            checked += 1
+    assert checked > 20 and all(powersum._separating_points(repeated))
 
 
 def test_decide_without_a_separating_point(F3):

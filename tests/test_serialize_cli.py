@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -306,25 +307,59 @@ def test_cli_exit_codes(tmp_path, instance_dir, Q):
         assert code == 2 and rep["result"]["error"] == "InvalidInstance", argv
 
 
-def test_overflowing_instance_values_are_invalid_input(tmp_path):
-    # JSON reads 1e400 as float inf, which int() cannot convert: invalid input, not a traceback
+def _readme_example() -> str:
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        example = re.search(r"```json\n(.*?)```", fh.read(), re.S).group(1)
+        return re.search(r"```json\n(.*?)```", fh.read(), re.S).group(1)
+
+
+def _mutate(doc: str, *edits: tuple[str, str]) -> str:
+    for old, new in edits:
+        assert old in doc, old
+        doc = doc.replace(old, new, 1)
+    return doc
+
+
+def _solve_quietly(path) -> tuple[int, dict, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", str(path)])
+    return code, json.loads(out.getvalue()), err.getvalue()
+
+
+def test_overflowing_instance_values_are_invalid_input(tmp_path):
+    # JSON reads 1e400 as float inf, which int() cannot convert, and a float or
+    # boolean where the format has an integer is malformed (int(4.5) would
+    # silently solve r = 4): invalid input, not a traceback
+    example = _readme_example()
+    # the same instance over F_3 with its epsilons as {order, value}
+    charp = ('"characteristic": "0", "cyclotomic_order": "1"', '"characteristic": "3", "extension_degree": "1"')
+    charp_eps = ('["2", "1"], ["2", "1"]', '{"order": "2", "value": ["2"]}, {"order": "2", "value": ["2"]}')
     mutations = {
-        "r": ('"r": ["4"', '"r": [1e400'),
-        "epsilon-order": ('["2", "1"]', '[1e400, "1"]'),
-        "characteristic": ('"characteristic": "0"', '"characteristic": 1e400'),
+        "r": [('"r": ["4"', '"r": [1e400')],
+        "epsilon-order": [('["2", "1"]', '[1e400, "1"]')],
+        "characteristic": [('"characteristic": "0"', '"characteristic": 1e400')],
+        "r-float": [('"r": ["4"', '"r": [4.5')],
+        "r-integral-float": [('"r": ["4"', '"r": [4.0')],
+        "r-boolean": [('"r": ["4", "3", "2", "1"]', '"r": ["4", "3", "2", true]')],
+        "epsilon-exponent-float": [('["2", "1"]', '["2", 1.0]')],
+        "epsilon-order-boolean": [('["2", "1"]', '[true, "1"]')],
+        "characteristic-float": [('"characteristic": "0"', '"characteristic": 0.0')],
+        "cyclotomic-order-float": [('"cyclotomic_order": "1"', '"cyclotomic_order": 4.0')],
+        "extension-degree-float": [charp, ('"extension_degree": "1"', '"extension_degree": 1.0')],
+        "declared-epsilon-order-float": [charp, charp_eps, ('"order": "2"', '"order": 2.0')],
     }
-    for name, (old, new) in mutations.items():
-        assert old in example, name
+    for name, edits in mutations.items():
         path = tmp_path / f"overflow-{name}.json"
-        path.write_text(example.replace(old, new, 1))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["solve", str(path)])
-        rep = json.loads(out.getvalue())
-        assert code == 2 and rep["result"]["error"] == "InvalidInstance" and err.getvalue() == "", name
+        path.write_text(_mutate(example, *edits))
+        code, rep, err = _solve_quietly(path)
+        assert code == 2 and rep["result"]["error"] == "InvalidInstance" and err == "", name
+    # decimal strings, and the F_3 form the float mutations start from, are valid
+    for edits in ([], [charp], [charp, charp_eps]):
+        path = tmp_path / "valid.json"
+        path.write_text(_mutate(example, *edits))
+        code, rep, err = _solve_quietly(path)
+        assert code == 0 and "error" not in rep["result"], edits
     batch = tmp_path / "batch"
     batch.mkdir()
     (batch / "example-1.json").write_text(example)
@@ -336,6 +371,39 @@ def test_overflowing_instance_values_are_invalid_input(tmp_path):
         ("overflow-r.json", "2"),
     ]
     assert rep["reports"][0]["result"] == {"global_zero": None}
+
+
+def test_oversized_fields_hit_the_degree_cap_at_load(tmp_path):
+    # phi(100000) = 40000 and F_{3^200} are far above SKOLEMFF_MAX_DEGREE: the
+    # load answers exit 3 naming the degree, before any field table is built
+    example = _readme_example()
+    docs = {
+        "cyclotomic.json": (_mutate(example, ('"cyclotomic_order": "1"', '"cyclotomic_order": "100000"')), 40000),
+        "extension.json": (
+            _mutate(
+                example,
+                ('"characteristic": "0", "cyclotomic_order": "1"', '"characteristic": "3", "extension_degree": "200"'),
+            ),
+            200,
+        ),
+    }
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "example-1.json").write_text(example)
+    for name, (doc, degree) in docs.items():
+        (batch / name).write_text(doc)
+        started = time.monotonic()
+        code, rep, err = _solve_quietly(batch / name)
+        assert time.monotonic() - started < 5, name
+        assert code == 3 and rep["result"]["error"] == "FactorizationTooHard" and err == "", name
+        assert re.fullmatch(rf"field degree {degree} exceeds SKOLEMFF_MAX_DEGREE=\d+", rep["result"]["message"]), name
+    code, rep = run_cli(["solve", "--dir", str(batch)])
+    assert code == 3
+    assert [(os.path.basename(r["command"]["file"]), r["exit_code"]) for r in rep["reports"]] == [
+        ("cyclotomic.json", "3"),
+        ("example-1.json", "0"),
+        ("extension.json", "3"),
+    ]
 
 
 def test_readme_cli_flags_exist_in_the_parser():
