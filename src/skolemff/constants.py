@@ -15,7 +15,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import add
 
 from .errors import FieldTooSmall, InvalidInstance
 from .intutil import base_digits, cyclotomic_poly, factorize, fp_gcd, fp_powmod, fp_sub, is_prime
@@ -85,7 +87,10 @@ def _defining_poly(p: int, d: int) -> tuple[int, ...]:
 
 
 class Field:
-    """Arithmetic context for one FieldSpec; elements are raw coefficient tuples."""
+    """Arithmetic context for one FieldSpec; elements are raw coefficient tuples.
+
+    It also holds the F[t] kernels on int rows that `funfield.Polynomial` runs on.
+    """
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -94,7 +99,7 @@ class Field:
             self.M = spec.cyclotomic_order
             mod = cyclotomic_poly(self.M)
             self.degree = len(mod) - 1  # phi(M)
-            self._modulus = tuple(Fraction(c) for c in mod)
+            self._modulus = mod  # Phi_M, monic in Z[x]
             self._szero, self._sone = Fraction(0), Fraction(1)
         else:
             self.p = self.char
@@ -107,6 +112,7 @@ class Field:
         one = [self._szero] * n
         one[0] = self._sone
         self.one_raw = tuple(one)
+        self.one_row = (1,) + (0,) * (n - 1)  # 1 as an int row of the F[t] kernels
         # x^{n+j} mod modulus for j = 0 .. n-2, used to fold convolution tails
         self._red: list[tuple] = []
         cur = list(self._neg_vec(self._modulus[:-1]))  # x^n = -lower part (monic modulus)
@@ -128,7 +134,7 @@ class Field:
     def _sinv(self, a):
         if self.char:
             return pow(a, -1, self.p)
-        return 1 / a
+        return Fraction(1, a)  # also for an int a
 
     def _neg_vec(self, v):
         if self.char:
@@ -137,8 +143,7 @@ class Field:
 
     def _shift_reduce(self, v: list) -> list:
         # multiply by x, reduce once
-        n = self.degree
-        out = [self._szero] + list(v)
+        out = [0] + list(v)
         top = out.pop()
         if top:
             red0 = self._red[0]
@@ -184,21 +189,28 @@ class Field:
         return tuple(self._neg_vec(a))
 
     def mul_raw(self, a: tuple, b: tuple) -> tuple:
+        """The product of two elements; int vectors (the F[t] kernels' rows) give int vectors."""
         n = self.degree
         if n == 1:
             return (self._smul(a[0], b[0]),)
-        conv = [self._szero] * (2 * n - 1)
+        conv = [0] * (2 * n - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
-                        conv[i + j] = self._sadd(conv[i + j], self._smul(ai, bj))
+                        conv[i + j] += ai * bj
+        return self._fold(conv)
+
+    def _fold(self, conv: list) -> tuple:
+        """A vector of length 2n - 1 reduced mod the monic modulus (and mod p)."""
+        n = self.degree
         out = conv[:n]
         for j in range(n - 2, -1, -1):
             c = conv[n + j]
             if c:
-                red = self._red[j]
-                out = [self._sadd(x, self._smul(c, r)) for x, r in zip(out, red)]
+                out = [x + c * r for x, r in zip(out, self._red[j])]
+        if self.char:
+            return tuple(x % self.p for x in out)
         return tuple(out)
 
     def is_zero_raw(self, a: tuple) -> bool:
@@ -264,6 +276,151 @@ class Field:
         for c in reversed(a):
             out = self.add_raw(self.mul_raw(out, zk), self.from_fraction(c))
         return out
+
+    # -- F[t] kernels -----------------------------------------------------------
+    # A polynomial over F is a list of int rows, row i the power-basis vector of
+    # its t^i coefficient, over one positive int denominator.  Characteristic 0:
+    # the top row is nonzero and gcd(den, every entry) = 1, which makes the form
+    # canonical.  Characteristic p: entries lie in [0, p) and den = 1.
+    def scaled(self, raw: tuple) -> tuple[tuple, int]:
+        """(v, d) with raw = v / d for an int vector v and an int d > 0 (d = 1 in characteristic p)."""
+        if self.char:
+            return raw, 1
+        d = lcm(*(x.denominator for x in raw))
+        return tuple(x.numerator * (d // x.denominator) for x in raw), d
+
+    def unscaled(self, v, d: int) -> tuple:
+        """The raw element v / d."""
+        if self.char:
+            return tuple(v)
+        return tuple(Fraction(x, d) for x in v)
+
+    def inv_scaled(self, v: tuple) -> tuple[tuple, int]:
+        """(w, d) with v w = d, for a nonzero int vector v: its inverse through inv_raw.
+
+        Over Q the inverse of an int l is read off as sign(l) / |l|.
+        """
+        if self.char == 0 and self.degree == 1:
+            return ((1,), v[0]) if v[0] > 0 else ((-1,), -v[0])
+        return self.scaled(self.inv_raw(v))
+
+    def poly_from_raw(self, raws: list) -> tuple[tuple, int]:
+        """The canonical (rows, den) of a list of raw coefficients."""
+        while raws and self.is_zero_raw(raws[-1]):
+            raws.pop()
+        if self.char:
+            return tuple(raws), 1
+        # den is the lcm of reduced denominators, so gcd(den, every entry) = 1 already
+        den = lcm(*(x.denominator for r in raws for x in r))
+        return tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in raws), den
+
+    def poly_normal(self, rows: list, den: int = 1) -> tuple[tuple, int]:
+        """The canonical (rows, den) of rows / den: every entry mod p in characteristic p,
+        the content pass in characteristic 0, zero top rows dropped."""
+        p = self.char
+        if p:
+            rows = [tuple(x % p for x in r) for r in rows]
+        while rows and not any(rows[-1]):
+            rows.pop()
+        if not rows:
+            return (), 1
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(rows))
+            if g != 1:
+                rows = [tuple(x // g for x in r) for r in rows]
+                den //= g
+        return tuple(rows), den
+
+    def poly_add(self, A, da: int, B, db: int) -> tuple[tuple, int]:
+        """The canonical (rows, den) of A/da + B/db."""
+        L = lcm(da, db)
+        if L != da:
+            A = [tuple(x * (L // da) for x in r) for r in A]
+        if L != db:
+            B = [tuple(x * (L // db) for x in r) for r in B]
+        if len(A) < len(B):
+            A, B = B, A
+        return self.poly_normal([tuple(map(add, ra, rb)) for ra, rb in zip(A, B)] + list(A[len(B):]), L)
+
+    def poly_mul(self, A, B) -> list:
+        """The rows of the product of two nonzero row lists (entries mod p); the denominators multiply."""
+        n = self.degree
+        if n == 1:
+            b = [r[0] for r in B]
+            out = [0] * (len(A) + len(b) - 1)
+            for i, (x,) in enumerate(A):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            if self.char:
+                return [(c % self.p,) for c in out]
+            return [(c,) for c in out]
+        conv = [[0] * (2 * n - 1) for _ in range(len(A) + len(B) - 1)]
+        for i, ra in enumerate(A):
+            for j, rb in enumerate(B, i):
+                acc = conv[j]
+                for s, x in enumerate(ra):
+                    if x:
+                        for u, y in enumerate(rb, s):
+                            acc[u] += x * y
+        return [self._fold(c) for c in conv]
+
+    def poly_divmod(self, A, da: int, B, db: int) -> tuple[tuple, int, tuple, int]:
+        """Canonical (Q, dq, R, dr) with A/da = (Q/dq)(B/db) + R/dr and len(R) < len(B), for len(A) >= len(B).
+
+        The leading element of B is inverted once, as w / d; then A is
+        pseudo-divided by the monic divisor B w / d, whose lower rows C stay
+        integral: each step multiplies the remainder by d and subtracts c t^k C
+        for its top row c.  The quotient of step s is c / (da d^s), so both
+        results lie over da d^k and get one content pass at the end.
+        """
+        n, p, lb = self.degree, self.char, len(B)
+        w, d = self.inv_scaled(B[-1])
+        C = [self.mul_raw(r, w) for r in B[:-1]]
+        k = len(A) - lb + 1
+        tops = []
+        if n == 1:
+            C = [c for (c,) in C]
+            R = [x for (x,) in A]
+            for _ in range(k):
+                c = R.pop()
+                tops.append(c)
+                if d != 1:
+                    R = [x * d for x in R]
+                if c:
+                    for j, cj in enumerate(C, len(R) - lb + 1):
+                        R[j] -= c * cj
+                    if p:
+                        R = [x % p for x in R]
+            R = [(x,) for x in R]
+            tops = [(c,) for c in tops]
+        else:
+            R = list(A)
+            for _ in range(k):
+                c = R.pop()
+                tops.append(c)
+                if d != 1:
+                    R = [tuple(x * d for x in r) for r in R]
+                if any(c):
+                    for j, cj in enumerate(C, len(R) - lb + 1):
+                        R[j] = tuple(x - y for x, y in zip(R[j], self.mul_raw(c, cj)))
+        # quotient: the sum over s of tops[s] t^(k-1-s) / (da d^s), times db w / d
+        Q, dpow = [], db
+        for c in reversed(tops):
+            Q.append(tuple(x * dpow for x in self.mul_raw(c, w)))
+            dpow *= d
+        return (*self.poly_normal(Q, da * d**k), *self.poly_normal(R, da * d**k))
+
+    def poly_eval(self, rows, den: int, x: tuple) -> tuple:
+        """The raw value at x of rows / den: homogeneous Horner on ints, one division at the end."""
+        v, e = self.scaled(x)
+        acc, epow = rows[-1], 1
+        for r in reversed(rows[:-1]):
+            epow *= e
+            acc = tuple(a + c * epow for a, c in zip(self.mul_raw(acc, v), r))
+        if self.char:
+            return tuple(a % self.p for a in acc)
+        return self.unscaled(acc, den * epow)
 
     # -- torsion --------------------------------------------------------------
     @property
@@ -477,6 +634,9 @@ class ConstantValue:
     def from_strings(cls, field: Field, items: list[str]) -> "ConstantValue":
         if len(items) > field.degree:
             raise InvalidInstance("constant vector longer than the field degree")
+        for s in items:
+            if isinstance(s, bool) or not isinstance(s, (str, int)):
+                raise InvalidInstance(f"constant entries are strings or integers, got {s!r}")
         if field.char == 0:
             try:
                 coeffs = [Fraction(s) for s in items]

@@ -69,12 +69,14 @@ __all__ = [
 class _Dense:
     """Dense univariate polynomial, little-endian; the zero polynomial has no coefficients.
 
-    Everything here reads the coefficients only through their ring operations
-    and builds results with type(self)(field, coeffs), so F[t] (`Polynomial`)
-    and K[X] (`KPolynomial`) share it; a subclass supplies its ring's zero.
+    The generic loops here read the coefficients only through their ring
+    operations and build results with type(self)(field, coeffs); `KPolynomial`
+    (K[X]) runs on them, `Polynomial` (F[t]) replaces them with the `Field`
+    kernels and keeps the shared structure: `lc`, `exact_div`, `divide_out`,
+    `//` and `%`.  A subclass supplies its ring's zero.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field",)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -182,64 +184,123 @@ class _Dense:
         return hash((self.field.spec, self.coeffs))
 
 
-class Polynomial(_Dense):
-    """Univariate polynomial over F; the zero polynomial has empty coefficients."""
+_new, _set = object.__new__, object.__setattr__
 
-    __slots__ = ()
+
+def _poly(field: Field, rows: tuple, den: int = 1) -> "Polynomial":
+    """The Polynomial with canonical rows / den (see the `Field` kernels); nothing is checked."""
+    out = _new(Polynomial)
+    _set(out, "field", field)
+    _set(out, "rows", rows)
+    _set(out, "den", den)
+    return out
+
+
+class Polynomial(_Dense):
+    """Univariate polynomial over F, stored as int rows over one common denominator.
+
+    `rows[i]` is the power-basis vector of the t^i coefficient times `den`; the
+    form is canonical (`Field.poly_normal`), so `==` and `hash` read it.  The
+    arithmetic runs on the `Field` kernels; `coeffs` builds the coefficients
+    as `ConstantValue`s on each read and keeps none, so a long-lived
+    polynomial holds its rows only.
+    """
+
+    __slots__ = ("rows", "den")
 
     def __init__(self, field: Field, coeffs=()):
-        cs = []
+        raws = []
         for c in coeffs:
             if isinstance(c, ConstantValue):
                 if c.field is not field:
                     raise InvalidInstance("mixed constant fields in polynomial")
-                cs.append(c)
+                raws.append(c.raw)
             else:
-                cs.append(_const(field, c))
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
+                raws.append(_const(field, c).raw)
+        rows, den = field.poly_from_raw(raws)
+        _set(self, "field", field)
+        _set(self, "rows", rows)
+        _set(self, "den", den)
 
     def _zero(self) -> ConstantValue:
         return _const(self.field, 0)
 
+    def _coeff(self, row: tuple) -> ConstantValue:
+        return ConstantValue(self.field, self.field.unscaled(row, self.den))
+
+    # -- basic data -----------------------------------------------------------
+    @property
+    def coeffs(self) -> tuple[ConstantValue, ...]:
+        return tuple(map(self._coeff, self.rows))
+
+    @property
+    def degree(self) -> int:
+        return len(self.rows) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.rows
+
+    @property
+    def is_constant(self) -> bool:
+        return len(self.rows) <= 1
+
+    def lc(self) -> ConstantValue:
+        if not self.rows:
+            raise ZeroInput("leading coefficient of 0")
+        return self._coeff(self.rows[-1])
+
+    def constant_coeff(self) -> ConstantValue:
+        return self._coeff(self.rows[0]) if self.rows else self._zero()
+
     # -- constructors ---------------------------------------------------------
     @classmethod
     def zero(cls, field: Field) -> "Polynomial":
-        return cls(field, ())
+        return _poly(field, ())
 
     @classmethod
     def one(cls, field: Field) -> "Polynomial":
-        return cls(field, (1,))
+        return _poly(field, (field.one_row,))
 
     @classmethod
     def t(cls, field: Field) -> "Polynomial":
-        return cls(field, (0, 1))
+        return _poly(field, ((0,) * field.degree, field.one_row))
 
     # -- arithmetic -------------------------------------------------------------
-    # bound here too, so that a wrapper on Polynomial.divmod sees no division in K[X]
-    divmod = _Dense.divmod
+    def __add__(self, other):
+        return _poly(self.field, *self.field.poly_add(self.rows, self.den, other.rows, other.den))
+
+    def __sub__(self, other):
+        return _poly(self.field, *self.field.poly_add(self.rows, self.den, _negated(other.rows), other.den))
+
+    def __neg__(self):
+        return _poly(self.field, *self.field.poly_normal(_negated(self.rows), self.den))
 
     def __mul__(self, other):
-        if isinstance(other, (ConstantValue, int, Fraction)):
-            c = _const(self.field, other)
-            return Polynomial(self.field, [x * c for x in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial.zero(self.field)
         fld = self.field
-        out_raw = [fld.zero_raw] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            ar = ai.raw
-            if fld.is_zero_raw(ar):
-                continue
-            for j, bj in enumerate(b):
-                if not fld.is_zero_raw(bj.raw):
-                    out_raw[i + j] = fld.add_raw(out_raw[i + j], fld.mul_raw(ar, bj.raw))
-        return Polynomial(fld, [ConstantValue(fld, r) for r in out_raw])
+        if isinstance(other, Polynomial):
+            B, db = other.rows, other.den
+        else:
+            v, db = fld.scaled(_const(fld, other).raw)
+            B = (v,) if any(v) else ()
+        if not self.rows or not B:
+            return _poly(fld, ())
+        den = self.den * db
+        rows = fld.poly_mul(self.rows, B)
+        if den == 1:
+            return _poly(fld, tuple(rows))
+        return _poly(fld, *fld.poly_normal(rows, den))
 
     __rmul__ = __mul__
+
+    def divmod(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        fld = self.field
+        if len(self.rows) < len(other.rows):
+            return _poly(fld, ()), self
+        q, dq, r, dr = fld.poly_divmod(self.rows, self.den, other.rows, other.den)
+        return _poly(fld, q, dq), _poly(fld, r, dr)
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -253,14 +314,38 @@ class Polynomial(_Dense):
             e >>= 1
         return out
 
+    def monic(self) -> "Polynomial":
+        rows, fld = self.rows, self.field
+        if not rows or (rows[-1][0] == self.den and not any(rows[-1][1:])):
+            return self
+        w, d = fld.inv_scaled(rows[-1])
+        return _poly(fld, *fld.poly_normal(fld.poly_mul(rows, (w,)), d))
+
+    def evaluate(self, x) -> ConstantValue:
+        if not self.rows:
+            return self._zero()
+        return ConstantValue(self.field, self.field.poly_eval(self.rows, self.den, _const(self.field, x).raw))
+
     def derivative(self) -> "Polynomial":
-        return Polynomial(self.field, [c * i for i, c in enumerate(self.coeffs)][1:])
+        rows = [tuple(x * i for x in r) for i, r in enumerate(self.rows)][1:]
+        return _poly(self.field, *self.field.poly_normal(rows, self.den))
 
     def compose(self, g: "Polynomial") -> "Polynomial":
         acc = Polynomial.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * g + Polynomial(self.field, (c,))
+        for r in reversed(self.rows):
+            acc = acc * g + _poly(self.field, *self.field.poly_normal([r], self.den))
         return acc
+
+    def __eq__(self, other):
+        return (
+            type(other) is Polynomial
+            and self.field.spec == other.field.spec
+            and self.rows == other.rows
+            and self.den == other.den
+        )
+
+    def __hash__(self):
+        return hash((self.field.spec, self.rows, self.den))
 
     def __repr__(self):
         if self.is_zero:
@@ -275,6 +360,10 @@ class Polynomial(_Dense):
                 mon = "t" if i == 1 else f"t^{i}"
                 parts.append(mon if c.is_one else f"({c})*{mon}")
         return " + ".join(reversed(parts))
+
+
+def _negated(rows) -> list:
+    return [tuple(-x for x in r) for r in rows]
 
 
 def _const(field: Field, v) -> ConstantValue:
@@ -314,7 +403,20 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return a.monic()
     if a.degree == 0 or b.degree == 0:
         return Polynomial.one(fld)
-    return _modular_gcd(a, b)
+    return _modular_gcd(a, b)[0]
+
+
+def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(g, a / g, b / g) for g = poly_gcd(a, b), a and b not both 0.
+
+    Over Q(zeta_M) the quotients are those of the trial divisions that accepted g.
+    """
+    if a.field.char == 0 and a.degree > 0 and b.degree > 0:
+        return _modular_gcd(a, b)
+    g = poly_gcd(a, b)
+    if g.degree == 0:
+        return g, a, b
+    return g, a.exact_div(g), b.exact_div(g)
 
 
 _GCD_PRIME_FLOOR = 2**61
@@ -350,12 +452,6 @@ def _gcd_prime(M: int, i: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple[
     return p, tuple(rows), tuple(cols)
 
 
-def _integral(a: Polynomial) -> list[list[int]]:
-    """The coefficient vectors of a times their common denominator: a in Z[zeta][t]."""
-    den = lcm(*(x.denominator for c in a.coeffs for x in c.raw))
-    return [[x.numerator * (den // x.denominator) for x in c.raw] for c in a.coeffs]
-
-
 def _image(A: list[list[int]], row: tuple[int, ...], p: int) -> list[int]:
     """A mod the prime P of Z[zeta] over p whose powers of zeta are `row`."""
     return [sum(x * w for x, w in zip(c, row)) % p for c in A]
@@ -373,11 +469,14 @@ def _rational(u: int, m: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _modular_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of a, b of positive degree over Q(zeta_M), from images mod p."""
+def _modular_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(g, a / g, b / g) for the monic gcd g of a, b of positive degree over Q(zeta_M), from images mod p.
+
+    The images read the rows of a and b, which are a and b times a denominator in Z[zeta][t].
+    """
     fld = a.field
     n = fld.degree
-    A, B = _integral(a), _integral(b)
+    A, B = a.rows, b.rows
     D = None  # least image degree so far: an upper bound on deg gcd(a, b)
     for i in count():
         p, rows, cols = _gcd_prime(fld.M, i)
@@ -388,7 +487,7 @@ def _modular_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
                 break  # a leading coefficient is not a unit at P: skip p
             g = fp_gcd(ga, gb, p)
             if len(g) == 1:
-                return Polynomial.one(fld)
+                return Polynomial.one(fld), a, b
             images.append(g)
         else:
             d = min(len(g) for g in images) - 1
@@ -407,12 +506,16 @@ def _modular_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
             fr = [_rational(x, m) for x in acc]
             if None in fr:
                 continue
-            h = Polynomial(
-                fld,
-                [ConstantValue(fld, tuple(fr[j * n : (j + 1) * n])) for j in range(D)] + [1],
-            )
-            if a.divmod(h)[1].is_zero and b.divmod(h)[1].is_zero:
-                return h
+            # h = t^D + the reconstructed lower coefficients, canonical as the
+            # lcm of reduced denominators over all its entries
+            den = lcm(*(x.denominator for x in fr))
+            rows = [tuple(x.numerator * (den // x.denominator) for x in fr[j * n : (j + 1) * n]) for j in range(D)]
+            h = _poly(fld, (*rows, tuple(den * x for x in fld.one_row)), den)
+            qa, ra = a.divmod(h)
+            if ra.is_zero:
+                qb, rb = b.divmod(h)
+                if rb.is_zero:
+                    return h, qa, qb
 
 
 # -- squarefree machinery ------------------------------------------------------
@@ -424,14 +527,12 @@ def poly_pth_root(p: Polynomial) -> Polynomial | None:
     ch = fld.char
     if ch == 0:
         raise InvalidInstance("p-th roots only exist in characteristic p")
-    if p.is_zero:
-        return p
-    for i, c in enumerate(p.coeffs):
-        if i % ch and not c.is_zero:
-            return None
-    # c^(1/p) = c^(p^(d-1)) in F_{p^d}
+    rows = p.rows
+    if any(any(r) for i, r in enumerate(rows) if i % ch):
+        return None
+    # c^(1/p) = c^(p^(d-1)) in F_{p^d}; the top row sits at a multiple of p, so it stays nonzero
     e = ch ** (fld.d - 1)
-    return Polynomial(fld, [p.coeffs[i] ** e for i in range(0, len(p.coeffs), ch)])
+    return _poly(fld, tuple(fld.pow_raw(r, e) for r in rows[::ch]))
 
 
 def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -447,16 +548,13 @@ def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
     if fp.is_zero:
         root = poly_pth_root(f)
         return [(g, ch * m) for g, m in squarefree_decomposition(root)]
-    T = poly_gcd(f, fp)
-    V = f.exact_div(T)
+    T, V, _ = _gcd_cofactors(f, fp)
     i = 1
     while V.degree > 0:
-        W = poly_gcd(T, V)
-        Ai = V.exact_div(W)
+        W, T, Ai = _gcd_cofactors(T, V)
         if Ai.degree > 0:
             out.append((Ai, i))
         V = W
-        T = T.exact_div(W)
         i += 1
     if T.degree > 0:  # only in characteristic p: in characteristic 0, T ends constant
         root = poly_pth_root(T)
@@ -497,10 +595,7 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if not num.is_zero:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+            _, num, den = _gcd_cofactors(num, den)
             lead = den.lc()
             if not lead.is_one:
                 inv = lead.inverse()
@@ -788,7 +883,7 @@ def clear_denominators(xs) -> list[Polynomial]:
     den = Polynomial.one(fld)
     for x in xs:
         if x.den.degree > 0:
-            den = den * x.den.exact_div(poly_gcd(den, x.den))
+            den = den * _gcd_cofactors(den, x.den)[2]
     polys = [x.num * den.exact_div(x.den) for x in xs]
     content = Polynomial.zero(fld)
     for a in polys:
@@ -806,7 +901,7 @@ def clear_denominators(xs) -> list[Polynomial]:
 class KPolynomial(_Dense):
     """Polynomial in a formal variable X with coefficients in K."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
 
     def __init__(self, field: Field, coeffs=()):
         cs = list(coeffs)

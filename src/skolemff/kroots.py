@@ -82,10 +82,11 @@ def _scalar_solutions(polys: list[Polynomial], u: Polynomial, v: Polynomial) -> 
     for j in range(d + 1):
         ej.append(polys[j] * upow * v ** (d - j))
         upow = upow * u
-    rows = max(p.degree for p in ej if not p.is_zero) + 1
+    cols = [p.coeffs for p in ej]
+    rows = max(len(col) for col in cols)
     gcd_c = Polynomial.zero(fld)
     for i in range(rows):
-        row = Polynomial(fld, [p.coeffs[i] if i <= p.degree else 0 for p in ej])
+        row = Polynomial(fld, [col[i] if i < len(col) else 0 for col in cols])
         gcd_c = poly_gcd(gcd_c, row)
         if gcd_c.degree == 0 and not gcd_c.is_zero:
             return []

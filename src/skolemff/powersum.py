@@ -165,16 +165,27 @@ class PowerSumInstance:
         return self.f**self.e
 
     @cached_property
-    def mus(self) -> tuple[tuple[tuple[int, RationalFunction], ...], ...]:
-        """Per class c, the nonzero mu_{c,j} as (j, mu_{c,j}) in ascending j, built once."""
+    def _mu_terms(self) -> tuple[tuple[tuple[int, RationalFunction, tuple[int, ConstantValue] | None], ...], ...]:
+        """Per class c, (j, mu_{c,j}, lone) for the nonzero mu_{c,j} in ascending j, built once.
+
+        lone is (i, eps_i^c) when mu_{c,j} is the single term lambda_i eps_i^c
+        (no other exponent equals r_i), else None.
+        """
         out = []
         for c in range(self.e):
             mu: dict[int, RationalFunction] = {}
-            for lam, eps, r in zip(self.lambdas, self.epsilons, self.exponents):
-                j, term = r - self.r_min, lam * eps.value ** (c % eps.order)
-                mu[j] = mu[j] + term if j in mu else term
-            out.append(tuple((j, mu[j]) for j in sorted(mu) if not mu[j].is_zero))
+            lone: dict[int, tuple[int, ConstantValue] | None] = {}
+            for i, (lam, eps, r) in enumerate(zip(self.lambdas, self.epsilons, self.exponents)):
+                j, const = r - self.r_min, eps.value ** (c % eps.order)
+                term = lam * const
+                mu[j], lone[j] = (mu[j] + term, None) if j in mu else (term, (i, const))
+            out.append(tuple((j, mu[j], lone[j]) for j in sorted(mu) if not mu[j].is_zero))
         return tuple(out)
+
+    @cached_property
+    def mus(self) -> tuple[tuple[tuple[int, RationalFunction], ...], ...]:
+        """Per class c, the nonzero mu_{c,j} as (j, mu_{c,j}) in ascending j."""
+        return tuple(tuple((j, mu) for j, mu, _ in terms) for terms in self._mu_terms)
 
     @cached_property
     def classes(self) -> tuple[tuple[KPolynomial, RationalFunction], ...]:
@@ -187,22 +198,40 @@ class PowerSumInstance:
         v_f = [(v, valuation(self.f, v)) for v in self.places]
         return tuple(_class_height(self, c, v_f) for c in range(self.e))
 
+    @cached_property
+    def _lambda_height_data(self) -> tuple:
+        """_height_data of each lambda_i, shared by the lone terms lambda_i eps_i^c of every class."""
+        return tuple(_height_data(lam, self.places) for lam in self.lambdas)
+
+
+def _height_data(x: RationalFunction, S: PlaceSet) -> tuple[list[int], int, Polynomial]:
+    """What h(P'_c) reads of a coefficient x: its valuations at S (in S's order) and at infinity, its numerator."""
+    return [valuation(x, v) for v in S], valuation(x, INFINITY), x.num
+
 
 def _class_height(inst: PowerSumInstance, c: int, v_f) -> int | None:
-    """h(P'_c) by the module docstring's formula, given v_f = [(v, v(f)) for v in S]; None for P'_c = 0."""
-    terms = inst.mus[c]
-    if not terms:
-        return None
+    """h(P'_c) by the module docstring's formula, given v_f = [(v, v(f)) for v in S]; None for P'_c = 0.
+
+    A lone term mu_{c,j} = lambda_i eps_i^c has the valuations of lambda_i and
+    its numerator up to a constant, which leaves the monic gcd unchanged, so
+    it reads `_lambda_height_data` instead of its own.
+    """
     S, rmin = inst.places, inst.r_min
+    data = [
+        (j, _height_data(mu, S) if lone is None else inst._lambda_height_data[lone[0]])
+        for j, mu, lone in inst._mu_terms[c]
+    ]
+    if not data:
+        return None
     h = 0
-    for v, vf in v_f:
-        h += v.degree * max(-valuation(mu, v) - (j + rmin) * c * vf for j, mu in terms)
+    for k, (v, vf) in enumerate(v_f):
+        h += v.degree * max(-vals[k] - (j + rmin) * c * vf for j, (vals, _, _) in data)
     gcd = Polynomial.zero(inst.field)
-    for _, mu in terms:
-        gcd = poly_gcd(gcd, mu.num)
+    for _, (_, _, num) in data:
+        gcd = poly_gcd(gcd, num)
     h -= strip_places(gcd, S).degree
     if not S.has_infinity:
-        h -= min(valuation(mu, INFINITY) for _, mu in terms)
+        h -= min(v_inf for _, (_, v_inf, _) in data)
     return h
 
 
@@ -318,7 +347,18 @@ class LocalChecker:
                 fbar = _reduce_mod(inst.f, G)
                 if not (_pow_mod(fbar, d, G) == Polynomial.one(inst.field)):
                     raise AssertionError("fbar does not have order dividing d mod G_d")
-                mu_bar = [[(j, _reduce_mod(mu, G)) for j, mu in terms] for terms in inst.mus]
+                # a lone term lambda_i eps_i^c reduces as eps_i^c times lambda_i mod G_d, reduced once per i
+                lam_bar = {}
+
+                def reduced(mu, lone):
+                    if lone is None:
+                        return _reduce_mod(mu, G)
+                    i, const = lone
+                    if i not in lam_bar:
+                        lam_bar[i] = _reduce_mod(inst.lambdas[i], G)
+                    return lam_bar[i] * const
+
+                mu_bar = [[(j, reduced(mu, lone)) for j, mu, lone in terms] for terms in inst._mu_terms]
                 cond = {"d": d, "G": G, "fbar": fbar, "mu_bar": mu_bar, "period": lcm(d, inst.e),
                         "powers": {}, "sums": {}}
             self._conditions[d] = cond

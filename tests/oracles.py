@@ -8,7 +8,7 @@ symbolic evaluation in characteristic p where the point count may fall short.
 
 from fractions import Fraction
 
-from skolemff import INFINITY, ConstantValue, Place, RationalFunction, cyclotomic_poly, height, valuation
+from skolemff import INFINITY, ConstantValue, Place, Polynomial, RationalFunction, cyclotomic_poly, height, valuation
 from skolemff.factor import factor_poly
 from skolemff.powersum import eval_B
 
@@ -46,6 +46,34 @@ def euclid_gcd(a, b):
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
+
+
+def coeffwise_mul(a, b):
+    """a * b in F[t] by the schoolbook product, one ConstantValue product per pair of coefficients."""
+    fld = a.field
+    if a.is_zero or b.is_zero:
+        return Polynomial.zero(fld)
+    out = [ConstantValue(fld, fld.zero_raw)] * (a.degree + b.degree + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Polynomial(fld, out)
+
+
+def coeffwise_divmod(a, b):
+    """(q, r) with a = q b + r and deg r < deg b, by long division on ConstantValues."""
+    fld = a.field
+    rem, d = list(a.coeffs), b.degree
+    if a.degree < d:
+        return Polynomial.zero(fld), a
+    inv = b.lc().inverse()
+    quo = [ConstantValue(fld, fld.zero_raw)] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        q = rem[i] * inv
+        quo[i - d] = q
+        for j, c in enumerate(b.coeffs):
+            rem[i - d + j] = rem[i - d + j] - q * c
+    return Polynomial(fld, quo), Polynomial(fld, rem[:d])
 
 
 def brute_local_check(inst, k, a):

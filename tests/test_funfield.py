@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import inf
+from itertools import zip_longest
+from math import gcd, inf
 
 import pytest
 
@@ -31,7 +32,7 @@ from skolemff import funfield
 from skolemff.errors import ConstantInput, NotSInteger, ZeroInput
 from skolemff.funfield import poly_gcd, radical, squarefree_decomposition
 from skolemff.generate import rand_const, rand_poly, rand_ratfunc
-from oracles import euclid_gcd
+from oracles import coeffwise_divmod, coeffwise_mul, euclid_gcd
 
 
 def t_of(fld):
@@ -188,6 +189,70 @@ def test_squarefree_decomposition_matches_sympy(Q, Qi):
             _, parts = sympy.sqf_list(expr, x, gaussian=fld is Qi)
             theirs = sorted((str(from_sympy(fld, g)), m) for g, m in parts)
             assert ours == theirs, f
+
+
+KERNEL_SPECS = (
+    FieldSpec(0, 1), FieldSpec(0, 4), FieldSpec(0, 3), FieldSpec(0, 8),
+    FieldSpec(3, 1, 1), FieldSpec(3, 1, 2), FieldSpec(5, 1, 2),
+)
+
+
+def _rand_kernel_elem(rng, fld):
+    """A random element: zero, small, with a denominator sharing factors with its numerators, or above 2^64."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ConstantValue(fld, fld.zero_raw)
+    if fld.char:
+        return ConstantValue(fld, tuple(rng.randrange(fld.p) for _ in range(fld.degree)))
+    if kind == 1:
+        vals = [Fraction(6 * rng.randint(-3, 3), 4 * rng.randint(1, 3)) for _ in range(fld.degree)]
+    elif kind == 2:
+        vals = [Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 2**66)) for _ in range(fld.degree)]
+    else:
+        vals = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(fld.degree)]
+    return ConstantValue(fld, fld.from_coeffs(vals))
+
+
+def _rand_kernel_poly(rng, fld, deg):
+    """Degree <= deg, or zero for deg < 0; the top coefficient is often not 1."""
+    coeffs = [_rand_kernel_elem(rng, fld) for _ in range(deg + 1)]
+    return Polynomial(fld, coeffs)
+
+
+def test_kernels_match_coefficientwise_oracles():
+    # the int-row kernels against the per-coefficient ConstantValue product and
+    # long division, and the stored form against the one built from coefficients
+    rng = random.Random(137)
+    for spec in KERNEL_SPECS:
+        fld = field_for(spec)
+        polys = [_rand_kernel_poly(rng, fld, rng.randint(-1, 6)) for _ in range(40)]
+        polys += [Polynomial.zero(fld), Polynomial.one(fld), Polynomial(fld, [_rand_kernel_elem(rng, fld)])]
+        assert any(p.degree > 0 and not p.lc().is_one for p in polys)
+        for a in polys:
+            rebuilt = Polynomial(fld, a.coeffs)
+            assert rebuilt == a and hash(rebuilt) == hash(a), (spec, a)
+            assert a.den > 0 and all(len(r) == fld.degree for r in a.rows)
+            assert not a.rows or any(a.rows[-1])
+            if fld.char:
+                assert a.den == 1 and all(0 <= x < fld.p for r in a.rows for x in r), (spec, a)
+            else:
+                assert gcd(a.den, *(x for r in a.rows for x in r)) == 1, (spec, a)
+            assert a.monic() == (a * a.lc().inverse() if not a.is_zero else a), (spec, a)
+            x = _rand_kernel_elem(rng, fld)
+            horner = ConstantValue(fld, fld.zero_raw)
+            for c in reversed(a.coeffs):
+                horner = horner * x + c
+            assert a.evaluate(x) == horner, (spec, a, x)
+        for _ in range(60):
+            a, b = rng.choice(polys), rng.choice(polys)
+            assert a * b == coeffwise_mul(a, b), (spec, a, b)
+            assert a + b == Polynomial(fld, [x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
+            assert -a == Polynomial(fld, [-c for c in a.coeffs])
+            if b.is_zero:
+                continue
+            q, r = a.divmod(b)
+            assert (q, r) == coeffwise_divmod(a, b), (spec, a, b)
+            assert q * b + r == a and (r.is_zero or r.degree < b.degree), (spec, a, b)
 
 
 def test_power_matches_repeated_products(Q, Qi, F3):

@@ -17,7 +17,7 @@ if PERFBENCH not in sys.path:
 import layers  # noqa: E402
 from tracer import Tracer, bind, unbind  # noqa: E402
 
-from skolemff import KPolynomial, Polynomial, RationalFunction, cli  # noqa: E402
+from skolemff import ConstantValue, FieldSpec, KPolynomial, Polynomial, RationalFunction, cli, field_for  # noqa: E402
 from skolemff.generate import generate_instance  # noqa: E402
 from skolemff.serialize import save_instance  # noqa: E402
 
@@ -29,6 +29,7 @@ def test_every_layer_binds_and_divmod_counts_only_divisions_in_F_t(Q):
     # K arithmetic inside this division divides nothing in F[t]
     one_k, t_k = RationalFunction.one(Q), RationalFunction.t(Q)
     A, B = KPolynomial(Q, (one_k, t_k, one_k)), KPolynomial(Q, (t_k, one_k))
+    divmod_fn = vars(Polynomial)["divmod"]
     tracer = Tracer()
     undo = bind(tracer, layers.make_layers(), "skolemff")
     try:
@@ -39,7 +40,29 @@ def test_every_layer_binds_and_divmod_counts_only_divisions_in_F_t(Q):
     assert tracer.stat("funfield.Polynomial.divmod").calls == 1
     assert tracer.stat("funfield.RationalFunction.init").calls > 0  # the K[X] division was traced
     assert q * b + r == a and qk * B + rk == A
-    assert vars(Polynomial)["divmod"] is KPolynomial.divmod  # one implementation, unwrapped again
+    assert vars(Polynomial)["divmod"] is divmod_fn  # unwrapped again
+
+
+def test_F_t_product_and_division_record_the_kernel_layers():
+    # the F[t] kernels run on int rows, but a product and a division still
+    # pass through the layers perfbench's WORKS_MOST_IN requires: the division
+    # inverts the divisor's leading element through Field.inv_raw and scales
+    # the divisor to monic with Field.mul_raw
+    for spec in (FieldSpec(0, 4), FieldSpec(3, 1, 2)):
+        fld = field_for(spec)
+        t, one = Polynomial.t(fld), Polynomial.one(fld)
+        zeta = Polynomial(fld, [ConstantValue(fld, fld.from_coeffs([0, 1]))])
+        a, b = t * t + zeta, t * (zeta + one) + one
+        tracer = Tracer()
+        undo = bind(tracer, layers.make_layers(), "skolemff")
+        try:
+            prod = a * b
+            q, r = prod.divmod(b + one)
+        finally:
+            unbind(undo)
+        assert q * (b + one) + r == prod and r.degree < b.degree
+        for name in ("funfield.Polynomial.mul", "funfield.Polynomial.divmod", "constants.mul_raw", "constants.inv_raw"):
+            assert tracer.stat(name).calls > 0, (spec, name)
 
 
 def test_solve_on_a_planted_zero_reaches_class_reduction_and_eval_B(tmp_path):

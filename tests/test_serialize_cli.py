@@ -348,6 +348,11 @@ def test_overflowing_instance_values_are_invalid_input(tmp_path):
         "cyclotomic-order-float": [('"cyclotomic_order": "1"', '"cyclotomic_order": 4.0')],
         "extension-degree-float": [charp, ('"extension_degree": "1"', '"extension_degree": 1.0')],
         "declared-epsilon-order-float": [charp, charp_eps, ('"order": "2"', '"order": 2.0')],
+        # inside a constant vector: Fraction(0.1) is the binary double, int(1.5) is 1
+        "constant-float": [('"num": [["1"]]', '"num": [[0.1]]')],
+        "constant-boolean": [('"num": [["1"]]', '"num": [[true]]')],
+        "charp-constant-float": [charp, charp_eps, ('"num": [["1"]]', '"num": [[1.5]]')],
+        "charp-constant-boolean": [charp, charp_eps, ('"num": [["1"]]', '"num": [[true]]')],
     }
     for name, edits in mutations.items():
         path = tmp_path / f"overflow-{name}.json"
