@@ -1,10 +1,13 @@
 """Exact arithmetic in the constant field F.
 
 F is a computable field fixed per instance: Q(zeta_M) in characteristic 0
-(M = 1 meaning Q), or F_{p^d} in characteristic p.  Elements are coefficient
-vectors in the power basis of zeta_M modulo Phi_M, respectively of a fixed
-canonical irreducible defining polynomial modulo p.  All operations are exact;
-no floating point appears anywhere.
+(M = 1 meaning Q), or F_{p^d} in characteristic p.  Elements are int
+coefficient vectors over one positive int denominator, in the power basis of
+zeta_M modulo Phi_M, respectively of a fixed canonical irreducible defining
+polynomial modulo p.  An inverse is w / N with w the product of the other
+Galois conjugates and N the norm (Cohen, A Course in Computational Algebraic
+Number Theory, 4.3).  All operations are exact; no floating point appears
+anywhere.
 
 Torsion is decidable: units of finite order in Q(zeta_M) have order dividing
 lcm(2, M), and every nonzero element of F_{p^d} has order dividing p^d - 1.
@@ -87,9 +90,13 @@ def _defining_poly(p: int, d: int) -> tuple[int, ...]:
 
 
 class Field:
-    """Arithmetic context for one FieldSpec; elements are raw coefficient tuples.
+    """Arithmetic context for one FieldSpec.
 
-    It also holds the F[t] kernels on int rows that `funfield.Polynomial` runs on.
+    An element of F is an int power-basis vector `raw` over a positive int
+    `den`, canonical when gcd(den, every entry) = 1; in characteristic p the
+    entries lie in [0, p) and den = 1.  The `*_raw` methods work on the int
+    vectors alone.  The F[t] kernels below store a polynomial the same way:
+    one int row per coefficient over one denominator.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -97,102 +104,47 @@ class Field:
         self.char = spec.characteristic
         if self.char == 0:
             self.M = spec.cyclotomic_order
-            mod = cyclotomic_poly(self.M)
-            self.degree = len(mod) - 1  # phi(M)
-            self._modulus = mod  # Phi_M, monic in Z[x]
-            self._szero, self._sone = Fraction(0), Fraction(1)
+            self._modulus = cyclotomic_poly(self.M)  # Phi_M, monic in Z[x]
         else:
             self.p = self.char
             self.d = spec.extension_degree
-            self.degree = self.d
             self._modulus = tuple(c % self.p for c in _defining_poly(self.p, self.d))
-            self._szero, self._sone = 0, 1
-        n = self.degree
-        self.zero_raw = tuple([self._szero] * n)
-        one = [self._szero] * n
-        one[0] = self._sone
-        self.one_raw = tuple(one)
-        self.one_row = (1,) + (0,) * (n - 1)  # 1 as an int row of the F[t] kernels
+        n = self.degree = len(self._modulus) - 1  # phi(M), resp. d
+        self.zero_raw = (0,) * n
+        self.one_raw = (1,) + (0,) * (n - 1)
+        self._conj: dict[int, list] = {}  # k -> the images x^(jk) of the power basis, built by conjugate_raw
         # x^{n+j} mod modulus for j = 0 .. n-2, used to fold convolution tails
         self._red: list[tuple] = []
-        cur = list(self._neg_vec(self._modulus[:-1]))  # x^n = -lower part (monic modulus)
-        self._red.append(tuple(cur))
-        for _ in range(n - 2):
-            cur = self._shift_reduce(cur)
+        cur = [-c for c in self._modulus[:-1]]  # x^n = -lower part (monic modulus)
+        for _ in range(n - 1):
+            if self.char:
+                cur = [c % self.p for c in cur]
             self._red.append(tuple(cur))
-
-    # -- scalar helpers -----------------------------------------------------
-    def _sadd(self, a, b):
-        return (a + b) % self.p if self.char else a + b
-
-    def _ssub(self, a, b):
-        return (a - b) % self.p if self.char else a - b
-
-    def _smul(self, a, b):
-        return (a * b) % self.p if self.char else a * b
-
-    def _sinv(self, a):
-        if self.char:
-            return pow(a, -1, self.p)
-        return Fraction(1, a)  # also for an int a
-
-    def _neg_vec(self, v):
-        if self.char:
-            return [(-c) % self.p for c in v]
-        return [-c for c in v]
-
-    def _shift_reduce(self, v: list) -> list:
-        # multiply by x, reduce once
-        out = [0] + list(v)
-        top = out.pop()
-        if top:
-            red0 = self._red[0]
-            out = [self._sadd(c, self._smul(top, r)) for c, r in zip(out, red0)]
-        return out
+            top, cur = cur[-1], [0] + cur[:-1]
+            if top:
+                cur = [c + top * r for c, r in zip(cur, self._red[0])]
 
     # -- element construction ------------------------------------------------
     def from_int(self, k: int) -> tuple:
-        v = list(self.zero_raw)
-        v[0] = k % self.p if self.char else Fraction(k)
-        return tuple(v)
+        return (k % self.p if self.char else k,) + self.zero_raw[1:]
 
-    def from_fraction(self, q: Fraction) -> tuple:
+    def normal(self, v, den: int = 1) -> tuple[tuple, int]:
+        """The canonical (raw, den) of the element v / den: entries mod p in
+        characteristic p (where den = 1), the content pass in characteristic 0."""
         if self.char:
-            num = q.numerator % self.p
-            den = q.denominator % self.p
-            if den == 0:
-                raise InvalidInstance("denominator divisible by the characteristic")
-            v = list(self.zero_raw)
-            v[0] = num * pow(den, -1, self.p) % self.p
-            return tuple(v)
-        v = list(self.zero_raw)
-        v[0] = q
-        return tuple(v)
-
-    def from_coeffs(self, coeffs) -> tuple:
-        """Coefficients (ints/Fractions) in the power basis, length <= degree."""
-        if len(coeffs) > self.degree:
-            raise InvalidInstance("coefficient vector longer than the field degree")
-        v = list(self.zero_raw)
-        for i, c in enumerate(coeffs):
-            v[i] = (int(c) % self.p) if self.char else Fraction(c)
-        return tuple(v)
+            return tuple(x % self.p for x in v), 1
+        if den != 1:
+            g = gcd(den, *v)
+            if g != 1:
+                return tuple(x // g for x in v), den // g
+        return tuple(v), den
 
     # -- raw arithmetic -------------------------------------------------------
-    def add_raw(self, a: tuple, b: tuple) -> tuple:
-        return tuple(self._sadd(x, y) for x, y in zip(a, b))
-
-    def sub_raw(self, a: tuple, b: tuple) -> tuple:
-        return tuple(self._ssub(x, y) for x, y in zip(a, b))
-
-    def neg_raw(self, a: tuple) -> tuple:
-        return tuple(self._neg_vec(a))
-
     def mul_raw(self, a: tuple, b: tuple) -> tuple:
-        """The product of two elements; int vectors (the F[t] kernels' rows) give int vectors."""
+        """The product of two int vectors, reduced mod the monic modulus (and mod p)."""
         n = self.degree
         if n == 1:
-            return (self._smul(a[0], b[0]),)
+            return (a[0] * b[0] % self.p,) if self.char else (a[0] * b[0],)
         conv = [0] * (2 * n - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -213,53 +165,31 @@ class Field:
             return tuple(x % self.p for x in out)
         return tuple(out)
 
-    def is_zero_raw(self, a: tuple) -> bool:
-        return all(c == 0 for c in a)
+    def inv_raw(self, a: tuple) -> tuple[tuple, int]:
+        """(w, N) with a w = N for a nonzero int vector a, N in the prime field.
 
-    def inv_raw(self, a: tuple) -> tuple:
-        if self.is_zero_raw(a):
+        w is the product of the other conjugates of a (`conjugate_exponents`;
+        w = 1 when F has degree 1), so N is the norm of a.  In characteristic
+        0 the pair is made canonical, N > 0 and gcd(N, every entry of w) = 1,
+        so it is the inverse in the element form; in characteristic p w is
+        scaled by 1/N, so N = 1.
+        """
+        if not any(a):
             raise ZeroDivisionError("inverse of zero constant")
-        n = self.degree
-        if n == 1:
-            return (self._sinv(a[0]),)
-        # extended Euclid in base[x]: r0 = modulus, r1 = a
-        r0 = list(self._modulus)
-        r1 = list(a)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        t0: list = []
-        t1: list = [self._sone]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                inv = self._sinv(r1[0])
-                out = [self._smul(inv, c) for c in t1]
-                out += [self._szero] * (n - len(out))
-                return tuple(out[:n])
-            # divide r0 by r1
-            q: dict[int, object] = {}
-            r = list(r0)
-            inv_lead = self._sinv(r1[-1])
-            for i in range(len(r) - 1, len(r1) - 2, -1):
-                c = r[i]
-                if c:
-                    qc = self._smul(c, inv_lead)
-                    q[i - len(r1) + 1] = qc
-                    for j in range(len(r1)):
-                        r[i - len(r1) + 1 + j] = self._ssub(r[i - len(r1) + 1 + j], self._smul(qc, r1[j]))
-            r = r[: len(r1) - 1]
-            # t_next = t0 - q * t1
-            tn = list(t0) + [self._szero] * max(0, max(q, default=0) + len(t1) - len(t0))
-            for deg, qc in q.items():
-                for j, tc in enumerate(t1):
-                    if tc:
-                        tn[deg + j] = self._ssub(tn[deg + j], self._smul(qc, tc))
-            r0, r1, t0, t1 = r1, r, t1, tn
+        if self.degree == 1:
+            w, N = (1,), a[0]
+        else:
+            w = functools.reduce(self.mul_raw, [self.conjugate_raw(a, k) for k in self.conjugate_exponents])
+            N = self.mul_raw(a, w)[0]
+        if self.char:
+            s = pow(N, -1, self.p)
+            return tuple(x * s % self.p for x in w), 1
+        if N < 0:
+            w, N = tuple(-x for x in w), -N
+        return self.normal(w, N)
 
     def pow_raw(self, a: tuple, e: int) -> tuple:
-        if e < 0:
-            return self.pow_raw(self.inv_raw(a), -e)
+        """a^e for e >= 0."""
         out = self.one_raw
         base = a
         while e:
@@ -269,51 +199,38 @@ class Field:
             e >>= 1
         return out
 
+    @functools.cached_property
+    def conjugate_exponents(self) -> tuple[int, ...]:
+        """The k != 1 for which x -> x^k is an automorphism of F: k in (Z/M)^*
+        over Q(zeta_M), the Frobenius powers p^i (0 < i < d) over F_{p^d}."""
+        if self.char:
+            return tuple(self.p**i for i in range(1, self.d))
+        return tuple(k for k in range(2, self.M) if gcd(k, self.M) == 1)
+
     def conjugate_raw(self, a: tuple, k: int) -> tuple:
-        """sigma_k(a) for the automorphism zeta -> zeta^k of Q(zeta_M), k coprime to M."""
-        zk = self.pow_raw(self._zeta_raw(), k)
+        """a(x^k), the image of a under the automorphism x -> x^k of F (see `conjugate_exponents`).
+
+        The automorphism is linear, so the images of the power basis are built
+        once per k, on the first call.
+        """
+        images = self._conj.get(k)
+        if images is None:
+            xk = self.pow_raw(self._zeta_raw(), k)
+            images = [self.one_raw]
+            for _ in range(self.degree - 1):
+                images.append(self.mul_raw(images[-1], xk))
+            self._conj[k] = images
         out = self.zero_raw
-        for c in reversed(a):
-            out = self.add_raw(self.mul_raw(out, zk), self.from_fraction(c))
-        return out
+        for c, img in zip(a, images):
+            if c:
+                out = tuple(x + c * y for x, y in zip(out, img))
+        return self.normal(out)[0]
 
     # -- F[t] kernels -----------------------------------------------------------
     # A polynomial over F is a list of int rows, row i the power-basis vector of
     # its t^i coefficient, over one positive int denominator.  Characteristic 0:
     # the top row is nonzero and gcd(den, every entry) = 1, which makes the form
     # canonical.  Characteristic p: entries lie in [0, p) and den = 1.
-    def scaled(self, raw: tuple) -> tuple[tuple, int]:
-        """(v, d) with raw = v / d for an int vector v and an int d > 0 (d = 1 in characteristic p)."""
-        if self.char:
-            return raw, 1
-        d = lcm(*(x.denominator for x in raw))
-        return tuple(x.numerator * (d // x.denominator) for x in raw), d
-
-    def unscaled(self, v, d: int) -> tuple:
-        """The raw element v / d."""
-        if self.char:
-            return tuple(v)
-        return tuple(Fraction(x, d) for x in v)
-
-    def inv_scaled(self, v: tuple) -> tuple[tuple, int]:
-        """(w, d) with v w = d, for a nonzero int vector v: its inverse through inv_raw.
-
-        Over Q the inverse of an int l is read off as sign(l) / |l|.
-        """
-        if self.char == 0 and self.degree == 1:
-            return ((1,), v[0]) if v[0] > 0 else ((-1,), -v[0])
-        return self.scaled(self.inv_raw(v))
-
-    def poly_from_raw(self, raws: list) -> tuple[tuple, int]:
-        """The canonical (rows, den) of a list of raw coefficients."""
-        while raws and self.is_zero_raw(raws[-1]):
-            raws.pop()
-        if self.char:
-            return tuple(raws), 1
-        # den is the lcm of reduced denominators, so gcd(den, every entry) = 1 already
-        den = lcm(*(x.denominator for r in raws for x in r))
-        return tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in raws), den
-
     def poly_normal(self, rows: list, den: int = 1) -> tuple[tuple, int]:
         """The canonical (rows, den) of rows / den: every entry mod p in characteristic p,
         the content pass in characteristic 0, zero top rows dropped."""
@@ -375,7 +292,7 @@ class Field:
         results lie over da d^k and get one content pass at the end.
         """
         n, p, lb = self.degree, self.char, len(B)
-        w, d = self.inv_scaled(B[-1])
+        w, d = self.inv_raw(B[-1])
         C = [self.mul_raw(r, w) for r in B[:-1]]
         k = len(A) - lb + 1
         tops = []
@@ -411,16 +328,13 @@ class Field:
             dpow *= d
         return (*self.poly_normal(Q, da * d**k), *self.poly_normal(R, da * d**k))
 
-    def poly_eval(self, rows, den: int, x: tuple) -> tuple:
-        """The raw value at x of rows / den: homogeneous Horner on ints, one division at the end."""
-        v, e = self.scaled(x)
+    def poly_eval(self, rows, den: int, v: tuple, e: int) -> tuple[tuple, int]:
+        """The canonical (raw, den) of rows / den at the element v / e: homogeneous Horner on ints, one content pass."""
         acc, epow = rows[-1], 1
         for r in reversed(rows[:-1]):
             epow *= e
             acc = tuple(a + c * epow for a, c in zip(self.mul_raw(acc, v), r))
-        if self.char:
-            return tuple(a % self.p for a in acc)
-        return self.unscaled(acc, den * epow)
+        return self.normal(acc, den * epow)
 
     # -- torsion --------------------------------------------------------------
     @property
@@ -430,24 +344,6 @@ class Field:
             return lcm(2, self.M)
         return self.p**self.d - 1
 
-    def is_torsion_raw(self, a: tuple) -> bool:
-        if self.is_zero_raw(a):
-            return False
-        if self.char:
-            return True
-        return self.pow_raw(a, self.torsion_exponent) == self.one_raw
-
-    def order_raw(self, a: tuple) -> int:
-        """Exact multiplicative order of a torsion element."""
-        if not self.is_torsion_raw(a):
-            raise InvalidInstance("element is not a root of unity")
-        e = self.torsion_exponent
-        for p in factorize(e):
-            while e % p == 0 and self.pow_raw(a, e // p) == self.one_raw:
-                e //= p
-        return e
-
-    # -- generators of torsion ------------------------------------------------
     def torsion_generator_raw(self) -> tuple:
         """Generator of the group of roots of unity (char 0) / of F* (char p)."""
         if self.char == 0:
@@ -456,7 +352,7 @@ class Field:
             zeta = self._zeta_raw()
             if self.M % 2 == 0:
                 return zeta
-            return self.neg_raw(zeta)  # order 2M = lcm(2, M) for odd M
+            return tuple(-x for x in zeta)  # order 2M = lcm(2, M) for odd M
         q1 = self.p**self.d - 1
         primes = list(factorize(q1))
         for idx in range(2, self.p**self.d):
@@ -466,13 +362,11 @@ class Field:
         raise AssertionError("no generator found")  # unreachable
 
     def _zeta_raw(self) -> tuple:
-        v = list(self.zero_raw)
+        """The power-basis generator x: zeta_M over Q(zeta_M) (1 or -1 for M = 1, 2),
+        a root of the defining polynomial over F_{p^d}."""
         if self.degree == 1:
-            # M in {1, 2}: zeta is 1 or -1
-            v[0] = self._sone if self.M == 1 else -self._sone
-        else:
-            v[1] = self._sone
-        return tuple(v)
+            return (1,) if self.M == 1 else (-1,)
+        return (0, 1) + self.zero_raw[2:]
 
     def __repr__(self):
         if self.char == 0:
@@ -493,147 +387,220 @@ def field_for(spec: FieldSpec) -> Field:
 # ConstantValue
 # ---------------------------------------------------------------------------
 
+_set = object.__setattr__
+
+
+def _cv(field: Field, raw: tuple, den: int = 1) -> "ConstantValue":
+    """The ConstantValue with the canonical (raw, den); nothing is checked."""
+    out = object.__new__(ConstantValue)
+    _set(out, "field", field)
+    _set(out, "raw", raw)
+    _set(out, "den", den)
+    return out
+
+
+def _ratio_str(x: int, den: int) -> str:
+    """x / den in lowest terms, as str(Fraction(x, den)) writes it."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def _coerce(field: Field, v) -> "ConstantValue | None":
+    """v as a constant of `field`: a ConstantValue of it, an int or a Fraction; None for anything else."""
+    if isinstance(v, ConstantValue):
+        if v.field is not field:
+            raise InvalidInstance("mixed constant fields")
+        return v
+    if isinstance(v, int):
+        return _cv(field, field.from_int(v))
+    if isinstance(v, Fraction):
+        return ConstantValue.from_rationals(field, [v])
+    return None
+
 
 class ConstantValue:
-    """Immutable element of F with exact total arithmetic."""
+    """Immutable element of F with exact total arithmetic: the int vector `raw` over `den` (see `Field`)."""
 
-    __slots__ = ("field", "raw")
+    __slots__ = ("field", "raw", "den")
 
-    def __init__(self, field: Field, raw: tuple):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "raw", raw)
+    def __init__(self, field: Field, raw, den: int = 1):
+        if not all(isinstance(x, int) for x in (den, *raw)) or den < 1:
+            raise InvalidInstance("a constant is an int vector over a positive int; from_rationals reads rationals")
+        raw, den = field.normal(raw, den)
+        _set(self, "field", field)
+        _set(self, "raw", raw)
+        _set(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("ConstantValue is immutable")
 
-    # -- coercion -------------------------------------------------------------
-    def _coerce(self, other) -> "ConstantValue | None":
-        if isinstance(other, ConstantValue):
-            if other.field is not self.field:
-                raise InvalidInstance("mixed constant fields")
-            return other
-        if isinstance(other, int):
-            return ConstantValue(self.field, self.field.from_int(other))
-        if isinstance(other, Fraction):
-            return ConstantValue(self.field, self.field.from_fraction(other))
-        return None
-
     # -- arithmetic -----------------------------------------------------------
+    def _plus(self, b: tuple, db: int) -> "ConstantValue":
+        """self + b / db."""
+        a, da = self.raw, self.den
+        if da != db:
+            L = lcm(da, db)
+            a, b, da = [x * (L // da) for x in a], [x * (L // db) for x in b], L
+        return _cv(self.field, *self.field.normal(tuple(map(add, a, b)), da))
+
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.field, other)
         if o is None:
             return NotImplemented
-        return ConstantValue(self.field, self.field.add_raw(self.raw, o.raw))
+        return self._plus(o.raw, o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.field, other)
         if o is None:
             return NotImplemented
-        return ConstantValue(self.field, self.field.sub_raw(self.raw, o.raw))
+        return self._plus(tuple(-x for x in o.raw), o.den)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.field, other)
         if o is None:
             return NotImplemented
-        return ConstantValue(self.field, self.field.sub_raw(o.raw, self.raw))
+        return o._plus(tuple(-x for x in self.raw), self.den)
 
     def __neg__(self):
-        return ConstantValue(self.field, self.field.neg_raw(self.raw))
+        return _cv(self.field, self.field.normal([-x for x in self.raw])[0], self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.field, other)
         if o is None:
             return NotImplemented
-        return ConstantValue(self.field, self.field.mul_raw(self.raw, o.raw))
+        fld = self.field
+        raw, den = fld.mul_raw(self.raw, o.raw), self.den * o.den
+        return _cv(fld, raw) if den == 1 else _cv(fld, *fld.normal(raw, den))
 
     __rmul__ = __mul__
 
+    def _over(self, o: "ConstantValue") -> "ConstantValue":
+        """self / o, through o's inverse w / N: self w o.den / (self.den N)."""
+        fld = self.field
+        w, N = fld.inv_raw(o.raw)
+        raw = fld.mul_raw(self.raw, w)
+        if o.den != 1:
+            raw = [x * o.den for x in raw]
+        return _cv(fld, *fld.normal(raw, self.den * N))
+
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.field, other)
         if o is None:
             return NotImplemented
-        return ConstantValue(self.field, self.field.mul_raw(self.raw, self.field.inv_raw(o.raw)))
+        return self._over(o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.field, other)
         if o is None:
             return NotImplemented
-        return ConstantValue(self.field, self.field.mul_raw(o.raw, self.field.inv_raw(self.raw)))
+        return o._over(self)
 
     def __pow__(self, e: int):
-        return ConstantValue(self.field, self.field.pow_raw(self.raw, e))
+        base = self.inverse() if e < 0 else self
+        fld = self.field
+        return _cv(fld, *fld.normal(fld.pow_raw(base.raw, abs(e)), base.den ** abs(e)))
 
     def inverse(self) -> "ConstantValue":
-        return ConstantValue(self.field, self.field.inv_raw(self.raw))
+        fld = self.field
+        w, N = fld.inv_raw(self.raw)
+        return _cv(fld, *fld.normal([x * self.den for x in w], N))
 
     # -- predicates -----------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return self.field.is_zero_raw(self.raw)
+        return not any(self.raw)
 
     @property
     def is_one(self) -> bool:
-        return self.raw == self.field.one_raw
+        return self.den == 1 and self.raw == self.field.one_raw
 
     def is_torsion(self) -> bool:
-        return self.field.is_torsion_raw(self.raw)
+        """A root of unity is integral, so an element with den != 1 is none."""
+        fld = self.field
+        if self.is_zero or self.den != 1:
+            return False
+        return bool(fld.char) or fld.pow_raw(self.raw, fld.torsion_exponent) == fld.one_raw
 
     def order(self) -> int:
-        return self.field.order_raw(self.raw)
+        """Exact multiplicative order of a torsion element."""
+        if not self.is_torsion():
+            raise InvalidInstance("element is not a root of unity")
+        fld = self.field
+        e = fld.torsion_exponent
+        for p in factorize(e):
+            while e % p == 0 and fld.pow_raw(self.raw, e // p) == fld.one_raw:
+                e //= p
+        return e
 
     def is_rational(self) -> bool:
         """True when the value lies in the prime field Q (resp. F_p)."""
-        return all(c == 0 for c in self.raw[1:])
+        return not any(self.raw[1:])
 
     def as_fraction(self) -> Fraction:
         if self.field.char or not self.is_rational():
             raise InvalidInstance("value is not a rational number")
-        return self.raw[0]
+        return Fraction(self.raw[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            o = self._coerce(other)
-            return o is not None and self.raw == o.raw
+            other = _coerce(self.field, other)
         return (
             isinstance(other, ConstantValue)
             and self.field.spec == other.field.spec
             and self.raw == other.raw
+            and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.field.spec, self.raw))
+        return hash((self.field.spec, self.raw, self.den))
 
     def __repr__(self):
         if self.field.char == 0:
             sym = "z"
             parts = []
-            for i, c in enumerate(self.raw):
-                if c == 0:
+            for i, x in enumerate(self.raw):
+                if x == 0:
                     continue
+                c = _ratio_str(x, self.den)
                 if i == 0:
-                    parts.append(str(c))
+                    parts.append(c)
                 else:
                     mon = sym if i == 1 else f"{sym}^{i}"
-                    parts.append(mon if c == 1 else f"{c}*{mon}")
+                    parts.append(mon if c == "1" else f"{c}*{mon}")
             return "+".join(parts).replace("+-", "-") or "0"
         if self.field.d == 1:
             return str(self.raw[0])
         return "[" + ",".join(str(c) for c in self.raw) + "]"
 
-    # -- serialization ---------------------------------------------------------
+    # -- construction and serialization ----------------------------------------
+    @classmethod
+    def from_rationals(cls, field: Field, coeffs) -> "ConstantValue":
+        """The element with the little-endian power-basis coefficients `coeffs`
+        (ints or Fractions, at most `field.degree` of them)."""
+        if len(coeffs) > field.degree:
+            raise InvalidInstance("constant vector longer than the field degree")
+        den = lcm(*(c.denominator for c in coeffs))
+        raw = [c.numerator * (den // c.denominator) for c in coeffs] + [0] * (field.degree - len(coeffs))
+        if field.char and den != 1:
+            if den % field.char == 0:
+                raise InvalidInstance("denominator divisible by the characteristic")
+            s = pow(den, -1, field.char)
+            raw, den = [x * s for x in raw], 1
+        return cls(field, raw, den)
+
     def to_strings(self) -> list[str]:
         """Little-endian power-basis strings, trailing zeros trimmed."""
         raw = list(self.raw)
         while raw and raw[-1] == 0:
             raw.pop()
-        return [str(c) for c in raw]
+        return [_ratio_str(x, self.den) for x in raw]
 
     @classmethod
     def from_strings(cls, field: Field, items: list[str]) -> "ConstantValue":
-        if len(items) > field.degree:
-            raise InvalidInstance("constant vector longer than the field degree")
+        if not isinstance(items, list):
+            raise InvalidInstance(f"a constant is an array of entries, got {items!r}")
         for s in items:
             if isinstance(s, bool) or not isinstance(s, (str, int)):
                 raise InvalidInstance(f"constant entries are strings or integers, got {s!r}")
@@ -649,7 +616,7 @@ class ConstantValue:
                 if not 0 <= v < field.char:
                     raise InvalidInstance(f"coefficient {s} outside [0, p)")
                 coeffs.append(v)
-        return cls(field, field.from_coeffs(coeffs))
+        return cls.from_rationals(field, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +635,7 @@ class RootOfUnity:
         if self.order < 1:
             raise InvalidInstance("order must be positive")
         f = self.value.field
-        if f.pow_raw(self.value.raw, self.order) != f.one_raw:
+        if self.value.den != 1 or f.pow_raw(self.value.raw, self.order) != f.one_raw:
             raise InvalidInstance("value^order != 1")
         for p in factorize(self.order):
             if f.pow_raw(self.value.raw, self.order // p) == f.one_raw:

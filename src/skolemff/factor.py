@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import os
 import random
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import isqrt
 
-from .constants import ConstantValue, Field
+from .constants import ConstantValue, Field, FieldSpec, field_for
 from .errors import FactorizationTooHard, ZeroInput
 from .intutil import (
     fp_deriv,
@@ -39,7 +38,7 @@ from .intutil import (
     zx_div_exact,
     zx_primitive,
 )
-from .funfield import Polynomial, squarefree_decomposition
+from .funfield import Polynomial, _poly, squarefree_decomposition
 
 __all__ = ["factor_poly", "roots_in_F", "max_degree_cap", "monic_divisors"]
 
@@ -143,11 +142,8 @@ def _factor_sqfree_gf(f: Polynomial) -> list[Polynomial]:
 
 
 def _random_poly(fld: Field, degree: int, rng: random.Random) -> Polynomial:
-    coeffs = []
-    for _ in range(degree + 1):
-        raw = tuple(rng.randrange(fld.p) for _ in range(fld.d))
-        coeffs.append(ConstantValue(fld, raw))
-    return Polynomial(fld, coeffs)
+    rows = [tuple(rng.randrange(fld.p) for _ in range(fld.d)) for _ in range(degree + 1)]
+    return _poly(fld, *fld.poly_normal(rows))
 
 
 def _equal_degree_split(f: Polynomial, d: int) -> list[Polynomial]:
@@ -246,7 +242,7 @@ def _factor_sqfree_q(f: Polynomial) -> list[Polynomial]:
     fld = f.field
     if f.degree == 1:
         return [f.monic()]
-    F = zx_primitive([c.raw[0] for c in f.coeffs])
+    F = zx_primitive([r[0] for r in f.rows])
     p = _mignotte_prime(F)
     rng = random.Random(_CZ_SEED ^ len(F))
     mods = _factor_mod_p(fp_monic([c % p for c in F], p), p, rng)
@@ -272,11 +268,8 @@ def _factor_sqfree_q(f: Polynomial) -> list[Polynomial]:
         s += 1
     if len(F) > 1:
         found.append(F)
-    out = []
-    for g in found:
-        lead = Fraction(g[-1])
-        out.append(Polynomial(fld, [Fraction(c) / lead for c in g]))
-    return out
+    # g / lead(g) is monic, and canonical since g is primitive with lead > 0
+    return [_poly(fld, tuple((c,) for c in g), g[-1]) for g in found]
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +277,19 @@ def _factor_sqfree_q(f: Polynomial) -> list[Polynomial]:
 # ---------------------------------------------------------------------------
 
 
-def _norm_to_q(a: Polynomial) -> list[Fraction]:
-    """Norm from Q(zeta)[x] down to Q[x]: the product of the conjugates sigma_k(a), k in (Z/M)^*."""
+def _norm_to_q(a: Polynomial) -> Polynomial:
+    """Norm from Q(zeta)[x] down to Q[x]: the product of the conjugates sigma_k(a), k in (Z/M)^*.
+
+    sigma_k maps an int row to an int row and keeps its content, so it acts on the rows of a.
+    """
     fld = a.field
     norm = a
-    for k in range(2, fld.M):
-        if gcd(k, fld.M) == 1:
-            norm = norm * Polynomial(fld, [ConstantValue(fld, fld.conjugate_raw(c.raw, k)) for c in a.coeffs])
-    return [c.raw[0] for c in norm.coeffs]
+    for k in fld.conjugate_exponents:
+        norm = norm * _poly(fld, tuple(fld.conjugate_raw(r, k) for r in a.rows), a.den)
+    return _poly(field_for(FieldSpec(0, 1)), tuple(r[:1] for r in norm.rows), norm.den)
 
 
 def _factor_sqfree_cyclo(f: Polynomial) -> list[Polynomial]:
-    from .constants import FieldSpec, field_for
     from .funfield import poly_gcd
 
     fld = f.field
@@ -305,15 +299,13 @@ def _factor_sqfree_cyclo(f: Polynomial) -> list[Polynomial]:
     if f.degree * fld.degree > max_degree_cap():
         raise FactorizationTooHard("norm descent degree exceeds the configured cap")
     zeta = ConstantValue(fld, fld._zeta_raw())
-    qfld = field_for(FieldSpec(0, 1))
     s = 0
     while True:
         s = -s + (1 if s <= 0 else 0)
         shift = Polynomial(fld, [-(zeta * s), 1])  # x - s*zeta
         a_s = f.compose(shift)
-        norm = _norm_to_q(a_s)
+        normp = _norm_to_q(a_s)
         # usable iff the norm keeps full degree and is squarefree
-        normp = Polynomial(qfld, norm)
         if normp.degree != a_s.degree * fld.degree:
             continue
         if poly_gcd(normp, normp.derivative()).degree == 0:
@@ -321,13 +313,10 @@ def _factor_sqfree_cyclo(f: Polynomial) -> list[Polynomial]:
     rational_factors = _factor_sqfree_q(normp.monic())
     unshift = Polynomial(fld, [zeta * s, 1])  # x + s*zeta
     out = []
+    pad = fld.zero_raw[1:]
     for nf in rational_factors:
-        lifted = Polynomial(fld, [_lift_q_const(fld, c) for c in nf.coeffs])
+        lifted = _poly(fld, tuple(r + pad for r in nf.rows), nf.den)
         h = poly_gcd(a_s, lifted)
         if h.degree > 0:
             out.append(h.compose(unshift).monic())
     return out
-
-
-def _lift_q_const(fld: Field, c: ConstantValue) -> ConstantValue:
-    return ConstantValue(fld, fld.from_fraction(c.raw[0]))

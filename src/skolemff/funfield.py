@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, inf, isqrt, lcm
 
-from .constants import ConstantValue, Field
+from .constants import ConstantValue, Field, _coerce, _cv
 from .errors import AllZero, ConstantInput, InvalidInstance, NotSInteger, ZeroInput
 from .intutil import cyclotomic_poly, factorize, fp_divmod, fp_gcd, is_prime
 
@@ -209,15 +209,12 @@ class Polynomial(_Dense):
     __slots__ = ("rows", "den")
 
     def __init__(self, field: Field, coeffs=()):
-        raws = []
-        for c in coeffs:
-            if isinstance(c, ConstantValue):
-                if c.field is not field:
-                    raise InvalidInstance("mixed constant fields in polynomial")
-                raws.append(c.raw)
-            else:
-                raws.append(_const(field, c).raw)
-        rows, den = field.poly_from_raw(raws)
+        cs = [_const(field, c) for c in coeffs]
+        while cs and cs[-1].is_zero:
+            cs.pop()
+        # the lcm of canonical denominators keeps gcd(den, every entry) = 1
+        den = lcm(*(c.den for c in cs))
+        rows = tuple(c.raw if c.den == den else tuple(x * (den // c.den) for x in c.raw) for c in cs)
         _set(self, "field", field)
         _set(self, "rows", rows)
         _set(self, "den", den)
@@ -226,7 +223,9 @@ class Polynomial(_Dense):
         return _const(self.field, 0)
 
     def _coeff(self, row: tuple) -> ConstantValue:
-        return ConstantValue(self.field, self.field.unscaled(row, self.den))
+        if self.den == 1:
+            return _cv(self.field, row)
+        return _cv(self.field, *self.field.normal(row, self.den))
 
     # -- basic data -----------------------------------------------------------
     @property
@@ -260,11 +259,11 @@ class Polynomial(_Dense):
 
     @classmethod
     def one(cls, field: Field) -> "Polynomial":
-        return _poly(field, (field.one_row,))
+        return _poly(field, (field.one_raw,))
 
     @classmethod
     def t(cls, field: Field) -> "Polynomial":
-        return _poly(field, ((0,) * field.degree, field.one_row))
+        return _poly(field, (field.zero_raw, field.one_raw))
 
     # -- arithmetic -------------------------------------------------------------
     def __add__(self, other):
@@ -281,8 +280,8 @@ class Polynomial(_Dense):
         if isinstance(other, Polynomial):
             B, db = other.rows, other.den
         else:
-            v, db = fld.scaled(_const(fld, other).raw)
-            B = (v,) if any(v) else ()
+            c = _const(fld, other)
+            B, db = ((c.raw,) if any(c.raw) else ()), c.den
         if not self.rows or not B:
             return _poly(fld, ())
         den = self.den * db
@@ -318,13 +317,14 @@ class Polynomial(_Dense):
         rows, fld = self.rows, self.field
         if not rows or (rows[-1][0] == self.den and not any(rows[-1][1:])):
             return self
-        w, d = fld.inv_scaled(rows[-1])
+        w, d = fld.inv_raw(rows[-1])
         return _poly(fld, *fld.poly_normal(fld.poly_mul(rows, (w,)), d))
 
     def evaluate(self, x) -> ConstantValue:
         if not self.rows:
             return self._zero()
-        return ConstantValue(self.field, self.field.poly_eval(self.rows, self.den, _const(self.field, x).raw))
+        c = _const(self.field, x)
+        return _cv(self.field, *self.field.poly_eval(self.rows, self.den, c.raw, c.den))
 
     def derivative(self) -> "Polynomial":
         rows = [tuple(x * i for x in r) for i, r in enumerate(self.rows)][1:]
@@ -367,13 +367,10 @@ def _negated(rows) -> list:
 
 
 def _const(field: Field, v) -> ConstantValue:
-    if isinstance(v, ConstantValue):
-        return v
-    if isinstance(v, int):
-        return ConstantValue(field, field.from_int(v))
-    if isinstance(v, Fraction):
-        return ConstantValue(field, field.from_fraction(v))
-    raise InvalidInstance(f"cannot coerce {v!r} into the constant field")
+    c = _coerce(field, v)
+    if c is None:
+        raise InvalidInstance(f"cannot coerce {v!r} into the constant field")
+    return c
 
 
 # -- gcd ---------------------------------------------------------------------
@@ -457,8 +454,8 @@ def _image(A: list[list[int]], row: tuple[int, ...], p: int) -> list[int]:
     return [sum(x * w for x, w in zip(c, row)) % p for c in A]
 
 
-def _rational(u: int, m: int) -> Fraction | None:
-    """The n/d = u mod m with |n|, d <= sqrt(m/2), or None (Wang's reconstruction)."""
+def _rational(u: int, m: int) -> tuple[int, int] | None:
+    """(n, d) with n/d = u mod m, |n|, d <= sqrt(m/2) and d > 0, or None (Wang's reconstruction)."""
     bound = isqrt(m // 2)
     r0, r1, t0, t1 = m, u, 0, 1
     while r1 > bound:
@@ -466,7 +463,7 @@ def _rational(u: int, m: int) -> Fraction | None:
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _modular_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -508,9 +505,9 @@ def _modular_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, 
                 continue
             # h = t^D + the reconstructed lower coefficients, canonical as the
             # lcm of reduced denominators over all its entries
-            den = lcm(*(x.denominator for x in fr))
-            rows = [tuple(x.numerator * (den // x.denominator) for x in fr[j * n : (j + 1) * n]) for j in range(D)]
-            h = _poly(fld, (*rows, tuple(den * x for x in fld.one_row)), den)
+            den = lcm(*(d for _, d in fr))
+            rows = [tuple(x * (den // d) for x, d in fr[j * n : (j + 1) * n]) for j in range(D)]
+            h = _poly(fld, (*rows, tuple(den * x for x in fld.one_raw)), den)
             qa, ra = a.divmod(h)
             if ra.is_zero:
                 qb, rb = b.divmod(h)
@@ -789,12 +786,17 @@ INFINITY = Place(None)
 
 
 class PlaceSet:
-    """Finite set of places; sizes are always weighted by place degree."""
+    """Finite set of places; sizes are always weighted by place degree.
 
-    __slots__ = ("places",)
+    Iteration follows `Place.sort_key`; the set is immutable, so it is sorted once.
+    """
+
+    __slots__ = ("places", "_sorted")
 
     def __init__(self, places=()):
-        object.__setattr__(self, "places", frozenset(places))
+        places = frozenset(places)
+        object.__setattr__(self, "places", places)
+        object.__setattr__(self, "_sorted", tuple(sorted(places, key=Place.sort_key)))
 
     def __setattr__(self, *a):
         raise AttributeError("PlaceSet is immutable")
@@ -803,7 +805,7 @@ class PlaceSet:
         return p in self.places
 
     def __iter__(self):
-        return iter(sorted(self.places, key=Place.sort_key))
+        return iter(self._sorted)
 
     def __len__(self):
         return len(self.places)

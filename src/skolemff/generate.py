@@ -38,10 +38,9 @@ def rand_const(rng: random.Random, fld: Field, nonzero: bool = False) -> Constan
     while True:
         if fld.char == 0:
             if fld.M == 1:
-                c = ConstantValue(fld, fld.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 3))))
+                c = ConstantValue.from_rationals(fld, [Fraction(rng.randint(-5, 5), rng.randint(1, 3))])
             else:
-                coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(min(2, fld.degree))]
-                c = ConstantValue(fld, fld.from_coeffs(coeffs + [0] * (fld.degree - len(coeffs))))
+                c = ConstantValue.from_rationals(fld, [rng.randint(-3, 3) for _ in range(min(2, fld.degree))])
         else:
             c = ConstantValue(fld, tuple(rng.randrange(fld.p) for _ in range(fld.d)))
         if not (nonzero and c.is_zero):

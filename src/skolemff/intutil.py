@@ -269,12 +269,8 @@ def zx_div_exact(num: list[int], den: list[int]) -> list[int] | None:
     return out
 
 
-def zx_primitive(coeffs) -> list[int]:
-    """Primitive part of a nonzero Z[x] or Q[x] vector: integral, content 1, lead > 0."""
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    v = [int(c * den) for c in coeffs]
+def zx_primitive(v: list[int]) -> list[int]:
+    """Primitive part of a nonzero Z[x] vector: content 1, lead > 0."""
     g = gcd(*v)
     if v[-1] < 0:
         g = -g

@@ -9,6 +9,7 @@ symbolic evaluation in characteristic p where the point count may fall short.
 from fractions import Fraction
 
 from skolemff import INFINITY, ConstantValue, Place, Polynomial, RationalFunction, cyclotomic_poly, height, valuation
+from skolemff.constants import _defining_poly
 from skolemff.factor import factor_poly
 from skolemff.powersum import eval_B
 
@@ -74,6 +75,88 @@ def coeffwise_divmod(a, b):
         for j, c in enumerate(b.coeffs):
             rem[i - d + j] = rem[i - d + j] - q * c
     return Polynomial(fld, quo), Polynomial(fld, rem[:d])
+
+
+def _modulus(fld) -> list:
+    """The monic modulus of F's power basis: Phi_M, resp. the defining polynomial mod p."""
+    if fld.char:
+        return [c % fld.char for c in _defining_poly(fld.char, fld.d)]
+    return list(cyclotomic_poly(fld.M))
+
+
+def _scalars(fld):
+    """(add, sub, mul, inv) on the entries of a vector: Fractions, resp. residues mod p."""
+    p = fld.char
+    if p:
+        return (lambda x, y: (x + y) % p, lambda x, y: (x - y) % p, lambda x, y: x * y % p, lambda x: pow(x, -1, p))
+    return (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x: Fraction(1) / x)
+
+
+def fraction_vector(c) -> tuple:
+    """A constant as its coefficient vector: Fractions in characteristic 0, residues mod p."""
+    if c.field.char:
+        return tuple(c.raw)
+    return tuple(Fraction(x, c.den) for x in c.raw)
+
+
+def vector_mul(fld, a, b) -> tuple:
+    """The product of two coefficient vectors: the schoolbook convolution, then
+    long division by the monic modulus, one scalar operation at a time."""
+    add, sub, mul, _ = _scalars(fld)
+    mod = _modulus(fld)
+    n = len(mod) - 1
+    conv = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] = add(conv[i + j], mul(x, y))
+    for i in range(2 * n - 2, n - 1, -1):
+        c, conv[i] = conv[i], 0
+        for j in range(n):
+            conv[i - n + j] = sub(conv[i - n + j], mul(c, mod[j]))
+    return tuple(conv[:n])
+
+
+def vector_inv(fld, a) -> tuple:
+    """The inverse of a nonzero coefficient vector by the extended Euclid in
+    Q[x] (resp. F_p[x]) against the modulus: s a + t m = r0 with r0 a unit."""
+    add, sub, mul, inv = _scalars(fld)
+
+    def trim(v):
+        v = list(v)
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    r0, r1, t0, t1 = _modulus(fld), trim(a), [], [1]
+    while len(r1) > 1:
+        q, r = [0] * (len(r0) - len(r1) + 1), list(r0)
+        lead = inv(r1[-1])
+        for i in range(len(r) - 1, len(r1) - 2, -1):
+            c = mul(r[i], lead)
+            q[i - len(r1) + 1] = c
+            for j, y in enumerate(r1):
+                r[i - len(r1) + 1 + j] = sub(r[i - len(r1) + 1 + j], mul(c, y))
+        tn = list(t0) + [0] * max(0, len(q) + len(t1) - 1 - len(t0))
+        for i, x in enumerate(q):
+            for j, y in enumerate(t1):
+                tn[i + j] = sub(tn[i + j], mul(x, y))
+        r0, r1, t0, t1 = r1, trim(r), t1, tn
+    c = inv(r1[0])
+    out = [mul(c, x) for x in trim(t1)]
+    return tuple(out + [0] * (fld.degree - len(out)))
+
+
+def vector_repr(fld, v) -> str:
+    """The printed form of a constant from its coefficient vector."""
+    if fld.char:
+        return str(v[0]) if fld.d == 1 else "[" + ",".join(str(c) for c in v) + "]"
+    parts = []
+    for i, c in enumerate(v):
+        if c == 0:
+            continue
+        mon = "z" if i == 1 else f"z^{i}"
+        parts.append(str(c) if i == 0 else mon if c == 1 else f"{c}*{mon}")
+    return "+".join(parts).replace("+-", "-") or "0"
 
 
 def brute_local_check(inst, k, a):

@@ -106,7 +106,7 @@ def test_smt_over_extension_field():
     f9 = field_for(FieldSpec(3, 1, 2))
     t = RationalFunction.t(f9)
     S = PlaceSet([INFINITY])
-    b = [ConstantValue(f9, f9.from_coeffs(v)) for v in ([0, 0], [1, 0], [0, 1])]
+    b = [ConstantValue.from_rationals(f9, v) for v in ([0, 0], [1, 0], [0, 1])]
     rep = verify_smt(t**2 + t, S, b)
     assert rep.holds
 

@@ -146,8 +146,8 @@ def test_norm_matches_sympy_resultant():
             deg = rng.randint(1, 3)
             raws = [[rng.randint(-4, 4) for _ in range(fld.degree)] for _ in range(deg + 1)]
             raws[-1][rng.randrange(fld.degree)] = rng.choice((-3, -1, 2))  # not always monic
-            A = Polynomial(fld, [ConstantValue(fld, fld.from_coeffs(r)) for r in raws])
+            A = Polynomial(fld, [ConstantValue.from_rationals(fld, r) for r in raws])
             A_xy = sum(x**i * sum(c * y**j for j, c in enumerate(r)) for i, r in enumerate(raws))
             res = sympy.Poly(sympy.resultant(sympy.cyclotomic_poly(M, y), A_xy, y), x)
             want = [sympy.Rational(c) for c in reversed(res.all_coeffs())]
-            assert [sympy.Rational(c.numerator, c.denominator) for c in _norm_to_q(A)] == want, (M, raws)
+            assert [sympy.Rational(c.as_fraction()) for c in _norm_to_q(A).coeffs] == want, (M, raws)

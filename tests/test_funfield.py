@@ -70,7 +70,9 @@ def _rand_cyclo_poly(rng, fld, deg, height=4):
     """Degree-deg polynomial with random small rationals in every power-basis slot."""
     while True:
         coeffs = [
-            ConstantValue(fld, tuple(Fraction(rng.randint(-height, height), rng.randint(1, 3)) for _ in range(fld.degree)))
+            ConstantValue.from_rationals(
+                fld, [Fraction(rng.randint(-height, height), rng.randint(1, 3)) for _ in range(fld.degree)]
+            )
             for _ in range(deg + 1)
         ]
         p = Polynomial(fld, coeffs)
@@ -105,7 +107,9 @@ def test_poly_gcd_matches_euclid(monkeypatch):
                 assert poly_gcd(x, y) == euclid_gcd(x, y), (M, x, y)
         # a planted gcd with coefficients above 2^70 needs several primes and the CRT
         big = [
-            ConstantValue(fld, tuple(Fraction(2**71 + rng.randint(1, 99), 2**70 + rng.randint(1, 99)) for _ in range(fld.degree)))
+            ConstantValue.from_rationals(
+                fld, [Fraction(2**71 + rng.randint(1, 99), 2**70 + rng.randint(1, 99)) for _ in range(fld.degree)]
+            )
             for _ in range(2)
         ]
         h = Polynomial(fld, big + [1])
@@ -135,7 +139,7 @@ def test_poly_gcd_matches_sympy():
 
         def to_sympy(f):
             return sympy.Poly.from_list(
-                [K([sympy.QQ(v.numerator, v.denominator) for v in reversed(c.raw)]) for c in reversed(f.coeffs)],
+                [K([sympy.QQ(v, c.den) for v in reversed(c.raw)]) for c in reversed(f.coeffs)],
                 x,
                 domain=K,
             )
@@ -167,13 +171,13 @@ def test_squarefree_decomposition_matches_sympy(Q, Qi):
     x = sympy.symbols("x")
 
     def to_sympy(c):
-        return sum(sympy.Rational(v.numerator, v.denominator) * sympy.I**j for j, v in enumerate(c.raw))
+        return sum(sympy.Rational(v, c.den) * sympy.I**j for j, v in enumerate(c.raw))
 
     def from_sympy(fld, g):
         coeffs = []
         for c in reversed(sympy.Poly(g, x).monic().all_coeffs()):
             coeffs.append([Fraction(str(sympy.re(c))), Fraction(str(sympy.im(c)))][: fld.degree])
-        return Polynomial(fld, [ConstantValue(fld, fld.from_coeffs(v)) for v in coeffs])
+        return Polynomial(fld, [ConstantValue.from_rationals(fld, v) for v in coeffs])
 
     rng = random.Random(89)
     for fld in (Q, Qi):
@@ -210,7 +214,7 @@ def _rand_kernel_elem(rng, fld):
         vals = [Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 2**66)) for _ in range(fld.degree)]
     else:
         vals = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(fld.degree)]
-    return ConstantValue(fld, fld.from_coeffs(vals))
+    return ConstantValue.from_rationals(fld, vals)
 
 
 def _rand_kernel_poly(rng, fld, deg):

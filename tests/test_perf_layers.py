@@ -51,7 +51,7 @@ def test_F_t_product_and_division_record_the_kernel_layers():
     for spec in (FieldSpec(0, 4), FieldSpec(3, 1, 2)):
         fld = field_for(spec)
         t, one = Polynomial.t(fld), Polynomial.one(fld)
-        zeta = Polynomial(fld, [ConstantValue(fld, fld.from_coeffs([0, 1]))])
+        zeta = Polynomial(fld, [ConstantValue.from_rationals(fld, [0, 1])])
         a, b = t * t + zeta, t * (zeta + one) + one
         tracer = Tracer()
         undo = bind(tracer, layers.make_layers(), "skolemff")

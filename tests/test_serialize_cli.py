@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -353,6 +354,12 @@ def test_overflowing_instance_values_are_invalid_input(tmp_path):
         "constant-boolean": [('"num": [["1"]]', '"num": [[true]]')],
         "charp-constant-float": [charp, charp_eps, ('"num": [["1"]]', '"num": [[1.5]]')],
         "charp-constant-boolean": [charp, charp_eps, ('"num": [["1"]]', '"num": [[true]]')],
+        # a constant is a JSON array: a bare string is not read as its characters
+        "constant-string": [('"num": [["1"]]', '"num": ["7"]')],
+        "constant-string-cyclotomic": [
+            ('"cyclotomic_order": "1"', '"cyclotomic_order": "4"'), ('"num": [["1"]]', '"num": ["12"]'),
+        ],
+        "epsilon-value-string": [('["1", "0"]', '{"order": "1", "value": "1"}')],
     }
     for name, edits in mutations.items():
         path = tmp_path / f"overflow-{name}.json"
@@ -409,6 +416,24 @@ def test_oversized_fields_hit_the_degree_cap_at_load(tmp_path):
         ("example-1.json", "0"),
         ("extension.json", "3"),
     ]
+
+
+def test_readme_library_sketch_runs():
+    # the README's python block runs as written, and every expression statement
+    # gives the result written in its trailing comment
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"```python\n(.*?)```", fh.read(), re.S).group(1)
+    lines, namespace, checked = block.splitlines(), {}, []
+    for stmt in ast.parse(block).body:
+        code = ast.get_source_segment(block, stmt)
+        if isinstance(stmt, ast.Expr):
+            want = lines[stmt.end_lineno - 1].split("#", 1)[1].split()[0]
+            assert eval(code, namespace) == ast.literal_eval(want), code
+            checked.append(want)
+        else:
+            exec(code, namespace)
+    assert checked == ["-1", "4", "True"]
 
 
 def test_readme_cli_flags_exist_in_the_parser():
