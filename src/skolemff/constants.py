@@ -51,10 +51,11 @@ class FieldSpec:
             if self.cyclotomic_order < 1:
                 raise InvalidInstance("cyclotomic_order must be >= 1")
         else:
-            if not is_prime(p):
-                raise InvalidInstance("characteristic must be 0 or prime")
+            # the cap comes first: primality above it is outside is_prime's deterministic range
             if p > _MAX_CHAR:
                 raise InvalidInstance("characteristic beyond 2^61 is unsupported")
+            if not is_prime(p):
+                raise InvalidInstance("characteristic must be 0 or prime")
             if self.extension_degree < 1:
                 raise InvalidInstance("extension_degree must be >= 1")
 
@@ -375,12 +376,9 @@ class Field:
 
 
 @functools.lru_cache(maxsize=None)
-def _field_cache(char: int, m: int, d: int) -> Field:
-    return Field(FieldSpec(char, m, d))
-
-
 def field_for(spec: FieldSpec) -> Field:
-    return _field_cache(spec.characteristic, spec.cyclotomic_order, spec.extension_degree)
+    """The one Field of each (hashable) spec."""
+    return Field(spec)
 
 
 # ---------------------------------------------------------------------------

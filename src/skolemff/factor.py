@@ -38,11 +38,12 @@ from .intutil import (
     zx_div_exact,
     zx_primitive,
 )
-from .funfield import Polynomial, _poly, squarefree_decomposition
+from .funfield import Polynomial, _poly, poly_gcd, squarefree_decomposition
 
 __all__ = ["factor_poly", "roots_in_F", "max_degree_cap", "monic_divisors"]
 
 _CZ_SEED = 0x5EEDF00D
+_MAX_DIVISORS = 4096  # monic_divisors enumerates at most this many
 
 
 def max_degree_cap() -> int:
@@ -82,13 +83,13 @@ def roots_in_F(p: Polynomial) -> list[tuple[ConstantValue, int]]:
     return out
 
 
-def monic_divisors(p: Polynomial, limit: int = 4096) -> list[Polynomial]:
-    """All monic divisors of p (including 1); FactorizationTooHard past `limit`."""
+def monic_divisors(p: Polynomial) -> list[Polynomial]:
+    """All monic divisors of p (including 1); FactorizationTooHard past _MAX_DIVISORS of them."""
     _, factors = factor_poly(p)
     count = 1
     for _, m in factors:
         count *= m + 1
-        if count > limit:
+        if count > _MAX_DIVISORS:
             raise FactorizationTooHard("too many divisors to enumerate")
     divs = [Polynomial.one(p.field)]
     for g, m in factors:
@@ -119,8 +120,6 @@ def _pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
 
 
 def _factor_sqfree_gf(f: Polynomial) -> list[Polynomial]:
-    from .funfield import poly_gcd
-
     fld = f.field
     q = fld.p**fld.d
     out: list[Polynomial] = []
@@ -148,8 +147,6 @@ def _random_poly(fld: Field, degree: int, rng: random.Random) -> Polynomial:
 
 def _equal_degree_split(f: Polynomial, d: int) -> list[Polynomial]:
     """Split a product of distinct irreducibles all of degree d (CZ, seeded)."""
-    from .funfield import poly_gcd
-
     fld = f.field
     if f.degree == d:
         return [f.monic()]
@@ -290,8 +287,6 @@ def _norm_to_q(a: Polynomial) -> Polynomial:
 
 
 def _factor_sqfree_cyclo(f: Polynomial) -> list[Polynomial]:
-    from .funfield import poly_gcd
-
     fld = f.field
     f = f.monic()
     if f.degree == 1:

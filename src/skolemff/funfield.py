@@ -72,8 +72,8 @@ class _Dense:
     The generic loops here read the coefficients only through their ring
     operations and build results with type(self)(field, coeffs); `KPolynomial`
     (K[X]) runs on them, `Polynomial` (F[t]) replaces them with the `Field`
-    kernels and keeps the shared structure: `lc`, `exact_div`, `divide_out`,
-    `//` and `%`.  A subclass supplies its ring's zero.
+    kernels and keeps the shared structure: `lc`, `exact_div`, `divide_out`
+    and `%`.  A subclass supplies its ring's zero.
     """
 
     __slots__ = ("field",)
@@ -90,17 +90,10 @@ class _Dense:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def lc(self):
         if self.is_zero:
             raise ZeroInput("leading coefficient of 0")
         return self.coeffs[-1]
-
-    def constant_coeff(self):
-        return self.coeffs[0] if self.coeffs else self._zero()
 
     # -- arithmetic -------------------------------------------------------------
     def __add__(self, other):
@@ -137,9 +130,6 @@ class _Dense:
             for j, oc in enumerate(other.coeffs):
                 rem[i - d + j] = rem[i - d + j] - q * oc
         return new(fld, quo), new(fld, rem[:d])
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def __mod__(self, other):
         return self.divmod(other)[1]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .constants import ConstantValue, Field, FieldSpec, RootOfUnity, field_for, zeta
 from .errors import InvalidInstance
-from .funfield import INFINITY, KPolynomial, Place, PlaceSet, Polynomial, RationalFunction
+from .funfield import INFINITY, KPolynomial, Place, PlaceSet, Polynomial, RationalFunction, is_s_integer
 from .powersum import PowerSumInstance, decide_global_zero
 
 __all__ = [
@@ -174,8 +174,6 @@ def _gen_small(rng: random.Random) -> PowerSumInstance:
             acc = acc + lam * (eps.value ** (n0 % eps.order)) * f ** (r * n0)
         eps_m, r_m = epsilons[-1], exponents[-1]
         cand = -acc / ((RationalFunction.constant(fld, eps_m.value ** (n0 % eps_m.order))) * f ** (r_m * n0))
-        from .funfield import is_s_integer
-
         if not cand.is_zero and is_s_integer(cand, S):
             lambdas[-1] = cand
     return PowerSumInstance(tuple(lambdas), tuple(epsilons), tuple(exponents), f, S)

@@ -137,10 +137,6 @@ class PowerSumInstance:
             raise InvalidInstance("e must be coprime to the characteristic")
 
     @property
-    def m(self) -> int:
-        return len(self.lambdas)
-
-    @property
     def e(self) -> int:
         out = 1
         for eps in self.epsilons:

@@ -190,6 +190,14 @@ def instance_to_json(inst: PowerSumInstance, metadata: dict | None = None) -> di
     return out
 
 
+def _array(obj: dict, key: str) -> list:
+    """obj[key], which the format requires to be a JSON array: a string or an object is not read as its items."""
+    items = obj[key]
+    if not isinstance(items, list):
+        raise InvalidInstance(f"{key} must be an array")
+    return items
+
+
 def instance_from_json(obj: dict) -> PowerSumInstance:
     if not isinstance(obj, dict):
         raise InvalidInstance("instance file must hold a JSON object")
@@ -199,10 +207,10 @@ def instance_from_json(obj: dict) -> PowerSumInstance:
         spec = fieldspec_from_json(obj.get("field", {}))
         field = field_for(spec)
         f = ratfunc_from_json(field, obj["f"])
-        lambdas = tuple(ratfunc_from_json(field, x) for x in obj["lambdas"])
-        epsilons = tuple(epsilon_from_json(field, x) for x in obj["epsilons"])
-        exponents = tuple(_int(x) for x in obj["r"])
-        places = PlaceSet([place_from_json(field, x) for x in obj["S"]])
+        lambdas = tuple(ratfunc_from_json(field, x) for x in _array(obj, "lambdas"))
+        epsilons = tuple(epsilon_from_json(field, x) for x in _array(obj, "epsilons"))
+        exponents = tuple(_int(x) for x in _array(obj, "r"))
+        places = PlaceSet([place_from_json(field, x) for x in _array(obj, "S")])
     except KeyError as exc:
         raise InvalidInstance(f"missing instance field: {exc}") from exc
     except (ValueError, TypeError, OverflowError) as exc:

@@ -3,7 +3,9 @@
 Each verifier computes both sides of its inequality exactly (cube-root bounds
 are compared by cubing, so everything stays in integers) and returns an
 InequalityReport.  On valid input `holds` must come back True: a False report
-signals an implementation bug, never a counterexample.
+signals an implementation bug, never a counterexample.  A failing report
+carries lhs, rhs and detail; the `verify` suites carry the replayable
+reproducer.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .errors import (
     NotSUnit,
 )
 from .funfield import (
-    Place,
     PlaceSet,
     RationalFunction,
     chi_S,
@@ -30,8 +31,6 @@ from .funfield import (
     height,
     is_s_integer,
     is_s_unit,
-    radical,
-    strip_places,
     truncated_counting,
 )
 from .multstruct import is_mult_independent
@@ -47,27 +46,7 @@ class InequalityReport:
     rhs: int
     holds: bool
     comparison: str = "lhs <= rhs"
-    witness_places: tuple[Place, ...] = ()
     detail: dict = field(default_factory=dict)
-
-
-def _zero_places(b: RationalFunction, S: PlaceSet) -> tuple[Place, ...]:
-    """Distinct zero places of b outside S (best effort, for debugging reports)."""
-    from .errors import FactorizationTooHard
-    from .factor import factor_poly
-
-    out = []
-    try:
-        stripped = strip_places(radical(b.num), S)
-        if stripped.degree > 0:
-            out.extend(Place(g) for g, _ in factor_poly(stripped)[1])
-    except FactorizationTooHard:
-        pass
-    if not S.has_infinity and b.den.degree > b.num.degree:
-        from .funfield import INFINITY
-
-        out.append(INFINITY)
-    return tuple(out)
 
 
 def verify_smt(f: RationalFunction, S: PlaceSet, b: list[ConstantValue]) -> InequalityReport:
@@ -81,16 +60,11 @@ def verify_smt(f: RationalFunction, S: PlaceSet, b: list[ConstantValue]) -> Ineq
     counts = [truncated_counting(f - bi, S) for bi in b]
     lhs = (q - 2) * height(f)
     rhs = di * (sum(counts) + chi_S(S))
-    holds = lhs <= rhs
-    witnesses: tuple[Place, ...] = ()
-    if not holds:
-        witnesses = tuple(p for bi in b for p in _zero_places(f - bi, S))
     return InequalityReport(
         lhs=lhs,
         rhs=rhs,
-        holds=holds,
+        holds=lhs <= rhs,
         comparison="(q-2)*h(f) <= deg_ins * (sum + chi_S)",
-        witness_places=witnesses,
         detail={"q": q, "height": height(f), "deg_ins": di, "counts": counts},
     )
 
@@ -133,15 +107,10 @@ def verify_cz_gcd(a: RationalFunction, b: RationalFunction, S: PlaceSet) -> Ineq
     ha = height(a)
     hb = height(b)
     rhs = 54 * ha * hb * chi
-    holds = N**3 <= rhs
-    witnesses: tuple[Place, ...] = ()
-    if not holds:
-        witnesses = _zero_places(1 - a, S) + _zero_places(1 - b, S)
     return InequalityReport(
         lhs=N,
         rhs=rhs,
-        holds=holds,
+        holds=N**3 <= rhs,
         comparison="N^3 <= 54*h(a)*h(b)*chi_S",
-        witness_places=witnesses,
         detail={"h_a": ha, "h_b": hb, "chi_S": chi, "lhs_cubed": N**3},
     )

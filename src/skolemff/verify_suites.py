@@ -1,14 +1,17 @@
 """Seeded randomized suites behind `skolemff verify <suite>`.
 
-Every suite draws instances from random.Random(seed), checks a proved
-inequality or lemma on each, and counts violations.  Zero violations is the
-only acceptable outcome; a violation embeds a (greedily minimized) reproducer
-in the result so the bug is replayable.
+Every suite is a generator `_run_<suite>(rng, count, res)` that draws its
+instances from random.Random(seed) and yields, for each instance it checks,
+whether the proved inequality or lemma holds and a thunk building the
+replayable reproducer.  `run_suite` counts the checks and violations.  Zero
+violations is the only acceptable outcome; the first violation embeds its
+(for smt greedily minimized) reproducer in the result.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -47,6 +50,9 @@ MAX_DEG = 12  # degree scale of the random polynomials and functions the suites 
 _CHAR0_SPECS = [FieldSpec(0, 1), FieldSpec(0, 4)]
 _ALL_SPECS = [FieldSpec(0, 1), FieldSpec(0, 4), FieldSpec(3, 1, 1), FieldSpec(5, 1, 1)]
 
+# what a suite yields per checked instance: whether the check holds, and a thunk building its reproducer
+_Checks = Iterator[tuple[bool, Callable[[], dict]]]
+
 
 @dataclass
 class SuiteResult:
@@ -61,6 +67,7 @@ class SuiteResult:
 
 
 def run_suite(suite: str, seed: int, count: int) -> SuiteResult:
+    """Drive one suite's instance generator and count its checks, violations and first reproducer."""
     if suite not in SUITES:
         raise SkolemffError(f"unknown suite {suite!r}; choose from {SUITES}")
     if count < 1:
@@ -73,7 +80,15 @@ def run_suite(suite: str, seed: int, count: int) -> SuiteResult:
         "claimD": _run_claimD,
         "claimI": _run_claimI,
     }[suite]
-    return runner(seed, count)
+    res = SuiteResult(suite, seed, count)
+    # the thunk runs before the generator resumes, so it reads this instance's variables
+    for holds, reproducer in runner(random.Random(seed), count, res):
+        res.checked += 1
+        if not holds:
+            res.violations += 1
+            if res.reproducer is None:
+                res.reproducer = reproducer()
+    return res
 
 
 def _distinct_consts(rng: random.Random, fld, how_many: int) -> list[ConstantValue]:
@@ -93,21 +108,13 @@ def _rand_S(rng: random.Random, fld) -> PlaceSet:
     return PlaceSet(rng.sample(pool, size))
 
 
-def _run_smt(seed: int, count: int) -> SuiteResult:
-    res = SuiteResult("smt", seed, count)
-    rng = random.Random(seed)
+def _run_smt(rng: random.Random, count: int, res: SuiteResult) -> _Checks:
     for i in range(count):
         fld = field_for(_ALL_SPECS[i % len(_ALL_SPECS)])
         f = rand_ratfunc(rng, fld, MAX_DEG // 2, nonconstant=True)
         S = _rand_S(rng, fld)
         b = _distinct_consts(rng, fld, rng.randint(1, 8))
-        rep = verify_smt(f, S, b)
-        res.checked += 1
-        if not rep.holds:
-            res.violations += 1
-            if res.reproducer is None:
-                res.reproducer = _shrink_smt(f, S, b)
-    return res
+        yield verify_smt(f, S, b).holds, lambda: _shrink_smt(f, S, b)
 
 
 def _shrink_smt(f, S, b) -> dict:
@@ -132,45 +139,56 @@ def _shrink_smt(f, S, b) -> dict:
     }
 
 
-def _run_sunit(seed: int, count: int) -> SuiteResult:
-    res = SuiteResult("sunit", seed, count)
-    rng = random.Random(seed)
+def _run_sunit(rng: random.Random, count: int, res: SuiteResult) -> _Checks:
     for i in range(count):
         spec = _ALL_SPECS[i % len(_ALL_SPECS)]
         fld = field_for(spec)
         S = _rand_S(rng, fld)
-        f = _s_integer(rng, fld, S, MAX_DEG // 3)
-        tries = 0
-        while (f.is_zero or f.is_constant) and tries < 50:
+        for _ in range(51):  # up to 51 draws for a nonconstant f; the instance is skipped without one
             f = _s_integer(rng, fld, S, MAX_DEG // 3)
-            tries += 1
-        if f.is_zero or f.is_constant:
+            if not (f.is_zero or f.is_constant):
+                break
+        else:
             continue
         candidates = _distinct_consts(rng, fld, rng.randint(1, 6))
-        rep = verify_sunit_count(f, S, candidates)
-        res.checked += 1
-        ok = rep.holds
-        # restatement: among all a-th roots of unity, at least a - (2g+|S|)
-        # translates f - xi fail to be S-units
+        holds = verify_sunit_count(f, S, candidates).holds
+        # restatement: among all a-th roots of unity xi, at most 2g + |S|
+        # translates f - xi are S-units
         if fld.char == 0:
             a = rng.choice([1, 2] if fld.M == 1 else [1, 2, 4])
         else:
             a = rng.choice([d for d in (1, 2) if (fld.p**fld.d - 1) % d == 0])
-        roots = roots_of_unity(a, spec)
-        units = sum(1 for r in roots if is_s_unit(f - r.value, S))
-        bound = 2 * 0 + S.weighted_size
-        if (a - units) < a - bound:
-            ok = False
-        if not ok:
-            res.violations += 1
-            if res.reproducer is None:
-                res.reproducer = {"f": repr(f), "S": repr(S), "a": a}
-    return res
+        units = sum(1 for r in roots_of_unity(a, spec) if is_s_unit(f - r.value, S))
+        yield holds and units <= S.weighted_size, lambda: {"f": repr(f), "S": repr(S), "a": a}
 
 
-def _run_czgcd(seed: int, count: int) -> SuiteResult:
-    res = SuiteResult("czgcd", seed, count)
-    rng = random.Random(seed)
+def _unit(rng: random.Random, fld, monos) -> RationalFunction:
+    out = RationalFunction.constant(fld, rng.choice([1, -1, 2]))
+    for mono in monos:
+        out = out * mono ** rng.randint(-3, 3)
+    return out
+
+
+def _anchored(rng: random.Random, fld, monos) -> RationalFunction:
+    # scale so the unit takes value 1 at t = 3: then 1 - a vanishes
+    # there and the gcd count is nontrivially positive for pairs
+    e = [rng.randint(-2, 2) for _ in range(3)]
+    c = Fraction(1) / (Fraction(3) ** e[0] * Fraction(2) ** e[1] * Fraction(4) ** e[2])
+    out = RationalFunction.constant(fld, c)
+    for mono, k in zip(monos, e):
+        out = out * mono**k
+    return out
+
+
+def _doubly_anchored(rng: random.Random, fld, monos) -> RationalFunction:
+    # value 1 at both t = 3 and t = -3 needs i even and j = k
+    i2 = rng.choice([0, 2])
+    j = rng.choice([1, 2])
+    c = Fraction(1) / (Fraction(3) ** i2 * Fraction(2) ** j * Fraction(4) ** j)
+    return RationalFunction.constant(fld, c) * monos[0] ** i2 * monos[1] ** j * monos[2] ** j
+
+
+def _run_czgcd(rng: random.Random, count: int, res: SuiteResult) -> _Checks:
     nontrivial = 0
     for i in range(count):
         fld = field_for(_CHAR0_SPECS[i % 2])
@@ -178,58 +196,17 @@ def _run_czgcd(seed: int, count: int) -> SuiteResult:
         one = Polynomial.one(fld)
         S = PlaceSet([Place(t), Place(t - one), Place(t + one), INFINITY])
         monos = [RationalFunction(t), RationalFunction(t - one), RationalFunction(t + one)]
-
-        def unit(rng=rng, fld=fld, monos=monos):
-            out = RationalFunction.constant(fld, rng.choice([1, -1, 2]))
-            for mono in monos:
-                out = out * mono ** rng.randint(-3, 3)
-            return out
-
-        def anchored(rng=rng, fld=fld, monos=monos):
-            # scale so the unit takes value 1 at t = 3: then 1 - a vanishes
-            # there and the gcd count is nontrivially positive for pairs
-            e = [rng.randint(-2, 2) for _ in range(3)]
-            c = Fraction(1) / (Fraction(3) ** e[0] * Fraction(2) ** e[1] * Fraction(4) ** e[2])
-            out = RationalFunction.constant(fld, c)
-            for mono, k in zip(monos, e):
-                out = out * mono**k
-            return out
-
-        def doubly_anchored(rng=rng, fld=fld, monos=monos):
-            # value 1 at both t = 3 and t = -3 needs i even and j = k
-            i2 = rng.choice([0, 2])
-            j = rng.choice([1, 2])
-            c = Fraction(1) / (Fraction(3) ** i2 * Fraction(2) ** j * Fraction(4) ** j)
-            return (
-                RationalFunction.constant(fld, c)
-                * monos[0] ** i2
-                * monos[1] ** j
-                * monos[2] ** j
-            )
-
-        if i % 7 == 3:
-            a, b = doubly_anchored(), doubly_anchored()
-        elif i % 3 == 1:
-            a, b = anchored(), anchored()
-        else:
-            a, b = unit(), unit()
-        if a.is_constant and b.is_constant:
-            res.skipped_dependent += 1
-            continue
+        draw = _doubly_anchored if i % 7 == 3 else _anchored if i % 3 == 1 else _unit
+        a, b = draw(rng, fld, monos), draw(rng, fld, monos)
         try:
-            rep = verify_cz_gcd(a, b, S)
+            rep = verify_cz_gcd(a, b, S)  # a constant pair is dependent too
         except MultiplicativelyDependent:
             res.skipped_dependent += 1
             continue
-        res.checked += 1
         nontrivial += rep.lhs > 0
-        if not rep.holds:
-            res.violations += 1
-            if res.reproducer is None:
-                res.reproducer = {"a": repr(a), "b": repr(b), "S": repr(S)}
+        yield rep.holds, lambda: {"a": repr(a), "b": repr(b), "S": repr(S)}
     if nontrivial:
         res.notes.append(f"nontrivial_counts:{nontrivial}")
-    return res
 
 
 def _rand_kpoly(rng: random.Random, fld, deg: int, coeff_deg: int) -> KPolynomial:
@@ -257,68 +234,50 @@ def _support_places(polys, fld) -> list[Place]:
     return out
 
 
-def _run_gauss(seed: int, count: int) -> SuiteResult:
-    res = SuiteResult("gauss", seed, count)
-    rng = random.Random(seed)
+def _run_gauss(rng: random.Random, count: int, res: SuiteResult) -> _Checks:
     for i in range(count):
         fld = field_for(_ALL_SPECS[i % len(_ALL_SPECS)])
         A = _rand_kpoly(rng, fld, rng.randint(1, 3), MAX_DEG // 6)
         B = _rand_kpoly(rng, fld, rng.randint(1, 3), MAX_DEG // 6)
-        C = A * B
-        ok = poly_height(C) == poly_height(A) + poly_height(B)
-        polys = []
-        for P in (A, B):
-            for c in P.coeffs:
-                if not c.is_zero:
-                    polys.extend([c.num, c.den])
-        for place in _support_places(polys, fld):
-            if poly_valuation(C, place) != poly_valuation(A, place) + poly_valuation(B, place):
-                ok = False
-                break
-        # product of linear factors: h(prod (X - beta_i)) = sum h(beta_i)
         roots = [rand_ratfunc(rng, fld, MAX_DEG // 6) for _ in range(rng.randint(1, 3))]
-        L = KPolynomial.from_roots(fld, roots)
-        if poly_height(L) != sum(height(b) for b in roots):
-            ok = False
-        res.checked += 1
-        if not ok:
-            res.violations += 1
-            if res.reproducer is None:
-                res.reproducer = {"A": repr(A), "B": repr(B), "roots": [repr(r) for r in roots]}
-    return res
+        C = A * B
+        polys = [x for P in (A, B) for c in P.coeffs if not c.is_zero for x in (c.num, c.den)]
+        places = _support_places(polys, fld)
+        holds = (
+            poly_height(C) == poly_height(A) + poly_height(B)
+            and all(poly_valuation(C, v) == poly_valuation(A, v) + poly_valuation(B, v) for v in places)
+            # product of linear factors: h(prod (X - beta_i)) = sum h(beta_i)
+            and poly_height(KPolynomial.from_roots(fld, roots)) == sum(height(b) for b in roots)
+        )
+        yield holds, lambda: {"A": repr(A), "B": repr(B), "roots": [repr(r) for r in roots]}
 
 
-def _run_claimD(seed: int, count: int) -> SuiteResult:
-    res = SuiteResult("claimD", seed, count)
-    rng = random.Random(seed)
+def _q_and_p(split) -> tuple[int, int]:
+    weights = [w for _, _, w in split.dep]
+    q = choose_q(weights)
+    return q, choose_p(weights, q)
+
+
+def _run_claimD(rng: random.Random, count: int, res: SuiteResult) -> _Checks:
     for i in range(count):
-        inst, _ = generate_instance(seed * 10_000 + i, "dep-heavy")
+        inst_seed = res.seed * 10_000 + i
+        inst, _ = generate_instance(inst_seed, "dep-heavy")
         split = split_dep_ind(inst, 0)
-        q = choose_q([w for _, _, w in split.dep])
-        p = choose_p([w for _, _, w in split.dep], q)
+        q, p = _q_and_p(split)
         ell = rng.choice([1, 2])
         n = rng.randint(-8, 8)
         rep = lemma_claimD_check(inst, split, n, p, ell, q)
-        res.checked += 1
-        if not rep.holds:
-            res.violations += 1
-            if res.reproducer is None:
-                res.reproducer = {"seed": seed * 10_000 + i, "profile": "dep-heavy",
-                                  "n": n, "p": p, "ell": ell, "q": q}
-    return res
+        yield rep.holds, lambda: {"seed": inst_seed, "profile": "dep-heavy", "n": n, "p": p, "ell": ell, "q": q}
 
 
-def _run_claimI(seed: int, count: int) -> SuiteResult:
-    res = SuiteResult("claimI", seed, count)
-    rng = random.Random(seed)
-    for i in range(count):
-        fld = field_for(FieldSpec(0, 1))
-        tp = Polynomial.t(fld)
-        t = RationalFunction.t(fld)
-        S = PlaceSet([Place(tp), INFINITY])
+def _run_claimI(rng: random.Random, count: int, res: SuiteResult) -> _Checks:
+    fld = field_for(FieldSpec(0, 1))
+    t = RationalFunction.t(fld)
+    S = PlaceSet([Place(Polynomial.t(fld)), INFINITY])
+    pool = [t - 1, t + 1, t - 2, t + 2]
+    for _ in range(count):
         j = rng.randint(1, 2)
         f = t**j
-        pool = [t - 1, t + 1, t - 2, t + 2]
         roots = rng.sample(pool, rng.randint(1, 2))
         if rng.random() < 0.5:
             s = rng.choice([x for x in range(-3, 4) if x != 0])
@@ -328,15 +287,8 @@ def _run_claimI(seed: int, count: int) -> SuiteResult:
         if decide_global_zero(inst) is not None:
             continue
         split = split_dep_ind(inst, 0)
-        q = choose_q([w for _, _, w in split.dep])
-        p = choose_p([w for _, _, w in split.dep], q)
+        q, p = _q_and_p(split)
         ell = 1 if p >= 5 else rng.choice([1, 2])
         n = rng.randint(0, 8)
         rep = lemma_claimI_check(inst, split, n, p, ell, q)
-        res.checked += 1
-        if not rep.holds:
-            res.violations += 1
-            if res.reproducer is None:
-                res.reproducer = {"roots": [repr(r) for r in roots], "f": repr(f),
-                                  "n": n, "p": p, "ell": ell, "q": q}
-    return res
+        yield rep.holds, lambda: {"roots": [repr(r) for r in roots], "f": repr(f), "n": n, "p": p, "ell": ell, "q": q}

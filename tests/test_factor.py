@@ -1,8 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
-from skolemff import FieldSpec, Polynomial, field_for
+from skolemff import ConstantValue, FieldSpec, Polynomial, factor, field_for
 from skolemff.errors import FactorizationTooHard, ZeroInput
 from skolemff.factor import factor_poly, max_degree_cap, monic_divisors, roots_in_F
 from skolemff.generate import rand_poly
@@ -91,6 +92,51 @@ def test_irreducible_counts_match_necklace_formula(F3):
         if len(fs) == 1 and fs[0][1] == 1 and fs[0][0].degree == 3:
             count3 += 1
     assert count3 == (q**3 - q) // 3
+
+
+def _has_monic_divisor(f, elems, max_degree):
+    """Brute force: some monic g of degree 1..max_degree over F divides f."""
+    one = ConstantValue(f.field, f.field.one_raw)
+    return any(
+        (f % Polynomial(f.field, [*tail, one])).is_zero
+        for j in range(1, max_degree + 1)
+        for tail in product(elems, repeat=j)
+    )
+
+
+# (degree of each irreducible, how many) per F_{2^d}: the product must reach
+# the equal-degree split with more than one factor, in the trace-map branch
+_CHAR2_PRODUCTS = {1: [(3, 2), (4, 3)], 2: [(1, 3), (2, 3), (3, 2)], 3: [(1, 4), (2, 3)]}
+
+
+@pytest.mark.parametrize("d", sorted(_CHAR2_PRODUCTS))
+def test_cantor_zassenhaus_splits_products_over_char_2(d, monkeypatch):
+    fld = field_for(FieldSpec(2, 1, d))
+    elems = [ConstantValue(fld, raw) for raw in product(range(2), repeat=d)]
+    one = ConstantValue(fld, fld.one_raw)
+    real, splits = factor._equal_degree_split, []
+
+    def recording(f, k):
+        splits.append(f.degree > k)
+        return real(f, k)
+
+    monkeypatch.setattr(factor, "_equal_degree_split", recording)
+    rng = random.Random(2 + d)
+    for k, n in _CHAR2_PRODUCTS[d]:
+        irreducibles = []
+        while len(irreducibles) < n:
+            g = Polynomial(fld, [rng.choice(elems) for _ in range(k)] + [one])
+            if g not in irreducibles and not _has_monic_divisor(g, elems, k // 2):
+                irreducibles.append(g)
+        f = Polynomial(fld, [rng.choice(elems[1:])])
+        for g in irreducibles:
+            f = f * g
+        splits.clear()
+        unit, fs = factor_poly(f)
+        assert reassemble(fld, unit, fs) == f, (k, n)
+        assert sorted(map(repr, irreducibles)) == sorted(repr(g) for g, _ in fs), (k, n)
+        assert all(m == 1 and not _has_monic_divisor(g, elems, g.degree // 2) for g, m in fs), (k, n)
+        assert any(splits), (k, n)
 
 
 def test_factor_gf_extension(Qi):

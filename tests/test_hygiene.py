@@ -1,4 +1,6 @@
-"""Static checks over the package source: every imported name is used."""
+"""Static checks over the package source: every imported name is used, and a
+module that imports from a sibling at the top does not import from it again
+inside a function."""
 
 import ast
 import os
@@ -54,6 +56,21 @@ def _unused_imports(source: str) -> list[tuple[str, int]]:
     return sorted((name, line) for name, line in _imported_names(tree).items() if name not in used)
 
 
+def _lazy_repeats(source: str) -> list[tuple[str, int]]:
+    """Function-level `from .m import` lines in a module that imports from .m at the top."""
+    tree = ast.parse(source)
+    top = {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
+    return sorted(
+        {
+            (node.module, node.lineno)
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module in top
+        }
+    )
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_used(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
@@ -64,3 +81,20 @@ def test_unused_import_detection():
     assert _unused_imports("import os\nfrom a.b import c as d, e\nx = e\n") == [("d", 2), ("os", 1)]
     assert _unused_imports("from a import B, C\ndef f(x: 'B') -> None: pass\n__all__ = ['C']\n") == []
     assert _unused_imports("from __future__ import annotations\nimport os.path\nos.path.join\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_level_import_from_a_module_imported_at_the_top(module):
+    # a lazy import that breaks a real cycle (funfield -> factor) stays legal
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert _lazy_repeats(fh.read()) == [], module
+
+
+def test_lazy_repeat_detection():
+    src = (
+        "from .a import x\nfrom .b import y\n"
+        "def f():\n    from .a import z\n    from .c import w\n"
+        "    def g():\n        from .b import v\n"
+    )
+    assert _lazy_repeats(src) == [("a", 4), ("b", 7)]
+    assert _lazy_repeats("import os\ndef f():\n    from .factor import factor_poly\n") == []

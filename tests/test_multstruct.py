@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -51,6 +52,17 @@ def test_constant_pairs(Q, Qi, F5):
     v = RationalFunction.constant(Qi, z + 3)
     with pytest.raises(UnsupportedConstantPair):
         is_mult_independent(u, v)
+
+
+def test_rational_constant_pairs(Q):
+    # denominators enter the prime-exponent vectors with negative exponents
+    def c(x):
+        return RationalFunction.constant(Q, Fraction(x))
+
+    assert not is_mult_independent(c(4), c("1/2"))  # 4 * (1/2)^2 = 1
+    assert not is_mult_independent(c("9/4"), c("2/3"))  # 9/4 * (2/3)^2 = 1
+    assert is_mult_independent(c("2/3"), c(3))
+    assert is_mult_independent(c("1/2"), c("1/3"))
 
 
 def test_discovered_relation_reevaluates(Q):

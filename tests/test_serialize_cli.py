@@ -360,6 +360,16 @@ def test_overflowing_instance_values_are_invalid_input(tmp_path):
             ('"cyclotomic_order": "1"', '"cyclotomic_order": "4"'), ('"num": [["1"]]', '"num": ["12"]'),
         ],
         "epsilon-value-string": [('["1", "0"]', '{"order": "1", "value": "1"}')],
+        # r, lambdas, epsilons and S are JSON arrays: a string or an object is not
+        # read as its characters or keys ("1234" would solve r = 1, 2, 3, 4)
+        "r-string": [('"r": ["4", "3", "2", "1"]', '"r": "1234"')],
+        "r-object": [('"r": ["4", "3", "2", "1"]', '"r": {"4": "a", "3": "b", "2": "c", "1": "d"}')],
+        "lambdas-object": [('"lambdas": [', '"lambdas": {"x": ['), ('}],\n  "epsilons"', '}]},\n  "epsilons"')],
+        "epsilons-string": [('"epsilons": [["1", "0"], ["1", "0"], ["2", "1"], ["2", "1"]]', '"epsilons": "1122"')],
+        "S-object": [('"S": [{"type": "finite", "poly": [[], ["1"]]}, {"type": "infinity"}]', '"S": {"type": "infinity"}')],
+        # the 2^61 cap is checked before primality, which is undecided that far up
+        "characteristic-31-digits": [(charp[0], '"characteristic": "1000000000000000000000000000057"')],
+        "characteristic-prime-above-cap": [(charp[0], f'"characteristic": "{2**61 + 15}"')],
     }
     for name, edits in mutations.items():
         path = tmp_path / f"overflow-{name}.json"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from skolemff import (
@@ -17,6 +19,7 @@ from skolemff.errors import (
     NotSInteger,
     NotSUnit,
 )
+from skolemff import verify_suites
 from skolemff.verify_suites import run_suite
 
 
@@ -110,3 +113,18 @@ def test_suite_determinism():
     a = run_suite("smt", 99, 25)
     b = run_suite("smt", 99, 25)
     assert (a.checked, a.violations) == (b.checked, b.violations)
+
+
+def test_run_suite_keeps_the_first_failing_instance(monkeypatch):
+    # the harness builds the reproducer before it draws the next instance
+    seen = []
+    real = verify_suites.verify_cz_gcd
+
+    def fails_from_the_second(a, b, S):
+        seen.append({"a": repr(a), "b": repr(b), "S": repr(S)})
+        return dataclasses.replace(real(a, b, S), holds=len(seen) < 2)
+
+    monkeypatch.setattr(verify_suites, "verify_cz_gcd", fails_from_the_second)
+    res = run_suite("czgcd", 3, 5)
+    assert (res.checked, res.violations, res.skipped_dependent) == (5, 4, 0)
+    assert res.reproducer == seen[1] != seen[-1]
