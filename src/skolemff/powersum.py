@@ -8,9 +8,13 @@ Everything reduces through companion polynomials.  For a residue class c mod e
     mu_{c,j}   = sum of lambda_i eps_i^c over the i with r_i = j + r_min,
 
 which is torsion free: a root beta of P'_c is a power g^m exactly when the
-class contains a global zero.  Global zeros are decided exactly: root heights
-bound the scan window via the height of P'_c, one point of F per class
-prefilters it, and P'_c(g^m) = 0 in K proves each zero.
+class contains a global zero.  Global zeros are decided from valuations: for
+n = c mod e, B(n) = sum_j mu_{c,j} f^{(j+r_min) n} vanishes only if, at every
+place, the least valuation among its terms is attained twice.  At a place of S
+where f has a zero or a pole that leaves at most (terms - 1) exponents per
+class, the breakpoints of a Newton polygon; the other places of S and the
+leading coefficients at infinity prune them, and P'_c(g^m) = 0 in K proves
+each zero that remains (`decide_global_zero`).
 
 Each mu_{c,j} is an S-integer and f is an S-unit, so h(P'_c) is read off
 valuations at S without expanding a power of f:
@@ -37,7 +41,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, combinations
 from math import lcm
 
 from .constants import ConstantValue, RootOfUnity
@@ -70,7 +74,7 @@ from .funfield import (
     strip_places,
     valuation,
 )
-from .intutil import base_digits, cyclotomic_poly, divisors, euler_phi, is_prime
+from .intutil import cyclotomic_poly, divisors, euler_phi, is_prime
 from .kroots import find_roots_in_K
 from .multstruct import DependenceWitness, dependence_exponents
 from .vd_theorems import InequalityReport
@@ -191,43 +195,49 @@ class PowerSumInstance:
     @cached_property
     def class_heights(self) -> tuple[int | None, ...]:
         """h(P'_c) for every class c (None where P'_c = 0), computed once."""
-        v_f = [(v, valuation(self.f, v)) for v in self.places]
-        return tuple(_class_height(self, c, v_f) for c in range(self.e))
+        return tuple(_class_height(self, c) for c in range(self.e))
 
     @cached_property
-    def _lambda_height_data(self) -> tuple:
-        """_height_data of each lambda_i, shared by the lone terms lambda_i eps_i^c of every class."""
-        return tuple(_height_data(lam, self.places) for lam in self.lambdas)
+    def f_valuations(self) -> tuple[int, ...]:
+        """v(f) at each place of S, in S's order."""
+        return tuple(valuation(self.f, v) for v in self.places)
+
+    @cached_property
+    def class_valuations(self) -> tuple[tuple[tuple[int, list[int], int, Polynomial], ...], ...]:
+        """Per class c, (j, vals, v_inf, num) for each nonzero mu_{c,j}, in the order of `mus`.
+
+        vals are the valuations of mu_{c,j} at S (in S's order), v_inf the one
+        at infinity and num its numerator.  A lone term lambda_i eps_i^c has the
+        valuations of lambda_i and its numerator up to a constant factor, so it
+        reuses lambda_i's, computed once for every class.
+        """
+        def data(x):
+            return [valuation(x, v) for v in self.places], valuation(x, INFINITY), x.num
+
+        lam = [data(x) for x in self.lambdas]
+        return tuple(
+            tuple((j, *(data(mu) if lone is None else lam[lone[0]])) for j, mu, lone in terms) for terms in self._mu_terms
+        )
 
 
-def _height_data(x: RationalFunction, S: PlaceSet) -> tuple[list[int], int, Polynomial]:
-    """What h(P'_c) reads of a coefficient x: its valuations at S (in S's order) and at infinity, its numerator."""
-    return [valuation(x, v) for v in S], valuation(x, INFINITY), x.num
+def _class_height(inst: PowerSumInstance, c: int) -> int | None:
+    """h(P'_c) by the module docstring's formula; None for P'_c = 0.
 
-
-def _class_height(inst: PowerSumInstance, c: int, v_f) -> int | None:
-    """h(P'_c) by the module docstring's formula, given v_f = [(v, v(f)) for v in S]; None for P'_c = 0.
-
-    A lone term mu_{c,j} = lambda_i eps_i^c has the valuations of lambda_i and
-    its numerator up to a constant, which leaves the monic gcd unchanged, so
-    it reads `_lambda_height_data` instead of its own.
+    A lone term's numerator is lambda_i's up to a constant factor, which leaves
+    the monic gcd unchanged.
     """
-    S, rmin = inst.places, inst.r_min
-    data = [
-        (j, _height_data(mu, S) if lone is None else inst._lambda_height_data[lone[0]])
-        for j, mu, lone in inst._mu_terms[c]
-    ]
+    S, rmin, data = inst.places, inst.r_min, inst.class_valuations[c]
     if not data:
         return None
     h = 0
-    for k, (v, vf) in enumerate(v_f):
-        h += v.degree * max(-vals[k] - (j + rmin) * c * vf for j, (vals, _, _) in data)
+    for k, (v, vf) in enumerate(zip(S, inst.f_valuations)):
+        h += v.degree * max(-vals[k] - (j + rmin) * c * vf for j, vals, _, _ in data)
     gcd = Polynomial.zero(inst.field)
-    for _, (_, _, num) in data:
+    for *_, num in data:
         gcd = poly_gcd(gcd, num)
     h -= strip_places(gcd, S).degree
     if not S.has_infinity:
-        h -= min(v_inf for _, (_, v_inf, _) in data)
+        h -= min(v_inf for _, _, v_inf, _ in data)
     return h
 
 
@@ -444,79 +454,63 @@ def find_local_witness(inst: PowerSumInstance, a: int, k_bound: int) -> int | No
 # ---------------------------------------------------------------------------
 
 
-def _points(fld):
-    """F in a fixed order: 0, 1, -1, 2, -2, ... in characteristic 0, else every element."""
-    if fld.char == 0:
-        return (ConstantValue(fld, fld.from_int((k + 1) // 2 * (1 if k % 2 else -1))) for k in count())
-    return (ConstantValue(fld, tuple(base_digits(i, fld.p, fld.d))) for i in range(fld.p**fld.d))
+def _leading_sum_at_infinity(inst: PowerSumInstance, c: int, n: int) -> ConstantValue:
+    """Sum of the leading coefficients at infinity of the terms of B(n) of least v_inf, n = c mod e.
 
-
-def _separating_points(inst: PowerSumInstance) -> list[tuple[ConstantValue, ConstantValue, Polynomial] | None]:
-    """Per class c, (x, g(x), P_x) at the first x in F that separates the powers of g, or None.
-
-    P_x is P'_c with each coefficient evaluated at x, mu_{c,j}(x) f(x)^{(j+r_min)c},
-    read from the class's mu_{c,j} (`PowerSumInstance.mus`).  At x, f and every
-    mu_{c,j} of the class are finite, f(x) != 0, P_x != 0 and, in
-    characteristic 0, f(x) (so g(x) = f(x)^e) is no root of unity; only
-    finitely many x fail then.  A class with P'_c = 0 gets None.
+    With lc(x) = lc(num x) / lc(den x), the term mu_{c,j} f^r, r = (j+r_min) n, has
+    leading coefficient lc(mu_{c,j}) lc(f)^r and v_inf(mu_{c,j}) + r v_inf(f).
     """
-    fld, rmin = inst.field, inst.r_min
-    out = [None] * inst.e
-    todo = [c for c in range(inst.e) if inst.mus[c]]
-    zero = ConstantValue(fld, fld.zero_raw)
-    for x in _points(fld):
-        if not todo:
-            break
-        try:
-            fx = inst.f.evaluate(x)
-        except ZeroDivisionError:
-            continue
-        if fx.is_zero or (fld.char == 0 and fx.is_torsion()):
-            continue
-        for c in list(todo):
-            try:
-                mx = {j: mu.evaluate(x) * fx ** ((j + rmin) * c) for j, mu in inst.mus[c]}
-            except ZeroDivisionError:
-                continue
-            Px = Polynomial(fld, [mx.get(j, zero) for j in range(inst.N + 1)])
-            if not Px.is_zero:
-                out[c] = (x, fx**inst.e, Px)
-                todo.remove(c)
-    return out
+    f, vf = inst.f, valuation(inst.f, INFINITY)
+    terms = [((j + inst.r_min) * n, mu, v) for (j, mu), (_, _, v, _) in zip(inst.mus[c], inst.class_valuations[c])]
+    least = min(v + r * vf for r, _, v in terms)
+    lc = [mu.num.lc() / mu.den.lc() * (f.num.lc() / f.den.lc()) ** r for r, mu, v in terms if v + r * vf == least]
+    return sum(lc[1:], lc[0])
 
 
 def decide_global_zero(inst: PowerSumInstance) -> int | None:
     """Smallest-|n| integer with B(n) identically 0 (ties positive), or None.
 
-    Per residue class the window |m| <= h(P'_c) / h(g), with h(g) = e h(f),
-    is provably complete: a root beta = g^m has |m| h(g) = h(beta) <= h(P'_c).
-    P'_c = sum_j mu_{c,j} f^{(j+r_min)c} X^j with S-integers mu_{c,j} and the
-    S-unit f, so h(P'_c) is read off valuations at S (`class_heights`, by the
-    formula the module docstring proves) and no power of f is expanded for
-    the window.
+    For n = c mod e, B(n) is the sum of the terms x_j = mu_{c,j} f^{(j+r_min) n}
+    over the nonzero mu_{c,j}, and v(x_j) = L_j(n) := v(mu_{c,j}) + (j+r_min) n v(f)
+    at every place v.  If B(n) = 0, then
 
-    Only an m with P_x(g(x)^m) = 0 at the class's separating point x gets the
-    exact test P'_c(g^m) = 0 in K, and only then is P'_c expanded.  In
-    characteristic 0 the g(x)^m are distinct, so at most deg P'_c exponents
-    per class pass; without such a point (a finite F only) all do.
+    * at every place the least L_j(n) is attained at least twice, since a
+      single term x_k of least valuation would give v(B(n)) = v(x_k) < inf;
+    * the terms of least v_inf = w have leading coefficients at infinity that
+      sum to 0, since the sum is the coefficient of t^-w in B(n).  This holds
+      whether or not infinity is in S (`_leading_sum_at_infinity`).
+
+    f is a nonconstant S-unit, so v0(f) != 0 at some place v0 of S.  There the
+    L_j are lines in n with the distinct slopes (j+r_min) v0(f), and a least
+    value attained twice is a breakpoint of their lower envelope.  That leaves
+    at most (terms - 1) values n = (v0(mu_{c,k}) - v0(mu_{c,j})) / ((j-k) v0(f))
+    per class, each with |n| <= |v0(mu_{c,k}) - v0(mu_{c,j})|.  A class with one
+    nonzero term has no zero; a class with none (P'_c = 0) vanishes on all of
+    it, and c and c - e stand for it.
+
+    An integer intersection n = c mod e at v0 that passes the first test at
+    every place of S (v0 included, which keeps only breakpoints) and the
+    second test gets the exact test P'_c(g^m) = 0 in K, m = (n - c) / e.  It
+    proves the zero, as B(n) = g^{r_min m} P'_c(g^m), and only it expands P'_c.
     """
-    candidates: list[int] = []
-    e, hg = inst.e, inst.e * height(inst.f)
-    points = _separating_points(inst)
-    for c, (hp, point) in enumerate(zip(inst.class_heights, points)):
-        if hp is None:
-            candidates.extend((c, c - e))
-            continue
-        W = hp // hg
-        for m in range(-W, W + 1):
-            if point is not None and not point[2].evaluate(point[1] ** m).is_zero:
-                continue
-            P, g = inst.classes[c]
-            if P.evaluate(g**m).is_zero:
-                candidates.append(c + e * m)
-    if not candidates:
-        return None
-    return min(candidates, key=lambda n: (abs(n), 1 if n < 0 else 0))
+    e, rmin, vf = inst.e, inst.r_min, inst.f_valuations
+    k0 = next(k for k, x in enumerate(vf) if x)
+    zeros: list[int] = []
+    for c, terms in enumerate(inst.class_valuations):
+        if not terms:
+            zeros.extend((c, c - e))
+        breaks = set()
+        for (j, a, _, _), (k, b, _, _) in combinations(terms, 2):
+            n, rem = divmod(b[k0] - a[k0], (j - k) * vf[k0])
+            if not rem and n % e == c:
+                breaks.add(n)
+        for n in breaks:
+            rows = ([vals[i] + (j + rmin) * n * x for j, vals, _, _ in terms] for i, x in enumerate(vf))
+            if all(row.count(min(row)) > 1 for row in rows) and _leading_sum_at_infinity(inst, c, n).is_zero:
+                P, g = inst.classes[c]
+                if P.evaluate(g ** ((n - c) // e)).is_zero:
+                    zeros.append(n)
+    return min(zeros, key=lambda n: (abs(n), 1 if n < 0 else 0), default=None)
 
 
 # ---------------------------------------------------------------------------

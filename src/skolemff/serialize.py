@@ -86,7 +86,10 @@ def fieldspec_from_json(obj) -> FieldSpec:
         spec = FieldSpec(0, _int(obj.get("cyclotomic_order", "1")), 1)
     else:
         spec = FieldSpec(ch, 1, _int(obj.get("extension_degree", "1")))
-    degree, cap = euler_phi(spec.cyclotomic_order) * spec.extension_degree, max_degree_cap()
+    M, cap = spec.cyclotomic_order, max_degree_cap()
+    if M > 2 * cap**2:  # phi(M) >= sqrt(M/2) > cap, known without factoring M
+        raise FactorizationTooHard(f"field degree phi({M}) >= sqrt({M}/2) exceeds SKOLEMFF_MAX_DEGREE={cap}")
+    degree = euler_phi(M) * spec.extension_degree
     if degree > cap:
         raise FactorizationTooHard(f"field degree {degree} exceeds SKOLEMFF_MAX_DEGREE={cap}")
     return spec

@@ -26,7 +26,6 @@ from .funfield import (
     Polynomial,
     RationalFunction,
     height,
-    is_s_unit,
     poly_height,
     poly_valuation,
 )
@@ -158,8 +157,8 @@ def _run_sunit(rng: random.Random, count: int, res: SuiteResult) -> _Checks:
             a = rng.choice([1, 2] if fld.M == 1 else [1, 2, 4])
         else:
             a = rng.choice([d for d in (1, 2) if (fld.p**fld.d - 1) % d == 0])
-        units = sum(1 for r in roots_of_unity(a, spec) if is_s_unit(f - r.value, S))
-        yield holds and units <= S.weighted_size, lambda: {"f": repr(f), "S": repr(S), "a": a}
+        roots = [r.value for r in roots_of_unity(a, spec)]
+        yield holds and verify_sunit_count(f, S, roots).holds, lambda: {"f": repr(f), "S": repr(S), "a": a}
 
 
 def _unit(rng: random.Random, fld, monos) -> RationalFunction:

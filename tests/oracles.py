@@ -8,10 +8,20 @@ symbolic evaluation in characteristic p where the point count may fall short.
 
 from fractions import Fraction
 
-from skolemff import INFINITY, ConstantValue, Place, Polynomial, RationalFunction, cyclotomic_poly, height, valuation
+from skolemff import (
+    INFINITY,
+    ConstantValue,
+    Place,
+    Polynomial,
+    RationalFunction,
+    cyclotomic_poly,
+    height,
+    poly_height,
+    valuation,
+)
 from skolemff.constants import _defining_poly
 from skolemff.factor import factor_poly
-from skolemff.powersum import eval_B
+from skolemff.powersum import class_reduction, eval_B
 
 
 def is_identically_zero(inst, n: int) -> bool:
@@ -182,6 +192,24 @@ def brute_zero_scan(inst, bound: int):
         if is_identically_zero(inst, n):
             return n
     return None
+
+
+def window_zero_scan(inst):
+    """Smallest-|n| zero of B (ties toward positive), or None, by the height window.
+
+    A root g^m of P'_c has |m| h(g) = h(g^m) <= h(P'_c), so every |m| <= h(P'_c)/h(g)
+    of each class gets the exact test P'_c(g^m) = 0; a class with P'_c = 0
+    vanishes on all of it and offers c and c - e.
+    """
+    zeros = []
+    for c in range(inst.e):
+        P, g = class_reduction(inst, c)
+        if P.is_zero:
+            zeros += [c, c - inst.e]
+            continue
+        W = poly_height(P) // height(g)
+        zeros += [c + inst.e * m for m in range(-W, W + 1) if P.evaluate(g**m).is_zero]
+    return min(zeros, key=lambda n: (abs(n), 1 if n < 0 else 0), default=None)
 
 
 def brute_admissible_a(e: int, N: int, gamma: Fraction) -> int:

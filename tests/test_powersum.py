@@ -48,7 +48,7 @@ from skolemff.powersum import LocalChecker, class_reduction
 from conftest import example1_instance, neg_ru, one_ru
 
 
-from oracles import brute_zero_scan, horner_phi
+from oracles import brute_zero_scan, horner_phi, window_zero_scan
 
 
 # -- instances and eval ---------------------------------------------------------
@@ -325,18 +325,19 @@ def test_decide_agrees_with_brute_oracle():
             agreements += 1
 
 
-def test_window_prefilter_sends_at_most_deg_exponents_to_the_exact_test(monkeypatch):
-    # in characteristic 0 the separating point's powers g(x)^m are distinct
+def test_newton_polygon_sends_at_most_terms_minus_one_exponents_to_the_exact_test(monkeypatch):
+    # only breakpoints of the lower envelope of one line per nonzero term, at one
+    # place of S, reach the exact test
     exact = Counter()
     orig = KPolynomial.evaluate
     monkeypatch.setattr(KPolynomial, "evaluate", lambda P, x: exact.update([id(P)]) or orig(P, x))
-    for profile in ("small", "dep-heavy"):
+    for profile in ("small", "dep-heavy", "charp"):
         for seed in range(20):
             inst, _ = generate_instance(seed, profile)
             exact.clear()
             zero = decide_global_zero(inst)
-            for P, _ in inst.classes:
-                assert exact[id(P)] <= P.degree, (profile, seed)
+            for (P, _), terms in zip(inst.classes, inst.mus):
+                assert exact[id(P)] <= max(len(terms) - 1, 0), (profile, seed)
             if profile == "dep-heavy":
                 assert zero is None and not exact, seed
 
@@ -355,42 +356,60 @@ def test_decide_expands_P_only_when_an_exponent_passes_the_prefilter(monkeypatch
     assert sorted(calls) == list(range(inst.e))
 
 
-def test_separating_point_evaluates_P_coefficientwise(Q):
+def _repeated_exponent_instance(Q):
     # generated profiles have distinct exponents; the repeated exponent 1 has
     # mu_{1,1} = 1 - 1 = 0, so mus[1] loses its j = 1 term
     t, one = RationalFunction.t(Q), RationalFunction.one(Q)
     S = PlaceSet([Place(Polynomial.t(Q)), INFINITY])
-    repeated = PowerSumInstance((one, one, t), (one_ru(Q), neg_ru(Q), one_ru(Q)), (1, 1, 0), t, S)
+    return PowerSumInstance((one, one, t), (one_ru(Q), neg_ru(Q), one_ru(Q)), (1, 1, 0), t, S)
+
+
+def test_repeated_exponent_drops_the_cancelled_term(Q):
+    repeated = _repeated_exponent_instance(Q)
     assert [j for j, _ in repeated.mus[0]] == [0, 1] and [j for j, _ in repeated.mus[1]] == [0]
-    insts = [generate_instance(seed, profile)[0] for profile in ("small", "charp") for seed in range(10)]
-    checked = 0
-    for inst in insts + [repeated]:
-        for c, point in enumerate(powersum._separating_points(inst)):
-            if point is None:
-                continue
-            P, g = class_reduction(inst, c)
-            x, gx, Px = point
-            assert gx == g.evaluate(x)
-            assert Px == Polynomial(inst.field, [co.evaluate(x) for co in P.coeffs]), (inst, c)
-            checked += 1
-    assert checked > 20 and all(powersum._separating_points(repeated))
+    assert [len(terms) for terms in repeated.class_valuations] == [2, 1]
 
 
-def test_decide_without_a_separating_point(F3):
-    # over F_3, g = t vanishes at 0 and lambda has poles at 1 and 2: no point of
-    # F_3 qualifies, so every exponent of the window gets the exact test
+def _f3_instances(F3):
+    """(instance, planted zero) over F_3: g = t vanishes at 0 and lambda has poles at 1 and 2."""
     tp = Polynomial.t(F3)
     one = Polynomial.one(F3)
     poles = [tp - Polynomial(F3, (i,)) for i in (1, 2)]
     den = poles[0] * poles[1]
     S = PlaceSet([Place(tp), INFINITY] + [Place(q) for q in poles])
     lam = RationalFunction(one, den)
-    for other, planted in ((tp * tp, 2), (tp * tp * Polynomial(F3, (2,)), None)):
-        inst = PowerSumInstance((lam, -RationalFunction(other, den)), (one_ru(F3),) * 2, (1, 0), RationalFunction.t(F3), S)
+    return [
+        (PowerSumInstance((lam, -RationalFunction(other, den)), (one_ru(F3),) * 2, (1, 0), RationalFunction.t(F3), S), planted)
+        for other, planted in ((tp * tp, 2), (tp * tp * Polynomial(F3, (2,)), None))
+    ]
+
+
+def test_decide_over_F3_with_a_pole_or_zero_at_every_point(F3):
+    for inst, planted in _f3_instances(F3):
         (P, g), = inst.classes
-        assert powersum._separating_points(inst) == [None]
         assert poly_height(P) // height(g) <= 20
         assert decide_global_zero(inst) == brute_zero_scan(inst, 20) == planted
+
+
+def test_decide_matches_window_and_brute_oracles(Q, F3):
+    # the Newton-polygon decision against the unfiltered height window and the
+    # point-evaluation scan, on seeded profiles, the height-formula cases,
+    # planted zeros and classes with P'_c = 0
+    insts = [generate_instance(seed, profile)[0] for profile in ("small", "dep-heavy", "charp") for seed in range(30)]
+    insts += _height_cases() + [inst for inst, _ in _f3_instances(F3)] + [_repeated_exponent_instance(Q)]
+    checked, zeros, zero_classes = 0, 0, 0
+    for inst in insts:
+        windows = [0 if P.is_zero else poly_height(P) // height(g) for P, g in inst.classes]
+        if max(windows) > 60:
+            continue
+        got = decide_global_zero(inst)
+        assert got == window_zero_scan(inst), inst
+        bound = min(inst.e * (max(windows) + 1), 12)
+        assert (None if got is None or abs(got) > bound else got) == brute_zero_scan(inst, bound), inst
+        checked += 1
+        zeros += got is not None
+        zero_classes += any(P.is_zero for P, _ in inst.classes)
+    assert checked > 80 and zeros > 10 and zero_classes >= 5, (checked, zeros, zero_classes)
 
 
 def test_decide_found_zero_passes_local_checks(Q, ex2):
@@ -771,7 +790,7 @@ def test_certify_reduces_each_class_once(Qi, monkeypatch):
 def test_certify_computes_each_class_height_and_g_once(Qi, monkeypatch):
     calls = []
     orig = powersum._class_height
-    monkeypatch.setattr(powersum, "_class_height", lambda inst, c, v_f: calls.append(c) or orig(inst, c, v_f))
+    monkeypatch.setattr(powersum, "_class_height", lambda inst, c: calls.append(c) or orig(inst, c))
     inst = example1_instance(Qi)
     rep = certify_local_global(inst)
     assert rep.verdict == "LocalObstruction" and rep.lemma_checks

@@ -5,10 +5,13 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import skolemff
 from skolemff import INFINITY, Place, PlaceSet, Polynomial, PowerSumInstance, RationalFunction
 from skolemff.cli import _build_parser, main
 from skolemff.errors import InvalidInstance
@@ -397,16 +400,26 @@ def test_overflowing_instance_values_are_invalid_input(tmp_path):
 
 def test_oversized_fields_hit_the_degree_cap_at_load(tmp_path):
     # phi(100000) = 40000 and F_{3^200} are far above SKOLEMFF_MAX_DEGREE: the
-    # load answers exit 3 naming the degree, before any field table is built
+    # load answers exit 3 naming the degree, before any field table is built.
+    # An order M above 2 cap^2 is named by the bound phi(M) >= sqrt(M/2), so
+    # a prime order beyond the deterministic primality range is never factored
     example = _readme_example()
+    prime = "1000000000000000000000000000057"
     docs = {
-        "cyclotomic.json": (_mutate(example, ('"cyclotomic_order": "1"', '"cyclotomic_order": "100000"')), 40000),
+        "cyclotomic.json": (
+            _mutate(example, ('"cyclotomic_order": "1"', '"cyclotomic_order": "100000"')),
+            r"phi\(100000\) >= sqrt\(100000/2\)",
+        ),
+        "prime-cyclotomic.json": (
+            _mutate(example, ('"cyclotomic_order": "1"', f'"cyclotomic_order": "{prime}"')),
+            rf"phi\({prime}\) >= sqrt\({prime}/2\)",
+        ),
         "extension.json": (
             _mutate(
                 example,
                 ('"characteristic": "0", "cyclotomic_order": "1"', '"characteristic": "3", "extension_degree": "200"'),
             ),
-            200,
+            "200",
         ),
     }
     batch = tmp_path / "batch"
@@ -425,7 +438,24 @@ def test_oversized_fields_hit_the_degree_cap_at_load(tmp_path):
         ("cyclotomic.json", "3"),
         ("example-1.json", "0"),
         ("extension.json", "3"),
+        ("prime-cyclotomic.json", "3"),
     ]
+
+
+def test_solve_answers_a_wide_exponent_gap_quickly(tmp_path):
+    # small seed 0 with r = (0, 10^8, 1): P'_c has degree 10^8, yet the Newton
+    # polygon at S leaves no exponent to test, so nothing of that degree is built
+    doc = instance_to_json(*generate_instance(0, "small"))
+    doc["r"] = ["0", "100000000", "1"]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skolemff.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "skolemff.cli", "solve", str(path)], capture_output=True, text=True, timeout=10, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == {"global_zero": None}
 
 
 def test_readme_library_sketch_runs():
