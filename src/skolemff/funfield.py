@@ -25,6 +25,15 @@ reconstruction into a candidate h.  If h is monic of degree D and divides a and
 b exactly, then h | g and deg h = D >= deg g, so h = g.  Only finitely many P
 are unlucky (an image of degree above deg g), so D reaches deg g, the
 accumulated modulus outgrows g's coefficients, and the loop ends.
+
+Before any image is taken, powers of t split off.  t is prime in F[t] and
+v_t(a) is the number of zero bottom rows of a, so for a = t^i a' and
+b = t^j b' with t not dividing a' or b',
+    gcd(a, b) = t^min(i, j) gcd(a', b'),
+and the cofactors are row shifts of those of a' and b'.  When a' or b' is
+constant, gcd(a', b') = 1 and no prime is touched; monomial arguments (a
+power of t times a constant) are common in K normalisation.  Characteristic
+p keeps Euclid, whose steps are cheap there.
 """
 
 from __future__ import annotations
@@ -456,7 +465,35 @@ def _rational(u: int, m: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
+def _t_order(rows: tuple) -> int:
+    """v_t of a nonzero polynomial: the number of its zero bottom rows."""
+    i = 0
+    while not any(rows[i]):
+        i += 1
+    return i
+
+
+def _shifted(p: Polynomial, k: int) -> Polynomial:
+    """t^k * p; the shifted rows stay canonical."""
+    return _poly(p.field, (p.field.zero_raw,) * k + p.rows, p.den) if k else p
+
+
 def _modular_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(g, a / g, b / g) for the monic gcd g of a, b of positive degree over Q(zeta_M).
+
+    Powers of t split off first (module docstring); what is left, when both
+    parts keep a positive degree, goes to `_image_gcd`.
+    """
+    i, j = _t_order(a.rows), _t_order(b.rows)
+    if not (i or j):
+        return _image_gcd(a, b)
+    fld, k = a.field, min(i, j)
+    a, b = _poly(fld, a.rows[i:], a.den), _poly(fld, b.rows[j:], b.den)
+    g, a, b = (Polynomial.one(fld), a, b) if a.degree == 0 or b.degree == 0 else _image_gcd(a, b)
+    return _shifted(g, k), _shifted(a, i - k), _shifted(b, j - k)
+
+
+def _image_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """(g, a / g, b / g) for the monic gcd g of a, b of positive degree over Q(zeta_M), from images mod p.
 
     The images read the rows of a and b, which are a and b times a denominator in Z[zeta][t].

@@ -1,13 +1,26 @@
 """Complete root finding in K = F(t) for polynomials in K[X].
 
-Clearing denominators gives a primitive polynomial over the UFD F[t]; any root
-c*u/v in lowest terms must have u dividing the trailing and v the leading
-coefficient.  For each monic divisor pair the scalar c solves an exact system
-over F: substituting X = c*u/v and collecting by powers of t yields polynomials
-in c whose gcd is factored over F, so the search is complete for every
-supported field.  A nonzero remainder therefore has no roots in K at all; it
-is reported as such (splitting it would need a finite extension of K, which is
-out of scope here).
+Clearing denominators gives a primitive polynomial sum_j a_j X^j over the UFD
+F[t]; write a root in lowest terms as c*u/v with c in F* and u, v monic and
+coprime.  The candidates (u, v) come from the Newton polygons of the a_j, the
+non-archimedean argument of the paper: at every place w the terms a_j X^j of a
+vanishing sum cannot have a unique least valuation, so s = v_w(u/v) satisfies
+    min_j (v_w(a_j) + j s) is attained at least twice.
+At a finite place pi every v_pi(a_j) >= 0, which confines s to
+[-v_pi(a_d), v_pi(a_0)]; s = 0 passes at every pi dividing neither end
+coefficient, so u | a_0 and v | a_d: only the factors of a_0 * a_d are
+places to choose, each with the exponents s that pass, and u, v collect pi^s
+for s > 0 and pi^(-s) for s < 0, so they are coprime by construction.  At
+infinity, v_inf(a_j) = -deg a_j and s = deg v - deg u prunes the combinations
+by degree.  A dropped pair fails the test at some place, so it carries no
+root: the search keeps every root that trying all divisor pairs would find.
+
+For each surviving pair the scalar c solves an exact system over F:
+substituting X = c*u/v and collecting by powers of t yields polynomials in c
+whose gcd is factored over F, so the search is complete for every supported
+field.  A nonzero remainder therefore has no roots in K at all; it is reported
+as such (splitting it would need a finite extension of K, which is out of
+scope here).  More than _MAX_PAIRS candidate pairs give an incomplete search.
 """
 
 from __future__ import annotations
@@ -15,10 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FactorizationTooHard, ZeroInput
-from .factor import monic_divisors, roots_in_F
+from .factor import factor_poly, roots_in_F
 from .funfield import KPolynomial, Polynomial, RationalFunction, clear_denominators, poly_gcd
 
 __all__ = ["RootSearch", "find_roots_in_K"]
+
+_MAX_PAIRS = 4096  # candidate pairs (u, v) tried at most
 
 
 @dataclass(frozen=True)
@@ -46,19 +61,12 @@ def find_roots_in_K(P: KPolynomial) -> RootSearch:
         return RootSearch((), zero_mult, rem, True)
 
     polys = clear_denominators(coeffs)
-    a0, ad = polys[0], polys[-1]
     one = RationalFunction.one(fld)
     candidates: list[RationalFunction] = []
     try:
-        us = monic_divisors(a0)
-        vs = monic_divisors(ad)
-        for u in us:
-            for v in vs:
-                if u.degree > 0 and v.degree > 0 and poly_gcd(u, v).degree > 0:
-                    continue
-                cs = _scalar_solutions(polys, u, v)
-                for c in cs:
-                    candidates.append(RationalFunction(u * c, v))
+        for u, v in _newton_pairs(polys):
+            for c in _scalar_solutions(polys, u, v):
+                candidates.append(RationalFunction._reduced(u * c, v))
         complete = True
     except FactorizationTooHard:
         complete = False
@@ -70,6 +78,41 @@ def find_roots_in_K(P: KPolynomial) -> RootSearch:
             roots.append((beta, mult))
     roots.sort(key=lambda rm: (str(rm[0]),))
     return RootSearch(tuple(roots), zero_mult, rem, complete)
+
+
+def _attained_twice(vals: list[tuple[int, int]], s: int) -> bool:
+    """Whether min_j (v_j + j s) over the pairs (j, v_j) is attained at least twice."""
+    terms = sorted(v + j * s for j, v in vals)
+    return terms[0] == terms[1]
+
+
+def _newton_pairs(polys: list[Polynomial]) -> list[tuple[Polynomial, Polynomial]]:
+    """The coprime monic (u, v) whose v_w(u/v) passes the Newton test at every place w."""
+    d = len(polys) - 1
+    ends: dict[Polynomial, list[int]] = {}  # pi -> [v_pi(a_0), v_pi(a_d)]
+    for end, a in enumerate((polys[0], polys[d])):
+        for pi, m in factor_poly(a)[1]:
+            ends.setdefault(pi, [0, 0])[end] = m
+    one = Polynomial.one(polys[0].field)
+    pairs = [(one, one, 0)]  # (u, v, deg u - deg v), extended place by place
+    for pi, (v0, vd) in ends.items():
+        middle = [(j, a.divide_out(pi)[1]) for j, a in enumerate(polys[1:d], 1) if not a.is_zero]
+        vals = [(0, v0), *middle, (d, vd)]
+        exps = [s for s in range(-vd, v0 + 1) if _attained_twice(vals, s)]
+        if len(pairs) * len(exps) > _MAX_PAIRS:
+            raise FactorizationTooHard("too many candidate roots to try")
+        grown = []
+        for s in exps:
+            step, power = s * pi.degree, pi ** abs(s)
+            if s > 0:
+                grown += [(u * power, v, k + step) for u, v, k in pairs]
+            elif s < 0:
+                grown += [(u, v * power, k + step) for u, v, k in pairs]
+            else:
+                grown += pairs
+        pairs = grown
+    at_inf = [(j, -a.degree) for j, a in enumerate(polys) if not a.is_zero]
+    return [(u, v) for u, v, k in pairs if _attained_twice(at_inf, -k)]
 
 
 def _scalar_solutions(polys: list[Polynomial], u: Polynomial, v: Polynomial) -> list:

@@ -20,7 +20,10 @@ from skolemff import (
     valuation,
 )
 from skolemff.constants import _defining_poly
-from skolemff.factor import factor_poly
+from skolemff.errors import FactorizationTooHard
+from skolemff.factor import factor_poly, monic_divisors
+from skolemff.funfield import KPolynomial, clear_denominators, poly_gcd
+from skolemff.kroots import RootSearch, _scalar_solutions
 from skolemff.powersum import class_reduction, eval_B
 
 
@@ -57,6 +60,43 @@ def euclid_gcd(a, b):
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
+
+
+def divisor_pair_roots(P):
+    """`find_roots_in_K` by trying every coprime pair u | a_0, v | a_d of monic divisors.
+
+    No Newton polygon prunes the pairs; more than 4096 monic divisors of either
+    end coefficient give an incomplete search.
+    """
+    fld = P.field
+    zero_mult = 0
+    coeffs = list(P.coeffs)
+    while coeffs and coeffs[0].is_zero:
+        zero_mult += 1
+        coeffs.pop(0)
+    rem = KPolynomial(fld, coeffs).monic()
+    if rem.degree == 0:
+        return RootSearch((), zero_mult, rem, True)
+    polys = clear_denominators(coeffs)
+    candidates = []
+    try:
+        us, vs = monic_divisors(polys[0]), monic_divisors(polys[-1])
+        for u in us:
+            for v in vs:
+                if u.degree > 0 and v.degree > 0 and poly_gcd(u, v).degree > 0:
+                    continue
+                candidates += [RationalFunction(u * c, v) for c in _scalar_solutions(polys, u, v)]
+        complete = True
+    except FactorizationTooHard:
+        complete = False
+    one = RationalFunction.one(fld)
+    roots = []
+    for beta in candidates:
+        rem, mult = rem.divide_out(KPolynomial(fld, (-beta, one)))
+        if mult:
+            roots.append((beta, mult))
+    roots.sort(key=lambda rm: str(rm[0]))
+    return RootSearch(tuple(roots), zero_mult, rem, complete)
 
 
 def coeffwise_mul(a, b):

@@ -128,6 +128,40 @@ def test_poly_gcd_matches_euclid(monkeypatch):
         assert poly_gcd(a, b) == euclid_gcd(a, b) == t + one, M
 
 
+def test_t_powers_split_off_before_the_modular_gcd(monkeypatch):
+    """gcd(t^i a', t^j b') = t^min(i, j) gcd(a', b'): the gcd and both cofactors match Euclid.
+
+    With a' or b' constant (a monomial argument) no gcd prime is asked for.
+    """
+    asked = _limit_primes(monkeypatch, 8)
+    rng = random.Random(71)
+
+    def t_free(deg):
+        p = _rand_cyclo_poly(rng, fld, deg)
+        return p if not p.constant_coeff().is_zero else p + one
+
+    for M in (1, 4, 3, 8):
+        fld = field_for(FieldSpec(0, M))
+        t, one = Polynomial.t(fld), Polynomial.one(fld)
+        for i in range(4):
+            for j in range(4):
+                c = t_free(rng.randint(0, 2))
+                pairs = [
+                    (t_free(rng.randint(1, 3)) * c, t_free(rng.randint(1, 3)) * c, False),
+                    (t_free(0), t_free(rng.randint(1, 3)), True),
+                    (t_free(rng.randint(1, 3)), t_free(0), True),
+                    (t_free(0), t_free(0), True),
+                ]
+                for a1, b1, monomial in pairs:
+                    a, b = t**i * a1, t**j * b1
+                    asked.clear()
+                    g, qa, qb = funfield._gcd_cofactors(a, b)
+                    assert g == euclid_gcd(a, b) == poly_gcd(a, b), (M, a, b)
+                    assert (qa, Polynomial.zero(fld)) == coeffwise_divmod(a, g), (M, a, b)
+                    assert (qb, Polynomial.zero(fld)) == coeffwise_divmod(b, g), (M, a, b)
+                    assert not (monomial and asked), (M, a, b)
+
+
 def test_poly_gcd_matches_sympy():
     """The modular gcd agrees with sympy.gcd over QQ<zeta_M>, in the same power basis."""
     sympy = pytest.importorskip("sympy")

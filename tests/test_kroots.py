@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from skolemff import KPolynomial, RationalFunction
+from skolemff import FieldSpec, KPolynomial, RationalFunction, field_for, kroots
 from skolemff.errors import ZeroInput
-from skolemff.generate import rand_ratfunc
+from skolemff.generate import generate_instance, rand_const, rand_ratfunc
 from skolemff.kroots import find_roots_in_K
+from oracles import divisor_pair_roots
 
 
 def test_construct_then_recover(Q):
@@ -88,3 +89,83 @@ def test_constant_roots(Q):
 def test_zero_polynomial_raises(Q):
     with pytest.raises(ZeroInput):
         find_roots_in_K(KPolynomial(Q, ()))
+
+
+ORACLE_FIELDS = {
+    "Q": FieldSpec(0, 1),
+    "Q(i)": FieldSpec(0, 4),
+    "Q(zeta_3)": FieldSpec(0, 3),
+    "F_3": FieldSpec(3, 1, 1),
+    "F_9": FieldSpec(3, 1, 2),
+}
+
+
+def _planted(rng, fld):
+    """lead * prod (X - beta_i) * extra, roots supported at t, t - 1 and t^2 + 1.
+
+    Some roots repeat, some are constant; extra is 1, a rootless factor, or
+    X^n - gamma^n (zero middle coefficients), whose other roots need more
+    roots of unity than F may hold.
+    """
+    t = RationalFunction.t(fld)
+    one = RationalFunction.one(fld)
+    zero = RationalFunction.zero(fld)
+    support = (t, t - 1, t**2 + 1)
+
+    def rand_root():
+        beta = RationalFunction.constant(fld, rand_const(rng, fld, nonzero=True))
+        if rng.random() < 0.25:
+            return beta  # a constant root
+        for s in support:
+            beta = beta * s ** rng.randint(-1, 1)
+        return beta
+
+    roots = []
+    for _ in range(rng.randint(0, 2)):
+        roots += [rand_root()] * rng.choice((1, 1, 2))
+    P = KPolynomial.from_roots(fld, roots)
+    kind = rng.randrange(3)
+    if kind == 1:
+        rootless = support[rng.randrange(3)] * t
+        P = P * KPolynomial(fld, (-rootless, zero, one))  # X^2 - t * s(t)
+    elif kind == 2:
+        n = rng.randint(2, 3)
+        P = P * KPolynomial(fld, (-(rand_root() ** n), *[zero] * (n - 1), one))
+    if P.degree < 1:
+        P = P * KPolynomial(fld, (-rand_root(), one))
+    return P * rand_ratfunc(rng, fld, 1)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_newton_pairs_match_the_divisor_pair_oracle(name):
+    fld = field_for(ORACLE_FIELDS[name])
+    rng = random.Random(f"kroots-oracle-{name}")
+    for _ in range(14):
+        P = _planted(rng, fld)
+        assert find_roots_in_K(P) == divisor_pair_roots(P), P
+
+
+def test_every_pair_tried_yields_a_root(monkeypatch, Q):
+    # on dep-heavy seeds 0-19 the Newton polygons leave no candidate pair
+    # (u, v) without a scalar c; their roots are c t^k, which the polygon at t
+    # pins down.  In (X - (t - 1))(X - (t + 1)) both u = t - 1 and u = t + 1
+    # pass at the finite places, so u runs over 1, t - 1, t + 1 and t^2 - 1,
+    # and only the degree test at infinity rejects u = 1 and u = t^2 - 1.
+    real, yields = kroots._scalar_solutions, []
+
+    def counted(polys, u, v):
+        out = real(polys, u, v)
+        yields.append(len(out))
+        return out
+
+    monkeypatch.setattr(kroots, "_scalar_solutions", counted)
+    for seed in range(20):
+        inst, _ = generate_instance(seed, "dep-heavy")
+        for P, _ in inst.classes:
+            if not P.is_zero:
+                find_roots_in_K(P)
+    assert yields and min(yields) > 0, (len(yields), yields.count(0))
+    yields.clear()
+    t = RationalFunction.t(Q)
+    got = find_roots_in_K(KPolynomial.from_roots(Q, [t - 1, t + 1]))
+    assert len(got.roots) == 2 and yields == [1, 1], yields

@@ -458,6 +458,24 @@ def test_solve_answers_a_wide_exponent_gap_quickly(tmp_path):
     assert json.loads(proc.stdout)["result"] == {"global_zero": None}
 
 
+@pytest.mark.parametrize("seed", [16, 129])
+def test_certify_settles_the_slow_small_seeds_quickly(tmp_path, seed):
+    # every companion root search here ends with a rootless remainder; trying
+    # every divisor pair of its end coefficients took 1.6 s (seed 16) and 50 s
+    # (seed 129) in process; the Newton polygons leave at most one per class
+    path = tmp_path / f"small-{seed}.json"
+    inst, meta = generate_instance(seed, "small")
+    save_instance(inst, str(path), meta)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skolemff.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "skolemff.cli", "certify", "--k-bound", "100", str(path)],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["result"]["verdict"] == "InconclusiveWithinBounds"
+
+
 def test_readme_library_sketch_runs():
     # the README's python block runs as written, and every expression statement
     # gives the result written in its trailing comment
