@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 
 from .errors import FieldTooSmall, InvalidInstance
 from .intutil import base_digits, cyclotomic_poly, factorize, fp_gcd, fp_powmod, fp_sub, is_prime
@@ -283,14 +283,18 @@ class Field:
                             acc[u] += x * y
         return [self._fold(c) for c in conv]
 
-    def poly_divmod(self, A, da: int, B, db: int) -> tuple[tuple, int, tuple, int]:
-        """Canonical (Q, dq, R, dr) with A/da = (Q/dq)(B/db) + R/dr and len(R) < len(B), for len(A) >= len(B).
+    def _pseudo_divide(self, A, B) -> tuple[list, list, tuple, int]:
+        """The one division loop of the F[t] kernels: (tops, R, w, d) for rows A, B with len(A) >= len(B).
 
         The leading element of B is inverted once, as w / d; then A is
         pseudo-divided by the monic divisor B w / d, whose lower rows C stay
-        integral: each step multiplies the remainder by d and subtracts c t^k C
-        for its top row c.  The quotient of step s is c / (da d^s), so both
-        results lie over da d^k and get one content pass at the end.
+        integral: each of the k = len(A) - len(B) + 1 steps multiplies the
+        remainder by d and subtracts c t^k C for its top row c.  `tops` holds
+        those c in step order (ints when F has degree 1, rows otherwise); R
+        holds the remainder rows, A d^k mod B, not yet canonical.  In
+        characteristic p every entry of R is reduced mod p, so R is zero
+        exactly when all its entries are.  The denominators of A and B play
+        no part: the callers scale by them.
         """
         n, p, lb = self.degree, self.char, len(B)
         w, d = self.inv_raw(B[-1])
@@ -305,29 +309,74 @@ class Field:
                 tops.append(c)
                 if d != 1:
                     R = [x * d for x in R]
-                if c:
+                if c and p:  # inline, not `minus` below: a call per entry slows the F_p kernel by a fifth
+                    for j, cj in enumerate(C, len(R) - lb + 1):
+                        R[j] = (R[j] - c * cj) % p
+                elif c:
                     for j, cj in enumerate(C, len(R) - lb + 1):
                         R[j] -= c * cj
-                    if p:
-                        R = [x % p for x in R]
-            R = [(x,) for x in R]
+            return tops, [(x,) for x in R], w, d
+        minus = (lambda x, y: (x - y) % p) if p else sub
+        R = list(A)
+        for _ in range(k):
+            c = R.pop()
+            tops.append(c)
+            if d != 1:
+                R = [tuple(x * d for x in r) for r in R]
+            if any(c):
+                for j, cj in enumerate(C, len(R) - lb + 1):
+                    R[j] = tuple(map(minus, R[j], self.mul_raw(c, cj)))
+        return tops, R, w, d
+
+    def _quotient(self, tops: list, w: tuple, d: int, db: int, den: int) -> tuple[tuple, int]:
+        """The canonical quotient of a `_pseudo_divide` run of A / da by B / db, where den = da d^k.
+
+        Step s contributed tops[s] t^(k-1-s) / (da d^s) times db w / d, which
+        is tops[s] w db d^(k-1-s) over den.
+        """
+        if self.degree == 1:
             tops = [(c,) for c in tops]
-        else:
-            R = list(A)
-            for _ in range(k):
-                c = R.pop()
-                tops.append(c)
-                if d != 1:
-                    R = [tuple(x * d for x in r) for r in R]
-                if any(c):
-                    for j, cj in enumerate(C, len(R) - lb + 1):
-                        R[j] = tuple(x - y for x, y in zip(R[j], self.mul_raw(c, cj)))
-        # quotient: the sum over s of tops[s] t^(k-1-s) / (da d^s), times db w / d
         Q, dpow = [], db
         for c in reversed(tops):
             Q.append(tuple(x * dpow for x in self.mul_raw(c, w)))
             dpow *= d
-        return (*self.poly_normal(Q, da * d**k), *self.poly_normal(R, da * d**k))
+        return self.poly_normal(Q, den)
+
+    def poly_divmod(self, A, da: int, B, db: int) -> tuple[tuple, int, tuple, int]:
+        """Canonical (Q, dq, R, dr) with A/da = (Q/dq)(B/db) + R/dr and len(R) < len(B), for len(A) >= len(B).
+
+        One `_pseudo_divide` run; the quotient is assembled from its top rows.
+        Callers that read only the remainder use `poly_rem`.
+        """
+        tops, R, w, d = self._pseudo_divide(A, B)
+        den = da * d ** len(tops)
+        return (*self._quotient(tops, w, d, db, den), *self.poly_normal(R, den))
+
+    def poly_rem(self, A, da: int, B) -> tuple[tuple, int]:
+        """The canonical (R, dr) of A/da mod B, for len(A) >= len(B).
+
+        One `_pseudo_divide` run whose top rows are dropped: no quotient is
+        built.  The remainder does not depend on B's denominator, so none is taken.
+        """
+        tops, R, _, d = self._pseudo_divide(A, B)
+        return self.poly_normal(R, da * d ** len(tops))
+
+    def poly_divide_out(self, A, da: int, B, db: int) -> tuple[tuple, int, int]:
+        """(Q, dq, m) with A/da = (B/db)^m (Q/dq), Q/dq canonical and not divisible by B/db.
+
+        For a nonzero canonical A and len(B) >= 2.  Each trial division is one
+        `_pseudo_divide` run: the first with a nonzero remainder ends the loop
+        and builds no quotient, an exact one assembles its quotient from the
+        top rows.  For m = 0 (the usual case) A comes back as it was passed.
+        """
+        m = 0
+        while len(A) >= len(B):
+            tops, R, w, d = self._pseudo_divide(A, B)
+            if any(map(any, R)):
+                break
+            A, da = self._quotient(tops, w, d, db, da * d ** len(tops))
+            m += 1
+        return A, da, m
 
     def poly_eval(self, rows, den: int, v: tuple, e: int) -> tuple[tuple, int]:
         """The canonical (raw, den) of rows / den at the element v / e: homogeneous Horner on ints, one content pass."""

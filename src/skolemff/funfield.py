@@ -34,6 +34,10 @@ and the cofactors are row shifts of those of a' and b'.  When a' or b' is
 constant, gcd(a', b') = 1 and no prime is touched; monomial arguments (a
 power of t times a constant) are common in K normalisation.  Characteristic
 p keeps Euclid, whose steps are cheap there.
+
+The same reading serves the place t everywhere else: `divide_out` by t takes
+m = v_t from the zero bottom rows and the quotient as the rows above them,
+so valuations, S-stripping and S-unit tests at t run no division.
 """
 
 from __future__ import annotations
@@ -81,8 +85,8 @@ class _Dense:
     The generic loops here read the coefficients only through their ring
     operations and build results with type(self)(field, coeffs); `KPolynomial`
     (K[X]) runs on them, `Polynomial` (F[t]) replaces them with the `Field`
-    kernels and keeps the shared structure: `lc`, `exact_div`, `divide_out`
-    and `%`.  A subclass supplies its ring's zero.
+    kernels, `%` and `divide_out` included, and keeps only `exact_div`.  A
+    subclass supplies its ring's zero.
     """
 
     __slots__ = ("field",)
@@ -153,6 +157,8 @@ class _Dense:
         """(q, m) with self = p^m q and p not dividing q, for p of positive degree."""
         if self.is_zero:
             raise ZeroInput("dividing a power out of 0")
+        if p.degree < 1:
+            raise InvalidInstance("dividing out a polynomial of degree < 1")
         f, m = self, 0
         while True:
             q, r = f.divmod(p)
@@ -299,6 +305,32 @@ class Polynomial(_Dense):
             return _poly(fld, ()), self
         q, dq, r, dr = fld.poly_divmod(self.rows, self.den, other.rows, other.den)
         return _poly(fld, q, dq), _poly(fld, r, dr)
+
+    def __mod__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        if len(self.rows) < len(other.rows):
+            return self
+        return _poly(self.field, *self.field.poly_rem(self.rows, self.den, other.rows))
+
+    def divide_out(self, p):
+        """(q, m) with self = p^m q and p not dividing q, for p of positive degree.
+
+        At p = t, m = v_t is the number of zero bottom rows and q the rows
+        above them, over the same den: no division runs.  Elsewhere the trials
+        run in `Field.poly_divide_out`.
+        """
+        if not self.rows:
+            raise ZeroInput("dividing a power out of 0")
+        if len(p.rows) < 2:
+            raise InvalidInstance("dividing out a polynomial of degree < 1")
+        fld, rows = self.field, self.rows
+        if p.den == 1 and p.rows == (fld.zero_raw, fld.one_raw):
+            m = _t_order(rows)
+            rows, den = rows[m:], self.den
+        else:
+            rows, den, m = fld.poly_divide_out(rows, self.den, p.rows, p.den)
+        return (_poly(fld, rows, den) if m else self), m
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:

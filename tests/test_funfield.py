@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, inf
@@ -29,8 +30,9 @@ from skolemff import (
     valuation,
 )
 from skolemff import funfield
-from skolemff.errors import ConstantInput, NotSInteger, ZeroInput
-from skolemff.funfield import poly_gcd, radical, squarefree_decomposition
+from skolemff.constants import Field
+from skolemff.errors import ConstantInput, InvalidInstance, NotSInteger, ZeroInput
+from skolemff.funfield import poly_gcd, radical, squarefree_decomposition, strip_places
 from skolemff.generate import rand_const, rand_poly, rand_ratfunc
 from oracles import coeffwise_divmod, coeffwise_mul, euclid_gcd
 
@@ -521,18 +523,107 @@ def test_divide_out_matches_repeated_exact_div(Q, Qi, F3):
             if p.degree > 0:
                 cases.append((rand_poly(rng, fld, 3) * p**k, p, k))
         for a, p, k in cases:
-            oracle_q, oracle_m = a, 0
-            while True:
-                try:
-                    oracle_q = oracle_q.exact_div(p)
-                except ArithmeticError:
-                    break
-                oracle_m += 1
+            oracle_q, oracle_m = _divide_out_oracle(a, p)
             assert a.divide_out(p) == (oracle_q, oracle_m) and oracle_m >= k
         x = KPolynomial(fld, (RationalFunction.zero(fld), RationalFunction.one(fld)))
         for zero, p in ((KPolynomial(fld, ()), x), (Polynomial.zero(fld), t_of(fld))):
             with pytest.raises(ZeroInput):
                 zero.divide_out(p)
+
+
+def _divide_out_oracle(a, p):
+    """(q, m) with a = p^m q, p not dividing q, by repeated exact division."""
+    q, m = a, 0
+    while True:
+        try:
+            q = q.exact_div(p)
+        except ArithmeticError:
+            return q, m
+        m += 1
+
+
+def test_divide_out_by_a_constant_is_rejected(Q, F3):
+    # a unit divides everything, so the trial divisions never stopped
+    for fld in (Q, F3):
+        one_k = RationalFunction.one(fld)
+        for divisor in (Polynomial(fld, (2,)), Polynomial.one(fld), Polynomial.zero(fld)):
+            with pytest.raises(InvalidInstance):
+                t_of(fld).divide_out(divisor)
+        for divisor in (KPolynomial(fld, (one_k + one_k,)), KPolynomial(fld, ())):
+            with pytest.raises(InvalidInstance):
+                KPolynomial(fld, (one_k, one_k)).divide_out(divisor)
+
+
+def _frac_poly(rng, fld, deg):
+    """A polynomial of exact degree deg; in characteristic 0 its coefficients have denominators."""
+    def const():
+        if fld.char:
+            return rand_const(rng, fld)
+        return ConstantValue.from_rationals(fld, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(fld.degree)])
+
+    cs = [const() for _ in range(deg + 1)]
+    while cs[-1].is_zero:
+        cs[-1] = const()
+    return Polynomial(fld, cs)
+
+
+_KERNEL_SPECS = [FieldSpec(0, 1), FieldSpec(0, 4), FieldSpec(0, 3), FieldSpec(3, 1, 1), FieldSpec(3, 1, 2)]
+
+
+@pytest.mark.parametrize("spec", _KERNEL_SPECS, ids=["Q", "Qi", "Qzeta3", "F3", "F9"])
+def test_remainder_and_divide_out_kernels_match_the_oracles(spec):
+    # F_9 runs the characteristic-p branch of the kernel for rows of length 2
+    fld = field_for(spec)
+    rng = random.Random(53 + spec.cyclotomic_order + 7 * spec.characteristic + spec.extension_degree)
+    t, one = t_of(fld), Polynomial.one(fld)
+    # a degree-2 place: t^2 - 2 over Q, Q(i) and Q(zeta_3), t^2 - c for a generator c of F*
+    c = Polynomial(fld, (2,)) if fld.char == 0 else Polynomial(fld, (ConstantValue(fld, fld.torsion_generator_raw()),))
+    places = [t, t - one, t * t - c]
+    assert all(len(squarefree_decomposition(p)) == 1 for p in places)
+    cases = [(t, k) for k in range(41)] + [(p, k) for p in places[1:] for k in (0, 1, 2, rng.randint(3, 12))]
+    # a degree-5 divisor: each remainder entry takes several updates before it is read
+    cases += [(places[2] ** 2 * (t - one), k) for k in (1, 2, 3)]
+    dens_seen = m0_seen = 0
+    for p, k in cases:
+        g = _frac_poly(rng, fld, rng.randint(0, 4))
+        a = p**k * g
+        dens_seen += a.den != 1
+        q, m = _divide_out_oracle(a, p)
+        m0_seen += m == 0
+        assert a.divide_out(p) == (q, m) and m >= k
+        for b in (p, _frac_poly(rng, fld, rng.randint(1, 3)), a * t + one):
+            assert a % b == a.divmod(b)[1]
+        if p in places:
+            h = p ** rng.randint(0, 3) * _frac_poly(rng, fld, rng.randint(0, 3))
+            f = RationalFunction(a, h)
+            want = _divide_out_oracle(f.num, p)[1] - _divide_out_oracle(f.den, p)[1]
+            assert valuation(f, Place(p)) == want
+    assert m0_seen > 0
+    assert dens_seen > 0 or fld.char
+
+
+def test_t_place_and_remainders_skip_the_division_kernels(monkeypatch, Q, F3):
+    cases = []
+    for fld in (Q, F3):
+        t, one = t_of(fld), Polynomial.one(fld)
+        g = t**3 + t + Polynomial(fld, (2,))
+        cases.append((t, g, t**400 * g, RationalFunction(t**400 * g), (t - one) ** 3 * g, (t - one) * t**2))
+    calls = Counter()
+    for name in ("poly_divmod", "poly_rem", "poly_divide_out"):
+        def counted(self, *args, _kernel=getattr(Field, name), _name=name):
+            calls[_name] += 1
+            return _kernel(self, *args)
+
+        monkeypatch.setattr(Field, name, counted)
+    for t, g, f, f_k, a, b in cases:
+        calls.clear()
+        assert strip_places(f, PlaceSet([Place(t), INFINITY])) == g
+        assert valuation(f_k, Place(t)) == 400
+        assert not calls
+        # Euclid in characteristic p reads remainders only
+        if t.field.char:
+            assert poly_gcd(a, b) == t - Polynomial.one(t.field)
+            assert calls["poly_rem"] > 0 and calls["poly_divmod"] == 0
 
 
 def test_kpoly_divmod_over_constants_matches_polynomial_divmod(Q, Qi, F3):

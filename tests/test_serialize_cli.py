@@ -476,6 +476,23 @@ def test_certify_settles_the_slow_small_seeds_quickly(tmp_path, seed):
     assert json.loads(proc.stdout)["result"]["verdict"] == "InconclusiveWithinBounds"
 
 
+def test_certify_strips_high_powers_of_t_quickly(tmp_path):
+    # small seed 184 strips the place t from polynomials of t-order up to 1296;
+    # one long division per factor of t took 49 s in process, reading v_t off
+    # the zero bottom rows takes none
+    path = tmp_path / "small-184.json"
+    inst, meta = generate_instance(184, "small")
+    save_instance(inst, str(path), meta)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skolemff.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "skolemff.cli", "certify", "--k-bound", "100", str(path)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["verdict"] == "LocalObstruction"
+
+
 def test_readme_library_sketch_runs():
     # the README's python block runs as written, and every expression statement
     # gives the result written in its trailing comment
