@@ -424,13 +424,12 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    fld = a.field
-    if fld.char:
+    if a.degree == 0 or b.degree == 0:
+        return Polynomial.one(a.field)
+    if a.field.char:
         while not b.is_zero:
             a, b = b, a % b
         return a.monic()
-    if a.degree == 0 or b.degree == 0:
-        return Polynomial.one(fld)
     return _modular_gcd(a, b)[0]
 
 

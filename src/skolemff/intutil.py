@@ -19,7 +19,6 @@ __all__ = [
     "lcm",
     "is_prime",
     "is_probable_prime",
-    "next_prime",
     "factorize",
     "euler_phi",
     "divisors",
@@ -97,18 +96,6 @@ def is_probable_prime(n: int) -> bool:
         x = (x * 6364136223846793005 + 1442695040888963407) % (2**64)
         extra.append(2 + x % (n - 3))
     return _miller_rabin(n, extra)
-
-
-def next_prime(n: int) -> int:
-    """Smallest probable prime strictly greater than n."""
-    k = n + 1
-    if k <= 2:
-        return 2
-    if k % 2 == 0:
-        k += 1
-    while not is_probable_prime(k):
-        k += 2
-    return k
 
 
 def factorize(n: int) -> dict[int, int]:

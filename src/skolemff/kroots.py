@@ -15,12 +15,17 @@ infinity, v_inf(a_j) = -deg a_j and s = deg v - deg u prunes the combinations
 by degree.  A dropped pair fails the test at some place, so it carries no
 root: the search keeps every root that trying all divisor pairs would find.
 
-For each surviving pair the scalar c solves an exact system over F:
-substituting X = c*u/v and collecting by powers of t yields polynomials in c
-whose gcd is factored over F, so the search is complete for every supported
-field.  A nonzero remainder therefore has no roots in K at all; it is reported
-as such (splitting it would need a finite extension of K, which is out of
-scope here).  More than _MAX_PAIRS candidate pairs give an incomplete search.
+For each surviving pair the scalar c solves an exact system over F: write
+h(C) = v^d A(C*u/v) = sum_i t^i h_i(C) for the cleared A = sum_j a_j X^j; the
+roots c of the row gcd of the h_i in F[C], found by factoring it over F, are
+the roots c*u/v of A, so the search is complete for every supported field.
+The gcd also carries each root's multiplicity, in every characteristic: u/v
+is a unit of K, so (X - c*u/v)^m divides A exactly when (C - c)^m divides h
+in K[C], and since (C - c)^m is monic over F that holds exactly when it
+divides every row h_i, that is, their gcd.  What is left, of degree
+deg A - sum m, has no roots in K at all; only its degree is reported
+(splitting it would need a finite extension of K, which is out of scope
+here).  More than _MAX_PAIRS candidate pairs give an incomplete search.
 """
 
 from __future__ import annotations
@@ -38,11 +43,16 @@ _MAX_PAIRS = 4096  # candidate pairs (u, v) tried at most
 
 @dataclass(frozen=True)
 class RootSearch:
-    """Roots of P in K with multiplicities, plus the rootless monic remainder."""
+    """Roots of P in K with multiplicities, plus the degree of the rootless rest.
+
+    The multiplicities are those of the scalars c in the row gcd of
+    v^d A(C*u/v) (module docstring); remainder_degree = deg A - sum m counts
+    the roots of P outside K once the root 0 is stripped.
+    """
 
     roots: tuple[tuple[RationalFunction, int], ...]
     zero_multiplicity: int
-    remainder: KPolynomial  # monic, no roots in K (when complete)
+    remainder_degree: int  # no roots in K (when complete)
     complete: bool
 
 
@@ -50,34 +60,25 @@ def find_roots_in_K(P: KPolynomial) -> RootSearch:
     """All roots of P in K (with multiplicities); complete unless flagged."""
     if P.is_zero:
         raise ZeroInput("root search on the zero polynomial")
-    fld = P.field
     zero_mult = 0
     coeffs = list(P.coeffs)
     while coeffs and coeffs[0].is_zero:
         zero_mult += 1
         coeffs.pop(0)
-    rem = KPolynomial(fld, coeffs).monic()
-    if rem.degree == 0:
-        return RootSearch((), zero_mult, rem, True)
+    degree = len(coeffs) - 1
+    if degree == 0:
+        return RootSearch((), zero_mult, 0, True)
 
     polys = clear_denominators(coeffs)
-    one = RationalFunction.one(fld)
-    candidates: list[RationalFunction] = []
+    roots: list[tuple[RationalFunction, int]] = []
     try:
         for u, v in _newton_pairs(polys):
-            for c in _scalar_solutions(polys, u, v):
-                candidates.append(RationalFunction._reduced(u * c, v))
+            roots += [(RationalFunction._reduced(u * c, v), m) for c, m in _scalar_solutions(polys, u, v)]
         complete = True
     except FactorizationTooHard:
         complete = False
-
-    roots: list[tuple[RationalFunction, int]] = []
-    for beta in candidates:
-        rem, mult = rem.divide_out(KPolynomial(fld, (-beta, one)))
-        if mult:
-            roots.append((beta, mult))
     roots.sort(key=lambda rm: (str(rm[0]),))
-    return RootSearch(tuple(roots), zero_mult, rem, complete)
+    return RootSearch(tuple(roots), zero_mult, degree - sum(m for _, m in roots), complete)
 
 
 def _attained_twice(vals: list[tuple[int, int]], s: int) -> bool:
@@ -116,7 +117,7 @@ def _newton_pairs(polys: list[Polynomial]) -> list[tuple[Polynomial, Polynomial]
 
 
 def _scalar_solutions(polys: list[Polynomial], u: Polynomial, v: Polynomial) -> list:
-    """Nonzero c in F with sum_j a_j (c*u/v)^j = 0, solved exactly."""
+    """(c, m) for the nonzero c in F with sum_j a_j (c*u/v)^j = 0, m its multiplicity, solved exactly."""
     fld = polys[0].field
     d = len(polys) - 1
     # e_j = a_j * u^j * v^(d-j); the root condition is sum_j e_j(t) c^j = 0 in F[t]
@@ -135,4 +136,4 @@ def _scalar_solutions(polys: list[Polynomial], u: Polynomial, v: Polynomial) -> 
             return []
     if gcd_c.is_zero:
         return []
-    return [c for c, _ in roots_in_F(gcd_c) if not c.is_zero]
+    return [(c, m) for c, m in roots_in_F(gcd_c) if not c.is_zero]

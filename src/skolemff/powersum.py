@@ -55,7 +55,7 @@ from .errors import (
     QEqualsOne,
     ZeroInput,
 )
-from .factor import _pow_mod, factor_poly
+from .factor import _pow_mod, factor_poly, max_degree_cap
 from .funfield import (
     INFINITY,
     KPolynomial,
@@ -524,7 +524,7 @@ class SplitResult:
 
     Each dependent root carries its `dependence_exponents(beta, g)` witness;
     P'_c = P_dep * P_ind, where P_ind keeps the independent roots, any root 0,
-    the leading coefficient and the rootless monic remainder.
+    the leading coefficient and the rootless rest, of degree remainder_degree.
     """
 
     residue_class: int
@@ -533,7 +533,7 @@ class SplitResult:
     g: RationalFunction
     dep: tuple[tuple[RationalFunction, int, DependenceWitness], ...]
     ind: tuple[tuple[RationalFunction, int], ...]
-    remainder: KPolynomial
+    remainder_degree: int  # degree of the rootless rest of P'_c
     complete: bool
 
     @cached_property
@@ -546,7 +546,15 @@ class SplitResult:
 
 
 def split_dep_ind(inst: PowerSumInstance, c: int) -> SplitResult:
-    """Split P'_c by multiplicative dependence of its roots with g = f^e, decided once per root."""
+    """Split P'_c by multiplicative dependence of its roots with g = f^e, decided once per root.
+
+    `inst.classes` expands every class at once, so each companion degree is
+    compared with SKOLEMFF_MAX_DEGREE first (FactorizationTooHard above it).
+    """
+    cap = max_degree_cap()
+    for k, terms in enumerate(inst.mus):
+        if terms and terms[-1][0] > cap:
+            raise FactorizationTooHard(f"class {k}: companion degree {terms[-1][0]} exceeds SKOLEMFF_MAX_DEGREE={cap}")
     P, g = inst.classes[c % inst.e]
     if P.is_zero:
         raise ZeroInput("companion polynomial is identically zero")
@@ -565,7 +573,7 @@ def split_dep_ind(inst: PowerSumInstance, c: int) -> SplitResult:
         g=g,
         dep=tuple(dep),
         ind=tuple(ind),
-        remainder=search.remainder,
+        remainder_degree=search.remainder_degree,
         complete=search.complete,
     )
 
@@ -772,8 +780,8 @@ def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> Certific
         splits.append(split)
         if not split.complete:
             notes.append(f"class {c}: root search incomplete")
-        elif split.remainder.degree > 0:
-            notes.append(f"class {c}: companion does not split over K (degree {split.remainder.degree} remainder)")
+        elif split.remainder_degree > 0:
+            notes.append(f"class {c}: companion does not split over K (degree {split.remainder_degree} remainder)")
     S_work = _working_S(inst, splits)
 
     per_class: list[ClassCertificate] = []
@@ -783,7 +791,7 @@ def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> Certific
         q = choose_q(witnesses)
         p = choose_p(witnesses, q)
         ell = ell_bound(split.height, split.poly.degree, split.g, S_work, p, q)
-        split_complete = split.complete and split.remainder.degree == 0
+        split_complete = split.complete and split.remainder_degree == 0
         checks: list[InequalityReport] = []
         phi_degree = euler_phi(p**ell * q) * height(split.g)
         if phi_degree > local_degree_cap():

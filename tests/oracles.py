@@ -66,7 +66,8 @@ def divisor_pair_roots(P):
     """`find_roots_in_K` by trying every coprime pair u | a_0, v | a_d of monic divisors.
 
     No Newton polygon prunes the pairs; more than 4096 monic divisors of either
-    end coefficient give an incomplete search.
+    end coefficient give an incomplete search.  Each root's multiplicity comes
+    from trial division in K[X], not from the scalar gcd.
     """
     fld = P.field
     zero_mult = 0
@@ -76,7 +77,7 @@ def divisor_pair_roots(P):
         coeffs.pop(0)
     rem = KPolynomial(fld, coeffs).monic()
     if rem.degree == 0:
-        return RootSearch((), zero_mult, rem, True)
+        return RootSearch((), zero_mult, 0, True)
     polys = clear_denominators(coeffs)
     candidates = []
     try:
@@ -85,7 +86,7 @@ def divisor_pair_roots(P):
             for v in vs:
                 if u.degree > 0 and v.degree > 0 and poly_gcd(u, v).degree > 0:
                     continue
-                candidates += [RationalFunction(u * c, v) for c in _scalar_solutions(polys, u, v)]
+                candidates += [RationalFunction(u * c, v) for c, _ in _scalar_solutions(polys, u, v)]
         complete = True
     except FactorizationTooHard:
         complete = False
@@ -96,7 +97,7 @@ def divisor_pair_roots(P):
         if mult:
             roots.append((beta, mult))
     roots.sort(key=lambda rm: str(rm[0]))
-    return RootSearch(tuple(roots), zero_mult, rem, complete)
+    return RootSearch(tuple(roots), zero_mult, rem.degree, complete)
 
 
 def coeffwise_mul(a, b):

@@ -624,6 +624,11 @@ def test_t_place_and_remainders_skip_the_division_kernels(monkeypatch, Q, F3):
         if t.field.char:
             assert poly_gcd(a, b) == t - Polynomial.one(t.field)
             assert calls["poly_rem"] > 0 and calls["poly_divmod"] == 0
+            # a constant argument answers 1 before Euclid, as in characteristic 0
+            calls.clear()
+            assert RationalFunction(f) == f_k
+            assert poly_gcd(f, Polynomial(t.field, (2,))) == Polynomial.one(t.field)
+            assert not calls
 
 
 def test_kpoly_divmod_over_constants_matches_polynomial_divmod(Q, Qi, F3):

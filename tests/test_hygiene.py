@@ -1,6 +1,7 @@
-"""Static checks over the package source: every imported name is used, and a
+"""Static checks over the package source: every imported name is used, a
 module that imports from a sibling at the top does not import from it again
-inside a function."""
+inside a function, and every top-level function and class is referenced from
+the package or the benchmark."""
 
 import ast
 import os
@@ -9,6 +10,7 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "skolemff")
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -98,3 +100,59 @@ def test_lazy_repeat_detection():
     )
     assert _lazy_repeats(src) == [("a", 4), ("b", 7)]
     assert _lazy_repeats("import os\ndef f():\n    from .factor import factor_poly\n") == []
+
+
+def _is_all(node: ast.stmt) -> bool:
+    return isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names, attributes, imported names and strings under node (layers are bound by attribute name)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def _unreferenced(package: dict[str, str], others: tuple[str, ...] = ()) -> list[tuple[str, str]]:
+    """(module, name) of each top-level function or class of `package` (module -> source)
+    that no top-level statement but its own definition references, in the package or in
+    `others`; a name listed in `__all__` is not thereby referenced."""
+    defs, refs = [], []
+    for module, source, own in [*((m, s, True) for m, s in package.items()), *(("", s, False) for s in others)]:
+        for node in ast.parse(source).body:
+            if own and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((module, node))
+            if not _is_all(node):
+                refs.append((node, _references(node)))
+    return sorted((m, d.name) for m, d in defs if not any(d.name in names for node, names in refs if node is not d))
+
+
+def _sources(directory: str) -> dict[str, str]:
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
+                out[name] = fh.read()
+    return out
+
+
+def test_every_top_level_definition_is_referenced():
+    assert _unreferenced(_sources(SRC), tuple(_sources(PERFBENCH).values())) == []
+
+
+def test_unreferenced_definition_detection():
+    package = {
+        "a.py": "def f():\n    return f()\ndef g(): pass\nclass C: pass\n__all__ = ['f', 'g', 'C']\n",
+        "b.py": "from .a import g\nx = 'C'\n",
+    }
+    assert _unreferenced(package) == [("a.py", "f")]
+    assert _unreferenced(package, ("import a\na.f\n",)) == []
+    assert _unreferenced({"c.py": "class D:\n    def m(self):\n        return D\n"}) == [("c.py", "D")]

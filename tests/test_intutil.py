@@ -17,7 +17,7 @@ from skolemff.intutil import (
     fp_mul,
     fp_powmod,
     is_prime,
-    next_prime,
+    is_probable_prime,
     valuation_int,
     zx_div_exact,
     zx_primitive,
@@ -75,7 +75,6 @@ def test_phi_divisor_sum():
 def test_primality_and_factoring():
     assert is_prime(2) and is_prime(97) and is_prime((1 << 61) - 1)
     assert not is_prime(1) and not is_prime(561)  # Carmichael
-    assert next_prime(2) == 3 and next_prime(13) == 17
     assert factorize(720) == {2: 4, 3: 2, 5: 1}
     assert factorize(1) == {}
     assert valuation_int(720, 2) == 4
@@ -121,7 +120,8 @@ def test_fp_kernel_matches_polynomial(p):
 
 def test_fp_kernel_above_2_61():
     # big-prime Zassenhaus runs the kernel modulo primes beyond the field cap
-    p = next_prime(1 << 64)
+    p = (1 << 64) + 13  # the least prime above 2^64
+    assert is_probable_prime(p)
     rng = random.Random(64)
     for _ in range(20):
         a = [rng.randrange(p) for _ in range(7)]

@@ -6,6 +6,7 @@ from skolemff import FieldSpec, KPolynomial, RationalFunction, field_for, kroots
 from skolemff.errors import ZeroInput
 from skolemff.generate import generate_instance, rand_const, rand_ratfunc
 from skolemff.kroots import find_roots_in_K
+from skolemff.powersum import certify_local_global
 from oracles import divisor_pair_roots
 
 
@@ -26,7 +27,7 @@ def test_construct_then_recover(Q):
         found_zero = [RationalFunction.zero(Q)] * got.zero_multiplicity
         expect = sorted(roots, key=repr)
         assert sorted(found + found_zero, key=repr) == expect
-        assert got.remainder.degree == 0
+        assert got.remainder_degree == 0
 
 
 def test_multiplicities(Q):
@@ -43,7 +44,7 @@ def test_no_roots(Q):
     # X^2 - t has no root in Q(t)
     P = KPolynomial(Q, [-t, RationalFunction.zero(Q), one])
     got = find_roots_in_K(P)
-    assert got.complete and not got.roots and got.remainder.degree == 2
+    assert got.complete and not got.roots and got.remainder_degree == 2
 
 
 def test_zero_roots_stripped(Q):
@@ -63,7 +64,7 @@ def test_mixed_rootless_factor(Q):
     P = KPolynomial.from_roots(Q, [t]) * KPolynomial(Q, [-t, RationalFunction.zero(Q), one])
     got = find_roots_in_K(P)
     assert got.roots == ((t, 1),)
-    assert got.remainder.degree == 2
+    assert got.remainder_degree == 2
 
 
 def test_cyclotomic_coefficients(Qi):
@@ -97,6 +98,7 @@ ORACLE_FIELDS = {
     "Q(zeta_3)": FieldSpec(0, 3),
     "F_3": FieldSpec(3, 1, 1),
     "F_9": FieldSpec(3, 1, 2),
+    "F_5": FieldSpec(5, 1, 1),
 }
 
 
@@ -136,6 +138,18 @@ def _planted(rng, fld):
     return P * rand_ratfunc(rng, fld, 1)
 
 
+def _past_the_characteristic(name, fld):
+    """Inputs whose root multiplicities reach or pass the characteristic 3 or 5, each with its roots' total multiplicity."""
+    t, one = RationalFunction.t(fld), RationalFunction.one(fld)
+    zero, two = RationalFunction.zero(fld), RationalFunction.constant(fld, 2)
+    cases = [(KPolynomial.from_roots(fld, [t] * 4) * KPolynomial(fld, (-t, zero, one)), 4)]  # (X - t)^4 (X^2 - t)
+    if name in ("F_3", "F_9"):
+        cases += [(KPolynomial.from_roots(fld, [t] * 3), 3), (KPolynomial.from_roots(fld, [two] * 3 + [t] * 6), 9)]
+    if name in ("F_3", "F_5", "Q"):
+        cases.append((KPolynomial.from_roots(fld, [t**2 / (t + one)] * 9), 9))
+    return cases
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
 def test_newton_pairs_match_the_divisor_pair_oracle(name):
     fld = field_for(ORACLE_FIELDS[name])
@@ -143,6 +157,29 @@ def test_newton_pairs_match_the_divisor_pair_oracle(name):
     for _ in range(14):
         P = _planted(rng, fld)
         assert find_roots_in_K(P) == divisor_pair_roots(P), P
+    # the scalar gcd's multiplicities agree with trial division in K[X]
+    for P, total in _past_the_characteristic(name, fld):
+        got = find_roots_in_K(P)
+        assert got == divisor_pair_roots(P), P
+        assert got.complete and sum(m for _, m in got.roots) == total, P
+
+
+def test_certify_runs_no_trial_division_in_K_X(monkeypatch):
+    # every multiplicity of the root search comes from the scalar gcd
+    calls = []
+    real = KPolynomial.divide_out
+
+    def counted(self, p):
+        calls.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(KPolynomial, "divide_out", counted)
+    found = 0
+    for seed in range(10):
+        inst, _ = generate_instance(seed, "dep-heavy")
+        rep = certify_local_global(inst, k_bound=100)
+        found += sum(cc.dep_roots + cc.ind_roots for cc in rep.per_class)
+    assert found > 0 and not calls
 
 
 def test_every_pair_tried_yields_a_root(monkeypatch, Q):

@@ -527,7 +527,7 @@ def test_split_examples(Q):
 
     inst3 = PowerSumInstance((-t, RationalFunction.one(Q)), (one_ru(Q),) * 2, (0, 2), t, S2)
     sp3 = split_dep_ind(inst3, 0)
-    assert not sp3.dep and not sp3.ind and sp3.remainder.degree == 2 and sp3.complete
+    assert not sp3.dep and not sp3.ind and sp3.remainder_degree == 2 and sp3.complete
 
 
 def test_working_S_reads_only_the_independent_roots():

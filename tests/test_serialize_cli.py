@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -456,6 +457,29 @@ def test_solve_answers_a_wide_exponent_gap_quickly(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"] == {"global_zero": None}
+
+
+def test_certify_caps_a_wide_exponent_gap_before_expanding_it(tmp_path):
+    # the same instance: certify would build the dense P'_c with 10^8 + 1
+    # coefficients, so it stops at the degree cap with exit 3 instead (run
+    # under an address-space limit, so that a regression fails rather than
+    # filling memory)
+    doc = instance_to_json(*generate_instance(0, "small"))
+    doc["r"] = ["0", "100000000", "1"]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skolemff.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    limit = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "skolemff.cli", "certify", "--k-bound", "100", str(path)],
+        capture_output=True, text=True, timeout=20, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 3, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["error"] == "FactorizationTooHard"
+    assert re.fullmatch(r"class 0: companion degree 100000000 exceeds SKOLEMFF_MAX_DEGREE=\d+", result["message"])
 
 
 @pytest.mark.parametrize("seed", [16, 129])
