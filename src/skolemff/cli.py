@@ -17,6 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
+from .constants import parse_ratio
 from .errors import (
     FactorizationTooHard,
     InvalidInstance,
@@ -67,8 +68,7 @@ def _report_inequality(rep) -> dict:
     }
 
 
-def _cmd_solve(path: str) -> tuple[dict, int]:
-    inst, doc = load_instance(path)
+def _cmd_solve(inst) -> tuple[dict, int]:
     n = decide_global_zero(inst)
     result: dict = {"global_zero": n}
     if n is not None:
@@ -76,14 +76,12 @@ def _cmd_solve(path: str) -> tuple[dict, int]:
     return result, EXIT_OK
 
 
-def _cmd_local(path: str, a: int, k_bound: int) -> tuple[dict, int]:
-    inst, doc = load_instance(path)
+def _cmd_local(inst, a: int, k_bound: int) -> tuple[dict, int]:
     witness = find_local_witness(inst, a, k_bound)
     return {"a": a, "k_bound": k_bound, "witness": witness}, EXIT_OK
 
 
-def _cmd_certify(path: str, k_bound: int) -> tuple[dict, int]:
-    inst, doc = load_instance(path)
+def _cmd_certify(inst, k_bound: int) -> tuple[dict, int]:
     rep = certify_local_global(inst, k_bound=k_bound)
     result = {
         "verdict": rep.verdict,
@@ -117,13 +115,16 @@ def _cmd_certify(path: str, k_bound: int) -> tuple[dict, int]:
     return result, EXIT_OK
 
 
-def _cmd_smallcoef(path: str, rho: str, k_bound: int) -> tuple[dict, int]:
+def _rho(rho: str) -> Fraction:
+    """The --rho option as a rational: an integer or "a/b" (`parse_ratio`)."""
     try:
-        rho_q = Fraction(rho)
+        return Fraction(*parse_ratio(rho))
     except (ValueError, ZeroDivisionError):
         raise InvalidInstance(f"--rho {rho!r} is not a rational number") from None
-    inst, doc = load_instance(path)
-    rep = smallcoef_end_to_end(inst, rho_q, k_bound=k_bound)
+
+
+def _cmd_smallcoef(inst, rho: Fraction, k_bound: int) -> tuple[dict, int]:
+    rep = smallcoef_end_to_end(inst, rho, k_bound=k_bound)
     result = {
         "status": rep.status,
         "rho": str(rep.rho),
@@ -174,39 +175,51 @@ def _envelope(command: dict, result: dict, code: int, started: float, digest: st
     }
 
 
-def _run_single(handler, path: str, command: dict):
+def _file_digest(path: str) -> str | None:
+    """The digest of a file's JSON document, or None when it has none."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return instance_digest(json.load(fh))
+    except (OSError, ValueError, RecursionError):
+        return None
+
+
+def _run_single(handler, read_options, path: str, command: dict):
+    """One report: the options are read first, so a bad one is reported for each
+    file, then the file is read and parsed once for both its instance and its
+    digest.  Only a file whose instance fails to load is read again, for its digest."""
     started = time.monotonic()
     digest = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            digest = instance_digest(json.load(fh))
-    except (OSError, json.JSONDecodeError):
-        pass
-    try:
-        result, code = handler(path)
+        values = read_options()
+        inst, doc = load_instance(path)
+        digest = instance_digest(doc)
+        result, code = handler(inst, *values)
     except (SkolemffError, OSError) as exc:
         code, result = _exit_code_for(exc), _error_result(exc)
+        if digest is None:
+            digest = _file_digest(path)
     return _envelope(dict(command, file=path), result, code, started, digest)
 
 
 _SEVERITY = {EXIT_VIOLATION: 3, EXIT_INVALID: 2, EXIT_INCONCLUSIVE: 1, EXIT_OK: 0}
 
 
-def _run_instance_command(args, handler, command: dict) -> int:
+def _run_instance_command(args, handler, read_options, command: dict) -> int:
     if getattr(args, "dir", None):
         files = sorted(
             os.path.join(args.dir, name)
             for name in os.listdir(args.dir)
             if name.endswith(".json")
         )
-        reports = [_run_single(handler, path, command) for path in files]
+        reports = [_run_single(handler, read_options, path, command) for path in files]
         code = EXIT_OK
         for rep in reports:
             if _SEVERITY[rep["exit_code"]] > _SEVERITY[code]:
                 code = rep["exit_code"]
         print(canonical_dumps(stringify_numbers({"command": command, "reports": reports})))
         return code
-    report = _run_single(handler, args.file, command)
+    report = _run_single(handler, read_options, args.file, command)
     print(canonical_dumps(stringify_numbers(report)))
     return report["exit_code"]
 
@@ -251,12 +264,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Per instance command: its handler and the options echoed in the report's command dict.
+# Per instance command: its handler, called with the instance and the values of
+# its options; the reader of those values from the arguments; and the options
+# echoed in the report's command dict.
 _INSTANCE_COMMANDS = {
-    "solve": (lambda p, a: _cmd_solve(p), ()),
-    "local": (lambda p, a: _cmd_local(p, a.a, a.k_bound), ("a", "k_bound")),
-    "certify": (lambda p, a: _cmd_certify(p, a.k_bound), ("k_bound",)),
-    "smallcoef": (lambda p, a: _cmd_smallcoef(p, a.rho, a.k_bound), ("rho", "k_bound")),
+    "solve": (_cmd_solve, lambda a: (), ()),
+    "local": (_cmd_local, lambda a: (a.a, a.k_bound), ("a", "k_bound")),
+    "certify": (_cmd_certify, lambda a: (a.k_bound,), ("k_bound",)),
+    "smallcoef": (_cmd_smallcoef, lambda a: (_rho(a.rho), a.k_bound), ("rho", "k_bound")),
 }
 
 
@@ -267,9 +282,9 @@ def main(argv=None) -> int:
         if args.cmd in _INSTANCE_COMMANDS:
             if not args.dir and not args.file:
                 raise SystemExit(2)
-            handler, options = _INSTANCE_COMMANDS[args.cmd]
-            command = {"cmd": args.cmd, **{name: getattr(args, name) for name in options}}
-            return _run_instance_command(args, lambda p: handler(p, args), command)
+            handler, read_options, echoed = _INSTANCE_COMMANDS[args.cmd]
+            command = {"cmd": args.cmd, **{name: getattr(args, name) for name in echoed}}
+            return _run_instance_command(args, handler, lambda: read_options(args), command)
         if args.cmd == "verify":
             command = {
                 "cmd": "verify",

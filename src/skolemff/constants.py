@@ -16,6 +16,7 @@ lcm(2, M), and every nonzero element of F_{p^d} has order dividing p^d - 1.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -31,6 +32,8 @@ __all__ = [
     "ConstantValue",
     "RootOfUnity",
     "field_for",
+    "parse_ratio",
+    "read_constant",
     "roots_of_unity",
 ]
 
@@ -646,24 +649,69 @@ class ConstantValue:
 
     @classmethod
     def from_strings(cls, field: Field, items: list[str]) -> "ConstantValue":
-        if not isinstance(items, list):
-            raise InvalidInstance(f"a constant is an array of entries, got {items!r}")
+        """The constant an instance file writes as `items` (see `read_constant`)."""
+        return cls(field, *read_constant(field, items))
+
+
+@functools.cache
+def _ratio_pattern() -> re.Pattern:
+    """An integer or "a/b" in decimal digits: a sign on a only, underscores
+    between digits, spaces around the whole but not around the slash, no
+    decimal point and no exponent.  Compiled on first use, not at import."""
+    return re.compile(r"\s*([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?\s*")
+
+
+def parse_ratio(s) -> tuple[int, int]:
+    """(a, b) with b >= 1 for a JSON integer or a string "a" or "a/b"; the one reader
+    of the rationals the program is given (constant entries and `--rho`).
+
+    Any other text raises ValueError, with the message `Fraction` gave for it,
+    and b = 0 raises ZeroDivisionError.  Both parts are read by int(), so the
+    value has at most as many digits as the text: "1e20000", which `Fraction`
+    expands to 20001 digits, is rejected.
+    """
+    if isinstance(s, int):
+        return s, 1
+    m = _ratio_pattern().fullmatch(s)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {s!r}")
+    a, b = m.groups()
+    b = int(b) if b else 1
+    if not b:
+        raise ZeroDivisionError(f"{s!r} has a zero denominator")
+    return int(a), b
+
+
+def read_constant(field: Field, items) -> tuple[tuple, int]:
+    """(raw, den) of the constant an instance file writes as `items`, not yet canonical.
+
+    `items` is an array of little-endian power-basis entries: JSON integers
+    or strings, each read by `parse_ratio` in characteristic 0 and as a
+    residue in [0, p) in characteristic p.  `raw` holds the entries over the
+    lcm `den` of their denominators, padded to the field degree.
+    """
+    if not isinstance(items, list):
+        raise InvalidInstance(f"a constant is an array of entries, got {items!r}")
+    for s in items:
+        if isinstance(s, bool) or not isinstance(s, (str, int)):
+            raise InvalidInstance(f"constant entries are strings or integers, got {s!r}")
+    if field.char == 0:
+        try:
+            pairs = [parse_ratio(s) for s in items]
+        except ZeroDivisionError as exc:
+            raise InvalidInstance(f"constant {items} has a zero denominator") from exc
+        den = lcm(*(b for _, b in pairs))
+        raw = [a if b == den else a * (den // b) for a, b in pairs]
+    else:
+        raw, den = [], 1
         for s in items:
-            if isinstance(s, bool) or not isinstance(s, (str, int)):
-                raise InvalidInstance(f"constant entries are strings or integers, got {s!r}")
-        if field.char == 0:
-            try:
-                coeffs = [Fraction(s) for s in items]
-            except ZeroDivisionError as exc:
-                raise InvalidInstance(f"constant {items} has a zero denominator") from exc
-        else:
-            coeffs = []
-            for s in items:
-                v = int(s)
-                if not 0 <= v < field.char:
-                    raise InvalidInstance(f"coefficient {s} outside [0, p)")
-                coeffs.append(v)
-        return cls.from_rationals(field, coeffs)
+            v = int(s)
+            if not 0 <= v < field.char:
+                raise InvalidInstance(f"coefficient {s} outside [0, p)")
+            raw.append(v)
+    if len(raw) > field.degree:
+        raise InvalidInstance("constant vector longer than the field degree")
+    return tuple(raw) + field.zero_raw[len(raw):], den
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,8 @@ class _Dense:
     The generic loops here read the coefficients only through their ring
     operations and build results with type(self)(field, coeffs); `KPolynomial`
     (K[X]) runs on them, `Polynomial` (F[t]) replaces them with the `Field`
-    kernels, `%` and `divide_out` included, and keeps only `exact_div`.  A
-    subclass supplies its ring's zero.
+    kernels and keeps only `exact_div`; `%`, `divide_out` and `monic` are
+    `Polynomial`'s alone.  A subclass supplies its ring's zero.
     """
 
     __slots__ = ("field",)
@@ -144,33 +144,11 @@ class _Dense:
                 rem[i - d + j] = rem[i - d + j] - q * oc
         return new(fld, quo), new(fld, rem[:d])
 
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
     def exact_div(self, other):
         q, r = self.divmod(other)
         if not r.is_zero:
             raise ArithmeticError("inexact polynomial division")
         return q
-
-    def divide_out(self, p):
-        """(q, m) with self = p^m q and p not dividing q, for p of positive degree."""
-        if self.is_zero:
-            raise ZeroInput("dividing a power out of 0")
-        if p.degree < 1:
-            raise InvalidInstance("dividing out a polynomial of degree < 1")
-        f, m = self, 0
-        while True:
-            q, r = f.divmod(p)
-            if not r.is_zero:
-                return f, m
-            f, m = q, m + 1
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        inv = self.lc().inverse()
-        return type(self)(self.field, [c * inv for c in self.coeffs])
 
     def evaluate(self, x):
         acc = self._zero()

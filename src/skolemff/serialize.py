@@ -14,11 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
-from .constants import ConstantValue, Field, FieldSpec, RootOfUnity, field_for, zeta
+from .constants import ConstantValue, Field, FieldSpec, RootOfUnity, field_for, read_constant, zeta
 from .errors import FactorizationTooHard, InvalidInstance
 from .factor import factor_poly, max_degree_cap
-from .funfield import INFINITY, Place, PlaceSet, Polynomial, RationalFunction
+from .funfield import INFINITY, Place, PlaceSet, Polynomial, RationalFunction, _poly
 from .intutil import euler_phi
 from .powersum import PowerSumInstance
 
@@ -103,9 +104,13 @@ def poly_to_json(p: Polynomial) -> list:
 
 
 def poly_from_json(field: Field, items) -> Polynomial:
+    """The polynomial with the constants `items`: their rows over one lcm, made canonical once."""
     if not isinstance(items, list):
         raise InvalidInstance("polynomial must be an array of constants")
-    return Polynomial(field, [ConstantValue.from_strings(field, c) for c in items])
+    consts = [read_constant(field, c) for c in items]
+    den = lcm(*(d for _, d in consts))
+    rows = [raw if d == den else tuple(x * (den // d) for x in raw) for raw, d in consts]
+    return _poly(field, *field.poly_normal(rows, den))
 
 
 def ratfunc_to_json(f: RationalFunction) -> dict:
@@ -140,9 +145,10 @@ def place_from_json(field: Field, obj) -> Place:
         raise InvalidInstance("finite place needs positive degree")
     if not poly.lc().is_one:
         raise InvalidInstance("finite place polynomial must be monic")
-    _, factors = factor_poly(poly)
-    if len(factors) != 1 or factors[0][1] != 1:
-        raise InvalidInstance(f"place polynomial {poly!r} is not irreducible")
+    if poly.degree > 1:  # a monic linear polynomial is irreducible
+        _, factors = factor_poly(poly)
+        if len(factors) != 1 or factors[0][1] != 1:
+            raise InvalidInstance(f"place polynomial {poly!r} is not irreducible")
     return Place(poly)
 
 
@@ -165,9 +171,9 @@ def epsilon_from_json(field: Field, obj) -> RootOfUnity:
         order, exponent = _int(obj[0]), _int(obj[1])
         if order < 1:
             raise InvalidInstance("epsilon order must be positive")
-        root = zeta(field, order) ** (exponent % order)
-        true_order = root.order()
-        return RootOfUnity(order=true_order, value=root)
+        k = exponent % order
+        # zeta_order^k has order order / gcd(order, k); RootOfUnity verifies it
+        return RootOfUnity(order=order // gcd(order, k), value=zeta(field, order) ** k)
     if isinstance(obj, dict):
         value = ConstantValue.from_strings(field, obj["value"])
         declared = _int(obj["order"])
@@ -229,10 +235,12 @@ def instance_from_json(obj: dict) -> PowerSumInstance:
 
 
 def load_instance(path: str) -> tuple[PowerSumInstance, dict]:
+    """(instance, document) of an instance file, read and parsed once."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, an integer beyond int()'s digit limit, or nesting beyond the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise InvalidInstance(f"invalid JSON: {exc}") from exc
     return instance_from_json(doc), doc
 

@@ -20,7 +20,7 @@ from skolemff import (
     valuation,
 )
 from skolemff.constants import _defining_poly
-from skolemff.errors import FactorizationTooHard
+from skolemff.errors import FactorizationTooHard, InvalidInstance
 from skolemff.factor import factor_poly, monic_divisors
 from skolemff.funfield import KPolynomial, clear_denominators, poly_gcd
 from skolemff.kroots import RootSearch, _scalar_solutions
@@ -62,12 +62,22 @@ def euclid_gcd(a, b):
     return a.monic()
 
 
+def trial_divide_out(A, p):
+    """(q, m) with A = p^m q and p not dividing q, by repeated division with remainder, for A != 0, deg p >= 1."""
+    m = 0
+    while True:
+        q, r = A.divmod(p)
+        if not r.is_zero:
+            return A, m
+        A, m = q, m + 1
+
+
 def divisor_pair_roots(P):
     """`find_roots_in_K` by trying every coprime pair u | a_0, v | a_d of monic divisors.
 
     No Newton polygon prunes the pairs; more than 4096 monic divisors of either
     end coefficient give an incomplete search.  Each root's multiplicity comes
-    from trial division in K[X], not from the scalar gcd.
+    from trial division in K[X] (`trial_divide_out`), not from the scalar gcd.
     """
     fld = P.field
     zero_mult = 0
@@ -75,7 +85,7 @@ def divisor_pair_roots(P):
     while coeffs and coeffs[0].is_zero:
         zero_mult += 1
         coeffs.pop(0)
-    rem = KPolynomial(fld, coeffs).monic()
+    rem = KPolynomial(fld, coeffs)
     if rem.degree == 0:
         return RootSearch((), zero_mult, 0, True)
     polys = clear_denominators(coeffs)
@@ -93,11 +103,42 @@ def divisor_pair_roots(P):
     one = RationalFunction.one(fld)
     roots = []
     for beta in candidates:
-        rem, mult = rem.divide_out(KPolynomial(fld, (-beta, one)))
+        rem, mult = trial_divide_out(rem, KPolynomial(fld, (-beta, one)))
         if mult:
             roots.append((beta, mult))
     roots.sort(key=lambda rm: str(rm[0]))
     return RootSearch(tuple(roots), zero_mult, rem.degree, complete)
+
+
+def fraction_constant(fld, items):
+    """A constant from its instance-file entries by way of `Fraction`: every check
+    of `ConstantValue.from_strings`, in its order and with its messages, and
+    Fraction(s) as the reader of an entry in characteristic 0."""
+    if not isinstance(items, list):
+        raise InvalidInstance(f"a constant is an array of entries, got {items!r}")
+    for s in items:
+        if isinstance(s, bool) or not isinstance(s, (str, int)):
+            raise InvalidInstance(f"constant entries are strings or integers, got {s!r}")
+    if fld.char == 0:
+        try:
+            coeffs = [Fraction(s) for s in items]
+        except ZeroDivisionError as exc:
+            raise InvalidInstance(f"constant {items} has a zero denominator") from exc
+    else:
+        coeffs = []
+        for s in items:
+            v = int(s)
+            if not 0 <= v < fld.char:
+                raise InvalidInstance(f"coefficient {s} outside [0, p)")
+            coeffs.append(v)
+    return ConstantValue.from_rationals(fld, coeffs)
+
+
+def fraction_poly(fld, items):
+    """A polynomial from its instance-file constants, one `fraction_constant` per coefficient."""
+    if not isinstance(items, list):
+        raise InvalidInstance("polynomial must be an array of constants")
+    return Polynomial(fld, [fraction_constant(fld, c) for c in items])
 
 
 def coeffwise_mul(a, b):

@@ -34,7 +34,7 @@ from skolemff.constants import Field
 from skolemff.errors import ConstantInput, InvalidInstance, NotSInteger, ZeroInput
 from skolemff.funfield import poly_gcd, radical, squarefree_decomposition, strip_places
 from skolemff.generate import rand_const, rand_poly, rand_ratfunc
-from oracles import coeffwise_divmod, coeffwise_mul, euclid_gcd
+from oracles import coeffwise_divmod, coeffwise_mul, euclid_gcd, trial_divide_out
 
 
 def t_of(fld):
@@ -513,22 +513,31 @@ def test_kpoly_division_with_remainder(Q, Qi, F3):
 def test_divide_out_matches_repeated_exact_div(Q, Qi, F3):
     rng = random.Random(43)
     for fld in (Q, Qi, F3):
-        one_k = KPolynomial(fld, (RationalFunction.one(fld),))
         cases = []
-        for _ in range(5):
+        for _ in range(10):
             k = rng.randint(0, 3)
-            p = _rand_kpoly(rng, fld, 1)
-            cases.append((_rand_kpoly(rng, fld, rng.randint(0, 2)) * _power(p, k, one_k), p, k))
             p = rand_poly(rng, fld, 2)
             if p.degree > 0:
                 cases.append((rand_poly(rng, fld, 3) * p**k, p, k))
+        assert len(cases) >= 5, fld
         for a, p, k in cases:
             oracle_q, oracle_m = _divide_out_oracle(a, p)
             assert a.divide_out(p) == (oracle_q, oracle_m) and oracle_m >= k
-        x = KPolynomial(fld, (RationalFunction.zero(fld), RationalFunction.one(fld)))
-        for zero, p in ((KPolynomial(fld, ()), x), (Polynomial.zero(fld), t_of(fld))):
-            with pytest.raises(ZeroInput):
-                zero.divide_out(p)
+        with pytest.raises(ZeroInput):
+            Polynomial.zero(fld).divide_out(t_of(fld))
+
+
+def test_trial_divide_out_in_K_X_matches_repeated_exact_div(Q, Qi, F3):
+    # the K[X] trial division that the divisor-pair root oracle reads multiplicities from
+    rng = random.Random(43)
+    for fld in (Q, Qi, F3):
+        one_k = KPolynomial(fld, (RationalFunction.one(fld),))
+        for _ in range(5):
+            k = rng.randint(0, 3)
+            p = _rand_kpoly(rng, fld, 1)
+            a = _rand_kpoly(rng, fld, rng.randint(0, 2)) * _power(p, k, one_k)
+            q, m = trial_divide_out(a, p)
+            assert (q, m) == _divide_out_oracle(a, p) and m >= k
 
 
 def _divide_out_oracle(a, p):
@@ -545,13 +554,9 @@ def _divide_out_oracle(a, p):
 def test_divide_out_by_a_constant_is_rejected(Q, F3):
     # a unit divides everything, so the trial divisions never stopped
     for fld in (Q, F3):
-        one_k = RationalFunction.one(fld)
         for divisor in (Polynomial(fld, (2,)), Polynomial.one(fld), Polynomial.zero(fld)):
             with pytest.raises(InvalidInstance):
                 t_of(fld).divide_out(divisor)
-        for divisor in (KPolynomial(fld, (one_k + one_k,)), KPolynomial(fld, ())):
-            with pytest.raises(InvalidInstance):
-                KPolynomial(fld, (one_k, one_k)).divide_out(divisor)
 
 
 def _frac_poly(rng, fld, deg):

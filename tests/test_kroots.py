@@ -165,15 +165,20 @@ def test_newton_pairs_match_the_divisor_pair_oracle(name):
 
 
 def test_certify_runs_no_trial_division_in_K_X(monkeypatch):
-    # every multiplicity of the root search comes from the scalar gcd
+    # every multiplicity of the root search comes from the scalar gcd: K[X]
+    # has no `divide_out`, and the one K[X] division certify runs, P_ind =
+    # P / P_dep, is exact, while a trial division ends on a nonzero remainder
+    assert not hasattr(KPolynomial, "divide_out")
     calls = []
-    real = KPolynomial.divide_out
+    real = KPolynomial.divmod
 
     def counted(self, p):
-        calls.append(p)
-        return real(self, p)
+        q, r = real(self, p)
+        if not r.is_zero:
+            calls.append(p)
+        return q, r
 
-    monkeypatch.setattr(KPolynomial, "divide_out", counted)
+    monkeypatch.setattr(KPolynomial, "divmod", counted)
     found = 0
     for seed in range(10):
         inst, _ = generate_instance(seed, "dep-heavy")
