@@ -318,8 +318,9 @@ class Polynomial(_Dense):
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def monic(self) -> "Polynomial":
@@ -730,11 +731,17 @@ class RationalFunction:
         return o / self
 
     def __pow__(self, e: int) -> "RationalFunction":
-        if e < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of 0")
-            return RationalFunction(self.den ** (-e), self.num ** (-e))
-        return RationalFunction(self.num**e, self.den**e)
+        """Powers of a reduced fraction stay reduced; a negative one only rescales to keep den monic."""
+        if e >= 0:
+            return RationalFunction._reduced(self.num**e, self.den**e)
+        if self.is_zero:
+            raise ZeroDivisionError("negative power of 0")
+        num, den = self.den ** (-e), self.num ** (-e)
+        lead = den.lc()
+        if not lead.is_one:
+            inv = lead.inverse()
+            num, den = num * inv, den * inv
+        return RationalFunction._reduced(num, den)
 
     def inverse(self) -> "RationalFunction":
         return self ** (-1)

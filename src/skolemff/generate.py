@@ -198,7 +198,8 @@ def _gen_dep_heavy(rng: random.Random) -> PowerSumInstance:
     if rng.random() < 0.3:
         roots.append(RationalFunction.constant(fld, -1))  # constant torsion root
     inst = instance_from_roots(roots, f, S, shift=rng.randint(-1, 2))
-    assert decide_global_zero(inst) is None, "dep-heavy generator produced a global zero"
+    if decide_global_zero(inst) is not None:
+        raise AssertionError("dep-heavy generator produced a global zero")
     return inst
 
 

@@ -232,6 +232,19 @@ def fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
     return out
 
 
+def fp_invmod(a: list[int], mod: list[int], p: int) -> list[int] | None:
+    """Inverse of a modulo mod (deg mod >= 1) over F_p by extended Euclid, or None when gcd(a, mod) != 1."""
+    r0, r1 = list(mod), fp_divmod(a, mod, p)[1]
+    s0, s1 = [], [1]  # r_i = s_i * a mod `mod`
+    while r1:
+        q, r = fp_divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, fp_sub(s0, fp_mul(q, s1, p), p)
+    if len(r0) != 1:
+        return None
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0]
+
+
 def fp_deriv(a: list[int], p: int) -> list[int]:
     return fp_trim([c * i % p for i, c in enumerate(a)][1:])
 
@@ -279,5 +292,6 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
     for d in divisors(k):
         if d < k:
             num = zx_div_exact(num, list(cyclotomic_poly(d)))
-            assert num is not None
+            if num is None:
+                raise AssertionError(f"dividing x^{k} - 1 by Phi_{d} left a remainder")
     return tuple(num)

@@ -34,6 +34,35 @@ Local vanishing at the zeros of f^a - 1 is checked by exact modular arithmetic
 with the radical of each Phi_d(f), and the effective certificate (q, p, l, a)
 follows the dependent / independent root split with both lemma checks
 evaluated on concrete exponents.
+
+The lemma checks count N_S(gcd(x, Phi_d(g))) for d = p^l and p^l q, with x a
+nonzero S-integer and g = a/b (reduced, b monic) an S-unit.  The numerator
+
+    A_d = b^phi(d) Phi_d(a/b) = a^phi(d) mod b
+
+is prime to b, so Phi_d(g) = A_d / b^phi(d) is already reduced, and the count
+is deg gcd(X, A_d) for X = num(x) stripped of S, plus, when infinity is not
+in S, min(v_inf(x), phi(d) deg b - deg A_d) if that is positive.  Most counts
+are 0, and one prime image proves it without building A_d (`_LemmaTargets`).
+Take the prime P over rho > 2^61 of `funfield._gcd_prime(M, 0)`, with residue
+field F_rho, and let bars denote images mod P.  If lc(X) is a P-unit and a, b
+are P-integral, then deg gcd(Xbar, Abar_d) >= deg gcd(X, A_d) by the argument
+of the `funfield` docstring: the monic gcd is a unit times a primitive
+polynomial with unit leading coefficient, which divides X and A_d over the
+local ring at P, so its image divides both images with its degree kept.  Only
+X's leading coefficient needs to be a unit.  If bbar is invertible mod Xbar,
+put u = abar/bbar mod Xbar.  At a zero z of Xbar, bbar(z) != 0 and
+Abar_d(z) = bbar(z)^phi(d) Phi_d(u(z)).  As rho does not divide d (P is
+unusable otherwise), Phi_d is separable over F_rho and vanishes exactly at
+the primitive d-th roots of unity.  So Xbar and Abar_d share a zero exactly when u(z) has order d at a
+zero z of G = gcd(Xbar, u^d - 1) that is no zero of u^(d/r) - 1 for any
+prime r | d.  The test takes G once for p^l q, computing u^(p^l) on the
+way, and for each d strips from gcd(G, u^d - 1) its common zeros with
+every u^(d/r) - 1.  If nothing is left, gcd(X, A_d) = 1 and the finite count
+is exactly 0.  At infinity, v_inf(Phi_d(g)) > 0 only when v_inf(g) = 0 and
+g(inf) is a primitive d-th root of unity.  A count the test leaves open (in
+characteristic p, at an unusable P, or with a zero left) builds A_d, once per
+class and d, and is counted exactly.
 """
 
 from __future__ import annotations
@@ -51,6 +80,7 @@ from .errors import (
     ConstantInput,
     FactorizationTooHard,
     InvalidInstance,
+    NotSInteger,
     PreconditionGlobalZeroExists,
     QEqualsOne,
     ZeroInput,
@@ -63,9 +93,10 @@ from .funfield import (
     PlaceSet,
     Polynomial,
     RationalFunction,
+    _gcd_prime,
+    _image,
     chi_S,
     divisor,
-    gcd_counting,
     height,
     is_s_integer,
     is_s_unit,
@@ -74,7 +105,19 @@ from .funfield import (
     strip_places,
     valuation,
 )
-from .intutil import cyclotomic_poly, divisors, euler_phi, is_prime
+from .intutil import (
+    cyclotomic_poly,
+    divisors,
+    euler_phi,
+    factorize,
+    fp_divmod,
+    fp_gcd,
+    fp_invmod,
+    fp_mul,
+    fp_powmod,
+    fp_sub,
+    is_prime,
+)
 from .kroots import find_roots_in_K
 from .multstruct import DependenceWitness, dependence_exponents
 from .vd_theorems import InequalityReport
@@ -291,13 +334,6 @@ def _phi_numerator(d: int, f: RationalFunction) -> Polynomial:
         denpow = denpow * f.den
         acc = acc * f.num + denpow * cj
     return acc
-
-
-def _phi_pair(g: RationalFunction, p: int, ell: int, q: int) -> tuple[RationalFunction, RationalFunction]:
-    """Phi_{p^l}(g) and Phi_{p^l q}(g) in K, the targets of both lemma checks."""
-    return tuple(
-        RationalFunction(_phi_numerator(d, g), g.den ** euler_phi(d)) for d in (p**ell, p**ell * q)
-    )
 
 
 class LocalChecker:
@@ -642,8 +678,96 @@ def _working_S(inst: PowerSumInstance, splits) -> PlaceSet:
     return S
 
 
+def _finite_open(X: Polynomial, g: RationalFunction, ds: tuple[int, int]) -> tuple[int, ...]:
+    """The d in ds = (p^l, p^l q) for which one prime image does not prove gcd(X, A_d) = 1 (module docstring)."""
+    fld = X.field
+    if fld.char:
+        return ds
+    rho, rows, _ = _gcd_prime(fld.M, 0)
+    row = rows[0]
+    xbar = _image(X.rows, row, rho)
+    if not xbar[-1] or not (g.num.den % rho and g.den.den % rho) or any(d % rho == 0 for d in ds):
+        return ds  # P is unusable
+    scale = g.den.den * pow(g.num.den, -1, rho) % rho  # num(g) and den(g) are int rows over their own dens
+    u = fp_divmod([c * scale % rho for c in _image(g.num.rows, row, rho)], xbar, rho)[1]
+    if g.den.degree > 0:
+        inv = fp_invmod(_image(g.den.rows, row, rho), xbar, rho)
+        if inv is None:
+            return ds
+        u = fp_divmod(fp_mul(u, inv, rho), xbar, rho)[1]
+    powers = {1: u}
+
+    def minus_one(k: int) -> list[int]:
+        """u^k - 1 mod xbar, raising the largest power computed so far that divides it."""
+        if k not in powers:
+            j = max(j for j in powers if k % j == 0)
+            powers[k] = fp_powmod(powers[j], k // j, xbar, rho)
+        return fp_sub(powers[k], [1], rho)
+
+    minus_one(ds[0])  # u^(p^l) on the way to u^(p^l q)
+    G = fp_gcd(xbar, minus_one(ds[1]), rho)
+    if len(G) == 1:
+        return ()
+    out = []
+    for d in ds:
+        H = fp_gcd(G, minus_one(d), rho)
+        for r in factorize(d):
+            # a zero z of H with u(z)^(d/r) = 1 has the same multiplicity in u^(d/r) - 1 as in
+            # u^d - 1, that of u - u(z), so one division strips it with its multiplicity in H
+            H = fp_divmod(H, fp_gcd(H, minus_one(d // r), rho), rho)[0]
+        if len(H) > 1:
+            out.append(d)
+    return tuple(out)
+
+
+class _LemmaTargets:
+    """N_S(gcd(x, Phi_d(g))) for d = p^l and p^l q, the lemma targets of one class.
+
+    Each count is decided by the prime-image test of the module docstring
+    first; only a count the test leaves open builds A_d, the numerator of
+    Phi_d(g), once per d, and counts it exactly.
+    """
+
+    def __init__(self, g: RationalFunction, p: int, ell: int, q: int):
+        self.g = g
+        self.ds = (p**ell, p**ell * q)
+        self._numerators: dict[int, Polynomial] = {}
+
+    def counts(self, x: RationalFunction, S: PlaceSet) -> tuple[int, int]:
+        """gcd_counting(x, Phi_d(g), S) for both d; x must be a nonzero S-integer."""
+        if x.is_zero:
+            raise ZeroInput("gcd counting of 0")
+        if not is_s_integer(x, S):
+            raise NotSInteger("gcd counting requires S-integers")
+        X, v_inf, g = strip_places(x.num, S), x.den.degree - x.num.degree, self.g
+        open_ = set(_finite_open(X, g, self.ds)) if X.degree > 0 else set()
+        if not S.has_infinity and v_inf > 0 and g.num.degree == g.den.degree:
+            c = g.num.lc() / g.den.lc()  # g(inf), a zero of Phi_d exactly when its order is d
+            if c.is_torsion():
+                open_.update(d for d in self.ds if d == c.order())
+        return tuple(self._count(X, v_inf, d, S) if d in open_ else 0 for d in self.ds)
+
+    def _count(self, X: Polynomial, v_inf: int, d: int, S: PlaceSet) -> int:
+        """The exact count: deg gcd(X, A_d), plus min(v_inf(x), v_inf(Phi_d(g))) when positive off S.
+
+        A_d is built on first use, and its degree phi(d) h(g) is held to SKOLEMFF_MAX_LOCAL_DEGREE.
+        """
+        if d not in self._numerators:
+            degree, cap = euler_phi(d) * height(self.g), local_degree_cap()
+            if degree > cap:
+                raise FactorizationTooHard(
+                    f"lemma target Phi_{d}(g): degree {degree} exceeds SKOLEMFF_MAX_LOCAL_DEGREE={cap}"
+                )
+            self._numerators[d] = _phi_numerator(d, self.g)
+        A = self._numerators[d]
+        count = poly_gcd(X, A).degree
+        if not S.has_infinity:
+            count += max(0, min(v_inf, euler_phi(d) * self.g.den.degree - A.degree))
+        return count
+
+
 def _claimD_impl(
-    split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int, phis: tuple[RationalFunction, RationalFunction]
+    split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int, targets: _LemmaTargets
 ) -> InequalityReport:
     if not split.dep:
         return InequalityReport(
@@ -654,8 +778,7 @@ def _claimD_impl(
     x = split.p_dep.evaluate(split.g**n)
     if x.is_zero:
         raise PreconditionGlobalZeroExists("P_dep(g^n) = 0: a global zero exists")
-    n1 = gcd_counting(x, phis[0], S, truncated=False)
-    n2 = gcd_counting(x, phis[1], S, truncated=False)
+    n1, n2 = targets.counts(x, S)
     return InequalityReport(
         lhs=min(n1, n2),
         rhs=0,
@@ -666,7 +789,7 @@ def _claimD_impl(
 
 
 def _claimI_impl(
-    split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int, phis: tuple[RationalFunction, RationalFunction]
+    split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int, targets: _LemmaTargets
 ) -> InequalityReport:
     chi = chi_S(S)
     if chi < 0:
@@ -677,7 +800,7 @@ def _claimI_impl(
     # Phi_{p^l}(g) and Phi_{p^l q}(g) have disjoint zeros (g is a primitive root of
     # unity of a different order at each), also at infinity, so the count against
     # their product is the sum of the two counts.
-    lhs = sum(gcd_counting(x, y, S, truncated=False) for y in phis)
+    lhs = sum(targets.counts(x, S))
     hg = height(split.g)
     hp = split.height
     degp = split.poly.degree
@@ -712,7 +835,7 @@ def lemma_claimD_check(inst: PowerSumInstance, split: SplitResult, n: int, p: in
     """
     _require_no_class_zero(split, "D")
     S = _working_S(inst, [split])
-    return _claimD_impl(split, S, n, p, ell, q, _phi_pair(split.g, p, ell, q))
+    return _claimD_impl(split, S, n, p, ell, q, _LemmaTargets(split.g, p, ell, q))
 
 
 def lemma_claimI_check(inst: PowerSumInstance, split: SplitResult, n: int, p: int, ell: int, q: int) -> InequalityReport:
@@ -725,7 +848,7 @@ def lemma_claimI_check(inst: PowerSumInstance, split: SplitResult, n: int, p: in
         raise CharPUnsupported("claim I holds in characteristic 0")
     _require_no_class_zero(split, "I")
     S = _working_S(inst, [split])
-    return _claimI_impl(split, S, n, p, ell, q, _phi_pair(split.g, p, ell, q))
+    return _claimI_impl(split, S, n, p, ell, q, _LemmaTargets(split.g, p, ell, q))
 
 
 # ---------------------------------------------------------------------------
@@ -793,15 +916,15 @@ def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> Certific
         ell = ell_bound(split.height, split.poly.degree, split.g, S_work, p, q)
         split_complete = split.complete and split.remainder_degree == 0
         checks: list[InequalityReport] = []
-        phi_degree = euler_phi(p**ell * q) * height(split.g)
-        if phi_degree > local_degree_cap():
-            notes.append(f"class {split.residue_class}: lemma evaluation skipped (degree {phi_degree})")
-            skipped = True
-        elif split_complete:
-            phis = _phi_pair(split.g, p, ell, q)
-            for n in (1, 2):
-                checks.append(_claimD_impl(split, S_work, n, p, ell, q, phis))
-                checks.append(_claimI_impl(split, S_work, n, p, ell, q, phis))
+        if split_complete:
+            targets = _LemmaTargets(split.g, p, ell, q)
+            try:
+                for n in (1, 2):
+                    checks.append(_claimD_impl(split, S_work, n, p, ell, q, targets))
+                    checks.append(_claimI_impl(split, S_work, n, p, ell, q, targets))
+            except FactorizationTooHard as exc:
+                notes.append(f"class {split.residue_class}: lemma checks skipped: {exc}")
+                checks, skipped = [], True
         per_class.append(
             ClassCertificate(
                 residue=split.residue_class,

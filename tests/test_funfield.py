@@ -308,6 +308,34 @@ def test_power_matches_repeated_products(Q, Qi, F3):
                 prod = prod * f
 
 
+def test_powers_skip_the_gcd_and_match_the_normalising_constructor(Q, Qi, F3, monkeypatch):
+    # powers of a reduced fraction stay reduced; a negative power only rescales
+    # num and den by the inverse of the new denominator's leading coefficient
+    F9 = field_for(FieldSpec(3, 1, 2))
+    rng = random.Random(211)
+    cases = []
+    for fld in (Q, Qi, F3, F9):
+        fs = [RationalFunction.zero(fld), RationalFunction.constant(fld, rand_const(rng, fld, nonzero=True))]
+        fs += [rand_ratfunc(rng, fld, 3) for _ in range(6)]
+        for f in fs:
+            for e in (-3, -1, 0, 1, 2, 5):
+                if f.is_zero and e < 0:
+                    with pytest.raises(ZeroDivisionError):
+                        f**e
+                    continue
+                num, den = (f.num, f.den) if e >= 0 else (f.den, f.num)
+                cases.append((f, e, RationalFunction(num ** abs(e), den ** abs(e))))
+    assert any(e < 0 and not f.num.lc().is_one and not f.num.is_constant for f, e, _ in cases)
+
+    def no_gcd(*args):
+        raise AssertionError("_gcd_cofactors called")
+
+    monkeypatch.setattr(funfield, "_gcd_cofactors", no_gcd)
+    for f, e, want in cases:
+        got = f**e
+        assert (got.num, got.den) == (want.num, want.den) and got.den.lc().is_one, (f, e)
+
+
 def test_constant_products_skip_the_gcd_and_match_the_normalising_constructor(Q, Qi, F3, monkeypatch):
     # a nonzero constant times a reduced fraction with a monic denominator is
     # reduced, so products with a constant and negation take no gcd; each must

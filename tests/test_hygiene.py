@@ -1,7 +1,8 @@
 """Static checks over the package source: every imported name is used, a
 module that imports from a sibling at the top does not import from it again
-inside a function, and every top-level function and class is referenced from
-the package or the benchmark."""
+inside a function, no `assert` statement stands in for a runtime check, and
+every top-level function and class is referenced from the package or the
+benchmark."""
 
 import ast
 import os
@@ -100,6 +101,24 @@ def test_lazy_repeat_detection():
     )
     assert _lazy_repeats(src) == [("a", 4), ("b", 7)]
     assert _lazy_repeats("import os\ndef f():\n    from .factor import factor_poly\n") == []
+
+
+def _asserts(source: str) -> list[int]:
+    """Lines of `assert` statements, which `python -O` strips."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_assert_statement_in_the_package(module):
+    # a runtime check must survive python -O: raise explicitly instead
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert _asserts(fh.read()) == [], module
+
+
+def test_assert_detection():
+    src = "def f(x):\n    assert x, 'no'\n    if not x:\n        raise AssertionError('kept')\n"
+    assert _asserts(src) == [2]
+    assert _asserts("class C:\n    def m(self):\n        assert self\n") == [3]
 
 
 def _is_all(node: ast.stmt) -> bool:

@@ -42,13 +42,23 @@ from skolemff.errors import (
 from skolemff import powersum
 from skolemff.constants import zeta
 from skolemff.generate import generate_instance
-from skolemff.intutil import divisors
+from skolemff.intutil import divisors, euler_phi
 from skolemff.multstruct import DependenceWitness
 from skolemff.powersum import LocalChecker, class_reduction
 from conftest import example1_instance, neg_ru, one_ru
 
 
 from oracles import brute_zero_scan, horner_phi, window_zero_scan
+
+
+def _phi_pair(g, p, ell, q):
+    """Phi_{p^l}(g) and Phi_{p^l q}(g) in K, from the numerators A_d the lemma counts build.
+
+    A_d = den^phi(d) Phi_d(num/den) is prime to den, so A_d / den^phi(d) is taken as reduced.
+    """
+    return tuple(
+        RationalFunction._reduced(powersum._phi_numerator(d, g), g.den ** euler_phi(d)) for d in (p**ell, p**ell * q)
+    )
 
 
 # -- instances and eval ---------------------------------------------------------
@@ -673,7 +683,7 @@ def test_lemma_claimI_examples(Q):
 def test_claimI_count_is_the_sum_over_the_phi_pair(Q):
     """N_S(gcd(x, y1 y2)) = N_S(gcd(x, y1)) + N_S(gcd(x, y2)): y1, y2 have disjoint zeros."""
     from skolemff import gcd_counting, valuation
-    from skolemff.powersum import _phi_pair, _working_S
+    from skolemff.powersum import _working_S
 
     t = RationalFunction.t(Q)
     tp = Polynomial.t(Q)
@@ -735,8 +745,6 @@ def test_lemma_checks_reuse_the_callers_split(monkeypatch):
 
 
 def test_phi_pair_matches_horner(Q):
-    from skolemff.powersum import _phi_pair
-
     # the lemma targets of every certified dep-heavy class
     pairs = 0
     for seed in range(10):
@@ -754,6 +762,172 @@ def test_phi_pair_matches_horner(Q):
     for g in ((t + 2) / (t**2 - 3), t**-3):
         for d in range(1, 13):
             assert _phi_pair(g, d, 1, 1) == (horner_phi(d, g),) * 2
+
+
+# The four fields of the lemma-count comparison; F_7 always builds A_d (the fallback).
+LEMMA_FIELDS = {"Q": FieldSpec(0, 1), "Q(i)": FieldSpec(0, 4), "Q(zeta_3)": FieldSpec(0, 3), "F_7": FieldSpec(7, 1, 1)}
+
+
+def _lemma_cases(fld):
+    """(g, S) pairs: g an S-unit with S = {t, t - 1} and infinity, or without it, or S = {t, t + 1, inf}.
+
+    Off S infinity forces v_inf(g) = 0, and g(inf) runs through roots of unity
+    of orders 2..6 where F has them (and the constant 2, which is none).  On {t, t + 1, inf}
+    the place t + 1 of S is a zero of Phi_2(t).  g = +-t^2 / (4(t - 1)) takes
+    the value +-1 at t = 2 twice: Phi_1(g) and Phi_2(g) have the double zero t = 2.
+    """
+    t, tp, one = RationalFunction.t(fld), Polynomial.t(fld), Polynomial.one(fld)
+    with_inf = PlaceSet([Place(tp), Place(tp - one), INFINITY])
+    no_inf = PlaceSet([Place(tp), Place(tp - one)])
+    unit = t / (t - 1)
+    tors = [zeta(fld, k) for k in (2, 3, 4, 6) if fld.torsion_exponent % k == 0]
+    return (
+        [(g, with_inf) for g in (t, -t, t**2, (t - 1) ** 2 / t**3, unit * 2, t * unit / 4, -t * unit / 4)]
+        + [(unit * c, no_inf) for c in tors]
+        + [(-(unit**2), no_inf), (unit * 2, no_inf), (t, PlaceSet([Place(tp), Place(tp + one), INFINITY]))]
+    )
+
+
+@pytest.mark.parametrize("name", LEMMA_FIELDS)
+def test_lemma_counts_match_gcd_counting(name):
+    """`_LemmaTargets.counts` equals gcd_counting against Phi_d(g) by Horner, and builds A_d only for a nonzero count.
+
+    x shares zeros with Phi_d(g) and with Phi_e(g) for e | d, e < d (zeros
+    where g has order e, which u^d - 1 keeps and the prime refinement must
+    drop), takes S-places and, off S infinity, a zero there.
+    """
+    from skolemff import gcd_counting, valuation
+    from skolemff.funfield import strip_places
+    from skolemff.powersum import _LemmaTargets
+
+    fld = field_for(LEMMA_FIELDS[name])
+    rng = random.Random(2014)
+    tp = Polynomial.t(fld)
+    seen = Counter()
+    for g, S in _lemma_cases(fld):
+        poles = [pl.poly for pl in S if not pl.is_infinite]
+        for p, ell, q in ((2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 1, 4)):
+            targets = _LemmaTargets(g, p, ell, q)
+            ds = targets.ds
+            phis = {e: horner_phi(e, g) for e in divisors(ds[1])}
+            for _ in range(3):
+                num = Polynomial(fld, (rng.randint(1, 5),))
+                for e in rng.sample(sorted(phis), 2):
+                    num = num * phis[e].num ** rng.randint(0, 1)
+                num = num * (tp - Polynomial(fld, (rng.randint(2, 5),))) ** rng.randint(0, 1)
+                num = num * poles[-1] ** rng.randint(0, 1)  # a zero on S
+                if S.has_infinity:
+                    den = rng.choice(poles) ** rng.randint(0, 2)
+                else:  # no pole at infinity off S, and sometimes a zero there
+                    den = Polynomial.one(fld)
+                    while den.degree < num.degree + rng.randint(0, 2):
+                        den = den * rng.choice(poles)
+                x = RationalFunction(num, den)
+                before = set(targets._numerators)
+                got = targets.counts(x, S)
+                assert got == tuple(gcd_counting(x, phis[d], S) for d in ds), (name, g, S, ds, x)
+                built = set(targets._numerators) - before
+                if fld.char:  # no image test: A_d is built for every x with a finite zero off S
+                    assert strip_places(x.num, S).degree == 0 or set(targets._numerators) == set(ds)
+                else:
+                    assert built == {d for d, c in zip(ds, got) if c} - before, (name, g, ds, x)
+                seen["positive"] += any(got)
+                seen["zero"] += not any(got)
+                if not S.has_infinity and valuation(x, INFINITY) > 0:
+                    seen["inf"] += any(valuation(phis[d], INFINITY) > 0 for d in ds)
+                seen["proper divisor"] += any(
+                    gcd_counting(x, phis[e], S) > 0 for e in phis if e not in ds and ds[1] % e == 0
+                ) and got == (0, 0)
+    assert seen["positive"] >= 10 and seen["zero"] >= 10, seen
+    assert seen["proper divisor"] >= 5, seen
+    if fld.torsion_exponent % 4 == 0 or fld.torsion_exponent % 3 == 0:
+        assert seen["inf"] >= 1, seen
+
+
+def test_lemma_counts_fall_back_at_an_unusable_or_unlucky_prime(Q, monkeypatch):
+    """A patched prime: 7 takes 7t - 2's leading coefficient, 3 divides d, and mod 5 the
+    image of t - 2 meets Phi_4(t) (2^2 + 1 = 5) though t - 2 and t^2 + 1 are coprime."""
+    from skolemff import gcd_counting
+    from skolemff.powersum import _LemmaTargets
+
+    t = RationalFunction.t(Q)
+    S = PlaceSet([Place(Polynomial.t(Q)), INFINITY])
+    assert _LemmaTargets(t, 2, 2, 3).counts(t - 2, S) == (0, 0)
+    for rho, x, built in ((7, 7 * t - 2, {4, 12}), (3, t - 2, {4, 12}), (5, t - 2, {4})):
+        monkeypatch.setattr(powersum, "_gcd_prime", lambda M, i, rho=rho: (rho, ((1,),), ((1,),)))
+        targets = _LemmaTargets(t, 2, 2, 3)
+        assert targets.counts(x, S) == (0, 0) == tuple(gcd_counting(x, horner_phi(d, t), S) for d in targets.ds)
+        assert set(targets._numerators) == built, rho
+    # a nonzero count is exact behind any prime: t^4 - 1 meets Phi_4(t) = t^2 + 1 twice
+    targets = _LemmaTargets(t, 2, 2, 3)
+    assert targets.counts(t**4 - 1, S) == (2, 0) and set(targets._numerators) == {4}
+
+
+def test_lemma_fallback_keeps_the_local_degree_cap(Q, monkeypatch):
+    from skolemff.errors import NotSInteger
+    from skolemff.powersum import _LemmaTargets
+
+    t = RationalFunction.t(Q)
+    S = PlaceSet([Place(Polynomial.t(Q)), INFINITY])
+    # the input checks of gcd_counting come first
+    with pytest.raises(NotSInteger):
+        _LemmaTargets(t, 2, 1, 3).counts(1 / (t - 1), S)
+    with pytest.raises(ZeroInput):
+        _LemmaTargets(t, 2, 1, 3).counts(RationalFunction.zero(Q), S)
+    monkeypatch.setenv("SKOLEMFF_MAX_LOCAL_DEGREE", "3")
+    targets = _LemmaTargets(t**2, 2, 1, 3)
+    assert targets.counts(t**3 - 2, S) == (0, 0)  # proved 0 without a build
+    with pytest.raises(FactorizationTooHard, match=r"Phi_6\(g\): degree 4 exceeds SKOLEMFF_MAX_LOCAL_DEGREE=3"):
+        targets.counts(t**4 - t**2 + 1, S)  # Phi_6(t^2) itself
+
+
+def test_certify_notes_a_lemma_target_above_the_cap(monkeypatch):
+    # dep-heavy seed 0 meets Phi_8(t^3) (degree 12) in a nonzero count: the class is noted and inconclusive
+    inst, _ = generate_instance(0, "dep-heavy")
+    monkeypatch.setenv("SKOLEMFF_MAX_LOCAL_DEGREE", "11")
+    rep = certify_local_global(inst, k_bound=100)
+    note = "class 0: lemma checks skipped: lemma target Phi_8(g): degree 12 exceeds SKOLEMFF_MAX_LOCAL_DEGREE=11"
+    assert note in rep.notes and rep.verdict == "InconclusiveWithinBounds"
+    assert rep.per_class[0].split_complete and rep.per_class[0].lemma_checks == ()
+
+
+def test_certify_builds_phi_only_for_nonzero_counts(monkeypatch):
+    """On dep-heavy seeds 0-19 a lemma target A_d is built once per class and d, and only for a
+    nonzero count; `LocalChecker` builds its own Phi_d(f) numerators, told apart by the caller."""
+    lemma, checker, inside = [], [], [False]
+    phi_numerator, condition = powersum._phi_numerator, LocalChecker.condition
+
+    def counted(d, f):
+        (checker if inside[0] else lemma).append((d, f))
+        return phi_numerator(d, f)
+
+    def in_checker(self, d):
+        inside[0] = True
+        try:
+            return condition(self, d)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(powersum, "_phi_numerator", counted)
+    monkeypatch.setattr(LocalChecker, "condition", in_checker)
+    builds = 0
+    for seed in range(20):
+        inst, _ = generate_instance(seed, "dep-heavy")
+        lemma.clear()
+        rep = certify_local_global(inst, k_bound=100)
+        nonzero = set()
+        for cc in rep.per_class:
+            d1, d2 = cc.p**cc.ell, cc.a
+            for r in cc.lemma_checks:
+                # claim D reports both counts; claim I only their sum
+                if "N1" in r.detail:
+                    nonzero.update(d for d, n in ((d1, r.detail["N1"]), (d2, r.detail["N2"])) if n)
+                elif r.lhs:
+                    nonzero.update((d1, d2))
+        assert len(lemma) == len(set(lemma)) and {d for d, _ in lemma} <= nonzero, (seed, lemma, nonzero)
+        assert all(f == inst.g for _, f in lemma)
+        builds += len(lemma)
+    assert 0 < builds < 10 and len(checker) > 0
 
 
 def test_certify_examples(Q, Qi):
