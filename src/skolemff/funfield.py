@@ -313,6 +313,11 @@ class Polynomial(_Dense):
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative polynomial power")
+        rows = self.rows
+        if len(rows) > 1 and not any(map(any, rows[:-1])):
+            # c t^k has the power c^e t^(k e): no product is taken
+            c = self.lc() ** e
+            return _poly(self.field, (self.field.zero_raw,) * ((len(rows) - 1) * e) + (c.raw,), c.den)
         out = Polynomial.one(self.field)
         base = self
         while e:

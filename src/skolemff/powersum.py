@@ -16,6 +16,19 @@ class, the breakpoints of a Newton polygon; the other places of S and the
 leading coefficients at infinity prune them, and P'_c(g^m) = 0 in K proves
 each zero that remains (`decide_global_zero`).
 
+A term lambda_i is lone when no other exponent equals r_i; then
+mu_{c,j} = lambda_i eps_i^c, a constant multiple of lambda_i, with the
+valuations, the numerator (up to a constant) and the leading coefficient
+lc(lambda_i) eps_i^c of lambda_i.  It is carried as (i, eps_i^c), and the
+product in K is built only where a caller reads mu_{c,j} itself.  The other
+terms form groups, the i sharing one exponent.  Let E, the group period, be
+the lcm of the eps orders within the groups (E = 1 when the exponents are
+distinct); E divides e.  Which mu_{c,j} are nonzero, and their valuations,
+depend only on c mod E: a lone term's are lambda_i's in every class, and a
+group's mu_{c,j} = sum lambda_i eps_i^c is the same element for c and c + E,
+as every eps_i in it has order dividing E.  So per-class data is built for a
+class (or for c mod E) only when something reads it.
+
 Each mu_{c,j} is an S-integer and f is an S-unit, so h(P'_c) is read off
 valuations at S without expanding a power of f:
 
@@ -68,6 +81,7 @@ class and d, and is counted exactly.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -183,18 +197,18 @@ class PowerSumInstance:
         if ch and self.e % ch == 0:
             raise InvalidInstance("e must be coprime to the characteristic")
 
-    @property
+    @cached_property
     def e(self) -> int:
         out = 1
         for eps in self.epsilons:
             out = lcm(out, eps.order)
         return out
 
-    @property
+    @cached_property
     def N(self) -> int:
         return max(self.exponents) - min(self.exponents)
 
-    @property
+    @cached_property
     def r_min(self) -> int:
         return min(self.exponents)
 
@@ -208,37 +222,82 @@ class PowerSumInstance:
         return self.f**self.e
 
     @cached_property
-    def _mu_terms(self) -> tuple[tuple[tuple[int, RationalFunction, tuple[int, ConstantValue] | None], ...], ...]:
-        """Per class c, (j, mu_{c,j}, lone) for the nonzero mu_{c,j} in ascending j, built once.
+    def _groups(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(j, the i with r_i = j + r_min) for each exponent, in ascending j."""
+        groups: dict[int, list[int]] = {}
+        for i, r in enumerate(self.exponents):
+            groups.setdefault(r - self.r_min, []).append(i)
+        return tuple((j, tuple(groups[j])) for j in sorted(groups))
 
-        lone is (i, eps_i^c) when mu_{c,j} is the single term lambda_i eps_i^c
-        (no other exponent equals r_i), else None.
+    @cached_property
+    def group_period(self) -> int:
+        """E, the lcm of the eps orders within the groups of two or more terms (1 when no exponent repeats).
+
+        The nonzero terms of a class and their valuations depend only on c mod E
+        (module docstring); E divides e.
         """
-        out = []
-        for c in range(self.e):
-            mu: dict[int, RationalFunction] = {}
-            lone: dict[int, tuple[int, ConstantValue] | None] = {}
-            for i, (lam, eps, r) in enumerate(zip(self.lambdas, self.epsilons, self.exponents)):
-                j, const = r - self.r_min, eps.value ** (c % eps.order)
-                term = lam * const
-                mu[j], lone[j] = (mu[j] + term, None) if j in mu else (term, (i, const))
-            out.append(tuple((j, mu[j], lone[j]) for j in sorted(mu) if not mu[j].is_zero))
-        return tuple(out)
+        out = 1
+        for _, group in self._groups:
+            if len(group) > 1:
+                out = lcm(out, *(self.epsilons[i].order for i in group))
+        return out
 
     @cached_property
-    def mus(self) -> tuple[tuple[tuple[int, RationalFunction], ...], ...]:
-        """Per class c, the nonzero mu_{c,j} as (j, mu_{c,j}) in ascending j."""
-        return tuple(tuple((j, mu) for j, mu, _ in terms) for terms in self._mu_terms)
+    def _class_shape(self) -> "_PerClass":
+        """Per c mod E, (j, x, i) for the nonzero mu_{c,j} in ascending j.
+
+        A lone term (no other exponent equals r_i) has x = lambda_i and its
+        index i; a group has x = mu_{c,j}, its sum, and i = None.
+        """
+        def build(c):
+            out = []
+            for j, group in self._groups:
+                if len(group) == 1:
+                    out.append((j, self.lambdas[group[0]], group[0]))
+                    continue
+                mu = RationalFunction.zero(self.field)
+                for i in group:
+                    eps = self.epsilons[i]
+                    mu = mu + self.lambdas[i] * eps.value ** (c % eps.order)
+                if not mu.is_zero:
+                    out.append((j, mu, None))
+            return tuple(out)
+
+        return _PerClass(self.e, build, self.group_period)
 
     @cached_property
-    def classes(self) -> tuple[tuple[KPolynomial, RationalFunction], ...]:
-        """class_reduction(self, c) for every residue c < e, built once per instance."""
-        return tuple(class_reduction(self, c) for c in range(self.e))
+    def _mu_terms(self) -> "_PerClass":
+        """Per class c, (j, x, lone) for the nonzero mu_{c,j} in ascending j, built on first read.
+
+        lone is (i, eps_i^c) for a lone term, whose mu_{c,j} = lambda_i eps_i^c
+        is left unexpanded as x = lambda_i; for a group x = mu_{c,j} and lone
+        is None.
+        """
+        def build(c):
+            return tuple(
+                (j, x, None if i is None else (i, self.epsilons[i].value ** (c % self.epsilons[i].order)))
+                for j, x, i in self._class_shape[c]
+            )
+
+        return _PerClass(self.e, build)
 
     @cached_property
-    def class_heights(self) -> tuple[int | None, ...]:
-        """h(P'_c) for every class c (None where P'_c = 0), computed once."""
-        return tuple(_class_height(self, c) for c in range(self.e))
+    def mus(self) -> "_PerClass":
+        """Per class c, the nonzero mu_{c,j} as (j, mu_{c,j}) in ascending j, built on first read."""
+        def build(c):
+            return tuple((j, x if lone is None else x * lone[1]) for j, x, lone in self._mu_terms[c])
+
+        return _PerClass(self.e, build)
+
+    @cached_property
+    def classes(self) -> "_PerClass":
+        """class_reduction(self, c) per residue c < e, built on first read."""
+        return _PerClass(self.e, lambda c: class_reduction(self, c))
+
+    @cached_property
+    def class_heights(self) -> "_PerClass":
+        """h(P'_c) per class c (None where P'_c = 0), computed on first read."""
+        return _PerClass(self.e, lambda c: _class_height(self, c))
 
     @cached_property
     def f_valuations(self) -> tuple[int, ...]:
@@ -246,21 +305,49 @@ class PowerSumInstance:
         return tuple(valuation(self.f, v) for v in self.places)
 
     @cached_property
-    def class_valuations(self) -> tuple[tuple[tuple[int, list[int], int, Polynomial], ...], ...]:
-        """Per class c, (j, vals, v_inf, num) for each nonzero mu_{c,j}, in the order of `mus`.
+    def class_valuations(self) -> "_PerClass":
+        """Per class c, (j, vals, v_inf, num) for each nonzero mu_{c,j}, in the order of `mus`; one entry per c mod E.
 
         vals are the valuations of mu_{c,j} at S (in S's order), v_inf the one
         at infinity and num its numerator.  A lone term lambda_i eps_i^c has the
         valuations of lambda_i and its numerator up to a constant factor, so it
-        reuses lambda_i's, computed once for every class.
+        reuses lambda_i's, computed once.
         """
         def data(x):
             return [valuation(x, v) for v in self.places], valuation(x, INFINITY), x.num
 
-        lam = [data(x) for x in self.lambdas]
-        return tuple(
-            tuple((j, *(data(mu) if lone is None else lam[lone[0]])) for j, mu, lone in terms) for terms in self._mu_terms
-        )
+        lam: dict[int, tuple] = {}
+
+        def build(c):
+            out = []
+            for j, x, i in self._class_shape[c]:
+                if i is not None and i not in lam:
+                    lam[i] = data(x)
+                out.append((j, *(data(x) if i is None else lam[i])))
+            return tuple(out)
+
+        return _PerClass(self.e, build, self.group_period)
+
+
+class _PerClass(Sequence):
+    """A read-only sequence over the classes c < size whose entry c is build(c mod period), built on first read.
+
+    Classes that agree mod `period` share one entry.
+    """
+
+    def __init__(self, size: int, build, period: int | None = None):
+        self._size, self._build, self._period, self._cache = size, build, period or size, {}
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, c: int):
+        if not -self._size <= c < self._size:
+            raise IndexError(c)
+        c %= self._period
+        if c not in self._cache:
+            self._cache[c] = self._build(c)
+        return self._cache[c]
 
 
 def _class_height(inst: PowerSumInstance, c: int) -> int | None:
@@ -285,12 +372,20 @@ def _class_height(inst: PowerSumInstance, c: int) -> int | None:
 
 
 def eval_B(inst: PowerSumInstance, n: int) -> RationalFunction:
-    """Exact value of B(n) in K (any integer n; f is a unit)."""
-    out = RationalFunction.zero(inst.field)
+    """Exact value of B(n) in K (any integer n; f is a unit).
+
+    The terms are summed over the product of their distinct denominators and
+    the sum is reduced once.
+    """
+    num, den = Polynomial.zero(inst.field), Polynomial.one(inst.field)
     for lam, eps, r in zip(inst.lambdas, inst.epsilons, inst.exponents):
-        c = eps.value ** (n % eps.order)
-        out = out + lam * c * inst.f ** (r * n)
-    return out
+        x = inst.f ** (r * n)
+        term, term_den = lam.num * x.num * eps.value ** (n % eps.order), lam.den * x.den
+        if term_den == den:
+            num = num + term
+        else:
+            num, den = num * term_den + term * den, den * term_den
+    return RationalFunction(num, den)
 
 
 def class_reduction(inst: PowerSumInstance, c: int) -> tuple[KPolynomial, RationalFunction]:
@@ -343,11 +438,14 @@ class LocalChecker:
     Phi_d(f).  Modulo G_d the function f is a unit of exact order d and the
     mu_{c,j} of `PowerSumInstance.mus` reduce (their denominators lie on S),
     so with c = k mod e, B(k) mod G_d = sum_j mu_{c,j} fbar^{((j+r_min) k) mod d},
-    which depends only on k mod lcm(d, e).  G_d, fbar and the mu_{c,j} mod G_d
-    are built when a check first reads the condition of d, so the divisors
-    after the first failing condition cost nothing.  The powers fbar^j are
-    kept, and each condition's sum, like the same sum at infinity, is computed
-    once per residue.
+    which depends only on k mod lcm(d, e).  G_d and fbar are built when a
+    check first reads the condition of d, so the divisors after the first
+    failing condition cost nothing, and the mu_{c,j} mod G_d of a class when a
+    check first reads that class.  The powers fbar^j are kept, and each
+    condition's sum, like the same sum at infinity, is computed once per
+    residue.  check(k) depends only on k mod `period` = lcm(a, e), a p-free:
+    each lcm(d, e) divides it, and so does the period lcm(order, e) of the
+    test at infinity, which applies only when the order of f(inf) divides a.
     """
 
     def __init__(self, inst: PowerSumInstance, a: int):
@@ -368,17 +466,13 @@ class LocalChecker:
         self.divisors = divisors(a)
         self._conditions = {}
         self.inf_condition = None
+        self.period = lcm(a, e)
         if not S.has_infinity:
             f_inf = f.value_at_infinity()
             if (f_inf**a).is_one:
                 order = f_inf.order()
-                self.inf_condition = {
-                    "f_inf": f_inf,
-                    "mu_inf": [[(j, mu.value_at_infinity()) for j, mu in terms] for terms in inst.mus],
-                    "order": order,
-                    "period": lcm(order, e),
-                    "verdicts": {},
-                }
+                self.inf_condition = {"f_inf": f_inf, "order": order, "period": lcm(order, e), "mu_inf": {},
+                                      "verdicts": {}}
 
     def condition(self, d: int) -> dict | None:
         """The condition of d, built and its order asserted on first call; None when G_d = 1."""
@@ -389,22 +483,30 @@ class LocalChecker:
                 fbar = _reduce_mod(inst.f, G)
                 if not (_pow_mod(fbar, d, G) == Polynomial.one(inst.field)):
                     raise AssertionError("fbar does not have order dividing d mod G_d")
-                # a lone term lambda_i eps_i^c reduces as eps_i^c times lambda_i mod G_d, reduced once per i
-                lam_bar = {}
-
-                def reduced(mu, lone):
-                    if lone is None:
-                        return _reduce_mod(mu, G)
-                    i, const = lone
-                    if i not in lam_bar:
-                        lam_bar[i] = _reduce_mod(inst.lambdas[i], G)
-                    return lam_bar[i] * const
-
-                mu_bar = [[(j, reduced(mu, lone)) for j, mu, lone in terms] for terms in inst._mu_terms]
-                cond = {"d": d, "G": G, "fbar": fbar, "mu_bar": mu_bar, "period": lcm(d, inst.e),
-                        "powers": {}, "sums": {}}
+                cond = {"d": d, "G": G, "fbar": fbar, "period": lcm(d, inst.e),
+                        "lam_bar": {}, "mu_bar": {}, "powers": {}, "sums": {}}
             self._conditions[d] = cond
         return self._conditions[d]
+
+    def _mu_bar(self, cond, c: int) -> list[tuple[int, Polynomial]]:
+        """The mu_{c,j} of class c mod G_d, built on first read.
+
+        A lone term lambda_i eps_i^c reduces as eps_i^c times lambda_i mod G_d,
+        which is reduced once per i.
+        """
+        mu_bar, lam_bar, G = cond["mu_bar"], cond["lam_bar"], cond["G"]
+        if c not in mu_bar:
+            terms = []
+            for j, x, lone in self.inst._mu_terms[c]:
+                if lone is None:
+                    terms.append((j, _reduce_mod(x, G)))
+                    continue
+                i, const = lone
+                if i not in lam_bar:
+                    lam_bar[i] = _reduce_mod(x, G)
+                terms.append((j, lam_bar[i] * const))
+            mu_bar[c] = terms
+        return mu_bar[c]
 
     @property
     def conditions(self) -> list[dict]:
@@ -415,7 +517,7 @@ class LocalChecker:
         """sum_j mu_{c,j} fbar^{((j+r_min) k) mod d} mod G_d for c = k mod e."""
         rmin, d, G, powers = self.inst.r_min, cond["d"], cond["G"], cond["powers"]
         acc = Polynomial.zero(self.inst.field)
-        for j, mu in cond["mu_bar"][k % self.inst.e]:
+        for j, mu in self._mu_bar(cond, k % self.inst.e):
             n = (j + rmin) * k % d
             if n not in powers:
                 powers[n] = _pow_mod(cond["fbar"], n, G)
@@ -454,9 +556,12 @@ class LocalChecker:
             return True
         res, verdicts = k % ic["period"], ic["verdicts"]
         if res not in verdicts:
-            inst, f_inf, order = self.inst, ic["f_inf"], ic["order"]
+            inst, f_inf, order, mu_inf = self.inst, ic["f_inf"], ic["order"], ic["mu_inf"]
+            c = res % inst.e
+            if c not in mu_inf:
+                mu_inf[c] = [(j, mu.value_at_infinity()) for j, mu in inst.mus[c]]
             val = ConstantValue(inst.field, inst.field.zero_raw)
-            for j, mu in ic["mu_inf"][res % inst.e]:
+            for j, mu in mu_inf[c]:
                 val = val + mu * f_inf ** ((j + inst.r_min) * res % order)
             verdicts[res] = val.is_zero
         return verdicts[res]
@@ -474,14 +579,23 @@ def find_local_witness(inst: PowerSumInstance, a: int, k_bound: int) -> int | No
     """First k in 0, 1, ..., k_bound, -1, ..., -k_bound passing the local check.
 
     Nonnegative witnesses are preferred (then the smallest-|k| negative one);
-    None when no k in the window passes.
+    None when no k in the window passes.  check(k) depends only on k mod the
+    checker's period, so each residue is checked once, and the scan stops
+    when every residue has failed.
     """
     if a < 1 or k_bound < 1:
         raise InvalidInstance("a and k_bound must be positive")
     checker = LocalChecker(inst, a)
+    failed: set[int] = set()
     for k in chain(range(0, k_bound + 1), range(-1, -k_bound - 1, -1)):
+        res = k % checker.period
+        if res in failed:
+            continue
         if checker.check(k):
             return k
+        failed.add(res)
+        if len(failed) == checker.period:
+            break
     return None
 
 
@@ -494,13 +608,23 @@ def _leading_sum_at_infinity(inst: PowerSumInstance, c: int, n: int) -> Constant
     """Sum of the leading coefficients at infinity of the terms of B(n) of least v_inf, n = c mod e.
 
     With lc(x) = lc(num x) / lc(den x), the term mu_{c,j} f^r, r = (j+r_min) n, has
-    leading coefficient lc(mu_{c,j}) lc(f)^r and v_inf(mu_{c,j}) + r v_inf(f).
+    leading coefficient lc(mu_{c,j}) lc(f)^r and v_inf(mu_{c,j}) + r v_inf(f).  A
+    lone term has lc(mu_{c,j}) = lc(lambda_i) eps_i^c, a constant, so nothing
+    is built in K.
     """
     f, vf = inst.f, valuation(inst.f, INFINITY)
-    terms = [((j + inst.r_min) * n, mu, v) for (j, mu), (_, _, v, _) in zip(inst.mus[c], inst.class_valuations[c])]
-    least = min(v + r * vf for r, _, v in terms)
-    lc = [mu.num.lc() / mu.den.lc() * (f.num.lc() / f.den.lc()) ** r for r, mu, v in terms if v + r * vf == least]
-    return sum(lc[1:], lc[0])
+    lc_f = f.num.lc() / f.den.lc()
+    terms = [
+        ((j + inst.r_min) * n, x, lone, v)
+        for (j, x, lone), (_, _, v, _) in zip(inst._mu_terms[c], inst.class_valuations[c])
+    ]
+    least = min(v + r * vf for r, _, _, v in terms)
+    out = []
+    for r, x, lone, v in terms:
+        if v + r * vf == least:
+            lc = x.num.lc() / x.den.lc() * lc_f**r
+            out.append(lc if lone is None else lc * lone[1])
+    return sum(out[1:], out[0])
 
 
 def decide_global_zero(inst: PowerSumInstance) -> int | None:
@@ -516,31 +640,42 @@ def decide_global_zero(inst: PowerSumInstance) -> int | None:
       sum to 0, since the sum is the coefficient of t^-w in B(n).  This holds
       whether or not infinity is in S (`_leading_sum_at_infinity`).
 
+    The nonzero terms of class c and their valuations depend only on c mod E,
+    the group period (`PowerSumInstance.group_period`): a lone term has the
+    valuations of lambda_i in every class, and a group's mu_{c,j} is a sum of
+    lambda_i eps_i^c whose eps_i have orders dividing E.  So the breakpoints
+    are enumerated once per representative c0 < E, not once per class.
+
     f is a nonconstant S-unit, so v0(f) != 0 at some place v0 of S.  There the
     L_j are lines in n with the distinct slopes (j+r_min) v0(f), and a least
     value attained twice is a breakpoint of their lower envelope.  That leaves
     at most (terms - 1) values n = (v0(mu_{c,k}) - v0(mu_{c,j})) / ((j-k) v0(f))
-    per class, each with |n| <= |v0(mu_{c,k}) - v0(mu_{c,j})|.  A class with one
-    nonzero term has no zero; a class with none (P'_c = 0) vanishes on all of
-    it, and c and c - e stand for it.
+    per representative, each with |n| <= |v0(mu_{c,k}) - v0(mu_{c,j})|, and
+    each in the one class n mod e.  A representative with one nonzero term
+    has no zero; one with none (P'_c = 0 for every c = c0 mod E) vanishes on
+    all n = c0 mod E, and c0 and c0 - E stand for it, the least n >= 0 and the
+    greatest n < 0 there.
 
-    An integer intersection n = c mod e at v0 that passes the first test at
+    An integer intersection n = c0 mod E at v0 that passes the first test at
     every place of S (v0 included, which keeps only breakpoints) and the
-    second test gets the exact test P'_c(g^m) = 0 in K, m = (n - c) / e.  It
-    proves the zero, as B(n) = g^{r_min m} P'_c(g^m), and only it expands P'_c.
+    second test gets the exact test P'_c(g^m) = 0 in K, c = n mod e and
+    m = (n - c) / e.  It proves the zero, as B(n) = g^{r_min m} P'_c(g^m), and
+    only it expands P'_c, for its class c alone.
     """
-    e, rmin, vf = inst.e, inst.r_min, inst.f_valuations
+    e, E, rmin, vf = inst.e, inst.group_period, inst.r_min, inst.f_valuations
     k0 = next(k for k, x in enumerate(vf) if x)
     zeros: list[int] = []
-    for c, terms in enumerate(inst.class_valuations):
+    for c0 in range(E):
+        terms = inst.class_valuations[c0]
         if not terms:
-            zeros.extend((c, c - e))
+            zeros.extend((c0, c0 - E))
         breaks = set()
         for (j, a, _, _), (k, b, _, _) in combinations(terms, 2):
             n, rem = divmod(b[k0] - a[k0], (j - k) * vf[k0])
-            if not rem and n % e == c:
+            if not rem and n % E == c0:
                 breaks.add(n)
         for n in breaks:
+            c = n % e
             rows = ([vals[i] + (j + rmin) * n * x for j, vals, _, _ in terms] for i, x in enumerate(vf))
             if all(row.count(min(row)) > 1 for row in rows) and _leading_sum_at_infinity(inst, c, n).is_zero:
                 P, g = inst.classes[c]
@@ -584,11 +719,13 @@ class SplitResult:
 def split_dep_ind(inst: PowerSumInstance, c: int) -> SplitResult:
     """Split P'_c by multiplicative dependence of its roots with g = f^e, decided once per root.
 
-    `inst.classes` expands every class at once, so each companion degree is
-    compared with SKOLEMFF_MAX_DEGREE first (FactorizationTooHard above it).
+    The companion degree of every class is compared with SKOLEMFF_MAX_DEGREE
+    first (FactorizationTooHard above it), before any class is expanded.  It
+    depends only on c mod E, so the first class above the cap is below E.
     """
     cap = max_degree_cap()
-    for k, terms in enumerate(inst.mus):
+    for k in range(inst.group_period):
+        terms = inst.class_valuations[k]
         if terms and terms[-1][0] > cap:
             raise FactorizationTooHard(f"class {k}: companion degree {terms[-1][0]} exceeds SKOLEMFF_MAX_DEGREE={cap}")
     P, g = inst.classes[c % inst.e]

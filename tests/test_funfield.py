@@ -296,15 +296,18 @@ def test_kernels_match_coefficientwise_oracles():
 
 
 def test_power_matches_repeated_products(Q, Qi, F3):
+    # monomials c t^k take the power without products, and must give the same canonical rows
     rng = random.Random(97)
     for fld in (Q, Qi, F3):
-        for _ in range(6):
-            f = rand_ratfunc(rng, fld, 2)
+        t = Polynomial.t(fld)
+        monomials = [RationalFunction(t**k * rand_const(rng, fld, nonzero=True)) for k in (1, 2, 3)]
+        for f in [rand_ratfunc(rng, fld, 2) for _ in range(6)] + monomials:
             if f.is_zero:
                 continue
             prod = RationalFunction.one(fld)
             for e in range(7):
                 assert f**e == prod and f ** (-e) == RationalFunction.one(fld) / prod, (f, e)
+                assert (f.num**e).rows == prod.num.rows and (f.num**e).den == prod.num.den, (f, e)
                 prod = prod * f
 
 

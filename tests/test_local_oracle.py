@@ -5,6 +5,7 @@ tests v_p(B(k)) >= 1 place by place - no radicals, no modular tables.
 """
 
 import random
+from itertools import chain
 from math import lcm
 
 from skolemff import (
@@ -130,3 +131,41 @@ def test_reused_checker_matches_oracle_over_residue_windows(Q):
                 at_infinity.add(vanishes)
     assert at_infinity == {True, False}
     assert repeated_passes > 0  # the repeated exponent passes at k = 2 mod 4
+
+
+def test_witness_scan_checks_each_residue_of_the_period_once(Q, monkeypatch):
+    # check(k) depends only on k mod lcm(a, e), so the scan skips a residue it
+    # has seen fail and stops once every residue has failed; it must return the
+    # witness of the full window scan, also for a above the window's width and
+    # with the test at infinity (f(inf) = 1 off S)
+    tp, one = Polynomial.t(Q), Polynomial.one(Q)
+    f = RationalFunction(tp + one * 2, tp - one)
+    S = PlaceSet([Place(tp - one), Place(tp + one * 2)])
+    inf_inst = PowerSumInstance((RationalFunction.one(Q),) * 2, (neg_ru(Q), one_ru(Q)), (1, 0), f, S)
+    # B(k) = t^k - t^-2 vanishes at the primitive a-th roots of unity exactly when k = -2 mod a
+    t = RationalFunction.t(Q)
+    S_t = PlaceSet([Place(tp), INFINITY])
+    shifted = PowerSumInstance((RationalFunction.one(Q), -(t**-2)), (one_ru(Q),) * 2, (1, 0), t, S_t)
+    cases = [(inf_inst, a, k_bound) for a in (1, 2, 4, 6) for k_bound in (1, 2, 5)]
+    ex1 = example1_instance(Q)
+    cases += [(shifted, 7, 2), (shifted, 7, 5), (shifted, 3, 3), (ex1, 2, 3), (ex1, 6, 4)]
+    cases += [
+        (generate_instance(seed, profile)[0], a, k_bound)
+        for profile in ("small", "charp") for seed in range(4) for a, k_bound in ((1, 4), (2, 3), (12, 2), (6, 8))
+    ]
+    calls = []
+    check = LocalChecker.check
+    monkeypatch.setattr(LocalChecker, "check", lambda self, k: calls.append(k) or check(self, k))
+    stopped_early, witnesses = 0, set()
+    for inst, a, k_bound in cases:
+        full = LocalChecker(inst, a)
+        window = list(chain(range(k_bound + 1), range(-1, -k_bound - 1, -1)))
+        want = next((k for k in window if check(full, k)), None)
+        calls.clear()
+        assert find_local_witness(inst, a, k_bound) == want, (inst.field.spec, a, k_bound)
+        assert full.period == lcm(full.a, inst.e)
+        assert len(calls) <= min(full.period, len(window)), (a, k_bound, calls)
+        assert len({k % full.period for k in calls}) == len(calls)
+        stopped_early += want is None and len(calls) < len(window)
+        witnesses.add(want)
+    assert stopped_early > 0 and {-2, 0, 1, 5} <= witnesses

@@ -1,7 +1,11 @@
+import contextlib
+import io
+import json
 import random
 import re
+import time
 from collections import Counter
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -39,12 +43,13 @@ from skolemff.errors import (
     QEqualsOne,
     ZeroInput,
 )
-from skolemff import powersum
+from skolemff import cli, powersum
 from skolemff.constants import zeta
 from skolemff.generate import generate_instance
 from skolemff.intutil import divisors, euler_phi
 from skolemff.multstruct import DependenceWitness
 from skolemff.powersum import LocalChecker, class_reduction
+from skolemff.serialize import save_instance
 from conftest import example1_instance, neg_ru, one_ru
 
 
@@ -85,6 +90,16 @@ def test_eval_B_examples(Q, ex1):
     assert eval_B(simple, 2) == 1 + t**2
     assert eval_B(ex1, 1) == t * (t + 1) * (t**2 - 1)
     assert eval_B(ex1, 0) == 4
+    # one normalisation of the sum over the term denominators gives the reduced
+    # fraction of the term-by-term sum in K
+    for profile in ("small", "dep-heavy", "charp"):
+        for seed in range(5):
+            inst, _ = generate_instance(seed, profile)
+            for n in range(-3, 4):
+                terms = [lam * eps.value ** (n % eps.order) * inst.f ** (r * n)
+                         for lam, eps, r in zip(inst.lambdas, inst.epsilons, inst.exponents)]
+                want = sum(terms[1:], terms[0])
+                assert eval_B(inst, n) == want, (profile, seed, n)
 
 
 def test_companion_examples(Q, ex1):
@@ -363,7 +378,99 @@ def test_decide_expands_P_only_when_an_exponent_passes_the_prefilter(monkeypatch
     # small seed 12 has a planted zero at n = 2
     inst, _ = generate_instance(12, "small")
     assert decide_global_zero(inst) == brute_zero_scan(inst, 3) == 2
-    assert sorted(calls) == list(range(inst.e))
+    assert calls == [2 % inst.e]  # only the class of the surviving candidate is expanded
+
+
+def _root(F, w, k):
+    """w^k as a RootOfUnity, for w of order p - 1 in F_p."""
+    n = F.char - 1
+    return RootOfUnity(n // gcd(n, k), w ** (k % n))
+
+
+def _crafted_torsion_instances():
+    """(instance, its smallest-|n| zero, the group period E) over F_101 and F_103 with an eps of order p - 1."""
+    out = []
+    for p, n0 in ((101, 37), (103, 40)):
+        F = field_for(FieldSpec(p, 1, 1))
+        w, t, one = zeta(F, p - 1), RationalFunction.t(F), RationalFunction.one(F)
+        S = PlaceSet([Place(Polynomial.t(F)), INFINITY])
+        u, neg = _root(F, w, 1), _root(F, w, (p - 1) // 2)
+        # lone terms: B(n) = 1 - (w t)^(n - n0), zero at n0 in class n0 mod e; and no zero
+        out.append((PowerSumInstance((one, -(w ** -n0) * t**-n0), (one_ru(F), u), (0, 1), t, S), n0, 1))
+        out.append((PowerSumInstance((one, 2 * t**-3), (one_ru(F), u), (0, 1), t, S), None, 1))
+        # a group whose mu_{c,1} = 1 + (-1)^c cancels in the odd classes (E = 2 < e):
+        # B(n) = (1 + (-1)^n) t^n - 2 w^(n-4) t^4, zero at n = 4
+        out.append((PowerSumInstance((one, one, -2 * w**-4 * t**4), (one_ru(F), neg, u), (1, 1, 0), t, S), 4, 2))
+        # two groups that both cancel in the odd classes: P'_c = 0 there, and B(1) = 0
+        epsilons = (u, _root(F, w, 1 + (p - 1) // 2), one_ru(F), neg)
+        out.append((PowerSumInstance((t**2, t**2, one, one), epsilons, (0, 0, 1, 1), t, S), 1, p - 1))
+        # S without infinity: f = t/(t-1), B(n) = 1 - (w f)^(n - 9)
+        tp, onep = Polynomial.t(F), Polynomial.one(F)
+        f = RationalFunction(tp, tp - onep)
+        S_fin = PlaceSet([Place(tp), Place(tp - onep)])
+        out.append((PowerSumInstance((one, -(w**-9) * f**-9), (one_ru(F), u), (0, 1), f, S_fin), 9, 1))
+    return out
+
+
+def test_decide_iterates_the_group_period_and_agrees_with_brute_scan():
+    # e = p - 1 is far above E; each candidate lands in the one class n mod e
+    for inst, zero, E in _crafted_torsion_instances():
+        assert inst.e == inst.field.char - 1 and inst.group_period == E, inst
+        got = decide_global_zero(inst)
+        assert got == zero == brute_zero_scan(inst, 45 if zero is None else abs(zero) + 3), (inst, got)
+
+
+def test_decide_builds_no_lambda_eps_product_on_distinct_exponents(monkeypatch):
+    # a lone term keeps lambda_i's valuations and leading coefficient; only the
+    # class a surviving candidate lands in is expanded, with one product per term
+    insts = [generate_instance(seed, profile)[0] for profile in ("small", "dep-heavy", "charp") for seed in range(15)]
+    insts += [inst for inst, _, E in _crafted_torsion_instances() if E == 1]
+    products, calls = [], []
+    mul, reduce_class = RationalFunction.__mul__, powersum.class_reduction
+
+    def counted(x, y):
+        if isinstance(y, ConstantValue):
+            products.append(x)
+        return mul(x, y)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counted)
+    monkeypatch.setattr(powersum, "class_reduction", lambda inst, c: calls.append(c) or reduce_class(inst, c))
+    expanded = 0
+    for inst in insts:
+        assert len(set(inst.exponents)) == len(inst.exponents)
+        products.clear()
+        calls.clear()
+        decide_global_zero(inst)
+        assert len(products) == len(inst.lambdas) * len(calls) and len(calls) <= 1, inst
+        expanded += len(calls)
+    assert 0 < expanded < len(insts)
+
+
+def _order_p_minus_1_instance(lam2):
+    """f = t, S = {t, inf}, lambdas (1, lam2), eps (1, w) with w of order p - 1, r = (0, 1), over F_1000003."""
+    p = 1000003
+    F = field_for(FieldSpec(p, 1, 1))
+    S = PlaceSet([Place(Polynomial.t(F)), INFINITY])
+    lambdas = (RationalFunction.one(F), RationalFunction.constant(F, lam2))
+    return PowerSumInstance(lambdas, (one_ru(F), RootOfUnity(p - 1, zeta(F, p - 1))), (0, 1), RationalFunction.t(F), S)
+
+
+def test_solve_over_F_1000003_does_not_grow_with_e(tmp_path, monkeypatch):
+    calls = []
+    reduce_class = powersum.class_reduction
+    monkeypatch.setattr(powersum, "class_reduction", lambda inst, c: calls.append(c) or reduce_class(inst, c))
+    for lam2, zero in ((2, None), (-1, "0")):
+        path = str(tmp_path / f"order-p-1-{lam2}.json")
+        save_instance(_order_p_minus_1_instance(lam2), path, {})
+        calls.clear()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["solve", path])
+        elapsed = time.perf_counter() - start
+        result = json.loads(out.getvalue())["result"]
+        assert code == 0 and result["global_zero"] == zero and elapsed < 1.0, (lam2, result, elapsed)
+        # B(n) = 1 + lam2 (w t)^n: the one breakpoint n = 0 survives only for lam2 = -1
+        assert calls == ([] if zero is None else [0]), lam2
 
 
 def _repeated_exponent_instance(Q):
