@@ -82,11 +82,13 @@ __all__ = [
 class _Dense:
     """Dense univariate polynomial, little-endian; the zero polynomial has no coefficients.
 
-    The generic loops here read the coefficients only through their ring
-    operations and build results with type(self)(field, coeffs); `KPolynomial`
-    (K[X]) runs on them, `Polynomial` (F[t]) replaces them with the `Field`
-    kernels and keeps only `exact_div`; `%`, `divide_out` and `monic` are
-    `Polynomial`'s alone.  A subclass supplies its ring's zero.
+    The generic loops here (sums, division) read the coefficients only through
+    their ring operations and build results with type(self)(field, coeffs).
+    `KPolynomial` (K[X]) runs its sums and division on them and its products
+    and evaluation on numerators over one denominator; `Polynomial` (F[t])
+    replaces them with the `Field` kernels and keeps only `exact_div`; `%`,
+    `divide_out` and `monic` are `Polynomial`'s alone.  A subclass supplies
+    its ring's zero.
     """
 
     __slots__ = ("field",)
@@ -149,12 +151,6 @@ class _Dense:
         if not r.is_zero:
             raise ArithmeticError("inexact polynomial division")
         return q
-
-    def evaluate(self, x):
-        acc = self._zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __eq__(self, other):
         return (
@@ -785,6 +781,20 @@ class RationalFunction:
         return f"({self.num})/({self.den})"
 
 
+def _monic_product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b for monic a and b: a factor of degree 0 is 1 and takes no product."""
+    if a.degree == 0:
+        return b
+    return a if b.degree == 0 else a * b
+
+
+def _over(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """num / den in K for a monic den: one gcd, none when den is 1."""
+    if den.degree == 0:
+        return RationalFunction._reduced(num, den)
+    return RationalFunction(num, den)
+
+
 # ---------------------------------------------------------------------------
 # Places
 # ---------------------------------------------------------------------------
@@ -949,7 +959,14 @@ def clear_denominators(xs) -> list[Polynomial]:
 
 
 class KPolynomial(_Dense):
-    """Polynomial in a formal variable X with coefficients in K."""
+    """Polynomial in a formal variable X with coefficients in K.
+
+    Products, `from_roots` and `evaluate` run on the F[t] numerators of the
+    coefficients over one common denominator, the product of the distinct
+    ones (`_numerators`), and reduce each result coefficient, or the value,
+    once: no term of a sum takes a gcd of its own.  Zero coefficients are
+    skipped.  Sums and division keep the generic coefficient loops.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -963,27 +980,85 @@ class KPolynomial(_Dense):
     def _zero(self) -> RationalFunction:
         return RationalFunction.zero(self.field)
 
+    def _numerators(self) -> tuple[list[Polynomial], Polynomial]:
+        """(N, D) with coeffs[j] = N[j] / D, where D is the product of the distinct denominators (monic)."""
+        one = Polynomial.one(self.field)
+        dens = list(dict.fromkeys(c.den for c in self.coeffs if c.den.degree > 0))
+        if not dens:
+            return [c.num for c in self.coeffs], one
+        # the cofactor D / d is the product of the other denominators: no division is run
+        cofactor = {d: functools.reduce(_monic_product, (e for e in dens if e != d), one) for d in dens}
+        D = functools.reduce(_monic_product, dens)
+        nums = []
+        for c in self.coeffs:
+            k = cofactor.get(c.den, D)
+            nums.append(c.num if c.is_zero or k.degree == 0 else c.num * k)
+        return nums, D
+
     @classmethod
     def from_roots(cls, field: Field, roots) -> "KPolynomial":
-        out = cls(field, (RationalFunction.one(field),))
+        """prod (X - b) over the roots b = n/d, as prod (d X - n) over D = prod d: one gcd per lower coefficient."""
+        one = Polynomial.one(field)
+        rows, D = [one], one  # the F[t] coefficients of prod (d X - n), low to high
         for b in roots:
-            out = out * cls(field, (-b, RationalFunction.one(field)))
-        return out
+            n, d = b.num, b.den
+            out = [Polynomial.zero(field), *(rows if d.degree == 0 else (r * d for r in rows))]
+            if not n.is_zero:
+                for j, r in enumerate(rows):
+                    out[j] = out[j] - r * n
+            rows, D = out, _monic_product(D, d)
+        # the top row is prod d = D, and the polynomial is monic
+        return cls(field, [*(_over(r, D) for r in rows[:-1]), RationalFunction._reduced(one, one)])
 
     def __mul__(self, other) -> "KPolynomial":
         if isinstance(other, RationalFunction):
             return KPolynomial(self.field, [c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return KPolynomial(self.field, ())
-        out = [RationalFunction.zero(self.field) for _ in range(len(a) + len(b) - 1)]
-        for i, ai in enumerate(a):
-            if ai.is_zero:
+        (A, da), (B, db) = self._numerators(), other._numerators()
+        out: list[Polynomial | None] = [None] * (len(A) + len(B) - 1)
+        for i, x in enumerate(A):
+            if x.is_zero:
                 continue
-            for j, bj in enumerate(b):
-                if not bj.is_zero:
-                    out[i + j] = out[i + j] + ai * bj
-        return KPolynomial(self.field, out)
+            for j, y in enumerate(B, i):
+                if not y.is_zero:
+                    out[j] = x * y if out[j] is None else out[j] + x * y
+        D, zero = _monic_product(da, db), RationalFunction.zero(self.field)
+        return KPolynomial(self.field, [zero if s is None else _over(s, D) for s in out])
+
+    def evaluate(self, x: RationalFunction) -> RationalFunction:
+        """P(x) for x = a/b by homogeneous Horner: sum_j N_j a^j b^(d-j) over D b^d, reduced once.
+
+        A run of zero coefficients is one step: the accumulator is multiplied
+        by a^gap, and b^(d-j) grows by b^gap, with the powers built once per gap.
+        """
+        if not self.coeffs:
+            return self._zero()
+        nums, D = self._numerators()
+        a, b = x.num, x.den
+        scaled = b.degree > 0  # b is monic: of degree 0 it is 1
+        apow, bpow = {1: a}, {1: b}
+        top = len(nums) - 1
+        acc, bk = nums[top], Polynomial.one(self.field)  # bk = b^(d - top)
+        for j in range(top - 1, -1, -1):
+            N = nums[j]
+            if N.is_zero:
+                continue
+            gap = top - j
+            if gap not in apow:
+                apow[gap] = a**gap
+            if scaled:
+                if gap not in bpow:
+                    bpow[gap] = b**gap
+                bk = _monic_product(bk, bpow[gap])
+                N = N * bk
+            acc = acc * apow[gap] + N
+            top = j
+        if top:
+            acc = acc * a**top
+        if acc.is_zero:
+            return self._zero()
+        return _over(acc, _monic_product(D, b ** (len(nums) - 1)) if scaled else D)
 
     def __repr__(self):
         if self.is_zero:

@@ -22,19 +22,25 @@ the roots c*u/v of A, so the search is complete for every supported field.
 The gcd also carries each root's multiplicity, in every characteristic: u/v
 is a unit of K, so (X - c*u/v)^m divides A exactly when (C - c)^m divides h
 in K[C], and since (C - c)^m is monic over F that holds exactly when it
-divides every row h_i, that is, their gcd.  What is left, of degree
-deg A - sum m, has no roots in K at all; only its degree is reported
-(splitting it would need a finite extension of K, which is out of scope
-here).  More than _MAX_PAIRS candidate pairs give an incomplete search.
+divides every row h_i, that is, their gcd.  The row gcd is taken on ints:
+the t^i rows of the e_j = a_j u^j v^(d-j) over their lcm denominator, read
+across j, are the coefficients of a nonzero multiple of h_i, which has the
+same monic gcd.  It starts from the first and last nonzero rows, and a row
+it already divides (a zero remainder; no quotient is built) takes no further
+gcd.  What is left of A, of degree deg A - sum m, has no roots in K at all;
+only its degree is reported (splitting it would need a finite extension of K,
+which is out of scope here).  More than _MAX_PAIRS candidate pairs give an
+incomplete search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import FactorizationTooHard, ZeroInput
 from .factor import factor_poly, roots_in_F
-from .funfield import KPolynomial, Polynomial, RationalFunction, clear_denominators, poly_gcd
+from .funfield import KPolynomial, Polynomial, RationalFunction, _poly, clear_denominators, poly_gcd
 
 __all__ = ["RootSearch", "find_roots_in_K"]
 
@@ -117,7 +123,13 @@ def _newton_pairs(polys: list[Polynomial]) -> list[tuple[Polynomial, Polynomial]
 
 
 def _scalar_solutions(polys: list[Polynomial], u: Polynomial, v: Polynomial) -> list:
-    """(c, m) for the nonzero c in F with sum_j a_j (c*u/v)^j = 0, m its multiplicity, solved exactly."""
+    """(c, m) for the nonzero c in F with sum_j a_j (c*u/v)^j = 0, m its multiplicity, solved exactly.
+
+    The rows h_i of v^d A(C*u/v) are read off the int rows of the e_j over
+    their lcm denominator, a nonzero multiple of h_i that has the same monic
+    gcd.  The gcd starts from the first and last nonzero rows; another row
+    takes a gcd only when it leaves a remainder (module docstring).
+    """
     fld = polys[0].field
     d = len(polys) - 1
     # e_j = a_j * u^j * v^(d-j); the root condition is sum_j e_j(t) c^j = 0 in F[t]
@@ -126,14 +138,20 @@ def _scalar_solutions(polys: list[Polynomial], u: Polynomial, v: Polynomial) -> 
     for j in range(d + 1):
         ej.append(polys[j] * upow * v ** (d - j))
         upow = upow * u
-    cols = [p.coeffs for p in ej]
-    rows = max(len(col) for col in cols)
-    gcd_c = Polynomial.zero(fld)
-    for i in range(rows):
-        row = Polynomial(fld, [col[i] if i < len(col) else 0 for col in cols])
-        gcd_c = poly_gcd(gcd_c, row)
-        if gcd_c.degree == 0 and not gcd_c.is_zero:
+    L = lcm(*(e.den for e in ej))
+    cols = [e.rows if e.den == L else [tuple(x * (L // e.den) for x in r) for r in e.rows] for e in ej]
+    zero = fld.zero_raw
+    rows = [
+        _poly(fld, *fld.poly_normal([col[i] if i < len(col) else zero for col in cols]))
+        for i in range(max(map(len, cols)))
+    ]
+    rows = [h for h in rows if not h.is_zero]
+    gcd_c = poly_gcd(rows[0], rows[-1]) if len(rows) > 1 else rows[0].monic()
+    for h in rows[1:-1]:
+        if gcd_c.degree == 0:
             return []
-    if gcd_c.is_zero:
+        if not (h % gcd_c).is_zero:
+            gcd_c = poly_gcd(gcd_c, h)
+    if gcd_c.degree == 0:
         return []
     return [(c, m) for c, m in roots_in_F(gcd_c) if not c.is_zero]

@@ -22,8 +22,9 @@ from skolemff import (
 from skolemff.constants import _defining_poly
 from skolemff.errors import FactorizationTooHard, InvalidInstance
 from skolemff.factor import factor_poly, monic_divisors
-from skolemff.funfield import KPolynomial, clear_denominators, poly_gcd
+from skolemff.funfield import KPolynomial, clear_denominators, divisor, poly_gcd
 from skolemff.kroots import RootSearch, _scalar_solutions
+from skolemff.multstruct import DependenceWitness, _as_root_of_unity, _relation
 from skolemff.powersum import class_reduction, eval_B
 
 
@@ -362,3 +363,46 @@ def brute_power(beta, f):
     """The n with beta = f^n, by trying every |n| <= h(beta)."""
     hb = 0 if beta.is_constant else height(beta)
     return next((n for n in range(-hb, hb + 1) if beta == f**n), None)
+
+
+def divisor_dependence(beta, f):
+    """`dependence_exponents` by factoring both sides: the primitive relation
+    between div(beta) and div(f), then the constant beta^q / f^r built in K."""
+    if beta.is_constant:
+        cv = beta.constant_value()
+        return DependenceWitness(1, 0, _as_root_of_unity(cv)) if cv.is_torsion() else None
+    rel = _relation(divisor(beta), divisor(f))
+    if rel is None:
+        return None
+    q, r = rel[0], -rel[1]
+    cv = ((beta**q) / (f**r)).constant_value()
+    return DependenceWitness(q, r, _as_root_of_unity(cv)) if cv.is_torsion() else None
+
+
+def coeffwise_kmul(a, b):
+    """a * b in K[X] by the schoolbook product, one K product and one K sum per pair of coefficients."""
+    fld = a.field
+    if a.is_zero or b.is_zero:
+        return KPolynomial(fld, ())
+    out = [RationalFunction.zero(fld)] * (a.degree + b.degree + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return KPolynomial(fld, out)
+
+
+def kpoly_from_roots(fld, roots):
+    """prod (X - b) over the roots, one `coeffwise_kmul` per linear factor."""
+    one = RationalFunction.one(fld)
+    out = KPolynomial(fld, (one,))
+    for b in roots:
+        out = coeffwise_kmul(out, KPolynomial(fld, (-b, one)))
+    return out
+
+
+def horner_k(P, x):
+    """P(x) in K by Horner's rule, one K product and one K sum per coefficient."""
+    acc = RationalFunction.zero(P.field)
+    for c in reversed(P.coeffs):
+        acc = acc * x + c
+    return acc

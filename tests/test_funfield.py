@@ -34,7 +34,7 @@ from skolemff.constants import Field
 from skolemff.errors import ConstantInput, InvalidInstance, NotSInteger, ZeroInput
 from skolemff.funfield import poly_gcd, radical, squarefree_decomposition, strip_places
 from skolemff.generate import rand_const, rand_poly, rand_ratfunc
-from oracles import coeffwise_divmod, coeffwise_mul, euclid_gcd, trial_divide_out
+from oracles import coeffwise_divmod, coeffwise_kmul, coeffwise_mul, euclid_gcd, horner_k, kpoly_from_roots, trial_divide_out
 
 
 def t_of(fld):
@@ -506,6 +506,68 @@ def test_height_of_linear_factor_products(Q):
         roots = [rand_ratfunc(rng, Q, 3) for _ in range(rng.randint(1, 4))]
         A = KPolynomial.from_roots(Q, roots)
         assert poly_height(A) == sum(height(b) for b in roots)
+
+
+KX_FIELDS = {"Q": FieldSpec(0, 1), "Q(i)": FieldSpec(0, 4), "F_3": FieldSpec(3, 1, 1), "F_9": FieldSpec(3, 1, 2)}
+
+
+def _lacunary_kpoly(rng, fld, deg):
+    """A K[X] polynomial of degree <= deg whose coefficients are often zero and have various denominators."""
+    zero = RationalFunction.zero(fld)
+    return KPolynomial(fld, [rand_ratfunc(rng, fld, 2) if rng.random() < 0.5 else zero for _ in range(deg + 1)])
+
+
+@pytest.mark.parametrize("name", sorted(KX_FIELDS))
+def test_kpoly_products_and_evaluation_match_the_coefficientwise_oracles(name):
+    """from_roots, * and evaluate over one denominator against the per-term loops in K."""
+    fld = field_for(KX_FIELDS[name])
+    rng = random.Random(f"kx-{name}")
+    t, zero = RationalFunction.t(fld), RationalFunction.zero(fld)
+    c = RationalFunction.constant(fld, rand_const(rng, fld, nonzero=True))
+    g = (t**2 + 1) / (t - 1)
+    points = [zero, c, (t + 2) / (t**2 + t + 2), g**-2, g**3]
+    for _ in range(6):
+        roots = [rand_ratfunc(rng, fld, 2) for _ in range(rng.randint(0, 3))]
+        roots += roots[:1] * rng.randint(0, 2) + [zero] * rng.randint(0, 1)  # repeated roots, the root 0
+        P = KPolynomial.from_roots(fld, roots)
+        assert P == kpoly_from_roots(fld, roots), roots
+        A, B = _lacunary_kpoly(rng, fld, rng.randint(0, 5)), _lacunary_kpoly(rng, fld, rng.randint(0, 3))
+        for a, b in ((A, B), (P, A), (B, P)):
+            assert a * b == coeffwise_kmul(a, b), (a, b)
+        for a in (A, B, P):
+            for x in points:
+                assert a.evaluate(x) == horner_k(a, x), (a, x)
+    sparse = KPolynomial(fld, [c, *[zero] * 6, g, zero, t])  # gaps of 6 and 1
+    for x in points:
+        assert sparse.evaluate(x) == horner_k(sparse, x), x
+
+
+def test_kpoly_reduces_each_coefficient_once(monkeypatch, Q, F3):
+    """from_roots of k roots takes at most k + 1 normalising gcds, evaluate one (no term takes its own)."""
+    calls = []
+    real = funfield._gcd_cofactors
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    for fld in (Q, F3):
+        t = RationalFunction.t(fld)
+        roots = [(t + 1) / t, t**2 / (t - 1), (t + 1) / t, RationalFunction.zero(fld), 1 / (t**2 + 1)]
+        x = (t**2 + 2) / (t + 1)
+        monkeypatch.setattr(funfield, "_gcd_cofactors", counted)
+        for k in range(1, len(roots) + 1):
+            calls.clear()
+            P = KPolynomial.from_roots(fld, roots[:k])
+            assert len(calls) <= k + 1, (k, len(calls))
+            calls.clear()
+            value = P.evaluate(x)
+            assert len(calls) <= 1, (k, len(calls))
+            calls.clear()
+            assert horner_k(P, x) == value
+            if k > 2:
+                assert len(calls) >= 2 * k  # the per-term Horner reduces every step
+        monkeypatch.setattr(funfield, "_gcd_cofactors", real)
 
 
 # -- dense arithmetic shared by F[t] and K[X] --------------------------------------

@@ -211,3 +211,45 @@ def test_every_pair_tried_yields_a_root(monkeypatch, Q):
     t = RationalFunction.t(Q)
     got = find_roots_in_K(KPolynomial.from_roots(Q, [t - 1, t + 1]))
     assert len(got.roots) == 2 and yields == [1, 1], yields
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "F_3"])
+def test_row_gcd_fallback_matches_the_divisor_pair_oracle(name, monkeypatch):
+    # A = (X - 1)^2 ((X - 2)(1 + t^2) + t X): at the pair u = v = 1 the rows are
+    # h_0 = h_2 = (C - 1)^2 (C - 2) and h_1 = (C - 1)^2 C, so the gcd of the first
+    # and last rows keeps C - 2, which the middle row does not divide
+    fld = field_for(ORACLE_FIELDS[name])
+    t, zero = RationalFunction.t(fld), RationalFunction.zero(fld)
+    one, two = RationalFunction.one(fld), RationalFunction.constant(fld, 2)
+    A = KPolynomial.from_roots(fld, [one, one]) * (
+        KPolynomial.from_roots(fld, [two]) * (one + t * t) + KPolynomial(fld, (zero, t))
+    )
+    real_gcd, real_solve, gcds, per_pair = kroots.poly_gcd, kroots._scalar_solutions, [], []
+
+    def counted_gcd(a, b):
+        gcds.append((a, b))
+        return real_gcd(a, b)
+
+    def counted_solve(polys, u, v):
+        gcds.clear()
+        out = real_solve(polys, u, v)
+        per_pair.append((u.degree, v.degree, len(gcds)))
+        return out
+
+    monkeypatch.setattr(kroots, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(kroots, "_scalar_solutions", counted_solve)
+    got = find_roots_in_K(A)
+    assert (0, 0, 2) in per_pair, per_pair  # the first-and-last gcd, then the fallback
+    assert got == divisor_pair_roots(A)
+    assert got.complete and (one, 2) in got.roots and got.remainder_degree == 0
+    # B = (X - 1)^2 ((X - 2) + t (X + 1) + t^2 X) has the rows (C - 1)^2 times C - 2,
+    # C + 1 and C: the middle row is a multiple of the gcd (C - 1)^2 of the outer two
+    # and takes no gcd of its own
+    X = KPolynomial(fld, (zero, one))
+    B = KPolynomial.from_roots(fld, [one, one]) * (
+        KPolynomial.from_roots(fld, [two]) + KPolynomial(fld, (one, one)) * t + X * (t * t)
+    )
+    per_pair.clear()
+    got = find_roots_in_K(B)
+    assert (0, 0, 1) in per_pair, per_pair
+    assert got == divisor_pair_roots(B) and (one, 2) in got.roots

@@ -1,13 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from skolemff import (
+    INFINITY,
+    FieldSpec,
+    Place,
+    PlaceSet,
     RationalFunction,
     dependence_exponents,
+    field_for,
     is_mult_independent,
     is_power_of,
+    roots_of_unity,
 )
 from skolemff.errors import ConstantInput, UnsupportedConstantPair, ZeroInput
 from skolemff.generate import rand_ratfunc
@@ -172,3 +179,103 @@ def test_dependence_matches_brute_force(Q, Qi, F3):
             seen["torsion"] += bool(want and not want[2].is_one)
             seen["constant_numerator"] += f.num.degree == 0
     assert all(seen.values()), seen
+
+
+DEP_FIELDS = {"Q": FieldSpec(0, 1), "Q(i)": FieldSpec(0, 4), "F_3": FieldSpec(3, 1, 1), "F_9": FieldSpec(3, 1, 2)}
+
+
+def _witness(w):
+    return None if w is None else (w.q, w.r, w.torsion.value, w.torsion.order)
+
+
+def _dependence_cases(rng, fld):
+    """(kind, beta, f): f = c base^k on the places t and t - 1; beta dependent on it
+    or off supp(f) by a zero, a pole or its order at infinity, or constant."""
+    t = RationalFunction.t(fld)
+    one = RationalFunction.one(fld)
+
+    def const(v):
+        return RationalFunction.constant(fld, v)
+
+    torsion = [x.value for x in roots_of_unity(fld.torsion_exponent, fld.spec)]
+    off = (t + 1, t**2 + 1)  # coprime to t and t - 1 over every field here
+    out = []
+    for _ in range(6):
+        x, y = rng.choice(((1, 0), (0, 1), (1, 1), (2, -1), (-1, 1)))
+        base = t**x * (t - 1) ** y
+        f = const(rng.choice((1, 2))) * base ** rng.choice((-2, -1, 1, 2))
+        m, s = rng.choice((-2, -1, 1, 2)), rng.choice((-1, 1))
+        out += [
+            ("dependent", const(rng.choice(torsion)) * base**m, f),
+            ("scaled", const(rng.choice((1, 2, 4))) * base**m, f),
+            ("zero_off", base**s * rng.choice(off), f),
+            ("pole_off", base**s / rng.choice(off), f),
+            ("random", rand_ratfunc(rng, fld, 2, nonconstant=True), f),
+        ]
+    # v_inf(f) = 0, while beta has the finite places of f and a pole or zero at infinity
+    f = t / (t - 1)
+    out += [("v_inf_off", t**2 / (t - 1), f), ("v_inf_off", t / (t - 1) ** 2, f), ("dependent", one / f**2, f)]
+    out += [("constant", const(c), f) for c in (*torsion[:3], 2, 3) if not const(c).is_zero]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DEP_FIELDS))
+def test_dependence_matches_the_divisor_and_brute_oracles(name):
+    """Reading beta's valuations at f's places gives the factor-both-sides witness and the searched one."""
+    from oracles import brute_dependence, divisor_dependence
+
+    fld = field_for(DEP_FIELDS[name])
+    rng = random.Random(f"dependence-{name}")
+    seen = Counter()
+    for kind, beta, f in _dependence_cases(rng, fld):
+        w = dependence_exponents(beta, f)
+        assert _witness(w) == _witness(divisor_dependence(beta, f)), (kind, beta, f)
+        assert (None if w is None else (w.q, w.r, w.torsion.value)) == brute_dependence(beta, f), (kind, beta, f)
+        if kind in ("zero_off", "pole_off", "v_inf_off"):
+            assert w is None, (kind, beta, f)
+        seen[kind] += 1
+        if w is not None:
+            seen["r < 0"] += w.r < 0
+            seen["torsion -1"] += w.torsion.order == 2
+            seen["torsion i"] += w.torsion.order == 4
+    assert seen["dependent"] and seen["r < 0"] and seen["torsion -1"], seen
+    if name in ("Q(i)", "F_9"):
+        assert seen["torsion i"], seen
+
+
+def test_split_factors_no_root(monkeypatch, Q):
+    """split_dep_ind factors what the root search factors and g, never a root's numerator or denominator."""
+    from skolemff import factor
+    from skolemff.generate import generate_instance, instance_from_roots
+    from skolemff.kroots import find_roots_in_K
+    from skolemff.powersum import split_dep_ind
+
+    real, calls = factor.factor_poly, []
+
+    def recorder(p):
+        calls.append(p.monic())
+        return real(p)
+
+    monkeypatch.setattr(factor, "factor_poly", recorder)
+    t = RationalFunction.t(Q)
+    f = t / (t + 1)
+    S = PlaceSet([Place(t.num), Place((t + 1).num), INFINITY])
+    built = instance_from_roots([t**2 / (t + 1) ** 2, -(t + 1) / t, t - 2, 3 * t / (t + 1)], f, S)
+    instances = [generate_instance(seed, "dep-heavy")[0] for seed in range(8)] + [built]
+    roots = 0
+    for inst in instances:
+        for c in range(inst.e):
+            P, g = inst.classes[c]
+            if P.is_zero:
+                continue
+            calls.clear()
+            find_roots_in_K(P)
+            search = Counter(calls)
+            calls.clear()
+            split = split_dep_ind(inst, c)
+            extra = Counter(calls) - search
+            assert set(extra) <= {g.num.monic(), g.den}, (inst, c, extra)
+            parts = {p for beta, *_ in (*split.dep, *split.ind) for p in (beta.num.monic(), beta.den) if p.degree > 0}
+            assert not parts & set(extra) - {g.num.monic(), g.den}
+            roots += len(parts - {g.num.monic(), g.den}) > 0
+    assert roots >= 8, roots
