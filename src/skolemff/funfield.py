@@ -79,90 +79,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class _Dense:
-    """Dense univariate polynomial, little-endian; the zero polynomial has no coefficients.
-
-    The generic loops here (sums, division) read the coefficients only through
-    their ring operations and build results with type(self)(field, coeffs).
-    `KPolynomial` (K[X]) runs its sums and division on them and its products
-    and evaluation on numerators over one denominator; `Polynomial` (F[t])
-    replaces them with the `Field` kernels and keeps only `exact_div`; `%`,
-    `divide_out` and `monic` are `Polynomial`'s alone.  A subclass supplies
-    its ring's zero.
-    """
-
-    __slots__ = ("field",)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    # -- basic data -----------------------------------------------------------
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def lc(self):
-        if self.is_zero:
-            raise ZeroInput("leading coefficient of 0")
-        return self.coeffs[-1]
-
-    # -- arithmetic -------------------------------------------------------------
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return type(self)(self.field, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)(self.field, [-c for c in self.coeffs])
-
-    def divmod(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        new, fld = type(self), self.field
-        rem = list(self.coeffs)
-        d = other.degree
-        if self.degree < d:
-            return new(fld, ()), self
-        inv_lead = other.lc().inverse()
-        quo = [self._zero()] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c.is_zero:
-                continue
-            q = c * inv_lead
-            quo[i - d] = q
-            for j, oc in enumerate(other.coeffs):
-                rem[i - d + j] = rem[i - d + j] - q * oc
-        return new(fld, quo), new(fld, rem[:d])
-
-    def exact_div(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.field.spec == other.field.spec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.spec, self.coeffs))
-
-
 _new, _set = object.__new__, object.__setattr__
 
 
@@ -175,17 +91,18 @@ def _poly(field: Field, rows: tuple, den: int = 1) -> "Polynomial":
     return out
 
 
-class Polynomial(_Dense):
+class Polynomial:
     """Univariate polynomial over F, stored as int rows over one common denominator.
 
-    `rows[i]` is the power-basis vector of the t^i coefficient times `den`; the
-    form is canonical (`Field.poly_normal`), so `==` and `hash` read it.  The
+    `rows[i]` is the power-basis vector of the t^i coefficient times `den`,
+    little-endian, and the zero polynomial has no rows.  The form is
+    canonical (`Field.poly_normal`), so `==` and `hash` read it.  The
     arithmetic runs on the `Field` kernels; `coeffs` builds the coefficients
     as `ConstantValue`s on each read and keeps none, so a long-lived
     polynomial holds its rows only.
     """
 
-    __slots__ = ("rows", "den")
+    __slots__ = ("field", "rows", "den")
 
     def __init__(self, field: Field, coeffs=()):
         cs = [_const(field, c) for c in coeffs]
@@ -197,6 +114,9 @@ class Polynomial(_Dense):
         _set(self, "field", field)
         _set(self, "rows", rows)
         _set(self, "den", den)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Polynomial is immutable")
 
     def _zero(self) -> ConstantValue:
         return _const(self.field, 0)
@@ -279,6 +199,12 @@ class Polynomial(_Dense):
             return _poly(fld, ()), self
         q, dq, r, dr = fld.poly_divmod(self.rows, self.den, other.rows, other.den)
         return _poly(fld, q, dq), _poly(fld, r, dr)
+
+    def exact_div(self, other):
+        q, r = self.divmod(other)
+        if not r.is_zero:
+            raise ArithmeticError("inexact polynomial division")
+        return q
 
     def __mod__(self, other):
         if other.is_zero:
@@ -776,7 +702,7 @@ class RationalFunction:
         return hash((self.field.spec, self.num, self.den))
 
     def __repr__(self):
-        if self.den.degree == 0 and self.den.coeffs and self.den.coeffs[0].is_one:
+        if self.den.degree == 0:  # a monic constant denominator is 1
             return repr(self.num)
         return f"({self.num})/({self.den})"
 
@@ -958,17 +884,18 @@ def clear_denominators(xs) -> list[Polynomial]:
 # ---------------------------------------------------------------------------
 
 
-class KPolynomial(_Dense):
-    """Polynomial in a formal variable X with coefficients in K.
+class KPolynomial:
+    """Polynomial in a formal variable X with coefficients in K, little-endian.
 
     Products, `from_roots` and `evaluate` run on the F[t] numerators of the
     coefficients over one common denominator, the product of the distinct
     ones (`_numerators`), and reduce each result coefficient, or the value,
     once: no term of a sum takes a gcd of its own.  Zero coefficients are
-    skipped.  Sums and division keep the generic coefficient loops.
+    skipped.  K[X] has no sums and no division: the pipeline builds its
+    polynomials from coefficients or from roots.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs=()):
         cs = list(coeffs)
@@ -977,8 +904,26 @@ class KPolynomial(_Dense):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def _zero(self) -> RationalFunction:
-        return RationalFunction.zero(self.field)
+    def __setattr__(self, *a):
+        raise AttributeError("KPolynomial is immutable")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return (
+            type(other) is KPolynomial
+            and self.field.spec == other.field.spec
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.field.spec, self.coeffs))
 
     def _numerators(self) -> tuple[list[Polynomial], Polynomial]:
         """(N, D) with coeffs[j] = N[j] / D, where D is the product of the distinct denominators (monic)."""
@@ -1033,7 +978,7 @@ class KPolynomial(_Dense):
         by a^gap, and b^(d-j) grows by b^gap, with the powers built once per gap.
         """
         if not self.coeffs:
-            return self._zero()
+            return RationalFunction.zero(self.field)
         nums, D = self._numerators()
         a, b = x.num, x.den
         scaled = b.degree > 0  # b is monic: of degree 0 it is 1
@@ -1057,7 +1002,7 @@ class KPolynomial(_Dense):
         if top:
             acc = acc * a**top
         if acc.is_zero:
-            return self._zero()
+            return RationalFunction.zero(self.field)
         return _over(acc, _monic_product(D, b ** (len(nums) - 1)) if scaled else D)
 
     def __repr__(self):

@@ -694,8 +694,10 @@ class SplitResult:
     """The roots of P'_c in K*, split by dependence on g, with multiplicities.
 
     Each dependent root carries its `dependence_exponents(beta, g)` witness;
-    P'_c = P_dep * P_ind, where P_ind keeps the independent roots, any root 0,
-    the leading coefficient and the rootless rest, of degree remainder_degree.
+    remainder_degree is the degree of the rootless rest of P'_c.  When it is
+    0, P'_c = P_dep * P_ind with P_dep monic over the dependent roots and
+    P_ind = lc(P'_c) X^m0 prod_ind (X - beta)^m, where m0 is the multiplicity
+    of the root 0: both are built from their roots, and no K[X] division runs.
     """
 
     residue_class: int
@@ -713,7 +715,14 @@ class SplitResult:
 
     @cached_property
     def p_ind(self) -> KPolynomial:
-        return self.poly.exact_div(self.p_dep)
+        """FactorizationTooHard when P'_c has a rootless rest: its roots lie outside K and may depend on g."""
+        if self.remainder_degree:
+            raise FactorizationTooHard(
+                f"class {self.residue_class}: P_ind needs P'_c to split over K (degree {self.remainder_degree} remainder)"
+            )
+        fld, roots = self.poly.field, [b for b, mult in self.ind for _ in range(mult)]
+        m0 = self.poly.degree - sum(mult for _, mult, _ in self.dep) - len(roots)
+        return KPolynomial.from_roots(fld, roots + [RationalFunction.zero(fld)] * m0) * self.poly.coeffs[-1]
 
 
 def split_dep_ind(inst: PowerSumInstance, c: int) -> SplitResult:
@@ -928,6 +937,14 @@ def _claimD_impl(
 def _claimI_impl(
     split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int, targets: _LemmaTargets
 ) -> InequalityReport:
+    """Claim I at n: the gcd count of P_ind(g^n) with Phi_{p^l}(g) Phi_{p^l q}(g) against the cubed bound.
+
+    P_ind comes from the split's roots (`SplitResult.p_ind`), so the split must
+    leave no rootless rest (FactorizationTooHard otherwise): a root outside K
+    may depend on g, as t^{1/2} does on g = t, and claim I counts only roots
+    independent of g.  At a zero of Phi_d(g) with d | p^l q, g^n = g^(n mod p^l q),
+    so n is reduced first.
+    """
     chi = chi_S(S)
     if chi < 0:
         raise BadChiS("claim I needs chi_S >= 0")
@@ -979,7 +996,8 @@ def lemma_claimI_check(inst: PowerSumInstance, split: SplitResult, n: int, p: in
     """gcd count of P_ind(g^n) with Phi_{p^l}(g)Phi_{p^l q}(g) obeys the cubed bound.
 
     `split` is split_dep_ind(inst, c), under the same per-class precondition
-    as lemma_claimD_check.
+    as lemma_claimD_check, and P'_c must split over K with no rootless rest
+    (FactorizationTooHard otherwise, naming the remainder degree).
     """
     if inst.field.char != 0:
         raise CharPUnsupported("claim I holds in characteristic 0")

@@ -63,11 +63,30 @@ def euclid_gcd(a, b):
     return a.monic()
 
 
+def kpoly_divmod(a, b):
+    """(q, r) with a = q b + r and deg r < deg b in K[X], by long division: one K product and difference per term."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    fld, d = a.field, b.degree
+    if a.degree < d:
+        return KPolynomial(fld, ()), a
+    rem = list(a.coeffs)
+    inv_lead = b.coeffs[-1].inverse()
+    quo = [RationalFunction.zero(fld)] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        if rem[i].is_zero:
+            continue
+        q = quo[i - d] = rem[i] * inv_lead
+        for j, c in enumerate(b.coeffs):
+            rem[i - d + j] = rem[i - d + j] - q * c
+    return KPolynomial(fld, quo), KPolynomial(fld, rem[:d])
+
+
 def trial_divide_out(A, p):
-    """(q, m) with A = p^m q and p not dividing q, by repeated division with remainder, for A != 0, deg p >= 1."""
+    """(q, m) with A = p^m q and p not dividing q in K[X], by repeated `kpoly_divmod`, for A != 0, deg p >= 1."""
     m = 0
     while True:
-        q, r = A.divmod(p)
+        q, r = kpoly_divmod(A, p)
         if not r.is_zero:
             return A, m
         A, m = q, m + 1

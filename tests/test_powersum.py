@@ -53,7 +53,7 @@ from skolemff.serialize import save_instance
 from conftest import example1_instance, neg_ru, one_ru
 
 
-from oracles import brute_zero_scan, horner_phi, window_zero_scan
+from oracles import brute_zero_scan, horner_phi, kpoly_divmod, window_zero_scan
 
 
 def _phi_pair(g, p, ell, q):
@@ -645,6 +645,61 @@ def test_split_examples(Q):
     inst3 = PowerSumInstance((-t, RationalFunction.one(Q)), (one_ru(Q),) * 2, (0, 2), t, S2)
     sp3 = split_dep_ind(inst3, 0)
     assert not sp3.dep and not sp3.ind and sp3.remainder_degree == 2 and sp3.complete
+
+
+def test_claimI_rejects_a_rootless_rest(Q):
+    # P'_0 = X^2 - t over S = {t, inf}: the root search is complete, but the
+    # roots +-t^(1/2) lie outside K and depend on g = t, so claim I, which
+    # counts the roots independent of g, does not run
+    t = RationalFunction.t(Q)
+    S = PlaceSet([Place(Polynomial.t(Q)), INFINITY])
+    inst = PowerSumInstance((-t, RationalFunction.one(Q)), (one_ru(Q),) * 2, (0, 2), t, S)
+    split = split_dep_ind(inst, 0)
+    assert split.complete and split.remainder_degree == 2
+    with pytest.raises(FactorizationTooHard, match="degree 2 remainder"):
+        lemma_claimI_check(inst, split, 1, 3, 1, 2)
+
+
+def test_p_ind_from_roots_is_the_exact_quotient(Q, monkeypatch):
+    """P_ind built from its roots equals P'_c / P_dep by the long-division oracle, with remainder 0."""
+    from skolemff import verify_suites
+
+    splits = []
+    for seed in range(20):
+        inst, _ = generate_instance(seed, "dep-heavy")
+        splits += [split_dep_ind(inst, c) for c in range(inst.e)]
+    real = verify_suites.lemma_claimI_check
+
+    def recorded(inst, split, *args):
+        splits.append(split)
+        return real(inst, split, *args)
+
+    monkeypatch.setattr(verify_suites, "lemma_claimI_check", recorded)
+    for seed in range(5):
+        verify_suites.run_suite("claimI", seed, 4)
+    # B(n) = 1 + (-1)^n + (1 - t^2) t^n + (t + 1) t^2n has P'_1 = (1 - t^2) t X + (t + 1) t^2 X^2:
+    # the root 0, and a leading coefficient outside F
+    t, tp, one = RationalFunction.t(Q), Polynomial.t(Q), Polynomial.one(Q)
+    S = PlaceSet([Place(tp), Place(tp - one), Place(tp + one), INFINITY])
+    inst = PowerSumInstance(
+        (RationalFunction.one(Q), RationalFunction.one(Q), 1 - t**2, t + 1),
+        (one_ru(Q), neg_ru(Q), one_ru(Q), one_ru(Q)),
+        (0, 0, 1, 2),
+        t,
+        S,
+    )
+    splits.append(split_dep_ind(inst, 1))
+    shapes = Counter()
+    for split in splits:
+        assert split.remainder_degree == 0, split
+        q, r = kpoly_divmod(split.poly, split.p_dep)
+        assert r.is_zero and split.p_ind == q, split
+        assert split.poly == split.p_dep * split.p_ind
+        shapes["ind"] += bool(split.ind)
+        shapes["dep"] += bool(split.dep)
+        shapes["root 0"] += split.p_ind.coeffs[0].is_zero
+        shapes["lc outside F"] += not split.poly.coeffs[-1].is_constant
+    assert len(splits) > 40 and min(shapes.values()) > 0, shapes
 
 
 def test_working_S_reads_only_the_independent_roots():
