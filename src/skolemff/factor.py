@@ -51,7 +51,11 @@ def max_degree_cap() -> int:
 
 
 def factor_poly(p: Polynomial) -> tuple[ConstantValue, list[tuple[Polynomial, int]]]:
-    """Factor p = unit * prod factor^mult into monic irreducibles over F."""
+    """Factor p = unit * prod factor^mult into monic irreducibles over F.
+
+    A linear p is its own factorization: it goes through no squarefree pass
+    and no backend.
+    """
     if p.is_zero:
         raise ZeroInput("factorization of 0")
     unit = p.lc()
@@ -60,6 +64,8 @@ def factor_poly(p: Polynomial) -> tuple[ConstantValue, list[tuple[Polynomial, in
         return unit, []
     if mon.degree > max_degree_cap():
         raise FactorizationTooHard(f"degree {mon.degree} exceeds the configured cap")
+    if mon.degree == 1:
+        return unit, [(mon, 1)]
     fld = p.field
     out: list[tuple[Polynomial, int]] = []
     for g, mult in squarefree_decomposition(mon):

@@ -7,9 +7,10 @@ relation m*va + n*vb = 0 between two integer vectors, solved by `_relation`;
 the leftover constant is then tested for torsion, which is decidable in every
 supported field.  For two nonconstant functions that test is
 `dependence_exponents`, which `is_mult_independent` reads, and `is_power_of`
-is its case q = 1 with trivial torsion.  It factors only f: a relation forces
-supp(beta) = supp(f), so beta's valuations are read at f's places by trial
-division, and the torsion constant is a ratio of leading coefficients.
+is its case q = 1 with trivial torsion.  It factors only f, and not f when
+the caller passes div(f): a relation forces supp(beta) = supp(f), so beta's
+valuations are read at f's places by trial division, and the torsion
+constant is a ratio of leading coefficients.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import gcd
 
 from .constants import ConstantValue, RootOfUnity
 from .errors import ConstantInput, UnsupportedConstantPair, ZeroInput
-from .funfield import INFINITY, RationalFunction, divisor
+from .funfield import INFINITY, Place, RationalFunction, divisor
 from .intutil import factorize
 
 __all__ = ["DependenceWitness", "is_mult_independent", "dependence_exponents", "is_power_of"]
@@ -93,17 +94,22 @@ def is_mult_independent(a: RationalFunction, b: RationalFunction) -> bool:
     return dependence_exponents(a, b) is None
 
 
-def dependence_exponents(beta: RationalFunction, f: RationalFunction) -> DependenceWitness | None:
+def dependence_exponents(
+    beta: RationalFunction, f: RationalFunction, div_f: dict[Place, int] | None = None
+) -> DependenceWitness | None:
     """Minimal q > 0 with beta^q = eps * f^r for torsion eps, or None.
 
-    Only f is factored.  For nonconstant beta, a relation q div(beta) =
-    r div(f) with q > 0 has div(beta) != 0, so r != 0, and then every place
-    of supp(beta) lies in supp(f) and conversely: supp(beta) = supp(f).  So
-    beta's valuations are read at f's finite places by `divide_out`, and at
-    infinity from degrees; a numerator or denominator of beta with degree
-    left after that has a zero or pole off supp(f), and there is no relation.
-    With the relation, beta^q / f^r is a constant; the denominators are
-    monic, so it is lc(num beta)^q / lc(num f)^r, and no quotient is built in K.
+    Only f is factored, and not even f when the caller passes its divisor
+    div_f (zero valuations omitted), as `powersum.split_dep_ind` does for
+    g = f^e from the valuations of f at S.  For nonconstant beta, a relation
+    q div(beta) = r div(f) with q > 0 has div(beta) != 0, so r != 0, and then
+    every place of supp(beta) lies in supp(f) and conversely: supp(beta) =
+    supp(f).  So beta's valuations are read at f's finite places by
+    `divide_out`, and at infinity from degrees; a numerator or denominator of
+    beta with degree left after that has a zero or pole off supp(f), and
+    there is no relation.  With the relation, beta^q / f^r is a constant; the
+    denominators are monic, so it is lc(num beta)^q / lc(num f)^r, and no
+    quotient is built in K.
     """
     if beta.is_zero or f.is_zero:
         raise ZeroInput("dependence exponents of 0")
@@ -114,7 +120,8 @@ def dependence_exponents(beta: RationalFunction, f: RationalFunction) -> Depende
         if cv.is_torsion():
             return DependenceWitness(q=1, r=0, torsion=_as_root_of_unity(cv))
         return None
-    div_f = divisor(f)
+    if div_f is None:
+        div_f = divisor(f)
     div_beta = {}
     num, den = beta.num, beta.den
     for place in div_f:

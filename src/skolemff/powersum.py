@@ -76,6 +76,22 @@ is exactly 0.  At infinity, v_inf(Phi_d(g)) > 0 only when v_inf(g) = 0 and
 g(inf) is a primitive d-th root of unity.  A count the test leaves open (in
 characteristic p, at an unusable P, or with a zero left) builds A_d, once per
 class and d, and is counted exactly.
+
+Claim D needs no image for most counts: the split's witnesses prove them 0.
+There x = P_dep(g^n) = prod (g^n - beta)^m over the dependent roots, and each
+has beta^q = eps g^r with q > 0 minimal and eps torsion (`DependenceWitness`).
+Put m_beta = |n q - r| ord(eps).  Take a place z off S (infinity included when
+it is not in S).  g is an S-unit, and so is beta, as q div(beta) = r div(g);
+so both are units at z.  If z is a zero of g^n - beta, then
+g(z)^(n q - r) = beta(z)^q g(z)^(-r) = eps.  If z is also a zero of Phi_d(g) and
+F has characteristic 0, then g(z) is a primitive d-th root of unity, so d
+divides m_beta.  If n q = r, such a z has eps = g(z)^0 = 1.  So when eps != 1,
+g^n - beta has no zero off S; when eps = 1, beta g^(-n) is a q-th root of
+unity, so the minimal q is 1, beta = g^n (the witness's `power` is n) and
+x = 0.  So a count whose d divides no nonzero m_beta is 0, and x is built and
+counted as above only when some d does (`_claimD_impl`).  In characteristic p, Phi_d is inseparable when
+p divides d, and its zeros are the roots of unity of order d / p^k; there the
+count always takes the image path.
 """
 
 from __future__ import annotations
@@ -741,9 +757,11 @@ def split_dep_ind(inst: PowerSumInstance, c: int) -> SplitResult:
     if P.is_zero:
         raise ZeroInput("companion polynomial is identically zero")
     search = find_roots_in_K(P)
+    # f is an S-unit, so div(g) = e div(f) is read off f's valuations at S and g is not factored
+    div_g = {v: inst.e * x for v, x in zip(inst.places, inst.f_valuations) if x}
     dep, ind = [], []
     for beta, mult in search.roots:
-        w = dependence_exponents(beta, g)
+        w = dependence_exponents(beta, g, div_g)
         if w is not None:
             dep.append((beta, mult, w))
         else:
@@ -912,19 +930,35 @@ class _LemmaTargets:
         return count
 
 
+def _witnesses_leave_open(split: SplitResult, n: int, ds: tuple[int, ...]) -> bool:
+    """Whether some d in ds divides a nonzero m_beta = |n q - r| ord(eps) of a dependent root (module docstring)."""
+    ms = [abs(n * w.q - w.r) * w.torsion.order for _, _, w in split.dep]
+    return any(m and m % d == 0 for m in ms for d in ds)
+
+
 def _claimD_impl(
     split: SplitResult, S: PlaceSet, n: int, p: int, ell: int, q: int, targets: _LemmaTargets
 ) -> InequalityReport:
+    """Claim D at n: N1 or N2, the gcd counts of x = P_dep(g^n) with Phi_{p^l}(g) and Phi_{p^l q}(g), is 0.
+
+    x = 0 exactly when a dependent root is g^n, which its witness's `power`
+    tells (PreconditionGlobalZeroExists).  In characteristic 0 the witnesses
+    prove a count 0 unless its d divides some nonzero m_beta (module
+    docstring); when they prove both, x is not built.  Otherwise x is built
+    and `_LemmaTargets.counts` counts both, as in characteristic p.
+    """
     if not split.dep:
         return InequalityReport(
             lhs=0, rhs=0, holds=True,
             comparison="min(N1, N2) == 0",
             detail={"N1": 0, "N2": 0, "trivial": "deg P_dep = 0"},
         )
-    x = split.p_dep.evaluate(split.g**n)
-    if x.is_zero:
+    if any(w.power == n for _, _, w in split.dep):
         raise PreconditionGlobalZeroExists("P_dep(g^n) = 0: a global zero exists")
-    n1, n2 = targets.counts(x, S)
+    if split.g.field.char == 0 and not _witnesses_leave_open(split, n, targets.ds):
+        n1 = n2 = 0
+    else:
+        n1, n2 = targets.counts(split.p_dep.evaluate(split.g**n), S)
     return InequalityReport(
         lhs=min(n1, n2),
         rhs=0,

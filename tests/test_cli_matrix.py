@@ -3,7 +3,8 @@
 Per seed 0-19 of the `small`, `dep-heavy` and `charp` profiles the matrix
 runs gen, solve, `certify --k-bound 100`, `smallcoef --rho 1/2`,
 `local --a 6` and `local --a 12 --k-bound 100`; it also runs `verify` of
-every suite at seeds 0-2 with `--count 4`.  Each report, with `timing_ms`
+every suite at seeds 0-2, and of the lemma suites claimD and claimI at seeds
+3-19 as well, with `--count 4`.  Each report, with `timing_ms`
 dropped and the instance path replaced by a placeholder, is hashed (sha256
 of its sorted-key JSON) and compared with `tests/cli_matrix.json`.
 
@@ -34,6 +35,7 @@ INSTANCE_COMMANDS = {
     "local-12": ["local", "--a", "12", "--k-bound", "100"],
 }
 VERIFY_SEEDS = range(3)
+LEMMA_SUITES, LEMMA_SEEDS = ("claimD", "claimI"), range(3, 20)
 
 
 def _digest(argv: list[str], path: str | None = None) -> str:
@@ -51,10 +53,11 @@ def _digest(argv: list[str], path: str | None = None) -> str:
 def run_group(group: str, workdir: str) -> dict[str, str]:
     """{run label: report digest} for one profile of the matrix, or for "verify"."""
     if group == "verify":
+        runs = [(suite, seed) for suite in SUITES for seed in VERIFY_SEEDS]
+        runs += [(suite, seed) for suite in LEMMA_SUITES for seed in LEMMA_SEEDS]
         return {
             f"verify/{suite}/{seed}": _digest(["verify", suite, "--seed", str(seed), "--count", "4"])
-            for suite in SUITES
-            for seed in VERIFY_SEEDS
+            for suite, seed in runs
         }
     out = {}
     for seed in SEEDS:
@@ -78,8 +81,9 @@ def test_cli_reports_match_the_recorded_digests(group, tmp_path):
     assert [k for k in got if got[k] != want[k]] == []
 
 
-def test_the_matrix_has_378_runs():
-    assert len(_golden()) == len(PROFILES) * len(SEEDS) * (1 + len(INSTANCE_COMMANDS)) + len(SUITES) * len(VERIFY_SEEDS) == 378
+def test_the_matrix_has_412_runs():
+    verify = len(SUITES) * len(VERIFY_SEEDS) + len(LEMMA_SUITES) * len(LEMMA_SEEDS)
+    assert len(_golden()) == len(PROFILES) * len(SEEDS) * (1 + len(INSTANCE_COMMANDS)) + verify == 412
 
 
 if __name__ == "__main__":

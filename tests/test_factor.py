@@ -6,7 +6,7 @@ import pytest
 from skolemff import ConstantValue, FieldSpec, Polynomial, factor, field_for
 from skolemff.errors import FactorizationTooHard, ZeroInput
 from skolemff.factor import factor_poly, max_degree_cap, monic_divisors, roots_in_F
-from skolemff.generate import rand_poly
+from skolemff.generate import rand_const, rand_poly
 
 
 def reassemble(fld, unit, factors):
@@ -197,3 +197,24 @@ def test_norm_matches_sympy_resultant():
             res = sympy.Poly(sympy.resultant(sympy.cyclotomic_poly(M, y), A_xy, y), x)
             want = [sympy.Rational(c) for c in reversed(res.all_coeffs())]
             assert [sympy.Rational(c.as_fraction()) for c in _norm_to_q(A).coeffs] == want, (M, raws)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(0, 1), FieldSpec(0, 4), FieldSpec(3, 1, 1), FieldSpec(3, 1, 2)])
+def test_linear_polynomial_is_its_own_factorization(spec, monkeypatch):
+    """A degree-1 p gives (lc, [(p / lc, 1)]), as the squarefree pass and the backend did, and runs neither."""
+    from skolemff.funfield import squarefree_decomposition
+
+    fld = field_for(spec)
+    backend = factor._factor_sqfree_gf if fld.char else factor._factor_sqfree_q if fld.M == 1 else factor._factor_sqfree_cyclo
+    rng = random.Random(f"linear-{spec}")
+    cases = []
+    for _ in range(8):
+        p = Polynomial(fld, (rand_const(rng, fld), rand_const(rng, fld, nonzero=True)))
+        old = [(h, m) for g, m in squarefree_decomposition(p.monic()) for h in backend(g)]
+        cases.append((p, (p.lc(), old)))
+    assert sum(not p.lc().is_one for p, _ in cases) >= 3
+    assert fld.degree == 1 or any(any(p.lc().raw[1:]) for p, _ in cases)  # outside the prime field
+    for name in ("_factor_sqfree_gf", "_factor_sqfree_q", "_factor_sqfree_cyclo", "squarefree_decomposition"):
+        monkeypatch.setattr(factor, name, lambda *a, _name=name: pytest.fail(f"{_name} ran on a linear polynomial"))
+    for p, want in cases:
+        assert factor_poly(p) == want, p

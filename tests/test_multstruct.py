@@ -17,6 +17,7 @@ from skolemff import (
     roots_of_unity,
 )
 from skolemff.errors import ConstantInput, UnsupportedConstantPair, ZeroInput
+from skolemff.funfield import divisor
 from skolemff.generate import rand_ratfunc
 
 
@@ -230,6 +231,7 @@ def test_dependence_matches_the_divisor_and_brute_oracles(name):
     for kind, beta, f in _dependence_cases(rng, fld):
         w = dependence_exponents(beta, f)
         assert _witness(w) == _witness(divisor_dependence(beta, f)), (kind, beta, f)
+        assert _witness(dependence_exponents(beta, f, divisor(f))) == _witness(w), (kind, beta, f)
         assert (None if w is None else (w.q, w.r, w.torsion.value)) == brute_dependence(beta, f), (kind, beta, f)
         if kind in ("zero_off", "pole_off", "v_inf_off"):
             assert w is None, (kind, beta, f)
@@ -244,7 +246,8 @@ def test_dependence_matches_the_divisor_and_brute_oracles(name):
 
 
 def test_split_factors_no_root(monkeypatch, Q):
-    """split_dep_ind factors what the root search factors and g, never a root's numerator or denominator."""
+    """split_dep_ind factors what the root search factors and nothing more: no root's numerator or
+    denominator, and not g, whose divisor e div(f) it reads off the valuations of f at S."""
     from skolemff import factor
     from skolemff.generate import generate_instance, instance_from_roots
     from skolemff.kroots import find_roots_in_K
@@ -273,9 +276,31 @@ def test_split_factors_no_root(monkeypatch, Q):
             search = Counter(calls)
             calls.clear()
             split = split_dep_ind(inst, c)
-            extra = Counter(calls) - search
-            assert set(extra) <= {g.num.monic(), g.den}, (inst, c, extra)
+            assert Counter(calls) == search, (inst, c)
             parts = {p for beta, *_ in (*split.dep, *split.ind) for p in (beta.num.monic(), beta.den) if p.degree > 0}
-            assert not parts & set(extra) - {g.num.monic(), g.den}
             roots += len(parts - {g.num.monic(), g.den}) > 0
     assert roots >= 8, roots
+
+
+def test_split_witnesses_match_the_divisor_oracle():
+    """On dep-heavy seeds 0-39, and small seeds 0-59 with g = f^e for e > 1, every root's witness, taken
+    with div(g) from f's valuations at S, is the one from factoring both sides; the independent roots have none."""
+    from oracles import divisor_dependence
+
+    from skolemff.generate import generate_instance
+    from skolemff.powersum import split_dep_ind
+
+    insts = [generate_instance(seed, "dep-heavy")[0] for seed in range(40)]
+    insts += [inst for seed in range(60) if (inst := generate_instance(seed, "small")[0]).e > 1]
+    seen = Counter()
+    for inst in insts:
+        for c in range(inst.e):
+            split = split_dep_ind(inst, c)
+            for beta, _, w in split.dep:
+                assert _witness(w) == _witness(divisor_dependence(beta, split.g)), (inst, c, beta)
+                seen["dep"] += 1
+                seen["nonconstant"] += not beta.is_constant
+                seen["e > 1"] += inst.e > 1 and not beta.is_constant
+            for beta, _ in split.ind:
+                assert divisor_dependence(beta, split.g) is None, (inst, c, beta)
+    assert seen["dep"] >= 40 and seen["nonconstant"] >= 20 and seen["e > 1"] >= 10, seen

@@ -1092,6 +1092,138 @@ def test_certify_builds_phi_only_for_nonzero_counts(monkeypatch):
     assert 0 < builds < 10 and len(checker) > 0
 
 
+def _claimD_cases():
+    """(label, inst, split, triples) for dep-heavy seeds 0-39, the claimD-suite instances at seeds 0-9
+    and the small seeds 0-59 with g = f^e for e > 1 (over Q and Q(i), eps of order 2 and 4).
+
+    triples are a few small (p, l, q) and, on dep-heavy, the one certify
+    chooses for the class (on small its Phi_{p^l}(g) is too large for the
+    Horner oracle); classes with a global zero or an incomplete split are left
+    out, as the lemma's precondition excludes them.
+    """
+    from skolemff.powersum import _working_S
+
+    insts = [(f"dep-heavy/{s}", generate_instance(s, "dep-heavy")[0]) for s in range(40)]
+    insts += [(f"claimD/{s}/{i}", generate_instance(s * 10_000 + i, "dep-heavy")[0]) for s in range(10) for i in range(4)]
+    insts += [(f"small/{s}", inst) for s in range(60) if (inst := generate_instance(s, "small")[0]).e > 1]
+    for label, inst in insts:
+        for c in range(inst.e):
+            split = split_dep_ind(inst, c)
+            if not split.dep or not split.complete or any(w.power is not None for _, _, w in split.dep):
+                continue
+            triples = [(2, 1, 3), (3, 1, 2), (2, 2, 3)]
+            if not label.startswith("small"):
+                witnesses = [w for _, _, w in split.dep]
+                q = choose_q(witnesses)
+                p = choose_p(witnesses, q)
+                triples.append((p, ell_bound(split.height, split.poly.degree, split.g, _working_S(inst, [split]), p, q), q))
+            yield f"{label}/{c}", inst, split, triples
+
+
+def test_claimD_witness_test_matches_gcd_counting(monkeypatch):
+    """N1 and N2 of claim D equal gcd_counting(P_dep(g^n), Phi_d(g) by Horner, S_work), for n in -8..8.
+
+    The witnesses leave d open when it divides some nonzero |n q - r| ord(eps);
+    x = P_dep(g^n) is built, and the image test runs, exactly then.
+    """
+    from skolemff import gcd_counting
+    from skolemff.powersum import _claimD_impl, _LemmaTargets, _working_S
+
+    built = []
+    evaluate = KPolynomial.evaluate
+    monkeypatch.setattr(KPolynomial, "evaluate", lambda P, x: built.append(x) or evaluate(P, x))
+    seen = Counter()
+    for label, inst, split, triples in _claimD_cases():
+        g, S = split.g, _working_S(inst, [split])
+        phis = {}
+        for p, ell, q in triples:
+            targets = _LemmaTargets(g, p, ell, q)
+            for n in range(-8, 9):
+                x = RationalFunction.one(inst.field)
+                for beta, m, _ in split.dep:
+                    x = x * (g**n - beta) ** m
+                want = []
+                for d in targets.ds:
+                    if d not in phis:
+                        phis[d] = horner_phi(d, g)
+                    want.append(gcd_counting(x, phis[d], S))
+                ms = [abs(n * w.q - w.r) * w.torsion.order for _, _, w in split.dep]
+                open_ = [d for d in targets.ds if any(m and m % d == 0 for m in ms)]
+                built.clear()
+                rep = _claimD_impl(split, S, n, p, ell, q, targets)
+                assert (rep.detail["N1"], rep.detail["N2"]) == tuple(want), (label, n, p, ell, q)
+                assert len(built) == (1 if open_ else 0), (label, n, p, ell, q, open_)
+                seen["nonzero"] += any(want)
+                seen["open"] += bool(open_)
+                seen["open, zero"] += bool(open_) and not any(want)
+                seen["closed"] += not open_
+                seen["e > 1, nonzero"] += inst.e > 1 and any(want)
+    assert seen["nonzero"] >= 10 and seen["open, zero"] >= 10 and seen["closed"] >= 100, seen
+    assert seen["e > 1, nonzero"] >= 10, seen
+
+
+def test_claimD_witness_counts_a_common_zero(Q, monkeypatch):
+    """B(n) = t^n + 1 has the dependent root -1 (q = 1, r = 0, eps = -1): g^n + 1 meets Phi_2(t) at t = -1 for odd n."""
+    from skolemff import gcd_counting
+    from skolemff.powersum import _claimD_impl, _LemmaTargets, _working_S
+
+    t = RationalFunction.t(Q)
+    inst = PowerSumInstance((RationalFunction.one(Q),) * 2, (one_ru(Q),) * 2, (1, 0), t, PlaceSet([Place(t.num), INFINITY]))
+    split = split_dep_ind(inst, 0)
+    (beta, _, w), = split.dep
+    assert beta == -RationalFunction.one(Q) and (w.q, w.r, w.torsion.order) == (1, 0, 2)
+    S = _working_S(inst, [split])
+    counts = []
+    real = _LemmaTargets.counts
+    monkeypatch.setattr(_LemmaTargets, "counts", lambda self, x, S: counts.append(x) or real(self, x, S))
+    targets = _LemmaTargets(split.g, 2, 1, 3)
+    got = []
+    for n in range(-3, 4):
+        rep = _claimD_impl(split, S, n, 2, 1, 3, targets)
+        x = t**n + 1
+        assert (rep.detail["N1"], rep.detail["N2"]) == (gcd_counting(x, t + 1, S), gcd_counting(x, horner_phi(6, t), S))
+        got.append(rep.detail["N1"])
+    # m_beta = 2|n|: d = 2 is open for every n != 0, d = 6 when 3 | n
+    assert got == [1, 0, 1, 0, 1, 0, 1] and len(counts) == 6
+
+
+def test_claimD_raises_from_the_witness_power(Q):
+    """A dependent root g^m: P_dep(g^n) = 0 exactly at n = m, which the witness's power tells."""
+    from skolemff.errors import PreconditionGlobalZeroExists
+    from skolemff.powersum import _claimD_impl, _LemmaTargets, _working_S
+
+    t = RationalFunction.t(Q)
+    inst = PowerSumInstance((RationalFunction.one(Q), -(t**2)), (one_ru(Q),) * 2, (1, 0), t, PlaceSet([Place(t.num), INFINITY]))
+    split = split_dep_ind(inst, 0)
+    assert [w.power for _, _, w in split.dep] == [2]
+    S, targets = _working_S(inst, [split]), _LemmaTargets(split.g, 3, 1, 2)
+    with pytest.raises(PreconditionGlobalZeroExists, match="P_dep"):
+        _claimD_impl(split, S, 2, 3, 1, 2, targets)
+    for n in (-1, 0, 1, 3):
+        assert _claimD_impl(split, S, n, 3, 1, 2, targets).holds
+
+
+def test_claimD_in_characteristic_p_counts_through_the_image_path(monkeypatch):
+    """Over F_5, Phi_10(t) = (t + 1)^4: t + 1 meets it though 10 divides no m_beta = 2, so the witnesses decide nothing."""
+    from skolemff import gcd_counting
+    from skolemff.powersum import _claimD_impl, _LemmaTargets, _working_S
+
+    F5 = field_for(FieldSpec(5, 1, 1))
+    t = RationalFunction.t(F5)
+    inst = PowerSumInstance((RationalFunction.one(F5),) * 2, (one_ru(F5),) * 2, (1, 0), t, PlaceSet([Place(t.num), INFINITY]))
+    split = split_dep_ind(inst, 0)
+    S = _working_S(inst, [split])
+    counts = []
+    real = _LemmaTargets.counts
+    monkeypatch.setattr(_LemmaTargets, "counts", lambda self, x, S: counts.append(x) or real(self, x, S))
+    targets = _LemmaTargets(split.g, 5, 1, 2)
+    rep = _claimD_impl(split, S, 1, 5, 1, 2, targets)
+    want = tuple(gcd_counting(t + 1, horner_phi(d, t), S) for d in (5, 10))
+    assert (rep.detail["N1"], rep.detail["N2"]) == want == (0, 1) and counts == [t + 1]
+    rep = _claimD_impl(split, S, 2, 5, 1, 2, targets)
+    assert (rep.detail["N1"], rep.detail["N2"]) == (0, 0) and len(counts) == 2
+
+
 def test_certify_examples(Q, Qi):
     t = RationalFunction.t(Q)
     S = PlaceSet([Place(Polynomial.t(Q)), INFINITY])
