@@ -34,6 +34,7 @@ __all__ = [
     "field_for",
     "parse_ratio",
     "read_constant",
+    "root_of_unity",
     "roots_of_unity",
 ]
 
@@ -178,6 +179,8 @@ class Field:
         so it is the inverse in the element form; in characteristic p w is
         scaled by 1/N, so N = 1.
         """
+        if a == self.one_raw:
+            return a, 1
         if not any(a):
             raise ZeroDivisionError("inverse of zero constant")
         if self.degree == 1:
@@ -301,7 +304,7 @@ class Field:
         """
         n, p, lb = self.degree, self.char, len(B)
         w, d = self.inv_raw(B[-1])
-        C = [self.mul_raw(r, w) for r in B[:-1]]
+        C = B[:-1] if w == self.one_raw else [self.mul_raw(r, w) for r in B[:-1]]
         k = len(A) - lb + 1
         tops = []
         if n == 1:
@@ -398,7 +401,11 @@ class Field:
         return self.p**self.d - 1
 
     def torsion_generator_raw(self) -> tuple:
-        """Generator of the group of roots of unity (char 0) / of F* (char p)."""
+        """Generator of the group of roots of unity (char 0) / of F* (char p), found once per field."""
+        return self._torsion_generator
+
+    @functools.cached_property
+    def _torsion_generator(self) -> tuple:
         if self.char == 0:
             if self.M == 1:
                 return self.from_int(-1)
@@ -413,6 +420,16 @@ class Field:
             if all(self.pow_raw(g, q1 // ell) != self.one_raw for ell in primes):
                 return g
         raise AssertionError("no generator found")  # unreachable
+
+    @functools.cached_property
+    def _zetas(self) -> dict[int, "ConstantValue"]:
+        """order -> the primitive order-th root of unity `zeta` returns, filled on first use."""
+        return {}
+
+    @functools.cached_property
+    def _roots_of_unity(self) -> dict[tuple, "RootOfUnity"]:
+        """(order, raw, den) -> its verified RootOfUnity (`root_of_unity`), filled on first use."""
+        return {}
 
     def _zeta_raw(self) -> tuple:
         """The power-basis generator x: zeta_M over Q(zeta_M) (1 or -1 for M = 1, 2),
@@ -737,15 +754,32 @@ class RootOfUnity:
                 raise InvalidInstance(f"declared order {self.order} is not minimal")
 
 
+def root_of_unity(order: int, value: ConstantValue) -> RootOfUnity:
+    """RootOfUnity(order, value) from its field's table of verified entries.
+
+    Each (order, value) is built, and so verified, on its first read; a pair
+    that fails verification is not stored, so it fails again on every read.
+    """
+    table = value.field._roots_of_unity
+    key = (order, value.raw, value.den)
+    out = table.get(key)
+    if out is None:
+        out = table[key] = RootOfUnity(order=order, value=value)
+    return out
+
+
 def zeta(field: Field, order: int) -> ConstantValue:
-    """A primitive `order`-th root of unity in F, or FieldTooSmall."""
-    L = field.torsion_exponent
-    if field.char > 0 and order % field.char == 0:
-        raise FieldTooSmall(f"no {order}-th roots of unity in characteristic {field.char}")
-    if L % order != 0:
-        raise FieldTooSmall(f"field contains no primitive {order}-th root of unity")
-    g = field.torsion_generator_raw()
-    return ConstantValue(field, field.pow_raw(g, L // order))
+    """A primitive `order`-th root of unity in F, or FieldTooSmall; computed once per field and order."""
+    out = field._zetas.get(order)
+    if out is None:
+        L = field.torsion_exponent
+        if field.char > 0 and order % field.char == 0:
+            raise FieldTooSmall(f"no {order}-th roots of unity in characteristic {field.char}")
+        if L % order != 0:
+            raise FieldTooSmall(f"field contains no primitive {order}-th root of unity")
+        g = field.torsion_generator_raw()
+        out = field._zetas[order] = ConstantValue(field, field.pow_raw(g, L // order))
+    return out
 
 
 def roots_of_unity(a: int, spec: FieldSpec) -> list[RootOfUnity]:

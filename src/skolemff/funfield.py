@@ -1090,19 +1090,19 @@ def chi_S(S: PlaceSet) -> int:
     return S.weighted_size - 2
 
 
-def is_s_integer(f: RationalFunction, S: PlaceSet) -> bool:
-    """No poles outside S."""
+def is_s_integer(f: RationalFunction, S: PlaceSet, strip=strip_places) -> bool:
+    """No poles outside S; strip(poly, S) is the part of poly off S."""
     if f.is_zero:
         raise ZeroInput("S-integrality of 0")
-    if strip_places(f.den, S).degree > 0:
+    if strip(f.den, S).degree > 0:
         return False
     return S.has_infinity or f.num.degree <= f.den.degree
 
 
-def is_s_unit(f: RationalFunction, S: PlaceSet) -> bool:
-    """Neither zeros nor poles outside S."""
+def is_s_unit(f: RationalFunction, S: PlaceSet, strip=strip_places) -> bool:
+    """Neither zeros nor poles outside S; strip(poly, S) is the part of poly off S."""
     if f.is_zero:
         raise ZeroInput("S-unit test of 0")
-    if strip_places(f.den, S).degree > 0 or strip_places(f.num, S).degree > 0:
+    if strip(f.den, S).degree > 0 or strip(f.num, S).degree > 0:
         return False
     return S.has_infinity or f.num.degree == f.den.degree

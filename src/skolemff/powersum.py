@@ -182,7 +182,17 @@ def local_degree_cap() -> int:
 
 @dataclass(frozen=True)
 class PowerSumInstance:
-    """The tuple (lambda_i, eps_i, r_i, f, S) with its standing invariants."""
+    """The tuple (lambda_i, eps_i, r_i, f, S) with its standing invariants.
+
+    Validation keeps its S-record: what the `divide_out` chain over the
+    finite places of S that decides S-unit and S-integer finds for f's
+    numerator and denominator and each lambda_i's denominator, the order at
+    each place and the part left off S (`_place_orders`).  `f_valuations`
+    and `class_valuations` read their valuations at S off the record, which
+    takes a lambda_i numerator's on its first read; no polynomial is divided
+    by a place of S twice.  The epsilons are verified roots of unity, which
+    `serialize` reads from a per-field table of verified entries.
+    """
 
     lambdas: tuple[RationalFunction, ...]
     epsilons: tuple[RootOfUnity, ...]
@@ -198,12 +208,12 @@ class PowerSumInstance:
             raise InvalidInstance("lambda/epsilon/exponent lengths differ")
         if self.f.is_constant:
             raise ConstantInput("f must be nonconstant")
-        if not is_s_unit(self.f, self.places):
+        if not is_s_unit(self.f, self.places, self._off_s):
             raise InvalidInstance("f must be an S-unit")
         for lam in self.lambdas:
             if lam.is_zero:
                 raise ZeroInput("lambda_i must be nonzero")
-            if not is_s_integer(lam, self.places):
+            if not is_s_integer(lam, self.places, self._off_s):
                 raise InvalidInstance("lambda_i must be an S-integer")
         spec = self.f.field.spec
         for eps in self.epsilons:
@@ -212,6 +222,55 @@ class PowerSumInstance:
         ch = spec.characteristic
         if ch and self.e % ch == 0:
             raise InvalidInstance("e must be coprime to the characteristic")
+
+    @cached_property
+    def _s_record(self) -> dict[tuple, tuple[tuple[int, ...], Polynomial]]:
+        """The S-record: (rows, den) of a nonconstant polynomial -> its `_place_orders`, filled on first read."""
+        return {}
+
+    @cached_property
+    def _finite_places(self) -> tuple[Place, ...]:
+        """The finite places of S in S's order, which puts infinity last."""
+        return tuple(pl for pl in self.places if not pl.is_infinite)
+
+    def _place_orders(self, poly: Polynomial, start: int = 0) -> tuple[tuple[int, ...], Polynomial]:
+        """(orders, rest) for a nonzero poly: its order at each finite place of S, in
+        S's order, and rest = strip_places(poly, S).
+
+        poly has order 0 at the finite places before index `start`.  Each
+        polynomial is divided down S's order at most once: a division that
+        takes out a factor records its quotient, from the next place on, and
+        a place of degree above what is left cannot divide: order 0.
+        """
+        places = self._finite_places
+        if poly.degree < 1:
+            return (0,) * len(places), poly
+        key = (poly.rows, poly.den)
+        out = self._s_record.get(key)
+        if out is None:
+            orders, rest = [0] * start, poly
+            for k in range(start, len(places)):
+                pl = places[k]
+                if len(poly.rows) >= len(pl.poly.rows):
+                    q, m = poly.divide_out(pl.poly)
+                    if m:
+                        tail, rest = self._place_orders(q, k + 1)
+                        orders += [m, *tail[k + 1:]]
+                        break
+                orders.append(0)
+            out = self._s_record[key] = tuple(orders), rest
+        return out
+
+    def _off_s(self, poly: Polynomial, S: PlaceSet) -> Polynomial:
+        """strip_places(poly, S) for S = self.places, read off the S-record."""
+        return self._place_orders(poly)[1]
+
+    def _valuations(self, x: RationalFunction) -> list[int]:
+        """v(x) at each place of S, in S's order, for a nonzero x."""
+        out = [a - b for a, b in zip(self._place_orders(x.num)[0], self._place_orders(x.den)[0])]
+        if self.places.has_infinity:
+            out.append(x.den.degree - x.num.degree)
+        return out
 
     @cached_property
     def e(self) -> int:
@@ -317,8 +376,8 @@ class PowerSumInstance:
 
     @cached_property
     def f_valuations(self) -> tuple[int, ...]:
-        """v(f) at each place of S, in S's order."""
-        return tuple(valuation(self.f, v) for v in self.places)
+        """v(f) at each place of S, in S's order, read off the S-record."""
+        return tuple(self._valuations(self.f))
 
     @cached_property
     def class_valuations(self) -> "_PerClass":
@@ -327,10 +386,10 @@ class PowerSumInstance:
         vals are the valuations of mu_{c,j} at S (in S's order), v_inf the one
         at infinity and num its numerator.  A lone term lambda_i eps_i^c has the
         valuations of lambda_i and its numerator up to a constant factor, so it
-        reuses lambda_i's, computed once.
+        reuses lambda_i's, read once off the S-record.
         """
         def data(x):
-            return [valuation(x, v) for v in self.places], valuation(x, INFINITY), x.num
+            return self._valuations(x), valuation(x, INFINITY), x.num
 
         lam: dict[int, tuple] = {}
 
@@ -381,7 +440,7 @@ def _class_height(inst: PowerSumInstance, c: int) -> int | None:
     gcd = Polynomial.zero(inst.field)
     for *_, num in data:
         gcd = poly_gcd(gcd, num)
-    h -= strip_places(gcd, S).degree
+    h -= inst._place_orders(gcd)[1].degree
     if not S.has_infinity:
         h -= min(v_inf for _, _, v_inf, _ in data)
     return h

@@ -5,8 +5,10 @@ arbitrary-precision values survive any JSON implementation.  Constants are
 little-endian power-basis vectors ("a/b" strings over Q(zeta_M), decimal
 residues over F_p); polynomials are little-endian arrays of constants;
 epsilons are [order, exponent] pairs meaning zeta_order^exponent in
-characteristic 0, or {"order", "value"} with an explicitly declared (and
-verified) order in characteristic p.
+characteristic 0, or {"order", "value"} with an explicitly declared order in
+characteristic p.  Both forms read their root from the field's table of
+verified roots of unity (`constants.root_of_unity`): each (order, value) is
+verified once, on its first read, and a value that fails is never stored.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 from fractions import Fraction
 from math import gcd, lcm
 
-from .constants import ConstantValue, Field, FieldSpec, RootOfUnity, field_for, read_constant, zeta
+from .constants import ConstantValue, Field, FieldSpec, RootOfUnity, field_for, read_constant, root_of_unity, zeta
 from .errors import FactorizationTooHard, InvalidInstance
 from .factor import factor_poly, max_degree_cap
 from .funfield import INFINITY, Place, PlaceSet, Polynomial, RationalFunction, _poly
@@ -172,12 +174,11 @@ def epsilon_from_json(field: Field, obj) -> RootOfUnity:
         if order < 1:
             raise InvalidInstance("epsilon order must be positive")
         k = exponent % order
-        # zeta_order^k has order order / gcd(order, k); RootOfUnity verifies it
-        return RootOfUnity(order=order // gcd(order, k), value=zeta(field, order) ** k)
+        # zeta_order^k has order order / gcd(order, k)
+        return root_of_unity(order // gcd(order, k), zeta(field, order) ** k)
     if isinstance(obj, dict):
         value = ConstantValue.from_strings(field, obj["value"])
-        declared = _int(obj["order"])
-        return RootOfUnity(order=declared, value=value)  # verifies exactness
+        return root_of_unity(_int(obj["order"]), value)
     raise InvalidInstance("epsilon must be a pair or {order, value}")
 
 

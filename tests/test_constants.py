@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from skolemff.constants import ConstantValue, FieldSpec, RootOfUnity, _defining_poly, field_for, roots_of_unity, zeta
+from skolemff.constants import ConstantValue, Field, FieldSpec, RootOfUnity, _defining_poly, field_for, roots_of_unity, zeta
 from skolemff.errors import FieldTooSmall, InvalidInstance
 from oracles import fraction_vector, vector_inv, vector_mul, vector_repr
 
@@ -276,3 +276,42 @@ def test_element_arithmetic_matches_fraction_vector_oracle(spec):
                 for j, c in enumerate(a.raw):
                     want = [u + c * w for u, w in zip(want, _vector_pow(fld, x, j * k))]
                 assert fld.conjugate_raw(a.raw, k) == tuple(want)
+
+
+# -- inverting 1 and dividing by a monic polynomial cost no product --------------------
+
+KERNEL_SPECS = [FieldSpec(0, 1), FieldSpec(0, 4), FieldSpec(0, 5), FieldSpec(3, 1, 1), FieldSpec(3, 1, 2)]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_inverting_one_builds_no_conjugate_product(spec, monkeypatch):
+    fld = field_for(spec)
+    products = []
+    for name in ("mul_raw", "conjugate_raw"):
+        real = getattr(Field, name)
+        monkeypatch.setattr(Field, name, lambda self, *a, real=real, name=name: products.append(name) or real(self, *a))
+    assert fld.inv_raw(fld.one_raw) == (fld.one_raw, 1)
+    assert products == []
+    two = fld.from_int(2)
+    w, N = fld.inv_raw(two)  # every other element still takes the norm
+    assert fld.mul_raw(two, w) == fld.from_int(N)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_pseudo_division_by_a_monic_divisor_scales_no_row(spec, monkeypatch):
+    """B monic: the inverse of its top row is 1, so its lower rows are used as they
+    stand and the one step of dividing B by itself multiplies only its top row into
+    them (inline, with no product call, when F has degree 1)."""
+    fld = field_for(spec)
+    two = fld.from_int(2)
+    B = ((0, 1) + fld.zero_raw[2:] if fld.degree > 1 else fld.from_int(3), two, fld.one_raw)
+    calls = []
+    real = Field.mul_raw
+    monkeypatch.setattr(Field, "mul_raw", lambda self, a, b: calls.append(1) or real(self, a, b))
+    tops, R, w, d = fld._pseudo_divide(B, B)
+    assert (w, d) == (fld.one_raw, 1) and not any(map(any, R))
+    assert len(calls) == (0 if fld.degree == 1 else len(B) - 1)
+    if spec == FieldSpec(0, 1):  # over Q the inverse of any int c is 1 / c: w = 1 for every top row
+        calls.clear()
+        B2 = B[:-1] + (two,)
+        assert fld._pseudo_divide(B2, B2)[2:] == (fld.one_raw, 2) and not calls

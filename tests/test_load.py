@@ -12,13 +12,14 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import skolemff
-from skolemff import FieldSpec, field_for, serialize
+from skolemff import FieldSpec, constants, field_for, serialize
 from skolemff.cli import main
-from skolemff.constants import parse_ratio, zeta
+from skolemff.constants import Field, RootOfUnity, parse_ratio, zeta
 from skolemff.errors import InvalidInstance
 from skolemff.generate import generate_instance
 from skolemff.intutil import divisors
@@ -176,6 +177,65 @@ def test_epsilon_order_matches_the_computed_order(spec):
                 assert (eps.order, eps.value) == (root.order(), root), (order, exponent)
             checked += 1
     assert checked == sum(divisors(fld.torsion_exponent))
+
+
+# -- epsilons come from a per-field table of verified roots of unity ------------------
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(0, 1), FieldSpec(0, 4), FieldSpec(5, 1, 1), FieldSpec(3, 1, 2)])
+def test_epsilon_pairs_read_the_table_of_verified_roots(spec):
+    fld = field_for(spec)
+    for order in divisors(fld.torsion_exponent):
+        z = zeta(fld, order)
+        assert zeta(fld, order) is z  # computed once per order
+        for k in range(-2 * order, 3 * order):
+            eps = epsilon_from_json(fld, [str(order), str(k)])
+            root = z ** (k % order)
+            assert (eps.order, eps.value) == (order // gcd(order, k), root) == (root.order(), root), (order, k)
+            # one entry per (order, value): every pair and the dict form of the same root share it
+            if fld.torsion_exponent % (2 * order) == 0:
+                assert epsilon_from_json(fld, [str(2 * order), str(2 * k)]) is eps
+            assert epsilon_from_json(fld, {"order": str(eps.order), "value": eps.value.to_strings()}) is eps
+    for (order, raw, den), eps in fld._roots_of_unity.items():
+        assert (eps.order, eps.value.raw, eps.value.den) == (order, raw, den) == (eps.value.order(), raw, 1)
+
+
+@pytest.mark.parametrize(
+    "spec, declared",
+    [
+        (FieldSpec(0, 1), {"order": "2", "value": ["1"]}),  # 1 has order 1
+        (FieldSpec(0, 1), {"order": "3", "value": ["-1"]}),  # (-1)^3 != 1
+        (FieldSpec(0, 4), {"order": "2", "value": ["1/2"]}),  # not an algebraic integer
+        (FieldSpec(5, 1, 1), {"order": "4", "value": ["4"]}),  # 4 = -1 has order 2
+        (FieldSpec(5, 1, 1), {"order": "3", "value": ["2"]}),  # 2^3 = 3
+        (FieldSpec(3, 1, 2), {"order": "4", "value": ["1", "1"]}),  # the generator x + 1 has order 8
+        (FieldSpec(3, 1, 2), {"order": "0", "value": ["1"]}),
+    ],
+)
+def test_a_bad_declared_epsilon_raises_on_every_read_and_is_never_stored(spec, declared, monkeypatch):
+    fld = field_for(spec)
+    checks = []
+    verify = RootOfUnity.__post_init__
+    monkeypatch.setattr(RootOfUnity, "__post_init__", lambda self: checks.append(self.order) or verify(self))
+    for n in (1, 2):
+        with pytest.raises(InvalidInstance, match="not minimal|value\\^order != 1|order must be positive"):
+            epsilon_from_json(fld, declared)
+        assert len(checks) == n  # verified again on the second read
+    assert all(eps.value.order() == order for (order, *_), eps in fld._roots_of_unity.items())
+    good = epsilon_from_json(fld, {"order": "1", "value": ["1"]})
+    assert epsilon_from_json(fld, {"order": "1", "value": ["1"]}) is good
+    assert len(checks) <= 3  # a new entry is verified once, and read from the table after
+
+
+def test_the_torsion_generator_is_searched_once_per_field(monkeypatch):
+    counted = []
+    real = constants.factorize
+    monkeypatch.setattr(constants, "factorize", lambda n: counted.append(n) or real(n))
+    fld = Field(FieldSpec(3, 1, 2))  # a new field, so nothing is in its tables yet
+    for order in (1, 2, 4, 8, 8, 2):
+        zeta(fld, order)
+    assert counted == [8]  # the generator search factors p^d - 1 once; nothing else factors
+    assert [zeta(fld, k).order() for k in (1, 2, 4, 8)] == [1, 2, 4, 8]
 
 
 # -- places: only a place of degree >= 2 is factored -----------------------------------

@@ -45,11 +45,12 @@ from skolemff.errors import (
 )
 from skolemff import cli, powersum
 from skolemff.constants import zeta
+from skolemff.funfield import strip_places, valuation
 from skolemff.generate import generate_instance
 from skolemff.intutil import divisors, euler_phi
 from skolemff.multstruct import DependenceWitness
 from skolemff.powersum import LocalChecker, class_reduction
-from skolemff.serialize import save_instance
+from skolemff.serialize import instance_from_json, instance_to_json, save_instance
 from conftest import example1_instance, neg_ru, one_ru
 
 
@@ -81,6 +82,121 @@ def test_instance_validation(Q):
     with pytest.raises(InvalidInstance):
         PowerSumInstance((RationalFunction(Polynomial.one(Q), Polynomial.t(Q) - Polynomial.one(Q)),),
                          (one_ru(Q),), (1,), t, S)  # lambda not an S-integer
+
+
+def test_validation_rejects_in_order_with_its_messages(Q):
+    """f constant, then f not an S-unit, then per lambda_i in turn: zero, then not an S-integer."""
+    t, zero = RationalFunction.t(Q), RationalFunction.zero(Q)
+    S, S_fin = PlaceSet([Place(Polynomial.t(Q)), INFINITY]), PlaceSet([Place(Polynomial.t(Q))])
+    pole = 1 / (t - 1)
+    cases = [
+        ((zero, pole), RationalFunction.constant(Q, 2), S, ConstantInput, "f must be nonconstant"),
+        ((zero, pole), t - 1, S, InvalidInstance, "f must be an S-unit"),  # a zero off S
+        ((zero, pole), t / (t - 1), S, InvalidInstance, "f must be an S-unit"),  # a pole off S
+        ((zero, pole), t, S_fin, InvalidInstance, "f must be an S-unit"),  # a zero at infinity, not in S
+        ((t, zero, pole), t, S, ZeroInput, "lambda_i must be nonzero"),
+        ((t, pole, zero), t, S, InvalidInstance, "lambda_i must be an S-integer"),
+        ((t, zero), t / (t + 1), PlaceSet([Place(Polynomial.t(Q)), Place((t + 1).num)]), InvalidInstance,
+         "lambda_i must be an S-integer"),  # a pole at infinity, not in S
+    ]
+    for lambdas, f, places, exc, message in cases:
+        m = len(lambdas)
+        with pytest.raises(exc, match=f"^{message}$"):
+            PowerSumInstance(lambdas, (one_ru(Q),) * m, tuple(range(m)), f, places)
+
+
+def _s_record_hand_instances():
+    """Over Q(i), with a place of degree 2 and infinity in S; over F_9, with S = three finite places."""
+    Qi = field_for(FieldSpec(0, 4))
+    i, t = zeta(Qi, 4), RationalFunction.t(Qi)
+    a, b, c = t - i, t + 1, t**2 + 2  # t^2 + 2 is irreducible over Q(i)
+    S = PlaceSet([Place(a.num), Place(b.num), Place(c.num), INFINITY])
+    z4 = RootOfUnity(4, i)
+    yield PowerSumInstance(
+        (c**2 * (t + i) / a**3, b * (t - 2), RationalFunction.one(Qi), a * c),
+        (one_ru(Qi), z4, neg_ru(Qi), one_ru(Qi)),
+        (2, 1, 1, 0),
+        a**2 * b / c,
+        S,
+    )
+    F9 = field_for(FieldSpec(3, 1, 2))
+    g, t = ConstantValue(F9, F9.torsion_generator_raw()), RationalFunction.t(F9)
+    S = PlaceSet([Place(t.num), Place((t - g).num), Place((t - g**2).num)])
+    yield PowerSumInstance(
+        ((t - 1) * (t - g) / (t**2 * (t - g**2)), (t + g) ** 2 / (t - g) ** 2, RationalFunction.one(F9)),
+        (one_ru(F9), RootOfUnity(4, g**2), one_ru(F9)),
+        (0, 1, 1),
+        t**2 / ((t - g) * (t - g**2)),
+        S,
+    )
+
+
+def _s_record_instances():
+    for profile in ("small", "dep-heavy", "charp"):
+        for seed in range(40):
+            yield f"{profile} {seed}", instance_from_json(instance_to_json(generate_instance(seed, profile)[0]))
+    for inst in _s_record_hand_instances():
+        yield repr(inst.field), inst
+
+
+def test_s_record_matches_the_valuation_oracle():
+    """The orders and off-S parts validation records are valuation() and strip_places() of the same polynomials."""
+    seen_no_infinity = 0
+    for label, inst in _s_record_instances():
+        S, records = inst.places, inst._s_record
+        finite = [v for v in S if not v.is_infinite]
+        seen_no_infinity += not S.has_infinity
+        # validation records f's numerator and denominator, each lambda_i's denominator and
+        # the quotient of each division that takes out a factor: no lambda_i numerator
+        reached = set()
+        for rest in (inst.f.num, inst.f.den, *(lam.den for lam in inst.lambdas)):
+            reached.add((rest.rows, rest.den))
+            for v in finite:
+                q, m = rest.divide_out(v.poly)
+                if m:
+                    rest = q
+                    reached.add((rest.rows, rest.den))
+        assert set(records) == {(rows, den) for rows, den in reached if len(rows) > 1}, label
+        for x in (inst.f, *inst.lambdas):
+            for poly in (x.num, x.den):
+                orders, rest = inst._place_orders(poly)
+                want = tuple(poly.divide_out(v.poly)[1] for v in finite)
+                assert (orders, rest) == (want, strip_places(poly, S)), (label, poly)
+            assert inst._valuations(x) == [valuation(x, v) for v in S], (label, x)
+        assert list(inst.f_valuations) == [valuation(inst.f, v) for v in S], label
+        # every row of class_valuations, lone or not, against the oracle
+        decide_global_zero(inst)
+        for c in range(inst.e):
+            for (j, x, _), (j2, vals, v_inf, num) in zip(inst._class_shape[c], inst.class_valuations[c]):
+                assert (j2, vals, v_inf) == (j, [valuation(x, v) for v in S], valuation(x, INFINITY)), (label, c)
+                assert num == x.num
+    assert seen_no_infinity
+
+
+def test_load_and_solve_divide_no_polynomial_by_a_place_twice(tmp_path, monkeypatch):
+    """Validation's divisions are the ones decide_global_zero reads; smallcoef, which reads
+    no valuation at S, makes no more divisions than the 171 it made before validation kept them."""
+    paths = {}
+    for profile in ("small", "charp"):
+        for seed in range(40):
+            paths[profile, seed] = str(tmp_path / f"{profile}-{seed}.json")
+            save_instance(generate_instance(seed, profile)[0], paths[profile, seed], {})
+    seen = Counter()
+    real = Polynomial.divide_out
+    monkeypatch.setattr(Polynomial, "divide_out", lambda self, p: seen.update([(self, p)]) or real(self, p))
+    total = 0
+    for seed in range(40):
+        seen.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["solve", paths["small", seed]]) == 0
+        assert max(seen.values(), default=1) == 1, (seed, [k for k, v in seen.items() if v > 1])
+        total += sum(seen.values())
+    assert total
+    seen.clear()
+    for seed in range(40):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["smallcoef", paths["charp", seed], "--rho", "1/2"])
+    assert 0 < sum(seen.values()) <= 171
 
 
 def test_eval_B_examples(Q, ex1):
