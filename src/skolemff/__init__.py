@@ -31,7 +31,7 @@ from .funfield import (
     valuation,
 )
 from .intutil import cyclotomic_poly, euler_phi
-from .multstruct import DependenceWitness, dependence_exponents, is_mult_independent, is_power_of
+from .multstruct import DependenceWitness, dependence_exponents, is_mult_independent
 from .powersum import (
     CertificateReport,
     PowerSumInstance,
@@ -44,7 +44,6 @@ from .powersum import (
     find_local_witness,
     lemma_claimD_check,
     lemma_claimI_check,
-    local_vanishing_check,
     split_dep_ind,
 )
 from .smallcoef import (
@@ -89,7 +88,6 @@ __all__ = [
     "DependenceWitness",
     "dependence_exponents",
     "is_mult_independent",
-    "is_power_of",
     "CertificateReport",
     "PowerSumInstance",
     "certify_local_global",
@@ -101,7 +99,6 @@ __all__ = [
     "find_local_witness",
     "lemma_claimD_check",
     "lemma_claimI_check",
-    "local_vanishing_check",
     "split_dep_ind",
     "admissible_a",
     "conclude_from_witness",

@@ -6,11 +6,11 @@ constants, their prime-exponent vectors) turn the question into one primitive
 relation m*va + n*vb = 0 between two integer vectors, solved by `_relation`;
 the leftover constant is then tested for torsion, which is decidable in every
 supported field.  For two nonconstant functions that test is
-`dependence_exponents`, which `is_mult_independent` reads, and `is_power_of`
-is its case q = 1 with trivial torsion.  It factors only f, and not f when
-the caller passes div(f): a relation forces supp(beta) = supp(f), so beta's
-valuations are read at f's places by trial division, and the torsion
-constant is a ratio of leading coefficients.
+`dependence_exponents`, which `is_mult_independent` reads; its witness's
+`power` is the exact power test, the case q = 1 with trivial torsion.  It
+factors only f, and not f when the caller passes div(f): a relation forces
+supp(beta) = supp(f), so beta's valuations are read at f's places by trial
+division, and the torsion constant is a ratio of leading coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import ConstantInput, UnsupportedConstantPair, ZeroInput
 from .funfield import INFINITY, Place, RationalFunction, divisor
 from .intutil import factorize
 
-__all__ = ["DependenceWitness", "is_mult_independent", "dependence_exponents", "is_power_of"]
+__all__ = ["DependenceWitness", "is_mult_independent", "dependence_exponents"]
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,3 @@ def dependence_exponents(
         return None
     return DependenceWitness(q=q, r=r, torsion=_as_root_of_unity(cv))
 
-
-def is_power_of(beta: RationalFunction, f: RationalFunction) -> int | None:
-    """The unique n with beta = f^n, if any; constant beta matches only beta = 1."""
-    w = dependence_exponents(beta, f)
-    return None if w is None else w.power

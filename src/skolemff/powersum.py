@@ -19,8 +19,9 @@ each zero that remains (`decide_global_zero`).
 A term lambda_i is lone when no other exponent equals r_i; then
 mu_{c,j} = lambda_i eps_i^c, a constant multiple of lambda_i, with the
 valuations, the numerator (up to a constant) and the leading coefficient
-lc(lambda_i) eps_i^c of lambda_i.  It is carried as (i, eps_i^c), and the
-product in K is built only where a caller reads mu_{c,j} itself.  The other
+lc(lambda_i) eps_i^c of lambda_i.  It is carried as its index i, eps_i^c is
+taken where it is used, and the product in K is built only where a caller
+reads mu_{c,j} itself.  The other
 terms form groups, the i sharing one exponent.  Let E, the group period, be
 the lcm of the eps orders within the groups (E = 1 when the exponents are
 distinct); E divides e.  Which mu_{c,j} are nonzero, and their valuations,
@@ -43,8 +44,9 @@ such v the denominators of the mu_{c,j} (supported on S) do not count, so
 min_j v(x_j) = v(gcd_j num mu_{c,j}), and these sum to deg strip_S of that
 gcd.  Infinity off S adds -min_j v_inf(mu_{c,j}).
 
-Local vanishing at the zeros of f^a - 1 is checked by exact modular arithmetic
-with the radical of each Phi_d(f), and the effective certificate (q, p, l, a)
+Local vanishing at the zeros of f^a - 1 off S is checked by exact arithmetic
+in one residue ring per condition: F[t] modulo the radical of each Phi_d(f),
+and F at infinity (`LocalChecker`).  The effective certificate (q, p, l, a)
 follows the dependent / independent root split with both lemma checks
 evaluated on concrete exponents.
 
@@ -115,7 +117,7 @@ from .errors import (
     QEqualsOne,
     ZeroInput,
 )
-from .factor import _pow_mod, factor_poly, max_degree_cap
+from .factor import _pow_mod, max_degree_cap
 from .funfield import (
     INFINITY,
     KPolynomial,
@@ -158,7 +160,6 @@ __all__ = [
     "CertificateReport",
     "eval_B",
     "class_reduction",
-    "local_vanishing_check",
     "find_local_witness",
     "decide_global_zero",
     "split_dep_ind",
@@ -332,35 +333,23 @@ class PowerSumInstance:
                     continue
                 mu = RationalFunction.zero(self.field)
                 for i in group:
-                    eps = self.epsilons[i]
-                    mu = mu + self.lambdas[i] * eps.value ** (c % eps.order)
+                    mu = mu + self.lambdas[i] * self._eps_power(i, c)
                 if not mu.is_zero:
                     out.append((j, mu, None))
             return tuple(out)
 
         return _PerClass(self.e, build, self.group_period)
 
-    @cached_property
-    def _mu_terms(self) -> "_PerClass":
-        """Per class c, (j, x, lone) for the nonzero mu_{c,j} in ascending j, built on first read.
-
-        lone is (i, eps_i^c) for a lone term, whose mu_{c,j} = lambda_i eps_i^c
-        is left unexpanded as x = lambda_i; for a group x = mu_{c,j} and lone
-        is None.
-        """
-        def build(c):
-            return tuple(
-                (j, x, None if i is None else (i, self.epsilons[i].value ** (c % self.epsilons[i].order)))
-                for j, x, i in self._class_shape[c]
-            )
-
-        return _PerClass(self.e, build)
+    def _eps_power(self, i: int, c: int) -> ConstantValue:
+        """eps_i^c."""
+        eps = self.epsilons[i]
+        return eps.value ** (c % eps.order)
 
     @cached_property
     def mus(self) -> "_PerClass":
         """Per class c, the nonzero mu_{c,j} as (j, mu_{c,j}) in ascending j, built on first read."""
         def build(c):
-            return tuple((j, x if lone is None else x * lone[1]) for j, x, lone in self._mu_terms[c])
+            return tuple((j, x if i is None else x * self._eps_power(i, c)) for j, x, i in self._class_shape[c])
 
         return _PerClass(self.e, build)
 
@@ -509,18 +498,23 @@ def _phi_numerator(d: int, f: RationalFunction) -> Polynomial:
 class LocalChecker:
     """Decides v_p(B(k)) >= min(1, v_p(f^a - 1)) outside S for many k cheaply.
 
-    Per divisor d | a let G_d be the S-stripped radical of the numerator of
-    Phi_d(f).  Modulo G_d the function f is a unit of exact order d and the
-    mu_{c,j} of `PowerSumInstance.mus` reduce (their denominators lie on S),
-    so with c = k mod e, B(k) mod G_d = sum_j mu_{c,j} fbar^{((j+r_min) k) mod d},
-    which depends only on k mod lcm(d, e).  G_d and fbar are built when a
-    check first reads the condition of d, so the divisors after the first
-    failing condition cost nothing, and the mu_{c,j} mod G_d of a class when a
-    check first reads that class.  The powers fbar^j are kept, and each
-    condition's sum, like the same sum at infinity, is computed once per
-    residue.  check(k) depends only on k mod `period` = lcm(a, e), a p-free:
-    each lcm(d, e) divides it, and so does the period lcm(order, e) of the
-    test at infinity, which applies only when the order of f(inf) divides a.
+    The zeros of f^a - 1 off S fall under one condition per key: each divisor
+    d of a, ascending, then INFINITY when it is off S.  A condition is a
+    residue ring F[t]/(G), a reduction map defined on the S-integers, and
+    fbar, the image of f, a unit of exact order d.  For a divisor d, G = G_d is
+    the S-stripped radical of the numerator of Phi_d(f), the map is reduction
+    mod G_d, and the condition is void when G_d = 1.  Infinity off S is a zero
+    of f^a - 1 exactly when f(inf)^a = 1 (void otherwise); its ring is F, held
+    as the constant polynomials mod t, its map `value_at_infinity`, so
+    fbar = f(inf) and d = ord f(inf).  The mu_{c,j} of `PowerSumInstance.mus`
+    are S-integers and reduce, so with c = k mod e,
+    B(k) -> sum_j mu_{c,j} fbar^{((j+r_min) k) mod d}, which depends only on k
+    mod the condition's period lcm(d, e).  A condition is built, and its order
+    asserted, when a check first reads it, so the keys after the first failing
+    one cost nothing; the mu_{c,j} of a class are reduced when a check first
+    reads that class, the powers fbar^j are kept, and each sum is computed
+    once per residue.  check(k) depends only on k mod `period` = lcm(a, e),
+    a p-free: every d divides a.
     """
 
     def __init__(self, inst: PowerSumInstance, a: int):
@@ -532,64 +526,61 @@ class LocalChecker:
                 a //= ch  # zeros of f^a - 1 match those of the p-free part
         self.inst = inst
         self.a = a
-        f, S, e = inst.f, inst.places, inst.e
-        degree, cap = a * max(1, height(f)), local_degree_cap()
+        degree, cap = a * max(1, height(inst.f)), local_degree_cap()
         if degree > cap:
             raise FactorizationTooHard(
                 f"local check at f^{a}-1: degree {degree} exceeds SKOLEMFF_MAX_LOCAL_DEGREE={cap}"
             )
-        self.divisors = divisors(a)
+        self.keys = tuple(divisors(a)) + (() if inst.places.has_infinity else (INFINITY,))
+        self.period = lcm(a, inst.e)
         self._conditions = {}
-        self.inf_condition = None
-        self.period = lcm(a, e)
-        if not S.has_infinity:
-            f_inf = f.value_at_infinity()
-            if (f_inf**a).is_one:
-                order = f_inf.order()
-                self.inf_condition = {"f_inf": f_inf, "order": order, "period": lcm(order, e), "mu_inf": {},
-                                      "verdicts": {}}
 
-    def condition(self, d: int) -> dict | None:
-        """The condition of d, built and its order asserted on first call; None when G_d = 1."""
-        if d not in self._conditions:
-            inst, cond = self.inst, None
-            G = strip_places(radical(_phi_numerator(d, inst.f)), inst.places)
-            if G.degree > 0:
-                fbar = _reduce_mod(inst.f, G)
-                if not (_pow_mod(fbar, d, G) == Polynomial.one(inst.field)):
-                    raise AssertionError("fbar does not have order dividing d mod G_d")
-                cond = {"d": d, "G": G, "fbar": fbar, "period": lcm(d, inst.e),
-                        "lam_bar": {}, "mu_bar": {}, "powers": {}, "sums": {}}
-            self._conditions[d] = cond
-        return self._conditions[d]
+    def condition(self, key: int | Place) -> dict | None:
+        """The condition of key (a divisor of a, or INFINITY), built and its order asserted on first call; None when void."""
+        if key not in self._conditions:
+            self._conditions[key] = self._build(key)
+        return self._conditions[key]
+
+    def _build(self, key: int | Place) -> dict | None:
+        inst, fld = self.inst, self.inst.field
+        if key == INFINITY:
+            f_inf = inst.f.value_at_infinity()
+            if not (f_inf**self.a).is_one:
+                return None
+            d, G = f_inf.order(), Polynomial.t(fld)
+            reduce = lambda x: Polynomial(fld, (x.value_at_infinity(),))
+        else:
+            d, G = key, strip_places(radical(_phi_numerator(key, inst.f)), inst.places)
+            if G.degree < 1:
+                return None
+            reduce = lambda x: _reduce_mod(x, G)
+        fbar = reduce(inst.f)
+        if not (_pow_mod(fbar, d, G) == Polynomial.one(fld)):
+            raise AssertionError("fbar does not have order dividing d mod G_d")
+        return {"d": d, "G": G, "reduce": reduce, "fbar": fbar, "period": lcm(d, inst.e),
+                "lam_bar": {}, "mu_bar": {}, "powers": {}, "sums": {}}
 
     def _mu_bar(self, cond, c: int) -> list[tuple[int, Polynomial]]:
-        """The mu_{c,j} of class c mod G_d, built on first read.
+        """The mu_{c,j} of class c reduced, built on first read.
 
-        A lone term lambda_i eps_i^c reduces as eps_i^c times lambda_i mod G_d,
-        which is reduced once per i.
+        A lone term lambda_i eps_i^c reduces as eps_i^c times the image of
+        lambda_i, which is reduced once per i.
         """
-        mu_bar, lam_bar, G = cond["mu_bar"], cond["lam_bar"], cond["G"]
+        mu_bar, lam_bar, reduce = cond["mu_bar"], cond["lam_bar"], cond["reduce"]
         if c not in mu_bar:
             terms = []
-            for j, x, lone in self.inst._mu_terms[c]:
-                if lone is None:
-                    terms.append((j, _reduce_mod(x, G)))
+            for j, x, i in self.inst._class_shape[c]:
+                if i is None:
+                    terms.append((j, reduce(x)))
                     continue
-                i, const = lone
                 if i not in lam_bar:
-                    lam_bar[i] = _reduce_mod(x, G)
-                terms.append((j, lam_bar[i] * const))
+                    lam_bar[i] = reduce(x)
+                terms.append((j, lam_bar[i] * self.inst._eps_power(i, c)))
             mu_bar[c] = terms
         return mu_bar[c]
 
-    @property
-    def conditions(self) -> list[dict]:
-        """Every nontrivial condition in ascending d, building whatever is missing."""
-        return [c for c in map(self.condition, self.divisors) if c is not None]
-
     def _class_sum(self, cond, k: int) -> Polynomial:
-        """sum_j mu_{c,j} fbar^{((j+r_min) k) mod d} mod G_d for c = k mod e."""
+        """sum_j mu_{c,j} fbar^{((j+r_min) k) mod d} mod G for c = k mod e."""
         rmin, d, G, powers = self.inst.r_min, cond["d"], cond["G"], cond["powers"]
         acc = Polynomial.zero(self.inst.field)
         for j, mu in self._mu_bar(cond, k % self.inst.e):
@@ -600,54 +591,18 @@ class LocalChecker:
         return acc % G
 
     def _residue_sum(self, cond, k: int) -> Polynomial:
-        """B(k) mod G_d, computed once per residue of k mod lcm(d, e)."""
+        """The image of B(k), computed once per residue of k mod lcm(d, e)."""
         res, sums = k % cond["period"], cond["sums"]
         if res not in sums:
             sums[res] = self._class_sum(cond, res)
         return sums[res]
 
     def check(self, k: int) -> bool:
-        for d in self.divisors:
-            cond = self.condition(d)
+        for key in self.keys:
+            cond = self.condition(key)
             if cond is not None and not self._residue_sum(cond, k).is_zero:
                 return False
-        return self.check_infinity(k)
-
-    def failing_places(self, k: int) -> tuple[Place, ...]:
-        out = []
-        for cond in self.conditions:
-            s = self._residue_sum(cond, k)
-            if s.is_zero:
-                continue
-            fail = cond["G"].exact_div(poly_gcd(cond["G"], s))
-            out.extend(Place(g) for g, _ in factor_poly(fail)[1])
-        if not self.check_infinity(k):
-            out.append(INFINITY)
-        return tuple(sorted(out, key=Place.sort_key))
-
-    def check_infinity(self, k: int) -> bool:
-        ic = self.inf_condition
-        if ic is None:
-            return True
-        res, verdicts = k % ic["period"], ic["verdicts"]
-        if res not in verdicts:
-            inst, f_inf, order, mu_inf = self.inst, ic["f_inf"], ic["order"], ic["mu_inf"]
-            c = res % inst.e
-            if c not in mu_inf:
-                mu_inf[c] = [(j, mu.value_at_infinity()) for j, mu in inst.mus[c]]
-            val = ConstantValue(inst.field, inst.field.zero_raw)
-            for j, mu in mu_inf[c]:
-                val = val + mu * f_inf ** ((j + inst.r_min) * res % order)
-            verdicts[res] = val.is_zero
-        return verdicts[res]
-
-
-def local_vanishing_check(inst: PowerSumInstance, k: int, a: int) -> tuple[bool, tuple[Place, ...]]:
-    """True iff B(k) vanishes at every zero of f^a - 1 outside S; else failing places."""
-    checker = LocalChecker(inst, a)
-    if checker.check(k):
-        return True, ()
-    return False, checker.failing_places(k)
+        return True
 
 
 def find_local_witness(inst: PowerSumInstance, a: int, k_bound: int) -> int | None:
@@ -690,15 +645,15 @@ def _leading_sum_at_infinity(inst: PowerSumInstance, c: int, n: int) -> Constant
     f, vf = inst.f, valuation(inst.f, INFINITY)
     lc_f = f.num.lc() / f.den.lc()
     terms = [
-        ((j + inst.r_min) * n, x, lone, v)
-        for (j, x, lone), (_, _, v, _) in zip(inst._mu_terms[c], inst.class_valuations[c])
+        ((j + inst.r_min) * n, x, i, v)
+        for (j, x, i), (_, _, v, _) in zip(inst._class_shape[c], inst.class_valuations[c])
     ]
     least = min(v + r * vf for r, _, _, v in terms)
     out = []
-    for r, x, lone, v in terms:
+    for r, x, i, v in terms:
         if v + r * vf == least:
             lc = x.num.lc() / x.den.lc() * lc_f**r
-            out.append(lc if lone is None else lc * lone[1])
+            out.append(lc if i is None else lc * inst._eps_power(i, c))
     return sum(out[1:], out[0])
 
 
@@ -1137,7 +1092,7 @@ class CertificateReport:
 def certify_local_global(inst: PowerSumInstance, k_bound: int = 100) -> CertificateReport:
     """Run the effective pipeline: global decision, (q, p, l, a), witness scan."""
     if k_bound < 1:
-        raise InvalidInstance("a and k_bound must be positive")
+        raise InvalidInstance("k_bound must be positive")
     if inst.field.char != 0:
         raise CharPUnsupported("certification requires characteristic 0")
     gz = decide_global_zero(inst)

@@ -122,7 +122,7 @@ class SmallCoefReport:
 def smallcoef_end_to_end(inst: PowerSumInstance, rho: Fraction, k_bound: int = 100) -> SmallCoefReport:
     """Growth check, (e, a) bounds, witness scan, then the dichotomy verification."""
     if k_bound < 1:
-        raise InvalidInstance("a and k_bound must be positive")
+        raise InvalidInstance("k_bound must be positive")
     rho = Fraction(rho)
     if not growth_check(inst, rho):
         return SmallCoefReport(status="rejected_growth", rho=rho, k_bound=k_bound)

@@ -91,6 +91,8 @@ def run_suite(suite: str, seed: int, count: int) -> SuiteResult:
 
 
 def _distinct_consts(rng: random.Random, fld, how_many: int) -> list[ConstantValue]:
+    if fld.char:
+        how_many = min(how_many, fld.p**fld.d)  # F_{p^d} has no more
     out: list[ConstantValue] = []
     tries = 0
     while len(out) < how_many and tries < 200:

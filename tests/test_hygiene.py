@@ -140,16 +140,21 @@ def _references(node: ast.AST) -> set[str]:
     return out
 
 
+def _is_reexport(module: str, node: ast.stmt) -> bool:
+    return module == "__init__.py" and isinstance(node, ast.ImportFrom)
+
+
 def _unreferenced(package: dict[str, str], others: tuple[str, ...] = ()) -> list[tuple[str, str]]:
     """(module, name) of each top-level function or class of `package` (module -> source)
     that no top-level statement but its own definition references, in the package or in
-    `others`; a name listed in `__all__` is not thereby referenced."""
+    `others`; a name listed in `__all__` or re-exported by `__init__.py` is not thereby
+    referenced."""
     defs, refs = [], []
     for module, source, own in [*((m, s, True) for m, s in package.items()), *(("", s, False) for s in others)]:
         for node in ast.parse(source).body:
             if own and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.append((module, node))
-            if not _is_all(node):
+            if not (_is_all(node) or _is_reexport(module, node)):
                 refs.append((node, _references(node)))
     return sorted((m, d.name) for m, d in defs if not any(d.name in names for node, names in refs if node is not d))
 
@@ -175,3 +180,8 @@ def test_unreferenced_definition_detection():
     assert _unreferenced(package) == [("a.py", "f")]
     assert _unreferenced(package, ("import a\na.f\n",)) == []
     assert _unreferenced({"c.py": "class D:\n    def m(self):\n        return D\n"}) == [("c.py", "D")]
+    # a re-export is no use: only a call from the program or the benchmark keeps a public wrapper
+    reexported = {"__init__.py": "from .a import f, g\n__all__ = ['f', 'g']\n", "a.py": "def f(): pass\ndef g(): pass\n"}
+    assert _unreferenced(reexported) == [("a.py", "f"), ("a.py", "g")]
+    assert _unreferenced(reexported, ("from skolemff import g\ng()\n",)) == [("a.py", "f")]
+    assert _unreferenced(dict(reexported, **{"b.py": "from .a import f\n"})) == [("a.py", "g")]

@@ -5,6 +5,7 @@ tests v_p(B(k)) >= 1 place by place - no radicals, no modular tables.
 """
 
 import random
+import sys
 from itertools import chain
 from math import lcm
 
@@ -15,9 +16,9 @@ from skolemff import (
     Polynomial,
     PowerSumInstance,
     RationalFunction,
-    local_vanishing_check,
     valuation,
 )
+from skolemff.constants import zeta
 from skolemff.generate import generate_instance
 from skolemff.powersum import LocalChecker, _poly_invmod, eval_B, find_local_witness
 from conftest import example1_instance, neg_ru, one_ru
@@ -30,7 +31,7 @@ def test_local_checker_matches_brute_oracle():
         inst, _ = generate_instance(seed, "small" if seed % 2 else "dep-heavy")
         for a in (1, 2, 3, 4, 6):
             for k in range(-4, 5):
-                got, _ = local_vanishing_check(inst, k, a)
+                got = LocalChecker(inst, a).check(k)
                 expect = brute_local_check(inst, k, a)
                 assert got == expect, (seed, a, k)
                 checked += 1
@@ -51,7 +52,7 @@ def test_local_checker_matches_oracle_nonmonomial_f(Q):
     inst = PowerSumInstance(lambdas=(t, -RationalFunction.one(Q)), **inst_kwargs)
     for a in (1, 2, 3):
         for k in range(-3, 4):
-            got, _ = local_vanishing_check(inst, k, a)
+            got = LocalChecker(inst, a).check(k)
             assert got == brute_local_check(inst, k, a), (a, k)
 
 
@@ -72,7 +73,7 @@ def test_local_checker_matches_oracle_charp(F3, F5):
             inst = PowerSumInstance(lams, (one_ru(fld),) * m, rs, t ** rng.randint(1, 2), S)
             for a in (1, 2, 3, 6):
                 for k in range(-3, 4):
-                    got, _ = local_vanishing_check(inst, k, a)
+                    got = LocalChecker(inst, a).check(k)
                     assert got == brute_local_check(inst, k, a), (fld.p, trial, a, k)
 
 
@@ -91,9 +92,9 @@ def test_witness_scan_matches_oracle_on_example1(Q):
 def test_reused_checker_matches_oracle_over_residue_windows(Q):
     # One checker answers every k of a window longer than 2 lcm(d, e), negative
     # k included, so each memoised result is read back for other k.  Each
-    # condition's sum must equal B(k) reduced modulo G_d and the test at
-    # infinity must match v_inf(B(k)) >= 1, whether or not check reaches them;
-    # check(k) must match the definition oracle.
+    # condition's sum must equal B(k) reduced modulo G_d, and the one at
+    # infinity (in F, held as constants mod t) B(k)(inf), whether or not check
+    # reaches them; check(k) must match the definition oracle.
     tp, one = Polynomial.t(Q), Polynomial.one(Q)
     f = RationalFunction(tp + one * 2, tp - one)  # f(inf) = 1, whose order 1 is below e = 2
     S = PlaceSet([Place(tp - one), Place(tp + one * 2)])
@@ -122,13 +123,19 @@ def test_reused_checker_matches_oracle_over_residue_windows(Q):
             repeated_passes += inst is repeated and checker.check(k)
             assert checker.check(k) == brute_local_check(inst, k, a), (inst.field.spec, a, k)
             B = eval_B(inst, k)
-            for cond in checker.conditions:
-                G = cond["G"]
-                assert checker._residue_sum(cond, k) == B.num * _poly_invmod(B.den % G, G) % G, (a, k, cond["d"])
-            if checker.inf_condition is not None:
-                vanishes = B.is_zero or valuation(B, INFINITY) >= 1
-                assert checker.check_infinity(k) == vanishes, (a, k)
-                at_infinity.add(vanishes)
+            for key in checker.keys:
+                cond = checker.condition(key)
+                if cond is None:
+                    continue
+                got = checker._residue_sum(cond, k)
+                if key == INFINITY:
+                    vanishes = B.is_zero or valuation(B, INFINITY) >= 1
+                    assert got == Polynomial(inst.field, (B.value_at_infinity(),)), (a, k)
+                    assert got.is_zero == vanishes, (a, k)
+                    at_infinity.add(vanishes)
+                else:
+                    G = cond["G"]
+                    assert got == B.num * _poly_invmod(B.den % G, G) % G, (a, k, key)
     assert at_infinity == {True, False}
     assert repeated_passes > 0  # the repeated exponent passes at k = 2 mod 4
 
@@ -169,3 +176,66 @@ def test_witness_scan_checks_each_residue_of_the_period_once(Q, monkeypatch):
         stopped_early += want is None and len(calls) < len(window)
         witnesses.add(want)
     assert stopped_early > 0 and {-2, 0, 1, 5} <= witnesses
+
+
+def _order_above_one_cases(Q, Qi, F5):
+    """Instances with S = {t, t - 1}, off infinity, and f(inf) of order 2 or 4.
+
+    f = -t/(t - 1) over Q and F_5, f = i t/(t - 1) over Q(i).  B(k)(inf) is
+    f(inf)^k + 1, (-1)^k f(inf)^{2k} - 1 and f(inf)^{2k} - 1, which vanish
+    for some k and not for others.  B(k) = f^k - 1/(2t) never vanishes at
+    infinity but does at t = 1/2, where f = 1 over Q and F_5, so at a = 2
+    there infinity alone decides check(k).
+    """
+    out = []
+    for fld, c in ((Q, -1), (F5, -1), (Qi, zeta(Qi, 4))):
+        tp, t, one = Polynomial.t(fld), RationalFunction.t(fld), RationalFunction.one(fld)
+        S = PlaceSet([Place(tp), Place(tp - Polynomial.one(fld))])
+        f = RationalFunction.constant(fld, c) * t / (t - 1)
+        out += [
+            PowerSumInstance((one, one), (one_ru(fld),) * 2, (1, 0), f, S),
+            PowerSumInstance((one, -one), (neg_ru(fld), one_ru(fld)), (2, 0), f, S),
+            PowerSumInstance((t / (t - 1), -one, 1 / (t - 1)), (one_ru(fld),) * 3, (2, 0, 1), f, S),
+            PowerSumInstance((one, -one / (2 * t)), (one_ru(fld),) * 2, (1, 0), f, S),
+        ]
+    return out
+
+
+def test_infinity_condition_of_order_above_one_matches_oracle(Q, Qi, F5):
+    # f(inf) of order d = 2 or 4 off S: infinity is a zero of f^a - 1 exactly
+    # when d | a, and its condition has d = ord f(inf) and period lcm(d, e)
+    outcomes, orders = set(), set()
+    for inst in _order_above_one_cases(Q, Qi, F5):
+        order = inst.f.value_at_infinity().order()
+        assert order in (2, 4) and not inst.places.has_infinity
+        for a in (1, 2, 4):
+            checker = LocalChecker(inst, a)
+            cond = checker.condition(INFINITY)
+            assert (cond is not None) == (a % order == 0), (inst.field.spec, a)
+            if cond is not None:
+                assert cond["d"] == order and cond["period"] == lcm(order, inst.e)
+                orders.add(order)
+            W = 2 * lcm(a, inst.e) + 1
+            for k in range(-W, W + 1):
+                assert checker.check(k) == brute_local_check(inst, k, a), (inst.field.spec, a, k)
+                if cond is not None:
+                    outcomes.add(checker._residue_sum(cond, k).is_zero)
+    assert outcomes == {True, False} and orders == {2, 4}
+
+
+def test_local_layer_factors_nothing(monkeypatch):
+    # find_local_witness builds its conditions from radicals and reductions
+    # alone: no factor_poly call, reached through any module
+    insts = [generate_instance(seed, profile)[0] for profile in ("small", "dep-heavy", "charp") for seed in range(20)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the local layer called factor_poly")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("skolemff") and hasattr(module, "factor_poly"):
+            monkeypatch.setattr(module, "factor_poly", refuse)
+    witnesses = 0
+    for inst in insts:
+        for a in (1, 2, 6, 12):
+            witnesses += find_local_witness(inst, a, 20) is not None
+    assert witnesses > 0

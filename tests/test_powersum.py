@@ -31,7 +31,6 @@ from skolemff import (
     height,
     lemma_claimD_check,
     lemma_claimI_check,
-    local_vanishing_check,
     poly_height,
     split_dep_ind,
 )
@@ -261,18 +260,15 @@ def test_class_reduction_identity(Q, ex1):
 
 
 def test_local_vanishing_examples(ex1):
-    ok, _ = local_vanishing_check(ex1, 1, 2)
-    assert ok
-    ok, witnesses = local_vanishing_check(ex1, 2, 4)
-    assert not ok and witnesses
+    assert LocalChecker(ex1, 2).check(1)
+    assert not LocalChecker(ex1, 4).check(2)
     # identically zero B(k) passes every a
     Q = ex1.field
     t = RationalFunction.t(Q)
     S = PlaceSet([Place(Polynomial.t(Q)), INFINITY])
     zero_inst = PowerSumInstance((t, -t), (one_ru(Q),) * 2, (1, 1), t, S)
     for a in (1, 2, 3, 8):
-        ok, _ = local_vanishing_check(zero_inst, 5, a)
-        assert ok
+        assert LocalChecker(zero_inst, a).check(5)
 
 
 def test_find_local_witness_examples(ex1, ex2):
@@ -312,7 +308,8 @@ def _count_built_conditions(monkeypatch) -> list[int]:
 def test_checker_builds_only_the_conditions_its_checks_read(ex1, monkeypatch):
     # Every k of the scan fails at a small d, so the larger divisors of 72
     # are never built.
-    nontrivial = len(LocalChecker(ex1, 72).conditions)
+    checker = LocalChecker(ex1, 72)
+    nontrivial = sum(checker.condition(key) is not None for key in checker.keys)
     built = _count_built_conditions(monkeypatch)
     assert find_local_witness(ex1, 72, 200) is None
     assert len(built) == len(set(built)) and 0 < len(built) < nontrivial == 12
@@ -339,13 +336,21 @@ def test_order_assertion_runs_when_a_condition_is_first_read(ex1, monkeypatch):
         corrupted.check(0)
 
 
-def test_failing_places_raises_when_a_place_cannot_be_factored(ex1, monkeypatch):
+def _failing_conditions(checker, k) -> dict:
+    """key -> G of each condition whose image of B(k) is nonzero, building every condition."""
+    conds = ((key, checker.condition(key)) for key in checker.keys)
+    return {key: c["G"] for key, c in conds if c is not None and not checker._residue_sum(c, k).is_zero}
+
+
+def test_failing_conditions_need_no_factoring(ex1, monkeypatch):
+    # B(1) of ex1 fails at a = 6 exactly at d = 3 and d = 6, whose G_d are the
+    # places t^2 + t + 1 and t^2 - t + 1; no place is factored to say so
     t = Polynomial.t(ex1.field)
     one = Polynomial.one(ex1.field)
-    assert local_vanishing_check(ex1, 1, 6) == (False, (Place(t * t - t + one), Place(t * t + t + one)))
     monkeypatch.setenv("SKOLEMFF_MAX_DEGREE", "1")
-    with pytest.raises(FactorizationTooHard):
-        local_vanishing_check(ex1, 1, 6)
+    checker = LocalChecker(ex1, 6)
+    assert not checker.check(1)
+    assert _failing_conditions(checker, 1) == {3: t * t + t + one, 6: t * t - t + one}
 
 
 def test_local_cap_reports_degree_and_cap(ex2, monkeypatch):
@@ -362,10 +367,8 @@ def test_local_monotone_in_a(ex1, ex2):
             if a2 % a:
                 continue
             for k in range(-6, 7):
-                ok2, _ = local_vanishing_check(inst, k, a2)
-                if ok2:
-                    ok1, _ = local_vanishing_check(inst, k, a)
-                    assert ok1, (a, a2, k)
+                if LocalChecker(inst, a2).check(k):
+                    assert LocalChecker(inst, a).check(k), (a, a2, k)
 
 
 def test_local_check_charp_strips_p_part(F3):
@@ -380,14 +383,10 @@ def test_local_check_charp_strips_p_part(F3):
         S,
     )
     for k in range(-6, 7):
-        ok6, _ = local_vanishing_check(inst, k, 6)
-        ok2, _ = local_vanishing_check(inst, k, 2)
-        assert ok6 == ok2
+        assert LocalChecker(inst, 6).check(k) == LocalChecker(inst, 2).check(k)
     # B(k) = f^k(1 - f^k) vanishes at all zeros of f^a - 1 iff a | k
-    ok, _ = local_vanishing_check(inst, 4, 4)
-    assert ok
-    ok, _ = local_vanishing_check(inst, 3, 4)
-    assert not ok
+    assert LocalChecker(inst, 4).check(4)
+    assert not LocalChecker(inst, 4).check(3)
 
 
 def test_local_check_at_infinity(Q):
@@ -405,8 +404,10 @@ def test_local_check_at_infinity(Q):
         f,
         S,
     )
-    ok, witnesses = local_vanishing_check(inst, 1, 1)
-    assert not ok and INFINITY in witnesses
+    checker = LocalChecker(inst, 1)
+    assert not checker.check(1)
+    assert list(_failing_conditions(checker, 1)) == [INFINITY]
+    assert checker._residue_sum(checker.condition(INFINITY), 1) == Polynomial.one(Q)  # B(1)(inf) = 2 - 1
     balanced = PowerSumInstance(
         (RationalFunction.one(Q), RationalFunction.constant(Q, -1)),
         (one_ru(Q),) * 2,
@@ -415,8 +416,7 @@ def test_local_check_at_infinity(Q):
         S,
     )
     # B(k) = f^k - 1 vanishes at every zero of f^a - 1 whenever a | k
-    ok, _ = local_vanishing_check(balanced, 4, 4)
-    assert ok
+    assert LocalChecker(balanced, 4).check(4)
 
 
 # -- global decision -----------------------------------------------------------------
@@ -648,8 +648,7 @@ def test_decide_matches_window_and_brute_oracles(Q, F3):
 def test_decide_found_zero_passes_local_checks(Q, ex2):
     n = decide_global_zero(ex2)
     for a in range(1, 21):
-        ok, _ = local_vanishing_check(ex2, n, a)
-        assert ok
+        assert LocalChecker(ex2, a).check(n)
 
 
 def test_collision_bound_regression(Q):
@@ -820,7 +819,7 @@ def test_p_ind_from_roots_is_the_exact_quotient(Q, monkeypatch):
 
 def test_working_S_reads_only_the_independent_roots():
     """On small and dep-heavy seeds 0-19, S_work from split.ind equals S_work from every root."""
-    from skolemff import divisor, is_power_of
+    from skolemff import dependence_exponents, divisor
     from skolemff.funfield import chi_S
     from skolemff.powersum import _working_S
 
@@ -844,7 +843,8 @@ def test_working_S_reads_only_the_independent_roots():
                 assert list(_working_S(inst, [sp])) == list(all_roots_S(inst, [sp]))
                 for beta, _, w in sp.dep:
                     # the split's witness decides the lemma precondition as a fresh power test would
-                    assert w.power == is_power_of(beta, sp.g)
+                    fresh = dependence_exponents(beta, sp.g)
+                    assert fresh is not None and w.power == fresh.power
                     if not beta.is_constant:
                         dep_nonconstant += 1
                         assert set(divisor(beta)) <= set(inst.places), beta

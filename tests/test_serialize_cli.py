@@ -312,6 +312,20 @@ def test_cli_exit_codes(tmp_path, instance_dir, Q):
         assert code == 2 and rep["result"]["error"] == "InvalidInstance", argv
 
 
+def test_k_bound_below_one_names_the_option(tmp_path):
+    # certify and smallcoef check only k_bound; local checks a as well
+    small10, charp0 = str(tmp_path / "small-10.json"), str(tmp_path / "charp-0.json")
+    assert run_cli(["gen", "--seed", "10", "--profile", "small", "--out", small10])[0] == 0
+    assert run_cli(["gen", "--seed", "0", "--profile", "charp", "--out", charp0])[0] == 0
+    for argv, message in (
+        (["certify", small10, "--k-bound", "0"], "k_bound must be positive"),
+        (["smallcoef", charp0, "--rho", "1/2", "--k-bound", "0"], "k_bound must be positive"),
+        (["local", small10, "--a", "1", "--k-bound", "0"], "a and k_bound must be positive"),
+    ):
+        code, rep = run_cli(argv)
+        assert code == 2 and rep["result"] == {"error": "InvalidInstance", "message": message}, argv
+
+
 def _readme_example() -> str:
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
