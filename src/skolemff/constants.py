@@ -136,8 +136,11 @@ class Field:
     def normal(self, v, den: int = 1) -> tuple[tuple, int]:
         """The canonical (raw, den) of the element v / den: entries mod p in
         characteristic p (where den = 1), the content pass in characteristic 0."""
-        if self.char:
-            return tuple(x % self.p for x in v), 1
+        p = self.char
+        if p:
+            if self.degree == 1:
+                return (v[0] % p,), 1
+            return tuple([x % p for x in v]), 1
         if den != 1:
             g = gcd(den, *v)
             if g != 1:
@@ -202,8 +205,9 @@ class Field:
         while e:
             if e & 1:
                 out = self.mul_raw(out, base)
-            base = self.mul_raw(base, base)
             e >>= 1
+            if e:
+                base = self.mul_raw(base, base)
         return out
 
     @functools.cached_property
@@ -243,7 +247,10 @@ class Field:
         the content pass in characteristic 0, zero top rows dropped."""
         p = self.char
         if p:
-            rows = [tuple(x % p for x in r) for r in rows]
+            if self.degree == 1:
+                rows = [(x % p,) for (x,) in rows]
+            else:
+                rows = [tuple([x % p for x in r]) for r in rows]
         while rows and not any(rows[-1]):
             rows.pop()
         if not rows:

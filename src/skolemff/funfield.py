@@ -143,6 +143,12 @@ class Polynomial:
     def is_constant(self) -> bool:
         return len(self.rows) <= 1
 
+    @property
+    def is_monomial(self) -> bool:
+        """Whether self is c t^k for a nonzero c (constants included): one nonzero row, the top one."""
+        rows = self.rows
+        return bool(rows) and not any(map(any, rows[:-1]))
+
     def lc(self) -> ConstantValue:
         if not self.rows:
             raise ZeroInput("leading coefficient of 0")
@@ -235,11 +241,10 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative polynomial power")
-        rows = self.rows
-        if len(rows) > 1 and not any(map(any, rows[:-1])):
+        if self.is_monomial:
             # c t^k has the power c^e t^(k e): no product is taken
             c = self.lc() ** e
-            return _poly(self.field, (self.field.zero_raw,) * ((len(rows) - 1) * e) + (c.raw,), c.den)
+            return _poly(self.field, (self.field.zero_raw,) * (self.degree * e) + (c.raw,), c.den)
         out = Polynomial.one(self.field)
         base = self
         while e:
@@ -491,7 +496,10 @@ def poly_pth_root(p: Polynomial) -> Polynomial | None:
     rows = p.rows
     if any(any(r) for i, r in enumerate(rows) if i % ch):
         return None
-    # c^(1/p) = c^(p^(d-1)) in F_{p^d}; the top row sits at a multiple of p, so it stays nonzero
+    # c^(1/p) = c^(p^(d-1)) in F_{p^d}, which is c itself over F_p;
+    # the top row sits at a multiple of p, so it stays nonzero
+    if fld.d == 1:
+        return _poly(fld, rows[::ch])
     e = ch ** (fld.d - 1)
     return _poly(fld, tuple(fld.pow_raw(r, e) for r in rows[::ch]))
 

@@ -127,6 +127,7 @@ from .funfield import (
     RationalFunction,
     _gcd_prime,
     _image,
+    _poly,
     chi_S,
     divisor,
     height,
@@ -487,12 +488,56 @@ def _reduce_mod(h: RationalFunction, G: Polynomial) -> Polynomial:
 
 
 def _phi_numerator(d: int, f: RationalFunction) -> Polynomial:
-    """Numerator of Phi_d(f): den^phi(d) * Phi_d(num/den), by homogeneous Horner."""
-    acc = denpow = Polynomial.one(f.field)  # Phi_d is monic
-    for cj in reversed(cyclotomic_poly(d)[:-1]):
-        denpow = denpow * f.den
-        acc = acc * f.num + denpow * cj
+    """Numerator of Phi_d(f): den^phi(d) * Phi_d(num/den) for a nonconstant f.
+
+    With Phi_d = sum_j phi_j X^j and n = phi(d), it is sum_j phi_j num^j den^(n-j).
+    For a monomial f = c t^a / t^b (a != b, as f is not constant) the term j is
+    phi_j c^j t^(a j + b (n - j)), and distinct j land on distinct rows, so the
+    coefficients are placed row by row and no product of polynomials is taken.
+    Any other f runs homogeneous Horner.
+
+    For such a monomial f = c t^s (s = a - b) and d prime to the characteristic
+    p, the numerator of Phi_d(f) is squarefree when p does not divide s (every
+    s in characteristic 0): it divides c^d t^(s d) - 1 when s > 0, and
+    c^d - t^(|s| d) when s < 0, whose derivative is a nonzero multiple of a
+    power of t (p divides neither s nor d) while t divides neither of them, so
+    they are separable.  `LocalChecker` builds its G_d from this.
+    """
+    num, den, fld = f.num, f.den, f.field
+    phi = cyclotomic_poly(d)
+    if num.is_monomial and den.is_monomial and num.degree != den.degree:
+        n, a, b = len(phi) - 1, num.degree, den.degree
+        c, cden = num.rows[-1], num.den
+        rows = [fld.zero_raw] * (max(a, b) * n + 1)
+        cj, dpow = fld.one_raw, cden**n  # c^j over the common denominator cden^n
+        for j, pj in enumerate(phi):
+            if pj:
+                rows[a * j + b * (n - j)] = tuple([pj * dpow * x for x in cj])
+            cj, dpow = fld.mul_raw(cj, c), dpow // cden
+        return _poly(fld, *fld.poly_normal(rows, cden**n))
+    acc = denpow = Polynomial.one(fld)  # Phi_d is monic
+    for cj in reversed(phi[:-1]):
+        denpow = denpow * den
+        acc = acc * num + denpow * cj
     return acc
+
+
+def _monomial_root(f: RationalFunction) -> RationalFunction | None:
+    """y = c' t^s' for a monomial f = c t^s, None for any other f (`LocalChecker`).
+
+    s = p^k s' with p not dividing s', and c' is the p^k-th root of c: the
+    Frobenius has order deg F on F, so c' = c^(p^((-k) mod deg F)).  In
+    characteristic 0, and whenever k = 0, y = f.
+    """
+    num, den, fld = f.num, f.den, f.field
+    if not (num.is_monomial and den.is_monomial):
+        return None
+    ch, s, k = fld.char, num.degree - den.degree, 0
+    while ch and s % ch == 0:
+        s, k = s // ch, k + 1
+    if not k:
+        return f
+    return num.lc() ** (ch ** (-k % fld.d)) * RationalFunction.t(fld) ** s
 
 
 class LocalChecker:
@@ -503,7 +548,15 @@ class LocalChecker:
     residue ring F[t]/(G), a reduction map defined on the S-integers, and
     fbar, the image of f, a unit of exact order d.  For a divisor d, G = G_d is
     the S-stripped radical of the numerator of Phi_d(f), the map is reduction
-    mod G_d, and the condition is void when G_d = 1.  Infinity off S is a zero
+    mod G_d, and the condition is void when G_d = 1.  For a monomial f = c t^s,
+    write s = p^k s' with p not dividing s' (k = 0 in characteristic 0) and
+    let c' = c^(p^(k(deg F - 1))), the p^k-th root of c in F, so that
+    y = c' t^s' has y^(p^k) = f.  Phi_d has coefficients in the prime field,
+    so Phi_d(f) = Phi_d(y)^(p^k), and the numerator of Phi_d(f) is the p^k-th
+    power of that of Phi_d(y).  Every key d divides the p-free a, so that
+    numerator is squarefree (`_phi_numerator`), and G_d is it made monic and
+    stripped of S: no squarefree decomposition runs.  Any other f takes
+    `radical`.  Infinity off S is a zero
     of f^a - 1 exactly when f(inf)^a = 1 (void otherwise); its ring is F, held
     as the constant polynomials mod t, its map `value_at_infinity`, so
     fbar = f(inf) and d = ord f(inf).  The mu_{c,j} of `PowerSumInstance.mus`
@@ -534,6 +587,7 @@ class LocalChecker:
         self.keys = tuple(divisors(a)) + (() if inst.places.has_infinity else (INFINITY,))
         self.period = lcm(a, inst.e)
         self._conditions = {}
+        self._root = _monomial_root(inst.f)
 
     def condition(self, key: int | Place) -> dict | None:
         """The condition of key (a divisor of a, or INFINITY), built and its order asserted on first call; None when void."""
@@ -550,7 +604,12 @@ class LocalChecker:
             d, G = f_inf.order(), Polynomial.t(fld)
             reduce = lambda x: Polynomial(fld, (x.value_at_infinity(),))
         else:
-            d, G = key, strip_places(radical(_phi_numerator(key, inst.f)), inst.places)
+            y = self._root
+            if y is None:
+                G = radical(_phi_numerator(key, inst.f))
+            else:
+                G = _phi_numerator(key, y).monic()
+            d, G = key, strip_places(G, inst.places)
             if G.degree < 1:
                 return None
             reduce = lambda x: _reduce_mod(x, G)

@@ -46,26 +46,24 @@ def growth_check(inst: PowerSumInstance, rho: Fraction) -> bool:
     return Fraction(total) <= rho * height(inst.f) / deg_ins(inst.f)
 
 
-def min_e(inst: PowerSumInstance, rho: Fraction) -> int:
-    """Smallest e > Gamma killing every eps_i (and coprime to p in char p)."""
-    gamma = gamma_bound(rho, inst.places)
+def min_e(inst: PowerSumInstance, gamma: Fraction) -> int:
+    """Smallest e > Gamma killing every eps_i (and coprime to p in char p), for Gamma = `gamma_bound`."""
     base = inst.e
     ch = inst.field.char
     e = base
-    while Fraction(e) <= gamma or (ch and e % ch == 0):
+    while e <= gamma or (ch and e % ch == 0):
         e += base
     return e
 
 
-def admissible_a(e: int, N: int, rho: Fraction, S: PlaceSet) -> int:
-    """Smallest a with q^(1 + ord_q a - ord_q e) > N + Gamma for every prime q | e."""
-    gamma = gamma_bound(rho, S)
+def admissible_a(e: int, N: int, gamma: Fraction) -> int:
+    """Smallest a with q^(1 + ord_q a - ord_q e) > N + Gamma for every prime q | e, for Gamma = `gamma_bound`."""
     target = N + gamma
     a = 1
     for qp, _ in factorize(e).items():
         ordq_e = valuation_int(e, qp)
         x = ordq_e
-        while Fraction(qp ** (1 + x - ordq_e)) <= target:
+        while qp ** (1 + x - ordq_e) <= target:
             x += 1
         a *= qp**x
     return a
@@ -126,9 +124,9 @@ def smallcoef_end_to_end(inst: PowerSumInstance, rho: Fraction, k_bound: int = 1
     rho = Fraction(rho)
     if not growth_check(inst, rho):
         return SmallCoefReport(status="rejected_growth", rho=rho, k_bound=k_bound)
-    e = min_e(inst, rho)
-    a = admissible_a(e, inst.N, rho, inst.places)
     gamma = gamma_bound(rho, inst.places)
+    e = min_e(inst, gamma)
+    a = admissible_a(e, inst.N, gamma)
     witness = find_local_witness(inst, a, k_bound)
     if witness is None:
         return SmallCoefReport(

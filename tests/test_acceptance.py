@@ -190,21 +190,21 @@ def test_criterion_7_smallcoef_table():
     # row 1: Gamma = 6, all eps = 1 -> e = 7; with N = 3 -> a = 49
     gamma = Fraction(6)
     assert brute_min_e([1], gamma, 0) == 7
-    assert admissible_a(7, 3, Fraction(1, 2), S2) == brute_admissible_a(7, 3, gamma) == 49
+    assert admissible_a(7, 3, gamma_bound(Fraction(1, 2), S2)) == brute_admissible_a(7, 3, gamma) == 49
     # row 2: Gamma = 6, eps = +-1 -> e = 8; with N = 3 -> a = 64
     assert brute_min_e([1, 2], gamma, 0) == 8
-    assert admissible_a(8, 3, Fraction(1, 2), S2) == brute_admissible_a(8, 3, gamma) == 64
+    assert admissible_a(8, 3, gamma_bound(Fraction(1, 2), S2)) == brute_admissible_a(8, 3, gamma) == 64
     # row 3: e = 6, N = 0, Gamma = 4 -> a = 72 (Gamma = 4 realized by rho = 2/3, |S| = 1)
     assert gamma_bound(Fraction(2, 3), S1) == 4
-    assert admissible_a(6, 0, Fraction(2, 3), S1) == brute_admissible_a(6, 0, Fraction(4)) == 72
+    assert admissible_a(6, 0, gamma_bound(Fraction(2, 3), S1)) == brute_admissible_a(6, 0, Fraction(4)) == 72
     # and min_e reproduces rows 1-2 through real instances
     from skolemff import PowerSumInstance, RationalFunction
     from conftest import neg_ru, one_ru
 
     t = RationalFunction.t(Q)
     inst_all1 = PowerSumInstance((t,), (one_ru(Q),), (1,), t, S2)
-    assert min_e(inst_all1, Fraction(1, 2)) == 7
+    assert min_e(inst_all1, gamma) == 7
     inst_pm = PowerSumInstance((t, t), (one_ru(Q), neg_ru(Q)), (0, 1), t, S2)
-    assert min_e(inst_pm, Fraction(1, 2)) == 8
+    assert min_e(inst_pm, gamma) == 8
     elapsed = time.monotonic() - started
     report(7, True, f"(table rows (6,eps1)->7/49, (6,eps+-1)->8/64, (6,0,4)->72 re-derived, {elapsed:.1f}s)")

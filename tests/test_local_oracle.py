@@ -6,20 +6,27 @@ tests v_p(B(k)) >= 1 place by place - no radicals, no modular tables.
 
 import random
 import sys
+from collections import Counter
 from itertools import chain
 from math import lcm
 
 from skolemff import (
     INFINITY,
+    ConstantValue,
+    FieldSpec,
     Place,
     PlaceSet,
     Polynomial,
     PowerSumInstance,
     RationalFunction,
+    field_for,
     valuation,
 )
+from skolemff import funfield, powersum
 from skolemff.constants import zeta
+from skolemff.funfield import radical, strip_places
 from skolemff.generate import generate_instance
+from skolemff.intutil import cyclotomic_poly, euler_phi
 from skolemff.powersum import LocalChecker, _poly_invmod, eval_B, find_local_witness
 from conftest import example1_instance, neg_ru, one_ru
 from oracles import brute_local_check
@@ -239,3 +246,156 @@ def test_local_layer_factors_nothing(monkeypatch):
         for a in (1, 2, 6, 12):
             witnesses += find_local_witness(inst, a, 20) is not None
     assert witnesses > 0
+
+
+# -- G_d of a monomial f -------------------------------------------------------
+
+
+def _monomial_cases():
+    """(f, S, ds) over F_9, F_25, F_3, F_5, Q and Q(i): f = c t^s with s > 0, s < 0, p | s and
+    p^2 | s, c = 1, c != 1 (over Q with a denominator, over F_9 and F_25 outside the prime
+    field), S = {(t), inf}, and ds the d <= 60 prime to p with phi(d) |s| <= 80."""
+    for spec, extra in (
+        (FieldSpec(3, 1, 2), ((0, 1), 1)),  # x, outside F_3
+        (FieldSpec(5, 1, 2), ((2, 1), 1)),  # 2 + x, outside F_5
+        (FieldSpec(3, 1, 1), None),
+        (FieldSpec(5, 1, 1), None),
+        (FieldSpec(0, 1), ((1,), 3)),  # 1/3
+        (FieldSpec(0, 4), ((1, 1), 1)),  # 1 + i
+    ):
+        fld = field_for(spec)
+        p = fld.char
+        t = RationalFunction.t(fld)
+        S = PlaceSet([Place(Polynomial.t(fld)), INFINITY])
+        cs = [ConstantValue(fld, fld.from_int(k)) for k in (1, 2)] + ([ConstantValue(fld, *extra)] if extra else [])
+        ss = (1, -1, 3, -2) if not p else (2, -1, p, -p, -p * p)
+        for c in cs:
+            for s in ss:
+                f = c * t**s
+                ds = [d for d in range(1, 61) if d % (p or 61) and euler_phi(d) * abs(s) <= 80]
+                yield f, S, ds
+
+
+def _horner_numerator(d: int, f):
+    """den^phi(d) Phi_d(num/den) by homogeneous Horner over F[t]."""
+    acc = denpow = Polynomial.one(f.field)
+    for cj in reversed(cyclotomic_poly(d)[:-1]):
+        denpow = denpow * f.den
+        acc = acc * f.num + denpow * cj
+    return acc
+
+
+def _monomial_mismatches():
+    """Yield each (what, f, d) where the numerator or G_d that `powersum` builds differs from the
+    oracle (homogeneous Horner for the numerator, S-stripped `radical` of it for G_d), or where
+    building G_d raises (fbar's order is asserted on every build)."""
+    for f, S, ds in _monomial_cases():
+        inst = PowerSumInstance((RationalFunction.one(f.field),), (one_ru(f.field),), (1,), f, S)
+        for d in ds:
+            A = _horner_numerator(d, f)
+            if powersum._phi_numerator(d, f) != A:
+                yield "numerator", f, d
+            try:
+                cond = LocalChecker(inst, d).condition(d)
+            except Exception:
+                yield "raised", f, d
+                continue
+            G = cond["G"] if cond else Polynomial.one(f.field)
+            if G != strip_places(radical(A), S):
+                yield "G", f, d
+
+
+def _root_by_definition(f, rooted=True, strip_p=True):
+    """c' t^s' from f = c t^s by the definition: s = p^k s', c' = c^(p^(k(deg F - 1)))."""
+    fld, c = f.field, f.num.lc()
+    s, k, p = f.num.degree - f.den.degree, 0, fld.char
+    while strip_p and p and s % p == 0:
+        s, k = s // p, k + 1
+    if rooted and k:
+        c = c ** (p ** (k * (fld.d - 1)))
+    return c * RationalFunction.t(fld) ** s
+
+
+def test_monomial_G_matches_horner_and_radical():
+    assert list(_monomial_mismatches()) == []
+    roots = [(powersum._monomial_root(f), _root_by_definition(f)) for f, _, _ in _monomial_cases()]
+    assert all(got == want for got, want in roots)
+
+
+def test_monomial_oracle_catches_mutations(monkeypatch):
+    numerator = powersum._phi_numerator
+
+    def drop_b(d, f):
+        return numerator(d, RationalFunction._reduced(f.num, Polynomial.one(f.field)))
+
+    mutants = {
+        "wrong p^k-th root of c": ("_monomial_root", lambda f: _root_by_definition(f, rooted=False)),
+        "k ignored": ("_monomial_root", lambda f: _root_by_definition(f, strip_p=False)),
+        "b dropped when s < 0": ("_phi_numerator", drop_b),
+    }
+    for name, (attr, mutant) in mutants.items():
+        with monkeypatch.context() as m:
+            m.setattr(powersum, attr, mutant)
+            assert next(_monomial_mismatches(), None) is not None, name
+
+
+def test_monomial_conditions_build_without_squarefree_pass_or_products(Q, monkeypatch):
+    """For a monomial f no condition runs `squarefree_decomposition`, and `_phi_numerator` multiplies
+    no polynomials; a non-monomial f still takes `radical`."""
+    calls, inside = Counter(), [False]
+    numerator, mul, sqfree, rad = (
+        powersum._phi_numerator, Polynomial.__mul__, funfield.squarefree_decomposition, powersum.radical,
+    )
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name, inside[0]] += 1
+            return fn(*args)
+        return wrapped
+
+    def in_numerator(d, f):
+        calls["numerator", False] += 1
+        inside[0] = True
+        try:
+            return numerator(d, f)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(powersum, "_phi_numerator", in_numerator)
+    monkeypatch.setattr(Polynomial, "__mul__", counted("mul", mul))
+    monkeypatch.setattr(Polynomial, "__rmul__", counted("mul", mul))
+    monkeypatch.setattr(funfield, "squarefree_decomposition", counted("sqfree", sqfree))
+    monkeypatch.setattr(powersum, "radical", counted("radical", rad))
+    for profile in ("charp", "dep-heavy"):
+        for seed in range(20):
+            inst = generate_instance(seed, profile)[0]
+            assert inst.f.num.is_monomial and inst.f.den.is_monomial
+            for a in (1, 2, 6, 12):
+                find_local_witness(inst, a, 20)
+    assert calls["numerator", False] > 50
+    assert not any(n for (name, _), n in calls.items() if name in ("sqfree", "radical"))
+    assert calls["mul", True] == 0
+
+    tp, one = Polynomial.t(Q), Polynomial.one(Q)
+    f = RationalFunction(tp * tp + one, tp)
+    S = PlaceSet([Place(tp), Place(tp * tp + one), INFINITY])
+    inst = PowerSumInstance((RationalFunction.t(Q), -RationalFunction.one(Q)), (one_ru(Q),) * 2, (1, 0), f, S)
+    LocalChecker(inst, 6).check(1)
+    assert calls["radical", False] > 0
+
+
+def test_local_checker_matches_oracle_on_high_degree_monomial_f(Q, F5):
+    """f = c t^20 over F_5 at a = 3 and f = 2 t^-3 over Q at a = 12, where f^a - 1 has degree 60
+    and 36, under the factoring cap of the oracle.  Over F_5, Phi_3(f) has a numerator of degree
+    40 and G_3 = Phi_3(c' t^4) degree 8."""
+    cases = [(F5, c * RationalFunction.t(F5) ** 20, 3, {1: 4, 3: 8}) for c in (1, 2)]
+    cases.append((Q, 2 * RationalFunction.t(Q) ** -3, 12, {1: 3, 2: 3, 3: 6, 4: 6, 6: 6, 12: 12}))
+    for fld, f, a, degrees in cases:
+        t = RationalFunction.t(fld)
+        S = PlaceSet([Place(Polynomial.t(fld)), INFINITY])
+        inst = PowerSumInstance((t, -t), (one_ru(fld), neg_ru(fld)), (1, 0), f, S)
+        checker = LocalChecker(inst, a)
+        assert {key: cond["G"].degree for key in checker.keys if (cond := checker.condition(key))} == degrees
+        outcomes = [checker.check(k) for k in range(checker.period)]
+        assert outcomes == [brute_local_check(inst, k, a) for k in range(checker.period)], fld.spec
+        assert set(outcomes) == {True, False}

@@ -65,14 +65,14 @@ def test_min_e_examples(Q, F3):
     S = S2_of(Q)
     # all eps = 1, rho = 1/2, |S| = 2 -> Gamma = 6, e = 7
     inst = PowerSumInstance((t,), (one_ru(Q),), (1,), t, S)
-    assert min_e(inst, Fraction(1, 2)) == 7
+    assert min_e(inst, gamma_bound(Fraction(1, 2), S)) == 7
     # eps in {+-1}: e must be even and > 6 -> 8
     inst2 = PowerSumInstance((t, t), (one_ru(Q), neg_ru(Q)), (0, 1), t, S)
-    assert min_e(inst2, Fraction(1, 2)) == 8
+    assert min_e(inst2, gamma_bound(Fraction(1, 2), S)) == 8
     # char 3: Gamma = 6 but 3 does not divide e -> 7
     t3 = RationalFunction.t(F3)
     inst3 = PowerSumInstance((t3,), (one_ru(F3),), (1,), t3**2, S2_of(F3))
-    assert min_e(inst3, Fraction(1, 2)) == 7
+    assert min_e(inst3, gamma_bound(Fraction(1, 2), S2_of(F3))) == 7
 
 
 def test_min_e_minimality(Q):
@@ -80,8 +80,8 @@ def test_min_e_minimality(Q):
     S = S2_of(Q)
     inst = PowerSumInstance((t, t), (one_ru(Q), neg_ru(Q)), (0, 1), t, S)
     for rho in (Fraction(1, 10), Fraction(1, 2), Fraction(3, 4)):
-        e = min_e(inst, rho)
         gamma = gamma_bound(rho, S)
+        e = min_e(inst, gamma)
         assert Fraction(e) > gamma
         assert all((e % eps.order) == 0 for eps in inst.epsilons)
         # one step back violates a condition
@@ -109,12 +109,12 @@ def test_admissible_a_table(Q):
     S2 = S2_of(Q)
     S1 = PlaceSet([INFINITY])
     # (Gamma=6, e=7, N=3) -> 49, via rho=1/2 and |S|=2
-    assert admissible_a(7, 3, Fraction(1, 2), S2) == 49 == _brute_admissible_a(7, 3, Fraction(6))
+    assert admissible_a(7, 3, gamma_bound(Fraction(1, 2), S2)) == 49 == _brute_admissible_a(7, 3, Fraction(6))
     # (Gamma=6, e=8, N=3) -> 64
-    assert admissible_a(8, 3, Fraction(1, 2), S2) == 64 == _brute_admissible_a(8, 3, Fraction(6))
+    assert admissible_a(8, 3, gamma_bound(Fraction(1, 2), S2)) == 64 == _brute_admissible_a(8, 3, Fraction(6))
     # (Gamma=4, e=6, N=0) -> 72, via rho=2/3 and |S|=1
     assert gamma_bound(Fraction(2, 3), S1) == 4
-    assert admissible_a(6, 0, Fraction(2, 3), S1) == 72 == _brute_admissible_a(6, 0, Fraction(4))
+    assert admissible_a(6, 0, gamma_bound(Fraction(2, 3), S1)) == 72 == _brute_admissible_a(6, 0, Fraction(4))
 
 
 def test_admissible_a_satisfies_conditions(Q):
@@ -122,8 +122,8 @@ def test_admissible_a_satisfies_conditions(Q):
 
     S = S2_of(Q)
     for e, N, rho in [(6, 2, Fraction(1, 3)), (12, 5, Fraction(1, 2)), (7, 0, Fraction(1, 10))]:
-        a = admissible_a(e, N, rho, S)
         gamma = gamma_bound(rho, S)
+        a = admissible_a(e, N, gamma)
         assert a % e == 0  # e | a comes for free
         for qp in factorize(e):
             assert Fraction(qp ** (1 + valuation_int(a, qp) - valuation_int(e, qp))) > N + gamma
