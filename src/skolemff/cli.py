@@ -4,12 +4,16 @@ Exit codes: 0 completed with an answer, 1 theorem violation detected (never
 expected), 2 invalid input, 3 inconclusive within the configured bounds.
 Reports are single JSON documents on stdout; every numeric value is a decimal
 string, and `timing_ms` is the only field excluded from the determinism
-contract.
+contract.  The `result` of certify, smallcoef and verify holds the fields of
+the record the library returns, by name, with two exceptions: certify writes
+`s_work` as places and only when it is set, and smallcoef writes `conclusion`
+only when it is set and without its `detail`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -58,14 +62,14 @@ def _error_result(exc: SkolemffError | OSError) -> dict:
     return {"error": name, "message": str(exc)}
 
 
-def _report_inequality(rep) -> dict:
-    return {
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "holds": rep.holds,
-        "comparison": rep.comparison,
-        "detail": {k: v if isinstance(v, (str, bool, list)) else str(v) for k, v in rep.detail.items()},
-    }
+def _fields(record):
+    """A result record as a report: each field by name, with nested records and
+    sequences of them written the same way (`stringify_numbers` renders the values)."""
+    if dataclasses.is_dataclass(record):
+        return {f.name: _fields(getattr(record, f.name)) for f in dataclasses.fields(record)}
+    if isinstance(record, (list, tuple)):
+        return [_fields(v) for v in record]
+    return record
 
 
 def _cmd_solve(inst) -> tuple[dict, int]:
@@ -82,31 +86,10 @@ def _cmd_local(inst, a: int, k_bound: int) -> tuple[dict, int]:
 
 
 def _cmd_certify(inst, k_bound: int) -> tuple[dict, int]:
+    """The `CertificateReport` fields; `s_work` as places, and only when set."""
     rep = certify_local_global(inst, k_bound=k_bound)
-    result = {
-        "verdict": rep.verdict,
-        "global_zero": rep.global_zero,
-        "a": rep.a,
-        "local_witness": rep.local_witness,
-        "k_bound": rep.k_bound,
-        "theorem_violation": rep.theorem_violation,
-        "notes": list(rep.notes),
-        "per_class": [
-            {
-                "residue": cc.residue,
-                "q": cc.q,
-                "p": cc.p,
-                "ell": cc.ell,
-                "a": cc.a,
-                "dep_roots": cc.dep_roots,
-                "ind_roots": cc.ind_roots,
-                "split_complete": cc.split_complete,
-                "lemma_checks": [_report_inequality(r) for r in cc.lemma_checks],
-            }
-            for cc in rep.per_class
-        ],
-    }
-    if rep.s_work is not None:
+    result = _fields(rep)
+    if result.pop("s_work") is not None:
         result["s_work"] = [place_to_json(p) for p in rep.s_work]
     if rep.theorem_violation:
         return result, EXIT_VIOLATION
@@ -124,39 +107,19 @@ def _rho(rho: str) -> Fraction:
 
 
 def _cmd_smallcoef(inst, rho: Fraction, k_bound: int) -> tuple[dict, int]:
+    """The `SmallCoefReport` fields; `conclusion` only when set, and without its `detail`."""
     rep = smallcoef_end_to_end(inst, rho, k_bound=k_bound)
-    result = {
-        "status": rep.status,
-        "rho": str(rep.rho),
-        "e": rep.e,
-        "a": rep.a,
-        "gamma": str(rep.gamma) if rep.gamma is not None else None,
-        "witness": rep.witness,
-        "k_bound": rep.k_bound,
-    }
-    if rep.conclusion is not None:
-        result["conclusion"] = {
-            "branch": rep.conclusion.branch,
-            "verified": rep.conclusion.verified,
-            "theorem_violation": rep.conclusion.theorem_violation,
-            "distinct_exponents": rep.conclusion.distinct_exponents,
-        }
+    result = _fields(rep)
+    conclusion = result.pop("conclusion")
+    if conclusion is not None:
+        del conclusion["detail"]
+        result["conclusion"] = conclusion
     return result, EXIT_VIOLATION if rep.status == "theorem_violation" else EXIT_OK
 
 
 def _cmd_verify(suite: str, seed: int, count: int) -> tuple[dict, int]:
     res = run_suite(suite, seed, count)
-    result = {
-        "suite": res.suite,
-        "seed": res.seed,
-        "count": res.count,
-        "checked": res.checked,
-        "violations": res.violations,
-        "skipped_dependent": res.skipped_dependent,
-        "reproducer": res.reproducer,
-        "notes": res.notes,
-    }
-    return result, EXIT_VIOLATION if res.violations else EXIT_OK
+    return _fields(res), EXIT_VIOLATION if res.violations else EXIT_OK
 
 
 def _cmd_gen(seed: int, profile: str, out: str) -> tuple[dict, int]:
@@ -205,23 +168,15 @@ def _run_single(handler, read_options, path: str, command: dict):
 _SEVERITY = {EXIT_VIOLATION: 3, EXIT_INVALID: 2, EXIT_INCONCLUSIVE: 1, EXIT_OK: 0}
 
 
-def _run_instance_command(args, handler, read_options, command: dict) -> int:
-    if getattr(args, "dir", None):
-        files = sorted(
-            os.path.join(args.dir, name)
-            for name in os.listdir(args.dir)
-            if name.endswith(".json")
-        )
+def _run_instance_command(args, handler, read_options, command: dict) -> tuple[dict, int]:
+    """The document of one file's report, or of every report of a --dir run, and its exit code."""
+    if args.dir:
+        files = sorted(os.path.join(args.dir, name) for name in os.listdir(args.dir) if name.endswith(".json"))
         reports = [_run_single(handler, read_options, path, command) for path in files]
-        code = EXIT_OK
-        for rep in reports:
-            if _SEVERITY[rep["exit_code"]] > _SEVERITY[code]:
-                code = rep["exit_code"]
-        print(canonical_dumps(stringify_numbers({"command": command, "reports": reports})))
-        return code
+        code = max((rep["exit_code"] for rep in reports), key=_SEVERITY.__getitem__, default=EXIT_OK)
+        return {"command": command, "reports": reports}, code
     report = _run_single(handler, read_options, args.file, command)
-    print(canonical_dumps(stringify_numbers(report)))
-    return report["exit_code"]
+    return report, report["exit_code"]
 
 
 @functools.cache
@@ -274,6 +229,13 @@ _INSTANCE_COMMANDS = {
     "smallcoef": (_cmd_smallcoef, lambda a: (_rho(a.rho), a.k_bound), ("rho", "k_bound")),
 }
 
+# Per command without an instance: its handler, called with the values of the
+# options echoed in the report's command dict, in that order.
+_PLAIN_COMMANDS = {
+    "verify": (_cmd_verify, ("suite", "seed", "count")),
+    "gen": (_cmd_gen, ("seed", "profile", "out")),
+}
+
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
@@ -284,28 +246,17 @@ def main(argv=None) -> int:
                 raise SystemExit(2)
             handler, read_options, echoed = _INSTANCE_COMMANDS[args.cmd]
             command = {"cmd": args.cmd, **{name: getattr(args, name) for name in echoed}}
-            return _run_instance_command(args, handler, lambda: read_options(args), command)
-        if args.cmd == "verify":
-            command = {
-                "cmd": "verify",
-                "suite": args.suite,
-                "seed": args.seed,
-                "count": args.count,
-            }
-            result, code = _cmd_verify(args.suite, args.seed, args.count)
-            print(canonical_dumps(stringify_numbers(_envelope(command, result, code, started, None))))
-            return code
-        if args.cmd == "gen":
-            command = {"cmd": "gen", "seed": args.seed, "profile": args.profile, "out": args.out}
-            result, code = _cmd_gen(args.seed, args.profile, args.out)
-            print(canonical_dumps(stringify_numbers(_envelope(command, result, code, started, None))))
-            return code
+            doc, code = _run_instance_command(args, handler, lambda: read_options(args), command)
+        else:
+            handler, echoed = _PLAIN_COMMANDS[args.cmd]
+            command = {"cmd": args.cmd, **{name: getattr(args, name) for name in echoed}}
+            result, code = handler(*(command[name] for name in echoed))
+            doc = _envelope(command, result, code, started, None)
     except (SkolemffError, OSError) as exc:
         code = _exit_code_for(exc)
         doc = _envelope({"cmd": args.cmd}, _error_result(exc), code, started, None)
-        print(canonical_dumps(stringify_numbers(doc)))
-        return code
-    raise AssertionError("unreachable")
+    print(canonical_dumps(stringify_numbers(doc)))
+    return code
 
 
 if __name__ == "__main__":

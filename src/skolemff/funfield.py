@@ -1053,23 +1053,16 @@ def truncated_counting(b: RationalFunction, S: PlaceSet) -> int:
     return count
 
 
-def gcd_counting(f: RationalFunction, g: RationalFunction, S: PlaceSet, truncated: bool = False) -> int:
-    """N_S(gcd(f, g)) for S-integers f, g; capped at 1 per place when truncated."""
+def gcd_counting(f: RationalFunction, g: RationalFunction, S: PlaceSet) -> int:
+    """N_S(gcd(f, g)) for S-integers f, g."""
     if f.is_zero or g.is_zero:
         raise ZeroInput("gcd counting of 0")
     for x in (f, g):
         if not is_s_integer(x, S):
             raise NotSInteger("gcd counting requires S-integers")
-    G = strip_places(poly_gcd(f.num, g.num), S)
-    if truncated and G.degree > 0:
-        G = radical(G)
-    count = G.degree
+    count = strip_places(poly_gcd(f.num, g.num), S).degree
     if not S.has_infinity:
-        vf = f.den.degree - f.num.degree
-        vg = g.den.degree - g.num.degree
-        m = min(vf, vg)
-        if m > 0:
-            count += 1 if truncated else m
+        count += max(0, min(f.den.degree - f.num.degree, g.den.degree - g.num.degree))
     return count
 
 

@@ -55,9 +55,10 @@ nonzero S-integer and g = a/b (reduced, b monic) an S-unit.  The numerator
 
     A_d = b^phi(d) Phi_d(a/b) = a^phi(d) mod b
 
-is prime to b, so Phi_d(g) = A_d / b^phi(d) is already reduced, and the count
-is deg gcd(X, A_d) for X = num(x) stripped of S, plus, when infinity is not
-in S, min(v_inf(x), phi(d) deg b - deg A_d) if that is positive.  Most counts
+is prime to b, so Phi_d(g) = A_d / b^phi(d) is already reduced, and
+`gcd_counting(x, Phi_d(g), S)` counts deg gcd(X, A_d) for X = num(x) stripped
+of S, plus, when infinity is not in S, min(v_inf(x), phi(d) deg b - deg A_d)
+if that is positive.  Most counts
 are 0, and one prime image proves it without building A_d (`_LemmaTargets`).
 Take the prime P over rho > 2^61 of `funfield._gcd_prime(M, 0)`, with residue
 field F_rho, and let bars denote images mod P.  If lc(X) is a P-unit and a, b
@@ -130,6 +131,7 @@ from .funfield import (
     _poly,
     chi_S,
     divisor,
+    gcd_counting,
     height,
     is_s_integer,
     is_s_unit,
@@ -579,7 +581,10 @@ class LocalChecker:
                 a //= ch  # zeros of f^a - 1 match those of the p-free part
         self.inst = inst
         self.a = a
-        degree, cap = a * max(1, height(inst.f)), local_degree_cap()
+        self._root = _monomial_root(inst.f)
+        # each G_d is built from Phi_d(y), y = f or its monomial root: degree at most a h(y)
+        y = inst.f if self._root is None else self._root
+        degree, cap = a * max(1, height(y)), local_degree_cap()
         if degree > cap:
             raise FactorizationTooHard(
                 f"local check at f^{a}-1: degree {degree} exceeds SKOLEMFF_MAX_LOCAL_DEGREE={cap}"
@@ -587,7 +592,6 @@ class LocalChecker:
         self.keys = tuple(divisors(a)) + (() if inst.places.has_infinity else (INFINITY,))
         self.period = lcm(a, inst.e)
         self._conditions = {}
-        self._root = _monomial_root(inst.f)
 
     def condition(self, key: int | Place) -> dict | None:
         """The condition of key (a divisor of a, or INFINITY), built and its order asserted on first call; None when void."""
@@ -982,12 +986,13 @@ class _LemmaTargets:
             c = g.num.lc() / g.den.lc()  # g(inf), a zero of Phi_d exactly when its order is d
             if c.is_torsion():
                 open_.update(d for d in self.ds if d == c.order())
-        return tuple(self._count(X, v_inf, d, S) if d in open_ else 0 for d in self.ds)
+        return tuple(self._count(x, d, S) if d in open_ else 0 for d in self.ds)
 
-    def _count(self, X: Polynomial, v_inf: int, d: int, S: PlaceSet) -> int:
-        """The exact count: deg gcd(X, A_d), plus min(v_inf(x), v_inf(Phi_d(g))) when positive off S.
+    def _count(self, x: RationalFunction, d: int, S: PlaceSet) -> int:
+        """The exact count gcd_counting(x, Phi_d(g), S), where Phi_d(g) = A_d / b^phi(d) for g = a/b.
 
-        A_d is built on first use, and its degree phi(d) h(g) is held to SKOLEMFF_MAX_LOCAL_DEGREE.
+        That quotient is reduced: A_d is prime to b (module docstring).  A_d is
+        built on first use, and its degree phi(d) h(g) is held to SKOLEMFF_MAX_LOCAL_DEGREE.
         """
         if d not in self._numerators:
             degree, cap = euler_phi(d) * height(self.g), local_degree_cap()
@@ -996,11 +1001,8 @@ class _LemmaTargets:
                     f"lemma target Phi_{d}(g): degree {degree} exceeds SKOLEMFF_MAX_LOCAL_DEGREE={cap}"
                 )
             self._numerators[d] = _phi_numerator(d, self.g)
-        A = self._numerators[d]
-        count = poly_gcd(X, A).degree
-        if not S.has_infinity:
-            count += max(0, min(v_inf, euler_phi(d) * self.g.den.degree - A.degree))
-        return count
+        phi_d = RationalFunction._reduced(self._numerators[d], self.g.den ** euler_phi(d))
+        return gcd_counting(x, phi_d, S)
 
 
 def _witnesses_leave_open(split: SplitResult, n: int, ds: tuple[int, ...]) -> bool:

@@ -103,7 +103,7 @@ def verify_cz_gcd(a: RationalFunction, b: RationalFunction, S: PlaceSet) -> Ineq
     chi = chi_S(S)
     if chi < 0:
         raise BadChiS("the gcd bound needs chi_S >= 0")
-    N = gcd_counting(1 - a, 1 - b, S, truncated=False)
+    N = gcd_counting(1 - a, 1 - b, S)
     ha = height(a)
     hb = height(b)
     rhs = 54 * ha * hb * chi

@@ -2,11 +2,14 @@
 
 Per seed 0-19 of the `small`, `dep-heavy` and `charp` profiles the matrix
 runs gen, solve, `certify --k-bound 100`, `smallcoef --rho 1/2`,
-`local --a 6` and `local --a 12 --k-bound 100`; it also runs `verify` of
-every suite at seeds 0-2, and of the lemma suites claimD and claimI at seeds
-3-19 as well, with `--count 4`.  Each report, with `timing_ms`
-dropped and the instance path replaced by a placeholder, is hashed (sha256
-of its sorted-key JSON) and compared with `tests/cli_matrix.json`.
+`local --a 6` and `local --a 12 --k-bound 100`, then `certify --k-bound 100
+--dir` over a directory of its seeds 0-4 and a `gen` into a missing
+directory (an error report).  It also runs `verify` of every suite at seeds
+0-2, and of the lemma suites claimD and claimI at seeds 3-19 as well, with
+`--count 4`, and one `verify --count 0` (an error report).  Each report, with
+`timing_ms` dropped and the instance or directory path replaced by a
+placeholder, is hashed (sha256 of its sorted-key JSON) and compared with
+`tests/cli_matrix.json`.
 
 `python tests/test_cli_matrix.py` rewrites that file from the current code.
 """
@@ -16,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -36,6 +40,7 @@ INSTANCE_COMMANDS = {
 }
 VERIFY_SEEDS = range(3)
 LEMMA_SUITES, LEMMA_SEEDS = ("claimD", "claimI"), range(3, 20)
+BATCH_SEEDS = range(5)
 
 
 def _digest(argv: list[str], path: str | None = None) -> str:
@@ -46,7 +51,8 @@ def _digest(argv: list[str], path: str | None = None) -> str:
     if path is not None:
         text = text.replace(path, "<instance>")
     doc = json.loads(text)
-    doc.pop("timing_ms")
+    for report in doc.get("reports", [doc]):  # a --dir run's reports, or the one report
+        report.pop("timing_ms")
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
@@ -55,16 +61,25 @@ def run_group(group: str, workdir: str) -> dict[str, str]:
     if group == "verify":
         runs = [(suite, seed) for suite in SUITES for seed in VERIFY_SEEDS]
         runs += [(suite, seed) for suite in LEMMA_SUITES for seed in LEMMA_SEEDS]
-        return {
+        out = {
             f"verify/{suite}/{seed}": _digest(["verify", suite, "--seed", str(seed), "--count", "4"])
             for suite, seed in runs
         }
+        out["verify/smt/count-0"] = _digest(["verify", "smt", "--seed", "0", "--count", "0"])
+        return out
     out = {}
     for seed in SEEDS:
         path = os.path.join(workdir, f"{group}-{seed}.json")
         out[f"{group}/{seed}/gen"] = _digest(["gen", "--seed", str(seed), "--profile", group, "--out", path], path)
         for name, argv in INSTANCE_COMMANDS.items():
             out[f"{group}/{seed}/{name}"] = _digest([*argv, path], path)
+    batch = os.path.join(workdir, f"{group}-batch")
+    os.mkdir(batch)
+    for seed in BATCH_SEEDS:
+        shutil.copy(os.path.join(workdir, f"{group}-{seed}.json"), batch)
+    out[f"{group}/batch/certify"] = _digest(["certify", "--k-bound", "100", "--dir", batch], batch)
+    missing = os.path.join(workdir, "missing", f"{group}.json")
+    out[f"{group}/gen-unwritable"] = _digest(["gen", "--seed", "0", "--profile", group, "--out", missing], missing)
     return out
 
 
@@ -81,9 +96,10 @@ def test_cli_reports_match_the_recorded_digests(group, tmp_path):
     assert [k for k in got if got[k] != want[k]] == []
 
 
-def test_the_matrix_has_412_runs():
-    verify = len(SUITES) * len(VERIFY_SEEDS) + len(LEMMA_SUITES) * len(LEMMA_SEEDS)
-    assert len(_golden()) == len(PROFILES) * len(SEEDS) * (1 + len(INSTANCE_COMMANDS)) + verify == 412
+def test_the_matrix_has_419_runs():
+    verify = len(SUITES) * len(VERIFY_SEEDS) + len(LEMMA_SUITES) * len(LEMMA_SEEDS) + 1
+    per_profile = len(SEEDS) * (1 + len(INSTANCE_COMMANDS)) + 2
+    assert len(_golden()) == len(PROFILES) * per_profile + verify == 419
 
 
 if __name__ == "__main__":

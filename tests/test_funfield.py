@@ -788,7 +788,6 @@ def test_gcd_counting_examples(Q):
     a = RationalFunction((t - one) ** 2)
     b = RationalFunction((t - one) ** 3)
     assert gcd_counting(a, b, S_inf) == 2
-    assert gcd_counting(a, b, S_inf, truncated=True) == 1
     assert gcd_counting(RationalFunction(t), RationalFunction(t + one), S_inf) == 0
     with pytest.raises(NotSInteger):
         gcd_counting(RationalFunction(one, t), f, S_inf)
@@ -809,7 +808,6 @@ def test_gcd_counting_bounded_by_zero_counts(Q):
         zf = strip_places(f.num, S).degree
         zg = strip_places(g.num, S).degree
         assert n <= min(zf, zg)
-        assert gcd_counting(f, g, S, truncated=True) <= n
 
 
 def test_gcd_counting_at_infinity(Q):
@@ -818,7 +816,6 @@ def test_gcd_counting_at_infinity(Q):
     f = RationalFunction(Polynomial.one(Q), t)  # zero of order 1 at infinity
     g = RationalFunction(Polynomial.one(Q), t * t)
     assert gcd_counting(f, g, S) == 1
-    assert gcd_counting(f, g, S, truncated=True) == 1
 
 
 def test_deg_ins(Q, F3):

@@ -10,6 +10,8 @@ from collections import Counter
 from itertools import chain
 from math import lcm
 
+import pytest
+
 from skolemff import (
     INFINITY,
     ConstantValue,
@@ -24,6 +26,7 @@ from skolemff import (
 )
 from skolemff import funfield, powersum
 from skolemff.constants import zeta
+from skolemff.errors import FactorizationTooHard
 from skolemff.funfield import radical, strip_places
 from skolemff.generate import generate_instance
 from skolemff.intutil import cyclotomic_poly, euler_phi
@@ -399,3 +402,19 @@ def test_local_checker_matches_oracle_on_high_degree_monomial_f(Q, F5):
         outcomes = [checker.check(k) for k in range(checker.period)]
         assert outcomes == [brute_local_check(inst, k, a) for k in range(checker.period)], fld.spec
         assert set(outcomes) == {True, False}
+
+
+def test_local_cap_counts_the_degree_of_the_monomial_root(F5, monkeypatch):
+    """f = t^10 over F_5 at a = 6: every G_d comes from Phi_d(t^2), of degree at most a h(t^2) = 12,
+    so a cap of 40 admits the checker though a h(f) = 60; a cap of 11 still refuses it, naming 12."""
+    t = RationalFunction.t(F5)
+    S = PlaceSet([Place(Polynomial.t(F5)), INFINITY])
+    inst = PowerSumInstance((t, -t), (one_ru(F5), neg_ru(F5)), (1, 0), t**10, S)
+    monkeypatch.setenv("SKOLEMFF_MAX_LOCAL_DEGREE", "40")
+    checker = LocalChecker(inst, 6)
+    outcomes = [checker.check(k) for k in range(checker.period)]
+    assert outcomes == [brute_local_check(inst, k, 6) for k in range(checker.period)]
+    assert set(outcomes) == {True, False}
+    monkeypatch.setenv("SKOLEMFF_MAX_LOCAL_DEGREE", "11")
+    with pytest.raises(FactorizationTooHard, match=r"f\^6-1: degree 12 exceeds SKOLEMFF_MAX_LOCAL_DEGREE=11"):
+        LocalChecker(inst, 6)

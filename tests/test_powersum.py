@@ -1141,6 +1141,31 @@ def test_lemma_counts_fall_back_at_an_unusable_or_unlucky_prime(Q, monkeypatch):
     assert targets.counts(t**4 - 1, S) == (2, 0) and set(targets._numerators) == {4}
 
 
+def test_an_open_lemma_count_is_counted_by_gcd_counting(Q, monkeypatch):
+    """Each count the prime image leaves open is `funfield.gcd_counting` against Phi_d(g), reduced as
+    A_d / b^phi(d); a count the image proves 0 calls it not at all."""
+    from skolemff import funfield
+    from skolemff.powersum import _LemmaTargets
+
+    calls = []
+    monkeypatch.setattr(
+        powersum, "gcd_counting", lambda x, y, S: calls.append(y) or funfield.gcd_counting(x, y, S)
+    )
+    t = RationalFunction.t(Q)
+    S = PlaceSet([Place(Polynomial.t(Q)), INFINITY])
+    targets = _LemmaTargets(t, 2, 2, 3)
+    assert targets.counts(t - 2, S) == (0, 0) and calls == []
+    assert targets.counts(t**4 - 1, S) == (2, 0)
+    assert calls == [horner_phi(4, t)]
+    g = t**3 / (t - 1)  # b = t - 1 is no monomial, and A_d is prime to it
+    S = PlaceSet([Place(Polynomial.t(Q)), Place(Polynomial.t(Q) - Polynomial.one(Q)), INFINITY])
+    x = horner_phi(2, g).num * horner_phi(6, g).num
+    calls.clear()
+    assert _LemmaTargets(g, 2, 1, 3).counts(RationalFunction(x), S) == (3, 6)
+    assert calls == [horner_phi(2, g), horner_phi(6, g)]
+    assert [y.den for y in calls] == [Polynomial.t(Q) - Polynomial.one(Q), (Polynomial.t(Q) - Polynomial.one(Q)) ** 2]
+
+
 def test_lemma_fallback_keeps_the_local_degree_cap(Q, monkeypatch):
     from skolemff.errors import NotSInteger
     from skolemff.powersum import _LemmaTargets

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import time
 import pytest
 
 import skolemff
-from skolemff import INFINITY, Place, PlaceSet, Polynomial, PowerSumInstance, RationalFunction
+from skolemff import INFINITY, Place, PlaceSet, Polynomial, PowerSumInstance, RationalFunction, cli, smallcoef
 from skolemff.cli import _build_parser, main
 from skolemff.errors import InvalidInstance
 from skolemff.generate import generate_instance
@@ -188,6 +189,51 @@ def test_cli_verify_exit_code_and_payload():
     assert code == 0
     assert rep["result"]["violations"] == "0"
     assert rep["result"]["checked"] == "15"
+
+
+def _result_and_record(monkeypatch, library_fn: str, argv):
+    """The report's result for argv, and the record that `cli.<library_fn>` returned to it."""
+    records = []
+    real = getattr(cli, library_fn)
+    monkeypatch.setattr(cli, library_fn, lambda *a, **kw: records.append(real(*a, **kw)) or records[-1])
+    _, rep = run_cli(argv)
+    (record,) = records
+    return rep["result"], record
+
+
+def _field_names(record) -> set[str]:
+    return {f.name for f in dataclasses.fields(record)}
+
+
+def test_each_report_holds_its_record_fields(instance_dir, tmp_path, monkeypatch):
+    """A report's result keys are its record's fields, less the documented exceptions of the
+    module docstring: `s_work` only when set, `conclusion` only when set and without `detail`."""
+    for name, has_zero in (("translated-example-2", True), ("example-1-zeta4", False)):
+        result, rep = _result_and_record(monkeypatch, "certify_local_global", ["certify", str(instance_dir / f"{name}.json")])
+        assert (rep.global_zero is not None) == has_zero
+        assert set(result) == _field_names(rep) - ({"s_work"} if rep.s_work is None else set())
+        assert [set(cc) for cc in result["per_class"]] == [_field_names(cc) for cc in rep.per_class]
+        checks = [set(r) for cc in result["per_class"] for r in cc["lemma_checks"]]
+        assert checks == [_field_names(r) for r in rep.lemma_checks]
+        assert bool(checks) != has_zero, name  # the certificate runs the lemma checks
+    statuses = set()
+    for seed, patch_violation in ((0, False), (1, False), (64, False), (64, True)):
+        path = str(tmp_path / f"charp-{seed}.json")
+        run_cli(["gen", "--seed", str(seed), "--profile", "charp", "--out", path])
+        if patch_violation:  # never expected: a conclusion that fails its check
+            real = smallcoef.conclude_from_witness
+            fake = lambda *a: dataclasses.replace(real(*a), verified=False, theorem_violation=True)
+            monkeypatch.setattr(smallcoef, "conclude_from_witness", fake)
+        result, rep = _result_and_record(monkeypatch, "smallcoef_end_to_end", ["smallcoef", path, "--rho", "1/2"])
+        statuses.add(rep.status)
+        if rep.conclusion is None:
+            assert set(result) == _field_names(rep) - {"conclusion"}
+        else:
+            assert set(result) == _field_names(rep)
+            assert set(result["conclusion"]) == _field_names(rep.conclusion) - {"detail"}
+    assert statuses == {"rejected_growth", "consistent_no_witness", "witness_verified", "theorem_violation"}
+    result, res = _result_and_record(monkeypatch, "run_suite", ["verify", "claimD", "--seed", "3", "--count", "4"])
+    assert set(result) == _field_names(res)
 
 
 def test_cli_determinism(instance_dir):
