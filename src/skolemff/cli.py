@@ -216,7 +216,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--profile", choices=PROFILES, required=True)
     p.add_argument("--out", required=True)
+    ap.command_parsers = sub.choices  # command name -> its subparser, for _parse_args
     return ap
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The namespace of `_build_parser().parse_args(argv)`, read by the subparser
+    argv[0] names alone when it consumes every argument.  Any other argv goes
+    to the top-level parser, so usage, errors and exit codes are its own (a
+    subparser's own errors and help print the same on either path)."""
+    ap = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = ap.command_parsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.cmd = argv[0]
+            return args
+    return ap.parse_args(argv)
 
 
 # Per instance command: its handler, called with the instance and the values of
@@ -238,7 +256,7 @@ _PLAIN_COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     started = time.monotonic()
     try:
         if args.cmd in _INSTANCE_COMMANDS:

@@ -34,6 +34,7 @@ __all__ = [
     "field_for",
     "parse_ratio",
     "read_constant",
+    "read_rows",
     "root_of_unity",
     "roots_of_unity",
 ]
@@ -674,7 +675,7 @@ class ConstantValue:
     @classmethod
     def from_strings(cls, field: Field, items: list[str]) -> "ConstantValue":
         """The constant an instance file writes as `items` (see `read_constant`)."""
-        return cls(field, *read_constant(field, items))
+        return _cv(field, *read_constant(field, items))
 
 
 @functools.cache
@@ -706,36 +707,71 @@ def parse_ratio(s) -> tuple[int, int]:
     return int(a), b
 
 
-def read_constant(field: Field, items) -> tuple[tuple, int]:
-    """(raw, den) of the constant an instance file writes as `items`, not yet canonical.
+def read_rows(field: Field, consts) -> tuple[tuple, int]:
+    """The canonical (rows, den) of the polynomial whose t^i coefficient an
+    instance file writes as consts[i], read in one pass.
 
-    `items` is an array of little-endian power-basis entries: JSON integers
-    or strings, each read by `parse_ratio` in characteristic 0 and as a
-    residue in [0, p) in characteristic p.  `raw` holds the entries over the
-    lcm `den` of their denominators, padded to the field degree.
+    A constant is an array of at most [F:F_0] little-endian power-basis
+    entries, JSON integers or strings: rationals (`parse_ratio`) in
+    characteristic 0, residues in [0, p), not reduced again, in
+    characteristic p.  It fails on its first bad entry type, then on its
+    first unreadable entry, then on its length.  A string without a slash is
+    read by int(), which accepts no text `parse_ratio` refuses; a ratio, or a
+    text int() refuses (one ending in U+001C, say), goes to `parse_ratio`.
     """
-    if not isinstance(items, list):
-        raise InvalidInstance(f"a constant is an array of entries, got {items!r}")
-    for s in items:
-        if isinstance(s, bool) or not isinstance(s, (str, int)):
-            raise InvalidInstance(f"constant entries are strings or integers, got {s!r}")
-    if field.char == 0:
-        try:
-            pairs = [parse_ratio(s) for s in items]
-        except ZeroDivisionError as exc:
-            raise InvalidInstance(f"constant {items} has a zero denominator") from exc
-        den = lcm(*(b for _, b in pairs))
-        raw = [a if b == den else a * (den // b) for a, b in pairs]
-    else:
-        raw, den = [], 1
+    p, n, zero = field.char, field.degree, field.zero_raw
+    rows, den = [], 1
+    for items in consts:
+        if not isinstance(items, list):
+            raise InvalidInstance(f"a constant is an array of entries, got {items!r}")
+        if not items:
+            rows.append(zero)
+            continue
         for s in items:
-            v = int(s)
-            if not 0 <= v < field.char:
-                raise InvalidInstance(f"coefficient {s} outside [0, p)")
-            raw.append(v)
-    if len(raw) > field.degree:
-        raise InvalidInstance("constant vector longer than the field degree")
-    return tuple(raw) + field.zero_raw[len(raw):], den
+            if isinstance(s, bool) or not isinstance(s, (str, int)):
+                raise InvalidInstance(f"constant entries are strings or integers, got {s!r}")
+        row = []
+        if p:
+            for s in items:
+                v = int(s)
+                if not 0 <= v < p:
+                    raise InvalidInstance(f"coefficient {s} outside [0, p)")
+                row.append(v)
+        else:
+            for s in items:
+                if isinstance(s, int):
+                    a, b = s, 1
+                elif "/" not in s:
+                    try:
+                        a, b = int(s), 1
+                    except ValueError:
+                        a, b = parse_ratio(s)
+                else:
+                    try:
+                        a, b = parse_ratio(s)
+                    except ZeroDivisionError as exc:
+                        raise InvalidInstance(f"constant {items} has a zero denominator") from exc
+                    if den % b:  # den becomes lcm(den, b), and the entries read so far follow
+                        scale = b // gcd(den, b)
+                        den *= scale
+                        rows = [tuple([x * scale for x in r]) for r in rows]
+                        row = [x * scale for x in row]
+                row.append(a if b == den else a * (den // b))
+        if len(row) > n:
+            raise InvalidInstance("constant vector longer than the field degree")
+        rows.append(tuple(row) + zero[len(row):])
+    if p:
+        while rows and not any(rows[-1]):
+            rows.pop()
+        return tuple(rows), 1
+    return field.poly_normal(rows, den)
+
+
+def read_constant(field: Field, items) -> tuple[tuple, int]:
+    """The canonical (raw, den) of the constant an instance file writes as
+    `items`: the one-coefficient case of `read_rows`."""
+    rows, den = read_rows(field, (items,))
+    return (rows[0] if rows else field.zero_raw), den
 
 
 # ---------------------------------------------------------------------------

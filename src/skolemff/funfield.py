@@ -144,6 +144,12 @@ class Polynomial:
         return len(self.rows) <= 1
 
     @property
+    def is_monic(self) -> bool:
+        """Whether the leading coefficient is 1, read off the top row; False for 0."""
+        rows = self.rows
+        return bool(rows) and rows[-1][0] == self.den and not any(rows[-1][1:])
+
+    @property
     def is_monomial(self) -> bool:
         """Whether self is c t^k for a nonzero c (constants included): one nonzero row, the top one."""
         rows = self.rows
@@ -256,9 +262,9 @@ class Polynomial:
         return out
 
     def monic(self) -> "Polynomial":
-        rows, fld = self.rows, self.field
-        if not rows or (rows[-1][0] == self.den and not any(rows[-1][1:])):
+        if not self.rows or self.is_monic:
             return self
+        rows, fld = self.rows, self.field
         w, d = fld.inv_raw(rows[-1])
         return _poly(fld, *fld.poly_normal(fld.poly_mul(rows, (w,)), d))
 

@@ -13,12 +13,13 @@ verified once, on its first read, and a value that fails is never stored.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .constants import ConstantValue, Field, FieldSpec, RootOfUnity, field_for, read_constant, root_of_unity, zeta
+from .constants import ConstantValue, Field, FieldSpec, RootOfUnity, field_for, read_rows, root_of_unity, zeta
 from .errors import FactorizationTooHard, InvalidInstance
 from .factor import factor_poly, max_degree_cap
 from .funfield import INFINITY, Place, PlaceSet, Polynomial, RationalFunction, _poly
@@ -80,19 +81,26 @@ def _int(x) -> int:
     return int(x)
 
 
+@functools.cache
+def _spec_and_degree(ch: int, n: int) -> tuple[FieldSpec, int]:
+    """(spec, [F:F_0]) of Q(zeta_n) for ch = 0 and of F_{ch^n} otherwise, built
+    and checked once per spec: the degree is phi(n), resp. n."""
+    if ch == 0:
+        spec = FieldSpec(0, n, 1)
+        return spec, euler_phi(n)
+    return FieldSpec(ch, 1, n), n
+
+
 def fieldspec_from_json(obj) -> FieldSpec:
     """The declared field; a degree [F:F_0] above SKOLEMFF_MAX_DEGREE is too big to build."""
     if not isinstance(obj, dict):
         raise InvalidInstance("field must be {characteristic, ...}")
     ch = _int(obj.get("characteristic", "0"))
-    if ch == 0:
-        spec = FieldSpec(0, _int(obj.get("cyclotomic_order", "1")), 1)
-    else:
-        spec = FieldSpec(ch, 1, _int(obj.get("extension_degree", "1")))
-    M, cap = spec.cyclotomic_order, max_degree_cap()
-    if M > 2 * cap**2:  # phi(M) >= sqrt(M/2) > cap, known without factoring M
-        raise FactorizationTooHard(f"field degree phi({M}) >= sqrt({M}/2) exceeds SKOLEMFF_MAX_DEGREE={cap}")
-    degree = euler_phi(M) * spec.extension_degree
+    n = _int(obj.get("extension_degree", "1") if ch else obj.get("cyclotomic_order", "1"))
+    cap = max_degree_cap()
+    if ch == 0 and n > 2 * cap**2:  # phi(n) >= sqrt(n/2) > cap, known without factoring n
+        raise FactorizationTooHard(f"field degree phi({n}) >= sqrt({n}/2) exceeds SKOLEMFF_MAX_DEGREE={cap}")
+    spec, degree = _spec_and_degree(ch, n)
     if degree > cap:
         raise FactorizationTooHard(f"field degree {degree} exceeds SKOLEMFF_MAX_DEGREE={cap}")
     return spec
@@ -106,13 +114,10 @@ def poly_to_json(p: Polynomial) -> list:
 
 
 def poly_from_json(field: Field, items) -> Polynomial:
-    """The polynomial with the constants `items`: their rows over one lcm, made canonical once."""
+    """The polynomial with the constants `items`, read in one pass (`read_rows`)."""
     if not isinstance(items, list):
         raise InvalidInstance("polynomial must be an array of constants")
-    consts = [read_constant(field, c) for c in items]
-    den = lcm(*(d for _, d in consts))
-    rows = [raw if d == den else tuple(x * (den // d) for x in raw) for raw, d in consts]
-    return _poly(field, *field.poly_normal(rows, den))
+    return _poly(field, *read_rows(field, items))
 
 
 def ratfunc_to_json(f: RationalFunction) -> dict:
@@ -126,6 +131,8 @@ def ratfunc_from_json(field: Field, obj) -> RationalFunction:
     den = poly_from_json(field, obj.get("den", [["1"]]))
     if den.is_zero:
         raise InvalidInstance("zero denominator")
+    if den.den == 1 and den.rows == (field.one_raw,):  # num/1 is reduced: no gcd
+        return RationalFunction._reduced(num, den)
     return RationalFunction(num, den)
 
 
@@ -145,7 +152,7 @@ def place_from_json(field: Field, obj) -> Place:
     poly = poly_from_json(field, obj["poly"])
     if poly.degree < 1:
         raise InvalidInstance("finite place needs positive degree")
-    if not poly.lc().is_one:
+    if not poly.is_monic:
         raise InvalidInstance("finite place polynomial must be monic")
     if poly.degree > 1:  # a monic linear polynomial is irreducible
         _, factors = factor_poly(poly)
@@ -211,9 +218,10 @@ def _array(obj: dict, key: str) -> list:
 def instance_from_json(obj: dict) -> PowerSumInstance:
     if not isinstance(obj, dict):
         raise InvalidInstance("instance file must hold a JSON object")
-    if obj.get("genus", "0") != "0":
-        raise InvalidInstance("K = F(t) has genus 0")
     try:
+        genus = _int(obj.get("genus", 0))
+        if genus:
+            raise InvalidInstance(f"genus {genus} declared, but K = F(t) has genus 0")
         spec = fieldspec_from_json(obj.get("field", {}))
         field = field_for(spec)
         f = ratfunc_from_json(field, obj["f"])

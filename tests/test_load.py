@@ -17,13 +17,20 @@ from math import gcd
 import pytest
 
 import skolemff
-from skolemff import FieldSpec, constants, field_for, serialize
+from skolemff import FieldSpec, RationalFunction, constants, field_for, serialize
 from skolemff.cli import main
 from skolemff.constants import Field, RootOfUnity, parse_ratio, zeta
 from skolemff.errors import InvalidInstance
 from skolemff.generate import generate_instance
 from skolemff.intutil import divisors
-from skolemff.serialize import epsilon_from_json, instance_digest, instance_from_json, instance_to_json, poly_from_json
+from skolemff.serialize import (
+    epsilon_from_json,
+    instance_digest,
+    instance_from_json,
+    instance_to_json,
+    poly_from_json,
+    ratfunc_from_json,
+)
 from conftest import example1_instance
 from oracles import fraction_constant, fraction_poly
 
@@ -134,12 +141,22 @@ def test_poly_from_json_matches_one_constant_per_coefficient(name):
         if items and rng.random() < 0.3:
             items.append([])  # a trailing zero constant
         polys.append(items)
+    if not fld.char:  # zero constants after a fraction entry, which set the denominator
+        polys += [[["1/2"], []], [["1/2"], ["0"], [], [0]], [["1/2"], ["0/3"]], [["2/3"], ["0/6"], []]]
     for items in polys:
         got, want = poly_from_json(fld, items), fraction_poly(fld, items)
         assert got == want and (got.rows, got.den) == (want.rows, want.den), items
         assert all(type(r) is tuple for r in got.rows), items
     for c in (p for items in polys for p in items):
         assert skolemff.ConstantValue.from_strings(fld, c) == fraction_constant(fld, c), c
+    # a denominator equal to 1 leaves num/1 as read; any other is reduced against num
+    for den in ([["1"]], [["2"]], [[], ["1"]]):
+        for items in polys:
+            got = ratfunc_from_json(fld, {"num": items, "den": den})
+            want = RationalFunction(fraction_poly(fld, items), fraction_poly(fld, den))
+            assert (got.num.rows, got.num.den, got.den.rows, got.den.den) == (
+                want.num.rows, want.num.den, want.den.rows, want.den.den,
+            ), (items, den)
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -148,6 +165,11 @@ def test_malformed_constants_fail_as_through_fraction(name):
     cases = [
         "7", ["1", True], ["1", 0.5], ["1", None], [["1"]], ["abc"], ["1/0"], ["2", "1/0"], ["x", "1/0"],
         ["1/0", "x"], ["3/-4"], ["-1"], ["3"], ["1"] * (fld.degree + 1), ["1/2"], [" 2 "], ["1_0"],
+        # entry forms a fast path can misread: signs, leading zeros, a Unicode
+        # digit, separators Fraction strips and int() refuses, an integer past
+        # int()'s digit limit as text and as a JSON int, p itself
+        ["+3"], ["-0"], ["007"], ["\u0663"], ["1\x1c"], ["\x1f2"], ["\t2\n"], ["1" * 5000], [10**5000 + 1],
+        [7], [-2], [str(fld.char or 3)], [fld.char or 3], ["1/2", "x"], ["1", "1/0"],
     ]
     for items in cases:
         outcomes = []

@@ -250,7 +250,15 @@ def test_cli_determinism(instance_dir):
     assert strip(va) == strip(vb)
 
 
-def test_cli_main_reuses_one_parser_across_calls(instance_dir):
+def _exit_of(parse, argv) -> tuple[object, str, str]:
+    """(exit code, stdout, stderr) of a parse that exits, as for a bad argv, -h or a missing command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def test_cli_main_reuses_one_parser_across_calls(instance_dir, monkeypatch):
     def call(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -278,6 +286,91 @@ def test_cli_main_reuses_one_parser_across_calls(instance_dir):
     assert [code for code, _, _ in alone] == [0, 2, 0]
     assert "unrecognized arguments: --no-such-flag" in alone[1][2]
 
+    # main hands argv[1:] to the named command's subparser when that consumes
+    # every argument: the namespace it acts on is the top-level parser's, and
+    # every other argv exits with the top-level parser's output and code
+    monkeypatch.setenv("COLUMNS", "80")
+    path = str(instance_dir / "translated-example-2.json")
+    valid = [
+        ["gen", "--seed", "0", "--profile", "small", "--out", str(instance_dir / "gen-0.json")],
+        ["solve", path],
+        ["certify", "--k-bound", "100", path],
+        ["smallcoef", "--rho", "1/2", path],
+        ["local", "--a", "6", path],
+        ["local", "--a", "12", "--k-bound", "100", path],
+        ["certify", "--k-bound", "100", "--dir", str(instance_dir)],
+        ["verify", "smt", "--seed", "0", "--count", "1"],
+        ["verify", "smt", "--seed", "0", "--count", "0"],
+        ["solve", "--dir", str(instance_dir)],
+        ["certify", path, "--k", "5"],  # an abbreviation of --k-bound
+        ["solve"],  # no file: main exits 2 after parsing
+    ]
+    bad = [
+        ["solve", path, "--bogus"],
+        ["smallcoef", path],
+        ["certify", path, "--k-bound", "abc"],
+        ["local", path, "--a"],
+        ["verify", "nosuch", "--seed", "0", "--count", "1"],
+        ["nosuch", path],
+        [],
+        ["-h"],
+        ["solve", "-h"],
+    ]
+    top, parse, seen = _build_parser(), cli._parse_args, []
+
+    def spy(argv):
+        seen.append(parse(argv))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "_parse_args", spy)
+    for argv in valid:
+        want = top.parse_args(argv)
+        seen.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+        assert seen == [want], argv
+    for argv in bad:
+        assert _exit_of(main, argv) == _exit_of(top.parse_args, argv), argv
+    # the valid forms take the subparser alone; the top-level parser reads none of them
+    with monkeypatch.context() as m:
+        m.setattr(top, "parse_args", lambda argv: pytest.fail(f"top-level parse of {argv}"))
+        for argv in valid:
+            parse(argv)
+        m.setattr(sys, "argv", ["skolemff", *valid[1]])
+        assert parse(None).file == path
+
+    # `python -m skolemff.cli` calls main(None), which reads the same argv from sys.argv
+    argv = bad[0]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skolemff.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "skolemff.cli", *argv], capture_output=True, text=True, timeout=30, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == _exit_of(top.parse_args, argv)
+    assert proc.returncode == 2 and "unrecognized arguments: --bogus" in proc.stderr
+
+
+def test_importing_the_cli_builds_nothing():
+    # a CLI process pays at import only for imports: the parser and the field
+    # tables are built on first use, and the parser on the first main call
+    code = (
+        "import contextlib, io\n"
+        "import skolemff.cli as cli\n"
+        "from skolemff.constants import field_for\n"
+        "print(cli._build_parser.cache_info().currsize, field_for.cache_info().currsize)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['verify', 'smt', '--seed', '0', '--count', '0'])\n"
+        "print(cli._build_parser.cache_info().currsize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skolemff.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["0 0", "1", ""]
+
 
 def test_cli_batch_dir(instance_dir):
     code, rep = run_cli(["solve", "--dir", str(instance_dir)])
@@ -302,16 +395,24 @@ def test_cli_exit_codes(tmp_path, instance_dir, Q):
     bad2.write_text(json.dumps({"field": {"characteristic": "0"}, "f": {"num": [["1"]]}}))
     code, rep = run_cli(["solve", str(bad2)])
     assert code == 2
-    # malformed shapes and a nonzero genus are invalid input, not a traceback
+    # malformed shapes are invalid input, not a traceback
     good = instance_to_json(example1_instance(Q))
-    for name, patch in (("place", {"S": ["oops"]}), ("field", {"field": "Q"}), ("genus", {"genus": "7"})):
+    for name, patch in (("place", {"S": ["oops"]}), ("field", {"field": "Q"})):
         path = tmp_path / f"bad-{name}.json"
         path.write_text(json.dumps(dict(good, **patch)))
         code, rep = run_cli(["solve", str(path)])
         assert code == 2 and rep["result"]["error"] == "InvalidInstance", name
-    genus0 = tmp_path / "genus0.json"
-    genus0.write_text(json.dumps(dict(good, genus="0")))
-    assert run_cli(["solve", str(genus0)])[0] == 0
+    # genus is an integer field like the others: zero in any integer form is K = F(t)
+    for genus, message in (("0", None), (0, None), ("00", None), ("7", "genus 7 declared"), (1, "genus 1 declared"),
+                           (True, "expected an integer, got true")):
+        path = tmp_path / "genus.json"
+        path.write_text(json.dumps(dict(good, genus=genus)))
+        code, rep = run_cli(["solve", str(path)])
+        if message is None:
+            assert code == 0 and "error" not in rep["result"], genus
+        else:
+            assert code == 2 and rep["result"]["error"] == "InvalidInstance", genus
+            assert rep["result"]["message"].startswith(message), genus
     # a constant with a zero denominator is invalid input, alone and inside a --dir batch
     batch = tmp_path / "zero-denominator"
     batch.mkdir()
