@@ -54,7 +54,9 @@ def factor_poly(p: Polynomial) -> tuple[ConstantValue, list[tuple[Polynomial, in
     """Factor p = unit * prod factor^mult into monic irreducibles over F.
 
     A linear p is its own factorization: it goes through no squarefree pass
-    and no backend.
+    and no backend.  The power t^k of t comes off the zero bottom rows
+    (`divide_out` by t) before the squarefree pass, which runs on the rest
+    only, so c t^k factors with no gcd.
     """
     if p.is_zero:
         raise ZeroInput("factorization of 0")
@@ -67,16 +69,22 @@ def factor_poly(p: Polynomial) -> tuple[ConstantValue, list[tuple[Polynomial, in
     if mon.degree == 1:
         return unit, [(mon, 1)]
     fld = p.field
-    out: list[tuple[Polynomial, int]] = []
-    for g, mult in squarefree_decomposition(mon):
-        if fld.char > 0:
-            parts = _factor_sqfree_gf(g)
-        elif fld.M == 1:
-            parts = _factor_sqfree_q(g)
-        else:
-            parts = _factor_sqfree_cyclo(g)
-        out.extend((h, mult) for h in parts)
-    out.sort(key=lambda fm: (fm[0].degree, tuple(str(c) for c in fm[0].coeffs)))
+    t = Polynomial.t(fld)
+    rest, k = mon.divide_out(t)
+    out: list[tuple[Polynomial, int]] = [(t, k)] if k else []
+    if rest.degree == 1:
+        out.append((rest, 1))
+    elif rest.degree > 1:
+        for g, mult in squarefree_decomposition(rest):
+            if fld.char > 0:
+                parts = _factor_sqfree_gf(g)
+            elif fld.M == 1:
+                parts = _factor_sqfree_q(g)
+            else:
+                parts = _factor_sqfree_cyclo(g)
+            out.extend((h, mult) for h in parts)
+    if len(out) > 1:
+        out.sort(key=lambda fm: (fm[0].degree, tuple(str(c) for c in fm[0].coeffs)))
     return unit, out
 
 

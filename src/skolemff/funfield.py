@@ -636,18 +636,15 @@ class RationalFunction:
         raise InvalidInstance(f"cannot coerce {other!r} into K")
 
     def __add__(self, other):
-        o = self._co(other)
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        return _henrici(self, self._co(other), Polynomial.__add__)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._co(other)
-        return RationalFunction(self.num * o.den - o.num * self.den, self.den * o.den)
+        return _henrici(self, self._co(other), Polynomial.__sub__)
 
     def __rsub__(self, other):
-        o = self._co(other)
-        return o - self
+        return _henrici(self._co(other), self, Polynomial.__sub__)
 
     def __neg__(self):
         return RationalFunction._reduced(-self.num, self.den)
@@ -728,6 +725,35 @@ def _monic_product(a: Polynomial, b: Polynomial) -> Polynomial:
     return a if b.degree == 0 else a * b
 
 
+def _henrici(x: RationalFunction, y: RationalFunction, op) -> RationalFunction:
+    """x + y or x - y (op is `Polynomial.__add__` or `__sub__`) by Henrici's rule.
+
+    For reduced a/b and c/d with b, d monic, let g = gcd(b, d), b = g b' and
+    d = g d', and t = a d' op c b'.  A prime dividing b' divides neither a
+    nor d', so it does not divide t; likewise for d'.  So gcd(t, g b' d') =
+    gcd(t, g), and with g2 = gcd(t, g) the sum is (t / g2) / (b' d / g2),
+    reduced with a monic denominator.  When b or d is 1, or g = 1, no gcd of
+    t is taken (Henrici, JACM 1956; Knuth, TAOCP vol. 2, 4.5.1).
+    """
+    a, b, c, d = x.num, x.den, y.num, y.den
+    if b.degree == 0:
+        num, den = op(a if d.degree == 0 else a * d, c), d
+    elif d.degree == 0:
+        num, den = op(a, c * b), b
+    else:
+        g, b1, d1 = _gcd_cofactors(b, d)
+        num = op(a * d1, c * b1)
+        if num.is_zero:
+            return RationalFunction._reduced(num, Polynomial.one(x.field))
+        if g.degree == 0:
+            den = b * d
+        else:
+            g2, num, g1 = _gcd_cofactors(num, g)
+            den = _monic_product(b, d1) if g2.degree == 0 else _monic_product(g1, _monic_product(b1, d1))
+    # with one denominator 1, t = 0 forces the other to be 1 too, so den is 1
+    return RationalFunction._reduced(num, den)
+
+
 def _over(num: Polynomial, den: Polynomial) -> RationalFunction:
     """num / den in K for a monic den: one gcd, none when den is 1."""
     if den.degree == 0:
@@ -786,15 +812,22 @@ INFINITY = Place(None)
 class PlaceSet:
     """Finite set of places; sizes are always weighted by place degree.
 
-    Iteration follows `Place.sort_key`; the set is immutable, so it is sorted once.
+    Iteration follows `Place.sort_key`; the set is immutable, so it is sorted
+    once.  With at most one finite place the order is that place, then
+    infinity, and no key is built.
     """
 
     __slots__ = ("places", "_sorted")
 
     def __init__(self, places=()):
         places = frozenset(places)
+        finite = [p for p in places if p.poly is not None]
+        if len(finite) > 1:
+            order = tuple(sorted(places, key=Place.sort_key))
+        else:
+            order = (*finite, INFINITY) if INFINITY in places else tuple(finite)
         object.__setattr__(self, "places", places)
-        object.__setattr__(self, "_sorted", tuple(sorted(places, key=Place.sort_key)))
+        object.__setattr__(self, "_sorted", order)
 
     def __setattr__(self, *a):
         raise AttributeError("PlaceSet is immutable")
@@ -1052,7 +1085,8 @@ def truncated_counting(b: RationalFunction, S: PlaceSet) -> int:
     """Degree-weighted count of distinct zeros of b outside S."""
     if b.is_zero:
         raise ZeroInput("counting function of 0")
-    zeros = strip_places(radical(b.num), S) if b.num.degree > 0 else Polynomial.one(b.field)
+    # S is stripped first, so the squarefree pass runs on the part off S only
+    zeros = radical(strip_places(b.num, S)) if b.num.degree > 0 else Polynomial.one(b.field)
     count = zeros.degree
     if not S.has_infinity and b.den.degree > b.num.degree:
         count += 1

@@ -8,9 +8,11 @@ the leftover constant is then tested for torsion, which is decidable in every
 supported field.  For two nonconstant functions that test is
 `dependence_exponents`, which `is_mult_independent` reads; its witness's
 `power` is the exact power test, the case q = 1 with trivial torsion.  It
-factors only f, and not f when the caller passes div(f): a relation forces
-supp(beta) = supp(f), so beta's valuations are read at f's places by trial
-division, and the torsion constant is a ratio of leading coefficients.
+factors only f, and not f when the caller passes div(f), as the callers
+that know f to be an S-unit do (its divisor is then its valuations at S).
+A relation forces supp(beta) = supp(f), so beta's valuations are read at
+f's places by trial division, and the torsion constant is a ratio of
+leading coefficients.
 """
 
 from __future__ import annotations
@@ -74,8 +76,12 @@ def _rational_exponent_vector(c: ConstantValue) -> dict[int, int]:
     return out
 
 
-def is_mult_independent(a: RationalFunction, b: RationalFunction) -> bool:
-    """True iff no (m, n) != (0, 0) makes a^m * b^n a torsion constant."""
+def is_mult_independent(a: RationalFunction, b: RationalFunction, div_b: dict[Place, int] | None = None) -> bool:
+    """True iff no (m, n) != (0, 0) makes a^m * b^n a torsion constant.
+
+    div_b, when given, is div(b) (zero valuations omitted); for two
+    nonconstant functions it goes to `dependence_exponents`, and b is not factored.
+    """
     if a.is_zero or b.is_zero:
         raise ZeroInput("multiplicative independence of 0")
     for x in (a, b):
@@ -91,7 +97,7 @@ def is_mult_independent(a: RationalFunction, b: RationalFunction) -> bool:
         return _relation(_rational_exponent_vector(ca), _rational_exponent_vector(cb)) is None
     if a.is_constant or b.is_constant:
         return True  # non-torsion constant vs nonconstant: no relation possible
-    return dependence_exponents(a, b) is None
+    return dependence_exponents(a, b, div_b) is None
 
 
 def dependence_exponents(

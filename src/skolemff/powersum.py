@@ -212,6 +212,14 @@ class PowerSumInstance:
             raise InvalidInstance("lambda/epsilon/exponent lengths differ")
         if self.f.is_constant:
             raise ConstantInput("f must be nonconstant")
+        # Plain attributes, set before validation reads them: the S-record
+        # ((rows, den) of a nonconstant polynomial -> its `_place_orders`,
+        # filled on first read), the finite places of S in S's order (which
+        # puts infinity last) and e, the lcm of the eps orders.
+        setattr_ = object.__setattr__
+        setattr_(self, "_s_record", {})
+        setattr_(self, "_finite_places", tuple(pl for pl in self.places if not pl.is_infinite))
+        setattr_(self, "e", lcm(1, *(eps.order for eps in self.epsilons)))
         if not is_s_unit(self.f, self.places, self._off_s):
             raise InvalidInstance("f must be an S-unit")
         for lam in self.lambdas:
@@ -226,16 +234,6 @@ class PowerSumInstance:
         ch = spec.characteristic
         if ch and self.e % ch == 0:
             raise InvalidInstance("e must be coprime to the characteristic")
-
-    @cached_property
-    def _s_record(self) -> dict[tuple, tuple[tuple[int, ...], Polynomial]]:
-        """The S-record: (rows, den) of a nonconstant polynomial -> its `_place_orders`, filled on first read."""
-        return {}
-
-    @cached_property
-    def _finite_places(self) -> tuple[Place, ...]:
-        """The finite places of S in S's order, which puts infinity last."""
-        return tuple(pl for pl in self.places if not pl.is_infinite)
 
     def _place_orders(self, poly: Polynomial, start: int = 0) -> tuple[tuple[int, ...], Polynomial]:
         """(orders, rest) for a nonzero poly: its order at each finite place of S, in
@@ -274,13 +272,6 @@ class PowerSumInstance:
         out = [a - b for a, b in zip(self._place_orders(x.num)[0], self._place_orders(x.den)[0])]
         if self.places.has_infinity:
             out.append(x.den.degree - x.num.degree)
-        return out
-
-    @cached_property
-    def e(self) -> int:
-        out = 1
-        for eps in self.epsilons:
-            out = lcm(out, eps.order)
         return out
 
     @cached_property

@@ -32,6 +32,7 @@ from .funfield import (
     is_s_integer,
     is_s_unit,
     truncated_counting,
+    valuation,
 )
 from .multstruct import is_mult_independent
 
@@ -98,7 +99,10 @@ def verify_cz_gcd(a: RationalFunction, b: RationalFunction, S: PlaceSet) -> Ineq
             raise NotSUnit("arguments must be S-units")
     if a.is_constant and b.is_constant:
         raise MultiplicativelyDependent("constant pair rejected: bound is vacuous")
-    if not is_mult_independent(a, b):
+    # b is an S-unit, so div(b) is its valuations at S (divide_out orders,
+    # infinity from degrees) and b is not factored
+    div_b = {pl: v for pl in S if (v := valuation(b, pl))}
+    if not is_mult_independent(a, b, div_b):
         raise MultiplicativelyDependent("arguments are multiplicatively dependent")
     chi = chi_S(S)
     if chi < 0:

@@ -3,9 +3,10 @@ from itertools import product
 
 import pytest
 
-from skolemff import ConstantValue, FieldSpec, Polynomial, factor, field_for
+from skolemff import ConstantValue, FieldSpec, Polynomial, factor, field_for, funfield
 from skolemff.errors import FactorizationTooHard, ZeroInput
 from skolemff.factor import factor_poly, max_degree_cap, monic_divisors, roots_in_F
+from skolemff.funfield import squarefree_decomposition
 from skolemff.generate import rand_const, rand_poly
 
 
@@ -202,8 +203,6 @@ def test_norm_matches_sympy_resultant():
 @pytest.mark.parametrize("spec", [FieldSpec(0, 1), FieldSpec(0, 4), FieldSpec(3, 1, 1), FieldSpec(3, 1, 2)])
 def test_linear_polynomial_is_its_own_factorization(spec, monkeypatch):
     """A degree-1 p gives (lc, [(p / lc, 1)]), as the squarefree pass and the backend did, and runs neither."""
-    from skolemff.funfield import squarefree_decomposition
-
     fld = field_for(spec)
     backend = factor._factor_sqfree_gf if fld.char else factor._factor_sqfree_q if fld.M == 1 else factor._factor_sqfree_cyclo
     rng = random.Random(f"linear-{spec}")
@@ -218,3 +217,34 @@ def test_linear_polynomial_is_its_own_factorization(spec, monkeypatch):
         monkeypatch.setattr(factor, name, lambda *a, _name=name: pytest.fail(f"{_name} ran on a linear polynomial"))
     for p, want in cases:
         assert factor_poly(p) == want, p
+
+
+def _factor_whole(p):
+    """factor_poly's former path: one squarefree pass over all of monic p, then the backend per part."""
+    fld = p.field
+    backend = factor._factor_sqfree_gf if fld.char else factor._factor_sqfree_q if fld.M == 1 else factor._factor_sqfree_cyclo
+    out = [(h, m) for g, m in squarefree_decomposition(p.monic()) for h in backend(g)]
+    out.sort(key=lambda fm: (fm[0].degree, tuple(str(c) for c in fm[0].coeffs)))
+    return p.lc(), out
+
+
+T_POWER_SPECS = [FieldSpec(0, 1), FieldSpec(0, 4), FieldSpec(0, 3), FieldSpec(3, 1, 1), FieldSpec(3, 1, 2)]
+
+
+@pytest.mark.parametrize("spec", T_POWER_SPECS, ids=["Q", "Qi", "Qzeta3", "F3", "F9"])
+def test_power_of_t_comes_off_before_the_squarefree_pass(spec, monkeypatch):
+    fld = field_for(spec)
+    rng = random.Random(f"t-power-{spec}")
+    t = Polynomial.t(fld)
+    for _ in range(12):
+        a, b = rand_poly(rng, fld, 2), rand_poly(rng, fld, 3)
+        p = t ** rng.randint(1, 6) * a * a * b * rand_const(rng, fld, nonzero=True)
+        assert factor_poly(p) == _factor_whole(p), p
+    # c t^k factors to [(t, k)] with no squarefree pass and no gcd
+    calls = []
+    monkeypatch.setattr(funfield, "_gcd_cofactors", lambda *a: calls.append(a))
+    monkeypatch.setattr(factor, "squarefree_decomposition", lambda *a: calls.append(a))
+    for k in (2, 3, 9):
+        c = rand_const(rng, fld, nonzero=True)
+        assert factor_poly(Polynomial(fld, (c,)) * t**k) == (c, [(t, k)])
+    assert calls == []

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from math import gcd, inf
 
 import pytest
@@ -575,8 +575,78 @@ def test_kpoly_reduces_each_coefficient_once(monkeypatch, Q, F3):
             calls.clear()
             assert horner_k(P, x) == value
             if k > 2:
-                assert len(calls) >= 2 * k  # the per-term Horner reduces every step
+                # the per-term Horner reduces each of its k - 1 products of two nonconstant factors
+                assert len(calls) >= k - 1
         monkeypatch.setattr(funfield, "_gcd_cofactors", real)
+
+
+# -- sums in K: Henrici's rule ------------------------------------------------------
+
+
+def _full_gcd_sum(x, y, sign):
+    """x + sign * y over the product of the denominators, reduced by one gcd of the full products."""
+    return RationalFunction(x.num * y.den + (y.num * x.den) * sign, x.den * y.den)
+
+
+HENRICI_SPECS = [FieldSpec(0, 1), FieldSpec(0, 4), FieldSpec(0, 3), FieldSpec(3, 1, 1), FieldSpec(3, 1, 2)]
+
+
+@pytest.mark.parametrize("spec", HENRICI_SPECS, ids=["Q", "Qi", "Qzeta3", "F3", "F9"])
+def test_henrici_sums_match_the_full_gcd_sum(spec):
+    fld = field_for(spec)
+    rng = random.Random(f"henrici-{spec}")
+    t, one = t_of(fld), Polynomial.one(fld)
+    shared = [t, t - one, t * t + one]
+
+    def element():
+        # denominators drawn from a few shared factors, so pairs often share some
+        den = rand_poly(rng, fld, 1)
+        for p in shared:
+            den = den * p ** rng.randint(0, 2)
+        return RationalFunction(rand_poly(rng, fld, 4), den)
+
+    seen = Counter()
+    xs = [element() for _ in range(24)]
+    xs += [RationalFunction(rand_poly(rng, fld, 3)) for _ in range(4)]  # denominator 1
+    xs += [RationalFunction(one, t * (t - one)), RationalFunction(one, t * (t + one))]  # their sum cancels t
+    pairs = [(x, y) for x in xs for y in rng.sample(xs, 5)]
+    pairs += [(x, rng.choice(xs) - x) for x in xs]  # x + y cancels to a shorter denominator
+    pairs += [(x, x) for x in xs[:6]] + [(x, -x) for x in xs[:6]]  # x - x and x + (-x) are 0
+    pairs.append((xs[-2], xs[-1]))
+    for x, y in pairs:
+        for got, sign in ((x + y, 1), (x - y, -1), (y.__rsub__(x), -1)):
+            want = _full_gcd_sum(x, y, sign)
+            assert (got.num, got.den) == (want.num, want.den), (x, y, sign)
+            assert got.den.is_monic
+        g = poly_gcd(x.den, y.den)
+        seen["den 1"] += x.den.degree == 0 or y.den.degree == 0
+        seen["shared"] += g.degree > 0
+        seen["zero"] += (x + y).is_zero
+        # the sum's denominator is below lcm(b, d) = b d / g: gcd(t, g) cancelled
+        seen["cancels in g"] += (x + y).den.degree < x.den.degree + y.den.degree - g.degree
+    assert all(seen[k] for k in ("den 1", "shared", "zero", "cancels in g")), seen
+
+
+def test_sums_over_a_denominator_of_one_take_no_gcd(monkeypatch, Q, F3):
+    calls = []
+    real = funfield._gcd_cofactors
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for fld in (Q, F3):
+        t = RationalFunction.t(fld)
+        f = (t**3 + 2) / (t**2 - 1)
+        p = t_of(fld) ** 2 + Polynomial.one(fld)
+        P, c = RationalFunction(p), ConstantValue(fld, fld.from_int(2))
+        want = [_full_gcd_sum(f, RationalFunction.constant(fld, c), -1), _full_gcd_sum(f, P, 1),
+                _full_gcd_sum(P, f, 1), _full_gcd_sum(RationalFunction.one(fld), f, -1), _full_gcd_sum(f, P, -1)]
+        monkeypatch.setattr(funfield, "_gcd_cofactors", counted)
+        got = [f - c, f + p, P + f, 1 - f, f - P]
+        monkeypatch.setattr(funfield, "_gcd_cofactors", real)
+        assert calls == []
+        assert got == want
 
 
 # -- division: F[t] and the K[X] oracle --------------------------------------------
@@ -768,6 +838,40 @@ def test_truncated_counting_examples(Q):
     assert truncated_counting(RationalFunction((t - one) ** 3), S_inf) == 1
     S2 = PlaceSet([Place(t), INFINITY])
     assert truncated_counting(RationalFunction.t(Q), S2) == 0
+
+
+@pytest.mark.parametrize("spec", HENRICI_SPECS, ids=["Q", "Qi", "Qzeta3", "F3", "F9"])
+def test_truncated_counting_matches_the_radical_first_count(spec):
+    """Stripping S before the radical counts the same distinct zeros off S as the radical stripped after."""
+    fld = field_for(spec)
+    rng = random.Random(f"truncated-{spec}")
+    t, one = t_of(fld), Polynomial.one(fld)
+    # t^2 - c is irreducible: c = 2 in characteristic 0, a generator of F* in characteristic p
+    c = Polynomial(fld, (2,)) if fld.char == 0 else Polynomial(fld, (ConstantValue(fld, fld.torsion_generator_raw()),))
+    places = [Place(t), Place(t - one), Place(t + one), Place(t * t - c)]
+    stripped = 0
+    for _ in range(30):
+        S = PlaceSet(rng.sample(places, rng.randint(0, 3)) + [INFINITY] * (rng.random() < 0.5))
+        num = rand_poly(rng, fld, 3) ** rng.randint(1, 2)
+        for pl in places:
+            num = num * pl.poly ** rng.choice((0, 0, 1, 3))
+        b = RationalFunction(num, rand_poly(rng, fld, 4))
+        old = strip_places(radical(b.num), S).degree if b.num.degree > 0 else 0
+        old += not S.has_infinity and b.den.degree > b.num.degree
+        assert truncated_counting(b, S) == old, (b, S)
+        stripped += strip_places(b.num, S) != b.num
+    assert stripped > 5
+
+
+def test_place_set_order_is_the_sort_key_order(Q, F3):
+    # at most one finite place is listed first and infinity last without building keys
+    for fld in (Q, F3):
+        t, one = t_of(fld), Polynomial.one(fld)
+        pool = [Place(t), Place(t - one), Place(t + one), Place(t * t + one), INFINITY]
+        for size in range(len(pool) + 1):
+            for places in combinations(pool, size):
+                S = PlaceSet(reversed(places))
+                assert list(S) == sorted(places, key=Place.sort_key)
 
 
 def test_truncated_counting_bounded_by_height(Q):

@@ -14,6 +14,7 @@ from skolemff import (
     field_for,
     is_mult_independent,
     roots_of_unity,
+    valuation,
 )
 from skolemff.errors import ConstantInput, UnsupportedConstantPair, ZeroInput
 from skolemff.funfield import divisor
@@ -309,3 +310,32 @@ def test_split_witnesses_match_the_divisor_oracle():
             for beta, _ in split.ind:
                 assert divisor_dependence(beta, split.g) is None, (inst, c, beta)
     assert seen["dep"] >= 40 and seen["nonconstant"] >= 20 and seen["e > 1"] >= 10, seen
+
+
+def test_independence_with_b_read_at_S_matches_the_factored_divisor(Q, Qi):
+    """For S-units a, b, div(b) read at S (valuations) gives the answer that factoring b gives."""
+    rng = random.Random(83)
+    seen = Counter()
+    for fld in (Q, Qi):
+        t = t_func(fld)
+        S = PlaceSet([Place(t.num), Place((t - 1).num), Place((t + 1).num), INFINITY])
+        monos = [t, t - 1, t + 1]
+
+        def unit():
+            out = RationalFunction.constant(fld, rng.choice([1, -1, 2, Fraction(1, 3)]))
+            for m in monos:
+                out = out * m ** rng.randint(-2, 2)
+            return out
+
+        for _ in range(40):
+            a, b = unit(), unit()
+            if rng.random() < 0.4 and not a.is_constant:
+                b = a ** rng.choice([-2, -1, 2, 3]) * rng.choice([1, -1, 2])
+            if a.is_constant or b.is_constant:
+                continue
+            div_b = {v: x for v in S if (x := valuation(b, v))}
+            assert div_b == divisor(b)
+            got = is_mult_independent(a, b, div_b)
+            assert got == is_mult_independent(a, b), (a, b)
+            seen[got] += 1
+    assert seen[True] and seen[False], seen

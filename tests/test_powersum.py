@@ -163,6 +163,10 @@ def test_s_record_matches_the_valuation_oracle():
                 assert (orders, rest) == (want, strip_places(poly, S)), (label, poly)
             assert inst._valuations(x) == [valuation(x, v) for v in S], (label, x)
         assert list(inst.f_valuations) == [valuation(inst.f, v) for v in S], label
+        # e, the S-record and the finite places are plain attributes, set by validation
+        assert {"e", "_s_record", "_finite_places"} <= vars(inst).keys(), label
+        assert inst._finite_places == tuple(finite), label
+        assert inst.e == lcm(*(eps.order for eps in inst.epsilons)), label
         # every row of class_valuations, lone or not, against the oracle
         decide_global_zero(inst)
         for c in range(inst.e):

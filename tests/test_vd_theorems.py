@@ -19,7 +19,7 @@ from skolemff.errors import (
     NotSInteger,
     NotSUnit,
 )
-from skolemff import verify_suites
+from skolemff import factor, verify_suites
 from skolemff.verify_suites import run_suite
 
 
@@ -128,3 +128,23 @@ def test_run_suite_keeps_the_first_failing_instance(monkeypatch):
     res = run_suite("czgcd", 3, 5)
     assert (res.checked, res.violations, res.skipped_dependent) == (5, 4, 0)
     assert res.reproducer == seen[1] != seen[-1]
+
+
+def test_cz_gcd_reads_b_at_S_and_factors_nothing(monkeypatch, Q):
+    """b is an S-unit, so its divisor is read at S: no factor_poly call runs, and dependence is still found."""
+    calls = []
+    real = factor.factor_poly
+    monkeypatch.setattr(factor, "factor_poly", lambda p: calls.append(p) or real(p))
+    reports = [run_suite("czgcd", seed, 8) for seed in range(6)]
+    assert sum(r.checked for r in reports) > 0 and sum(r.skipped_dependent for r in reports) > 0
+    t = RationalFunction.t(Q)
+    tp, one = Polynomial.t(Q), Polynomial.one(Q)
+    S = PlaceSet([Place(tp), Place(tp - one), Place(tp + one), INFINITY])
+    a = t**2 * (t - 1) / (t + 1) ** 3
+    for b in (a**3, a**-2, -a * a, (-a) ** 5):
+        with pytest.raises(MultiplicativelyDependent):
+            verify_cz_gcd(a, b, S)
+    # 5 a^3 has a divisor relation with a, but the constant 5 is not torsion
+    for b in (a**3 * 5, t * (t - 1), t - 1, (t + 1) ** 3 / t, (a * (t + 1)) ** 2 / (t - 1)):
+        assert verify_cz_gcd(a, b, S).holds
+    assert calls == []
