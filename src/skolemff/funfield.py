@@ -6,8 +6,9 @@ points, so every counting/height sum here is weighted by place degree; this
 makes the algebraically-closed-field formulas exact without ever leaving F.
 
 Counting functions never factor anything: common zeros come from polynomial
-gcds, distinct zeros from squarefree radicals, and S-places are divided out
-directly.  Full factorization (divisor support) lives in skolemff.factor.
+gcds, distinct zeros from squarefree radicals, and orders at S off S's
+record (`PlaceSet.orders`).  Full factorization (divisor support) lives in
+skolemff.factor.
 
 Gcds in F[t] for F = Q(zeta_M) (M = 1 is Q) are modular (Brown 1971; Langemyr
 and McCallum 1989).  Scale a and b into Z[zeta][t] by a common denominator.
@@ -178,9 +179,13 @@ class Polynomial:
 
     # -- arithmetic -------------------------------------------------------------
     def __add__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented  # a RationalFunction sums by its own __radd__
         return _poly(self.field, *self.field.poly_add(self.rows, self.den, other.rows, other.den))
 
     def __sub__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return _poly(self.field, *self.field.poly_add(self.rows, self.den, _negated(other.rows), other.den))
 
     def __neg__(self):
@@ -190,6 +195,8 @@ class Polynomial:
         fld = self.field
         if isinstance(other, Polynomial):
             B, db = other.rows, other.den
+        elif isinstance(other, RationalFunction):
+            return NotImplemented
         else:
             c = _const(fld, other)
             B, db = ((c.raw,) if any(c.raw) else ()), c.den
@@ -545,14 +552,6 @@ def radical(f: Polynomial) -> Polynomial:
     return out
 
 
-def strip_places(f: Polynomial, places: "PlaceSet") -> Polynomial:
-    """Divide out every factor of f supported at a finite place of S."""
-    for pl in places:
-        if not pl.is_infinite:
-            f = f.divide_out(pl.poly)[0]
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
@@ -815,9 +814,13 @@ class PlaceSet:
     Iteration follows `Place.sort_key`; the set is immutable, so it is sorted
     once.  With at most one finite place the order is that place, then
     infinity, and no key is built.
+
+    The set owns its S-record, (rows, den) -> `orders` of each nonconstant
+    polynomial read while S has a finite place, so no polynomial is divided
+    by a place of S twice.  It lives as long as the set; `union` starts anew.
     """
 
-    __slots__ = ("places", "_sorted")
+    __slots__ = ("places", "_sorted", "_finite", "_record")
 
     def __init__(self, places=()):
         places = frozenset(places)
@@ -828,6 +831,8 @@ class PlaceSet:
             order = (*finite, INFINITY) if INFINITY in places else tuple(finite)
         object.__setattr__(self, "places", places)
         object.__setattr__(self, "_sorted", order)
+        object.__setattr__(self, "_finite", tuple(p for p in order if p.poly is not None))
+        object.__setattr__(self, "_record", {})
 
     def __setattr__(self, *a):
         raise AttributeError("PlaceSet is immutable")
@@ -851,6 +856,41 @@ class PlaceSet:
 
     def union(self, other_places) -> "PlaceSet":
         return PlaceSet(self.places | set(other_places))
+
+    def orders(self, poly: Polynomial, start: int = 0) -> tuple[tuple[int, ...], Polynomial]:
+        """(orders, rest) for a nonzero poly: its order at each finite place of S, in
+        S's order, and rest, the part of poly off S.
+
+        poly has order 0 at the finite places before index `start`.  Each
+        polynomial is divided down S's order at most once: a division that
+        takes out a factor records its quotient, from the next place on, and
+        a place of degree above what is left cannot divide: order 0.
+        """
+        places = self._finite
+        if poly.degree < 1 or not places:
+            return (0,) * len(places), poly
+        key = (poly.rows, poly.den)
+        out = self._record.get(key)
+        if out is None:
+            orders, rest = [0] * start, poly
+            for k in range(start, len(places)):
+                pl = places[k]
+                if len(poly.rows) >= len(pl.poly.rows):
+                    q, m = poly.divide_out(pl.poly)
+                    if m:
+                        tail, rest = self.orders(q, k + 1)
+                        orders += [m, *tail[k + 1:]]
+                        break
+                orders.append(0)
+            out = self._record[key] = tuple(orders), rest
+        return out
+
+    def valuations(self, x: RationalFunction) -> list[int]:
+        """v(x) at each place of S, in S's order, for a nonzero x."""
+        out = [a - b for a, b in zip(self.orders(x.num)[0], self.orders(x.den)[0])]
+        if self.has_infinity:
+            out.append(x.den.degree - x.num.degree)
+        return out
 
     def __eq__(self, other):
         return isinstance(other, PlaceSet) and self.places == other.places
@@ -1086,7 +1126,7 @@ def truncated_counting(b: RationalFunction, S: PlaceSet) -> int:
     if b.is_zero:
         raise ZeroInput("counting function of 0")
     # S is stripped first, so the squarefree pass runs on the part off S only
-    zeros = radical(strip_places(b.num, S)) if b.num.degree > 0 else Polynomial.one(b.field)
+    zeros = radical(S.orders(b.num)[1]) if b.num.degree > 0 else Polynomial.one(b.field)
     count = zeros.degree
     if not S.has_infinity and b.den.degree > b.num.degree:
         count += 1
@@ -1100,7 +1140,7 @@ def gcd_counting(f: RationalFunction, g: RationalFunction, S: PlaceSet) -> int:
     for x in (f, g):
         if not is_s_integer(x, S):
             raise NotSInteger("gcd counting requires S-integers")
-    count = strip_places(poly_gcd(f.num, g.num), S).degree
+    count = S.orders(poly_gcd(f.num, g.num))[1].degree
     if not S.has_infinity:
         count += max(0, min(f.den.degree - f.num.degree, g.den.degree - g.num.degree))
     return count
@@ -1131,19 +1171,19 @@ def chi_S(S: PlaceSet) -> int:
     return S.weighted_size - 2
 
 
-def is_s_integer(f: RationalFunction, S: PlaceSet, strip=strip_places) -> bool:
-    """No poles outside S; strip(poly, S) is the part of poly off S."""
+def is_s_integer(f: RationalFunction, S: PlaceSet) -> bool:
+    """No poles outside S, read off S's record."""
     if f.is_zero:
         raise ZeroInput("S-integrality of 0")
-    if strip(f.den, S).degree > 0:
+    if S.orders(f.den)[1].degree > 0:
         return False
     return S.has_infinity or f.num.degree <= f.den.degree
 
 
-def is_s_unit(f: RationalFunction, S: PlaceSet, strip=strip_places) -> bool:
-    """Neither zeros nor poles outside S; strip(poly, S) is the part of poly off S."""
+def is_s_unit(f: RationalFunction, S: PlaceSet) -> bool:
+    """Neither zeros nor poles outside S, read off S's record."""
     if f.is_zero:
         raise ZeroInput("S-unit test of 0")
-    if strip(f.den, S).degree > 0 or strip(f.num, S).degree > 0:
+    if S.orders(f.den)[1].degree > 0 or S.orders(f.num)[1].degree > 0:
         return False
     return S.has_infinity or f.num.degree == f.den.degree

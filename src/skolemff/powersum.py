@@ -137,7 +137,6 @@ from .funfield import (
     is_s_unit,
     poly_gcd,
     radical,
-    strip_places,
     valuation,
 )
 from .intutil import (
@@ -188,14 +187,11 @@ def local_degree_cap() -> int:
 class PowerSumInstance:
     """The tuple (lambda_i, eps_i, r_i, f, S) with its standing invariants.
 
-    Validation keeps its S-record: what the `divide_out` chain over the
-    finite places of S that decides S-unit and S-integer finds for f's
-    numerator and denominator and each lambda_i's denominator, the order at
-    each place and the part left off S (`_place_orders`).  `f_valuations`
-    and `class_valuations` read their valuations at S off the record, which
-    takes a lambda_i numerator's on its first read; no polynomial is divided
-    by a place of S twice.  The epsilons are verified roots of unity, which
-    `serialize` reads from a per-field table of verified entries.
+    Validation, `f_valuations`, `class_valuations` and the local and lemma
+    checks read orders at S off S's record (`PlaceSet.orders`), so no
+    polynomial is divided by a place of S twice.  The epsilons are verified
+    roots of unity, which `serialize` reads from a per-field table of
+    verified entries.
     """
 
     lambdas: tuple[RationalFunction, ...]
@@ -212,20 +208,14 @@ class PowerSumInstance:
             raise InvalidInstance("lambda/epsilon/exponent lengths differ")
         if self.f.is_constant:
             raise ConstantInput("f must be nonconstant")
-        # Plain attributes, set before validation reads them: the S-record
-        # ((rows, den) of a nonconstant polynomial -> its `_place_orders`,
-        # filled on first read), the finite places of S in S's order (which
-        # puts infinity last) and e, the lcm of the eps orders.
-        setattr_ = object.__setattr__
-        setattr_(self, "_s_record", {})
-        setattr_(self, "_finite_places", tuple(pl for pl in self.places if not pl.is_infinite))
-        setattr_(self, "e", lcm(1, *(eps.order for eps in self.epsilons)))
-        if not is_s_unit(self.f, self.places, self._off_s):
+        # e, the lcm of the eps orders, is a plain attribute
+        object.__setattr__(self, "e", lcm(1, *(eps.order for eps in self.epsilons)))
+        if not is_s_unit(self.f, self.places):
             raise InvalidInstance("f must be an S-unit")
         for lam in self.lambdas:
             if lam.is_zero:
                 raise ZeroInput("lambda_i must be nonzero")
-            if not is_s_integer(lam, self.places, self._off_s):
+            if not is_s_integer(lam, self.places):
                 raise InvalidInstance("lambda_i must be an S-integer")
         spec = self.f.field.spec
         for eps in self.epsilons:
@@ -234,45 +224,6 @@ class PowerSumInstance:
         ch = spec.characteristic
         if ch and self.e % ch == 0:
             raise InvalidInstance("e must be coprime to the characteristic")
-
-    def _place_orders(self, poly: Polynomial, start: int = 0) -> tuple[tuple[int, ...], Polynomial]:
-        """(orders, rest) for a nonzero poly: its order at each finite place of S, in
-        S's order, and rest = strip_places(poly, S).
-
-        poly has order 0 at the finite places before index `start`.  Each
-        polynomial is divided down S's order at most once: a division that
-        takes out a factor records its quotient, from the next place on, and
-        a place of degree above what is left cannot divide: order 0.
-        """
-        places = self._finite_places
-        if poly.degree < 1:
-            return (0,) * len(places), poly
-        key = (poly.rows, poly.den)
-        out = self._s_record.get(key)
-        if out is None:
-            orders, rest = [0] * start, poly
-            for k in range(start, len(places)):
-                pl = places[k]
-                if len(poly.rows) >= len(pl.poly.rows):
-                    q, m = poly.divide_out(pl.poly)
-                    if m:
-                        tail, rest = self._place_orders(q, k + 1)
-                        orders += [m, *tail[k + 1:]]
-                        break
-                orders.append(0)
-            out = self._s_record[key] = tuple(orders), rest
-        return out
-
-    def _off_s(self, poly: Polynomial, S: PlaceSet) -> Polynomial:
-        """strip_places(poly, S) for S = self.places, read off the S-record."""
-        return self._place_orders(poly)[1]
-
-    def _valuations(self, x: RationalFunction) -> list[int]:
-        """v(x) at each place of S, in S's order, for a nonzero x."""
-        out = [a - b for a, b in zip(self._place_orders(x.num)[0], self._place_orders(x.den)[0])]
-        if self.places.has_infinity:
-            out.append(x.den.degree - x.num.degree)
-        return out
 
     @cached_property
     def N(self) -> int:
@@ -360,7 +311,7 @@ class PowerSumInstance:
     @cached_property
     def f_valuations(self) -> tuple[int, ...]:
         """v(f) at each place of S, in S's order, read off the S-record."""
-        return tuple(self._valuations(self.f))
+        return tuple(self.places.valuations(self.f))
 
     @cached_property
     def class_valuations(self) -> "_PerClass":
@@ -372,7 +323,7 @@ class PowerSumInstance:
         reuses lambda_i's, read once off the S-record.
         """
         def data(x):
-            return self._valuations(x), valuation(x, INFINITY), x.num
+            return self.places.valuations(x), valuation(x, INFINITY), x.num
 
         lam: dict[int, tuple] = {}
 
@@ -423,7 +374,7 @@ def _class_height(inst: PowerSumInstance, c: int) -> int | None:
     gcd = Polynomial.zero(inst.field)
     for *_, num in data:
         gcd = poly_gcd(gcd, num)
-    h -= inst._place_orders(gcd)[1].degree
+    h -= S.orders(gcd)[1].degree
     if not S.has_infinity:
         h -= min(v_inf for _, _, v_inf, _ in data)
     return h
@@ -604,7 +555,7 @@ class LocalChecker:
                 G = radical(_phi_numerator(key, inst.f))
             else:
                 G = _phi_numerator(key, y).monic()
-            d, G = key, strip_places(G, inst.places)
+            d, G = key, inst.places.orders(G)[1]
             if G.degree < 1:
                 return None
             reduce = lambda x: _reduce_mod(x, G)
@@ -971,7 +922,7 @@ class _LemmaTargets:
             raise ZeroInput("gcd counting of 0")
         if not is_s_integer(x, S):
             raise NotSInteger("gcd counting requires S-integers")
-        X, v_inf, g = strip_places(x.num, S), x.den.degree - x.num.degree, self.g
+        X, v_inf, g = S.orders(x.num)[1], x.den.degree - x.num.degree, self.g
         open_ = set(_finite_open(X, g, self.ds)) if X.degree > 0 else set()
         if not S.has_infinity and v_inf > 0 and g.num.degree == g.den.degree:
             c = g.num.lc() / g.den.lc()  # g(inf), a zero of Phi_d exactly when its order is d

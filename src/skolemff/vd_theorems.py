@@ -32,7 +32,6 @@ from .funfield import (
     is_s_integer,
     is_s_unit,
     truncated_counting,
-    valuation,
 )
 from .multstruct import is_mult_independent
 
@@ -99,9 +98,9 @@ def verify_cz_gcd(a: RationalFunction, b: RationalFunction, S: PlaceSet) -> Ineq
             raise NotSUnit("arguments must be S-units")
     if a.is_constant and b.is_constant:
         raise MultiplicativelyDependent("constant pair rejected: bound is vacuous")
-    # b is an S-unit, so div(b) is its valuations at S (divide_out orders,
-    # infinity from degrees) and b is not factored
-    div_b = {pl: v for pl in S if (v := valuation(b, pl))}
+    # b is an S-unit, so div(b) is its valuations at S, read off the record
+    # the S-unit test filled, and b is not factored
+    div_b = {pl: v for pl, v in zip(S, S.valuations(b)) if v}
     if not is_mult_independent(a, b, div_b):
         raise MultiplicativelyDependent("arguments are multiplicatively dependent")
     chi = chi_S(S)

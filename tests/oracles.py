@@ -56,6 +56,14 @@ def is_identically_zero(inst, n: int) -> bool:
     return True
 
 
+def strip_places(f, places):
+    """Divide out every factor of f supported at a finite place of S."""
+    for pl in places:
+        if not pl.is_infinite:
+            f = f.divide_out(pl.poly)[0]
+    return f
+
+
 def euclid_gcd(a, b):
     """Monic gcd in F[t] by Euclid's algorithm, one exact division per step."""
     while not b.is_zero:

@@ -30,9 +30,9 @@ from skolemff import (
     valuation,
 )
 from skolemff import funfield
-from skolemff.constants import Field
+from skolemff.constants import Field, zeta
 from skolemff.errors import ConstantInput, InvalidInstance, NotSInteger, ZeroInput
-from skolemff.funfield import poly_gcd, radical, squarefree_decomposition, strip_places
+from skolemff.funfield import poly_gcd, radical, squarefree_decomposition
 from skolemff.generate import rand_const, rand_poly, rand_ratfunc
 from oracles import (
     coeffwise_divmod,
@@ -42,6 +42,7 @@ from oracles import (
     horner_k,
     kpoly_divmod,
     kpoly_from_roots,
+    strip_places,
     trial_divide_out,
 )
 
@@ -800,7 +801,8 @@ def test_t_place_and_remainders_skip_the_division_kernels(monkeypatch, Q, F3):
         monkeypatch.setattr(Field, name, counted)
     for t, g, f, f_k, a, b in cases:
         calls.clear()
-        assert strip_places(f, PlaceSet([Place(t), INFINITY])) == g
+        S = PlaceSet([Place(t), INFINITY])
+        assert strip_places(f, S) == g and S.orders(f) == ((400,), g)
         assert valuation(f_k, Place(t)) == 400
         assert not calls
         # Euclid in characteristic p reads remainders only
@@ -899,8 +901,6 @@ def test_gcd_counting_examples(Q):
 
 def test_gcd_counting_bounded_by_zero_counts(Q):
     # N_S(gcd(f,g)) never exceeds either individual zero count outside S
-    from skolemff.funfield import strip_places
-
     rng = random.Random(59)
     S = PlaceSet([INFINITY])
     for _ in range(20):
@@ -952,6 +952,106 @@ def test_chi_S(Q):
     assert chi_S(PlaceSet([Place(t), Place(t - one), INFINITY])) == 1
     # degree weighting: a quadratic place counts twice
     assert chi_S(PlaceSet([Place(t * t + one)])) == 0
+
+
+OPS_SPECS = [FieldSpec(0, 1), FieldSpec(0, 4), FieldSpec(3, 1, 1), FieldSpec(3, 1, 2)]
+
+
+@pytest.mark.parametrize("spec", OPS_SPECS, ids=["Q", "Qi", "F3", "F9"])
+def test_polynomial_ops_with_a_rational_function_defer_to_it(spec):
+    """p + x, p - x and p * x for p in F[t] and x in K give RationalFunction(p) op x; p + 1 is no sum."""
+    fld = field_for(spec)
+    t, one = t_of(fld), Polynomial.one(fld)
+    x = RationalFunction(t, t + one)
+    for p in (t, t * t + one, Polynomial(fld, (2,)), Polynomial.zero(fld)):
+        P = RationalFunction(p)
+        for got, want in ((p + x, P + x), (p - x, P - x), (p * x, P * x)):
+            assert type(got) is RationalFunction and (got.num, got.den) == (want.num, want.den), (p, x)
+    assert t + x == RationalFunction(t * t + t * 2, t + one)
+    for op in (lambda: t + 1, lambda: t - 1, lambda: 1 - t):
+        with pytest.raises(TypeError):
+            op()
+    # constants keep multiplying
+    c = ConstantValue(fld, fld.from_int(2))
+    assert t * 2 == 2 * t == t * c == c * t == t + t
+
+
+def _s_record_sets():
+    """(S, polynomials to read) over Q with {t, t-1, inf}, over Q(i) with the degree-2 place
+    t^2 + 2, and over F_9 with three finite places and no infinity."""
+    Q = field_for(FieldSpec(0, 1))
+    t, one = t_of(Q), Polynomial.one(Q)
+    yield PlaceSet([Place(t), Place(t - one), INFINITY]), [
+        t**3 * (t - one) ** 2 * (t + one), (t - one) * Polynomial(Q, (Fraction(1, 2), 3)), t + one * 5, t**2,
+    ]
+    Qi = field_for(FieldSpec(0, 4))
+    t, one, i = t_of(Qi), Polynomial.one(Qi), Polynomial(Qi, (zeta(Qi, 4),))
+    quad = t * t + one * 2  # irreducible over Q(i)
+    yield PlaceSet([Place(t - i), Place(quad), INFINITY]), [
+        (t - i) ** 2 * quad**3 * (t + i), quad * (t - one), (t - i) * (t + one), t + one * 5, quad**2,
+    ]
+    F9 = field_for(FieldSpec(3, 1, 2))
+    t, one = t_of(F9), Polynomial.one(F9)
+    g = Polynomial(F9, (ConstantValue(F9, F9.torsion_generator_raw()),))
+    yield PlaceSet([Place(t), Place(t - g), Place(t - g * g)]), [
+        t * (t - g) ** 4 * (t - g * g) * (t + one), (t - g * g) ** 3 * t**2, (t + g) ** 2, t**5,
+    ]
+
+
+def test_place_set_orders_and_valuations_match_the_per_place_oracles(monkeypatch):
+    """orders/valuations against strip_places and valuation: constants are not recorded, each
+    division that takes out a factor records its quotient, a second read divides nothing, a
+    place longer than what is left is not tried, and a union starts with an empty record."""
+    sets = list(_s_record_sets())
+    real = Polynomial.divide_out
+    calls = []
+    monkeypatch.setattr(Polynomial, "divide_out", lambda self, p: calls.append((self, p)) or real(self, p))
+    for S, polys in sets:
+        finite = [v for v in S if not v.is_infinite]
+        fld, read = finite[0].poly.field, set()
+        calls.clear()
+        for c in (Polynomial(fld, (3,)), Polynomial.one(fld)):
+            assert S.orders(c) == ((0,) * len(finite), c)
+            assert S.valuations(RationalFunction(c)) == [0] * len(S)
+        assert S._record == {} and calls == []
+        xs = [RationalFunction(a, b.monic()) for a in polys for b in polys[:2]]
+        for x in xs:
+            for poly in (x.num, x.den):
+                read.add((poly.rows, poly.den))
+                calls.clear()
+                orders, rest = S.orders(poly)
+                # a place of degree above what is left is not tried
+                assert all(len(p.rows) <= len(a.rows) for a, p in calls), (S, poly)
+                want = tuple(valuation(RationalFunction(poly), v) for v in finite)
+                assert (orders, rest) == (want, strip_places(poly, S)), (S, poly)
+            assert S.valuations(x) == [valuation(x, v) for v in S], (S, x)
+        # the record holds each polynomial read and the quotient of each division that
+        # took out a factor, from the next place on
+        reached = set()
+        for x in xs:
+            for rest in (x.num, x.den):
+                reached.add((rest.rows, rest.den))
+                for v in finite:
+                    q, m = real(rest, v.poly)
+                    if m:
+                        rest = q
+                        reached.add((rest.rows, rest.den))
+        assert set(S._record) == {(rows, den) for rows, den in reached if len(rows) > 1}, S
+        assert set(S._record) - read, S  # some quotient was recorded
+        # a second read divides nothing
+        calls.clear()
+        for x in xs:
+            S.orders(x.num)
+            S.valuations(x)
+        assert calls == [], S
+        # a union is a new set with an empty record, which its own reads fill
+        record, extra = dict(S._record), Place(finite[0].poly + Polynomial.one(fld))
+        U = S.union([extra])
+        assert U._record == {} and U == PlaceSet(S.places | {extra})
+        for x in xs:
+            assert U.valuations(x) == [valuation(x, v) for v in U], (U, x)
+        assert calls and set(U._record) >= {(x.num.rows, x.num.den) for x in xs if x.num.degree > 0}
+        assert S._record == record
 
 
 def test_s_integers_and_units(Q):

@@ -1,8 +1,8 @@
 """Static checks over the package source: every imported name is used, a
 module that imports from a sibling at the top does not import from it again
-inside a function, no `assert` statement stands in for a runtime check, and
+inside a function, no `assert` statement stands in for a runtime check,
 every top-level function and class is referenced from the package or the
-benchmark."""
+benchmark, and no parameter defaults to a top-level function of the package."""
 
 import ast
 import os
@@ -185,3 +185,43 @@ def test_unreferenced_definition_detection():
     assert _unreferenced(reexported) == [("a.py", "f"), ("a.py", "g")]
     assert _unreferenced(reexported, ("from skolemff import g\ng()\n",)) == [("a.py", "f")]
     assert _unreferenced(dict(reexported, **{"b.py": "from .a import f\n"})) == [("a.py", "g")]
+
+
+def _function_defaults(package: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of each parameter default that names a top-level function of
+    `package` (module -> source), bare or as an attribute: a strategy hook whose one
+    value is fixed in the package is a direct call in disguise."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    functions = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    out = set()
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for default in [*fn.args.defaults, *filter(None, fn.args.kw_defaults)]:
+                name = getattr(default, "id", None) or getattr(default, "attr", None)
+                if name in functions:
+                    out.add((module, name, default.lineno))
+    return sorted(out)
+
+
+def test_no_parameter_defaults_to_a_package_function():
+    # the caller with another strategy passes an object that owns it (as S owns its record)
+    assert _function_defaults(_sources(SRC)) == []
+
+
+def test_function_default_detection():
+    package = {
+        "a.py": "def strip(f, S): pass\nclass C: pass\ndef test(f, S, cut=strip): pass\n",
+        "b.py": (
+            "from . import a\nfrom .a import C, strip\n"
+            "def f(x, *, key=a.strip, kind=C, n=len, m=strip(1, 2)):\n    g = lambda y=strip: y\n"
+        ),
+    }
+    assert _function_defaults(package) == [("a.py", "strip", 3), ("b.py", "strip", 3), ("b.py", "strip", 4)]
+    assert _function_defaults({"c.py": "def f(x, k=None, n=0, s='strip'): pass\n"}) == []

@@ -27,12 +27,12 @@ from skolemff import (
 from skolemff import funfield, powersum
 from skolemff.constants import zeta
 from skolemff.errors import FactorizationTooHard
-from skolemff.funfield import radical, strip_places
+from skolemff.funfield import radical
 from skolemff.generate import generate_instance
 from skolemff.intutil import cyclotomic_poly, euler_phi
 from skolemff.powersum import LocalChecker, _poly_invmod, eval_B, find_local_witness
 from conftest import example1_instance, neg_ru, one_ru
-from oracles import brute_local_check
+from oracles import brute_local_check, strip_places
 
 
 def test_local_checker_matches_brute_oracle():

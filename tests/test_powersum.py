@@ -44,7 +44,7 @@ from skolemff.errors import (
 )
 from skolemff import cli, powersum
 from skolemff.constants import zeta
-from skolemff.funfield import strip_places, valuation
+from skolemff.funfield import valuation
 from skolemff.generate import generate_instance
 from skolemff.intutil import divisors, euler_phi
 from skolemff.multstruct import DependenceWitness
@@ -53,7 +53,7 @@ from skolemff.serialize import instance_from_json, instance_to_json, save_instan
 from conftest import example1_instance, neg_ru, one_ru
 
 
-from oracles import brute_zero_scan, horner_phi, kpoly_divmod, window_zero_scan
+from oracles import brute_zero_scan, horner_phi, kpoly_divmod, strip_places, window_zero_scan
 
 
 def _phi_pair(g, p, ell, q):
@@ -139,10 +139,10 @@ def _s_record_instances():
 
 
 def test_s_record_matches_the_valuation_oracle():
-    """The orders and off-S parts validation records are valuation() and strip_places() of the same polynomials."""
+    """The orders and off-S parts that validation leaves in S's record are valuation() and strip_places() of the same polynomials."""
     seen_no_infinity = 0
     for label, inst in _s_record_instances():
-        S, records = inst.places, inst._s_record
+        S, records = inst.places, inst.places._record
         finite = [v for v in S if not v.is_infinite]
         seen_no_infinity += not S.has_infinity
         # validation records f's numerator and denominator, each lambda_i's denominator and
@@ -158,14 +158,14 @@ def test_s_record_matches_the_valuation_oracle():
         assert set(records) == {(rows, den) for rows, den in reached if len(rows) > 1}, label
         for x in (inst.f, *inst.lambdas):
             for poly in (x.num, x.den):
-                orders, rest = inst._place_orders(poly)
+                orders, rest = S.orders(poly)
                 want = tuple(poly.divide_out(v.poly)[1] for v in finite)
                 assert (orders, rest) == (want, strip_places(poly, S)), (label, poly)
-            assert inst._valuations(x) == [valuation(x, v) for v in S], (label, x)
+            assert S.valuations(x) == [valuation(x, v) for v in S], (label, x)
         assert list(inst.f_valuations) == [valuation(inst.f, v) for v in S], label
-        # e, the S-record and the finite places are plain attributes, set by validation
-        assert {"e", "_s_record", "_finite_places"} <= vars(inst).keys(), label
-        assert inst._finite_places == tuple(finite), label
+        # e is a plain attribute, set by validation; the record and the finite places are S's
+        assert "e" in vars(inst), label
+        assert S._finite == tuple(finite), label
         assert inst.e == lcm(*(eps.order for eps in inst.epsilons)), label
         # every row of class_valuations, lone or not, against the oracle
         decide_global_zero(inst)
@@ -1079,7 +1079,6 @@ def test_lemma_counts_match_gcd_counting(name):
     drop), takes S-places and, off S infinity, a zero there.
     """
     from skolemff import gcd_counting, valuation
-    from skolemff.funfield import strip_places
     from skolemff.powersum import _LemmaTargets
 
     fld = field_for(LEMMA_FIELDS[name])

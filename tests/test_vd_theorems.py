@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from collections import Counter
 
 import pytest
 
@@ -148,3 +150,31 @@ def test_cz_gcd_reads_b_at_S_and_factors_nothing(monkeypatch, Q):
     for b in (a**3 * 5, t * (t - 1), t - 1, (t + 1) ** 3 / t, (a * (t + 1)) ** 2 / (t - 1)):
         assert verify_cz_gcd(a, b, S).holds
     assert calls == []
+
+
+def test_cz_gcd_divides_by_a_place_of_S_once(monkeypatch):
+    """The S-unit tests, div(b) and gcd_counting's S-integer tests read one record of S:
+    on czgcd seeds 0-9 at most 521 divide_out calls run (1231 when each reader divided
+    again), and within one verify_cz_gcd call only dependence_exponents' trial division
+    of b at supp(a) repeats a (polynomial, place) pair."""
+    real = Polynomial.divide_out
+    pairs, repeats, total = Counter(), Counter(), [0]
+
+    def counted(self, p):
+        key = (self.rows, self.den, p.rows, p.den)
+        if pairs[key]:
+            repeats[sys._getframe(1).f_code.co_name] += 1
+        pairs[key] += 1
+        total[0] += 1
+        return real(self, p)
+
+    def one_call(a, b, S):
+        pairs.clear()
+        return verify_cz_gcd(a, b, S)
+
+    monkeypatch.setattr(Polynomial, "divide_out", counted)
+    monkeypatch.setattr(verify_suites, "verify_cz_gcd", one_call)
+    for seed in range(10):
+        assert run_suite("czgcd", seed, 4).violations == 0
+    assert 0 < total[0] <= 521
+    assert set(repeats) <= {"dependence_exponents"}, repeats
