@@ -26,7 +26,6 @@ from .funfield import (
     is_s_unit,
     poly_height,
     poly_valuation,
-    projective_height,
     truncated_counting,
     valuation,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "is_s_unit",
     "poly_height",
     "poly_valuation",
-    "projective_height",
     "truncated_counting",
     "valuation",
     "cyclotomic_poly",

@@ -18,10 +18,6 @@ class ZeroInput(SkolemffError):
     """An operation received the zero function/polynomial where nonzero is required."""
 
 
-class AllZero(SkolemffError):
-    """A projective tuple was identically zero."""
-
-
 class ConstantInput(SkolemffError):
     """An operation requires a nonconstant function."""
 

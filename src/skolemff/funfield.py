@@ -49,7 +49,7 @@ from itertools import count
 from math import gcd, inf, isqrt, lcm
 
 from .constants import ConstantValue, Field, _coerce, _cv
-from .errors import AllZero, ConstantInput, InvalidInstance, NotSInteger, ZeroInput
+from .errors import ConstantInput, InvalidInstance, NotSInteger, ZeroInput
 from .intutil import cyclotomic_poly, factorize, fp_divmod, fp_gcd, is_prime
 
 __all__ = [
@@ -61,8 +61,6 @@ __all__ = [
     "valuation",
     "divisor",
     "height",
-    "projective_height",
-    "clear_denominators",
     "KPolynomial",
     "poly_valuation",
     "poly_height",
@@ -941,31 +939,6 @@ def height(f: RationalFunction) -> int:
     return max(f.num.degree, f.den.degree)
 
 
-def projective_height(xs) -> int:
-    """Projective height of a tuple of elements of K, scaling invariant."""
-    xs = list(xs)
-    nonzero = [x for x in xs if not x.is_zero]
-    if not nonzero:
-        raise AllZero("projective height of the zero vector")
-    return max(a.degree for a in clear_denominators(nonzero))
-
-
-def clear_denominators(xs) -> list[Polynomial]:
-    """The list xs of elements of K, not all 0, scaled by one element of K* into F[t], content 1."""
-    fld = xs[0].field
-    den = Polynomial.one(fld)
-    for x in xs:
-        if x.den.degree > 0:
-            den = den * _gcd_cofactors(den, x.den)[2]
-    polys = [x.num * den.exact_div(x.den) for x in xs]
-    content = Polynomial.zero(fld)
-    for a in polys:
-        content = poly_gcd(content, a)
-        if content.degree == 0:
-            return polys
-    return [a.exact_div(content) for a in polys]
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over K
 # ---------------------------------------------------------------------------
@@ -974,33 +947,67 @@ def clear_denominators(xs) -> list[Polynomial]:
 class KPolynomial:
     """Polynomial in a formal variable X with coefficients in K, little-endian.
 
-    Products, `from_roots` and `evaluate` run on the F[t] numerators of the
-    coefficients over one common denominator, the product of the distinct
-    ones (`_numerators`), and reduce each result coefficient, or the value,
-    once: no term of a sum takes a gcd of its own.  Zero coefficients are
-    skipped.  K[X] has no sums and no division: the pipeline builds its
-    polynomials from coefficients or from roots.
+    The stored form is F[t] numerators N_j over one monic denominator D:
+    coefficient j is N_j / D, a zero coefficient has N_j = 0, and the top
+    N_j is nonzero.  Products by K[X] (the numerators' product over the
+    product of the denominators), products by a scalar n/d of K (N_j n over
+    D d) and `from_roots` build this form and hand it on: no coefficient is
+    reduced, and no term of a sum takes a gcd of its own.  `coeffs` reduces
+    each N_j / D on first read, one gcd per coefficient, and keeps them, so
+    `==`, `hash` and `repr` read canonical values.  A polynomial built from
+    coefficients keeps them and builds (N, D) on first use, with D the
+    product of the distinct denominators.
+
+    One content serves the heights, the valuations and the root search: the
+    monic gcd g of the N_j is taken once and kept.  The rows N_j / g are the
+    primitive associate in F[t][X] (Knuth, TAOCP vol. 2, 4.6.1), the rows
+    that clearing the reduced coefficients' denominators gives, since D over
+    their lcm is monic (`primitive_part`, `poly_height`, `poly_valuation`).
+    K[X] has no sums and no division: the pipeline builds its polynomials
+    from coefficients or from roots.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_coeffs", "_nums", "_den", "_content_g")
 
     def __init__(self, field: Field, coeffs=()):
         cs = list(coeffs)
         while cs and cs[-1].is_zero:
             cs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._fill(field, tuple(cs), None, None)
+
+    @classmethod
+    def _from_numerators(cls, field: Field, nums, D: Polynomial) -> "KPolynomial":
+        """The polynomial with coefficients nums[j] / D, for a monic D and a nonzero top numerator."""
+        out = _new(cls)
+        out._fill(field, None, tuple(nums), D)
+        return out
+
+    def _fill(self, field: Field, coeffs, nums, D) -> None:
+        for name, value in zip(self.__slots__, (field, coeffs, nums, D, None)):
+            _set(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("KPolynomial is immutable")
 
     @property
+    def coeffs(self) -> tuple[RationalFunction, ...]:
+        """The coefficients in K, reduced on first read and kept; N_j = D is 1 and takes no gcd."""
+        if self._coeffs is None:
+            D, one, zero = self._den, Polynomial.one(self.field), RationalFunction.zero(self.field)
+            reduced = (
+                zero if N.is_zero else RationalFunction._reduced(one, one) if N == D else _over(N, D)
+                for N in self._nums
+            )
+            _set(self, "_coeffs", tuple(reduced))
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums if self._coeffs is None else self._coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree < 0
 
     def __eq__(self, other):
         return (
@@ -1012,24 +1019,50 @@ class KPolynomial:
     def __hash__(self):
         return hash((self.field.spec, self.coeffs))
 
-    def _numerators(self) -> tuple[list[Polynomial], Polynomial]:
-        """(N, D) with coeffs[j] = N[j] / D, where D is the product of the distinct denominators (monic)."""
-        one = Polynomial.one(self.field)
-        dens = list(dict.fromkeys(c.den for c in self.coeffs if c.den.degree > 0))
-        if not dens:
-            return [c.num for c in self.coeffs], one
-        # the cofactor D / d is the product of the other denominators: no division is run
-        cofactor = {d: functools.reduce(_monic_product, (e for e in dens if e != d), one) for d in dens}
-        D = functools.reduce(_monic_product, dens)
-        nums = []
-        for c in self.coeffs:
-            k = cofactor.get(c.den, D)
-            nums.append(c.num if c.is_zero or k.degree == 0 else c.num * k)
-        return nums, D
+    def _numerators(self) -> tuple[tuple[Polynomial, ...], Polynomial]:
+        """(N, D) with coeffs[j] = N[j] / D for a monic D, built from the coefficients on first use.
+
+        D is then the product of the distinct denominators.
+        """
+        if self._nums is None:
+            one = Polynomial.one(self.field)
+            dens = list(dict.fromkeys(c.den for c in self._coeffs if c.den.degree > 0))
+            if not dens:
+                nums, D = [c.num for c in self._coeffs], one
+            else:
+                # the cofactor D / d is the product of the other denominators: no division is run
+                cofactor = {d: functools.reduce(_monic_product, (e for e in dens if e != d), one) for d in dens}
+                D = functools.reduce(_monic_product, dens)
+                nums = []
+                for c in self._coeffs:
+                    k = cofactor.get(c.den, D)
+                    nums.append(c.num if c.is_zero or k.degree == 0 else c.num * k)
+            _set(self, "_nums", tuple(nums))
+            _set(self, "_den", D)
+        return self._nums, self._den
+
+    def _content(self) -> Polynomial:
+        """The monic gcd g of the numerators, taken once and kept.
+
+        The gcd runs from the numerator of least degree up and stops at degree 0.
+        """
+        if self._content_g is None:
+            g = Polynomial.zero(self.field)
+            for N in sorted((N for N in self._numerators()[0] if not N.is_zero), key=lambda N: N.degree):
+                g = poly_gcd(g, N)
+                if g.degree == 0:
+                    break
+            _set(self, "_content_g", g)
+        return self._content_g
+
+    def primitive_part(self) -> tuple[Polynomial, ...]:
+        """The rows N_j / g: the F[t] coefficients of the primitive associate of self, zero ones kept."""
+        nums, g = self._numerators()[0], self._content()
+        return nums if g.degree == 0 else tuple(N.exact_div(g) for N in nums)
 
     @classmethod
     def from_roots(cls, field: Field, roots) -> "KPolynomial":
-        """prod (X - b) over the roots b = n/d, as prod (d X - n) over D = prod d: one gcd per lower coefficient."""
+        """prod (X - b) over the roots b = n/d, as the F[t] coefficients of prod (d X - n) over D = prod d."""
         one = Polynomial.one(field)
         rows, D = [one], one  # the F[t] coefficients of prod (d X - n), low to high
         for b in roots:
@@ -1039,24 +1072,25 @@ class KPolynomial:
                 for j, r in enumerate(rows):
                     out[j] = out[j] - r * n
             rows, D = out, _monic_product(D, d)
-        # the top row is prod d = D, and the polynomial is monic
-        return cls(field, [*(_over(r, D) for r in rows[:-1]), RationalFunction._reduced(one, one)])
+        # the top row is prod d = D: the polynomial is monic
+        return cls._from_numerators(field, rows, D)
 
     def __mul__(self, other) -> "KPolynomial":
-        if isinstance(other, RationalFunction):
-            return KPolynomial(self.field, [c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
+        if self.is_zero or other.is_zero:
             return KPolynomial(self.field, ())
-        (A, da), (B, db) = self._numerators(), other._numerators()
-        out: list[Polynomial | None] = [None] * (len(A) + len(B) - 1)
+        A, da = self._numerators()
+        if isinstance(other, RationalFunction):
+            return KPolynomial._from_numerators(self.field, [x * other.num for x in A], _monic_product(da, other.den))
+        B, db = other._numerators()
+        zero = Polynomial.zero(self.field)
+        out = [zero] * (len(A) + len(B) - 1)
         for i, x in enumerate(A):
             if x.is_zero:
                 continue
             for j, y in enumerate(B, i):
                 if not y.is_zero:
-                    out[j] = x * y if out[j] is None else out[j] + x * y
-        D, zero = _monic_product(da, db), RationalFunction.zero(self.field)
-        return KPolynomial(self.field, [zero if s is None else _over(s, D) for s in out])
+                    out[j] = x * y if out[j].is_zero else out[j] + x * y
+        return KPolynomial._from_numerators(self.field, out, _monic_product(da, db))
 
     def evaluate(self, x: RationalFunction) -> RationalFunction:
         """P(x) for x = a/b by homogeneous Horner: sum_j N_j a^j b^(d-j) over D b^d, reduced once.
@@ -1064,7 +1098,7 @@ class KPolynomial:
         A run of zero coefficients is one step: the accumulator is multiplied
         by a^gap, and b^(d-j) grows by b^gap, with the powers built once per gap.
         """
-        if not self.coeffs:
+        if self.is_zero:
             return RationalFunction.zero(self.field)
         nums, D = self._numerators()
         a, b = x.num, x.den
@@ -1103,17 +1137,23 @@ class KPolynomial:
 
 
 def poly_valuation(A: KPolynomial, p: Place) -> int:
-    """min of the coefficient valuations of A at p."""
+    """min of the coefficient valuations of A at p, read off the content g of its numerators over D.
+
+    At a finite p it is v_p(g) - v_p(D); at infinity deg D - max deg N_j.
+    """
     if A.is_zero:
         raise ZeroInput("valuation of the zero polynomial")
-    return min(valuation(c, p) for c in A.coeffs if not c.is_zero)
+    nums, D = A._numerators()
+    if p.is_infinite:
+        return D.degree - max(N.degree for N in nums)
+    return A._content().divide_out(p.poly)[1] - D.divide_out(p.poly)[1]
 
 
 def poly_height(A: KPolynomial) -> int:
-    """Projective height of the coefficient vector of A."""
+    """Projective height of the coefficient vector of A: max deg N_j - deg g for its content g."""
     if A.is_zero:
         raise ZeroInput("height of the zero polynomial")
-    return projective_height(A.coeffs)
+    return max(N.degree for N in A._numerators()[0]) - A._content().degree
 
 
 # ---------------------------------------------------------------------------

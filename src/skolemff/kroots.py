@@ -1,8 +1,10 @@
 """Complete root finding in K = F(t) for polynomials in K[X].
 
-Clearing denominators gives a primitive polynomial sum_j a_j X^j over the UFD
-F[t]; write a root in lowest terms as c*u/v with c in F* and u, v monic and
-coprime.  The candidates (u, v) come from the Newton polygons of the a_j, the
+The search reads the primitive associate sum_j a_j X^j of A over the UFD
+F[t] (`KPolynomial.primitive_part`: the stored numerators over the monic
+gcd of them, which is A with its denominators cleared and its content
+divided out); write a root in lowest terms as c*u/v with c in F* and u, v
+monic and coprime.  The candidates (u, v) come from the Newton polygons of the a_j, the
 non-archimedean argument of the paper: at every place w the terms a_j X^j of a
 vanishing sum cannot have a unique least valuation, so s = v_w(u/v) satisfies
     min_j (v_w(a_j) + j s) is attained at least twice.
@@ -40,7 +42,7 @@ from math import lcm
 
 from .errors import FactorizationTooHard, ZeroInput
 from .factor import factor_poly, roots_in_F
-from .funfield import KPolynomial, Polynomial, RationalFunction, _poly, clear_denominators, poly_gcd
+from .funfield import KPolynomial, Polynomial, RationalFunction, _poly, poly_gcd
 
 __all__ = ["RootSearch", "find_roots_in_K"]
 
@@ -66,16 +68,15 @@ def find_roots_in_K(P: KPolynomial) -> RootSearch:
     """All roots of P in K (with multiplicities); complete unless flagged."""
     if P.is_zero:
         raise ZeroInput("root search on the zero polynomial")
+    rows = P.primitive_part()
     zero_mult = 0
-    coeffs = list(P.coeffs)
-    while coeffs and coeffs[0].is_zero:
+    while rows[zero_mult].is_zero:
         zero_mult += 1
-        coeffs.pop(0)
-    degree = len(coeffs) - 1
+    polys = list(rows[zero_mult:])
+    degree = len(polys) - 1
     if degree == 0:
         return RootSearch((), zero_mult, 0, True)
 
-    polys = clear_denominators(coeffs)
     roots: list[tuple[RationalFunction, int]] = []
     try:
         for u, v in _newton_pairs(polys):

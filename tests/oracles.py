@@ -20,9 +20,9 @@ from skolemff import (
     valuation,
 )
 from skolemff.constants import _defining_poly
-from skolemff.errors import FactorizationTooHard, InvalidInstance
+from skolemff.errors import FactorizationTooHard, InvalidInstance, ZeroInput
 from skolemff.factor import factor_poly, monic_divisors
-from skolemff.funfield import KPolynomial, clear_denominators, divisor, poly_gcd
+from skolemff.funfield import KPolynomial, divisor, poly_gcd
 from skolemff.kroots import RootSearch, _scalar_solutions
 from skolemff.multstruct import DependenceWitness, _as_root_of_unity, _relation
 from skolemff.powersum import class_reduction, eval_B
@@ -98,6 +98,31 @@ def trial_divide_out(A, p):
         if not r.is_zero:
             return A, m
         A, m = q, m + 1
+
+
+def clear_denominators(xs):
+    """The list xs of elements of K, not all 0, scaled by one element of K* into F[t], content 1.
+
+    The scale is the lcm of the reduced denominators, grown by one gcd per
+    denominator, and the content is the monic gcd of the scaled numerators.
+    """
+    fld = xs[0].field
+    den = Polynomial.one(fld)
+    for x in xs:
+        den = den * x.den.exact_div(poly_gcd(den, x.den))
+    polys = [x.num * den.exact_div(x.den) for x in xs]
+    content = Polynomial.zero(fld)
+    for a in polys:
+        content = poly_gcd(content, a)
+    return [a.exact_div(content) for a in polys]
+
+
+def projective_height(xs):
+    """Projective height of a tuple of elements of K, scaling invariant: the largest degree once cleared."""
+    nonzero = [x for x in xs if not x.is_zero]
+    if not nonzero:
+        raise ZeroInput("projective height of the zero vector")
+    return max(a.degree for a in clear_denominators(nonzero))
 
 
 def divisor_pair_roots(P):

@@ -25,7 +25,6 @@ from skolemff import (
     is_s_unit,
     poly_height,
     poly_valuation,
-    projective_height,
     truncated_counting,
     valuation,
 )
@@ -42,6 +41,7 @@ from oracles import (
     horner_k,
     kpoly_divmod,
     kpoly_from_roots,
+    projective_height,
     strip_places,
     trial_divide_out,
 )
@@ -553,7 +553,7 @@ def test_kpoly_products_and_evaluation_match_the_coefficientwise_oracles(name):
 
 
 def test_kpoly_reduces_each_coefficient_once(monkeypatch, Q, F3):
-    """from_roots of k roots takes at most k + 1 normalising gcds, evaluate one (no term takes its own)."""
+    """from_roots takes no normalising gcd (it keeps its numerators), evaluate one (no term takes its own)."""
     calls = []
     real = funfield._gcd_cofactors
 
@@ -569,7 +569,7 @@ def test_kpoly_reduces_each_coefficient_once(monkeypatch, Q, F3):
         for k in range(1, len(roots) + 1):
             calls.clear()
             P = KPolynomial.from_roots(fld, roots[:k])
-            assert len(calls) <= k + 1, (k, len(calls))
+            assert calls == [], (k, len(calls))
             calls.clear()
             value = P.evaluate(x)
             assert len(calls) <= 1, (k, len(calls))
@@ -579,6 +579,42 @@ def test_kpoly_reduces_each_coefficient_once(monkeypatch, Q, F3):
                 # the per-term Horner reduces each of its k - 1 products of two nonconstant factors
                 assert len(calls) >= k - 1
         monkeypatch.setattr(funfield, "_gcd_cofactors", real)
+
+
+@pytest.mark.parametrize("name", sorted(KX_FIELDS))
+def test_numerator_form_matches_the_reduced_coefficients(name):
+    """Built from coefficients, by * (K[X] and scalar) and from roots, a polynomial's
+    content gives the oracle height and the least coefficient valuation at every
+    place; its lazily reduced coefficients are the coefficientwise ones, and it is
+    == to, with the hash of, the polynomial built from them."""
+    fld = field_for(KX_FIELDS[name])
+    rng = random.Random(f"numerators-{name}")
+    zero = RationalFunction.zero(fld)
+    for _ in range(6):
+        A, B = _lacunary_kpoly(rng, fld, rng.randint(0, 4)), _lacunary_kpoly(rng, fld, rng.randint(0, 3))
+        s = rand_ratfunc(rng, fld, 2)
+        roots = [rand_ratfunc(rng, fld, 2) for _ in range(rng.randint(0, 3))] + [zero] * rng.randint(0, 1)
+        P = kpoly_from_roots(fld, roots)
+        PB = coeffwise_kmul(P, B)
+        for built, oracle in (
+            (lambda: A, A),
+            (lambda: A * B, coeffwise_kmul(A, B)),
+            (lambda: A * s, KPolynomial(fld, [c * s for c in A.coeffs])),
+            (lambda: KPolynomial.from_roots(fld, roots), P),
+            (lambda: KPolynomial.from_roots(fld, roots) * s * B, KPolynomial(fld, [c * s for c in PB.coeffs])),
+        ):
+            C, want = built(), oracle.coeffs
+            if not want:
+                assert C.is_zero
+                continue
+            support = {v for c in want if not c.is_zero for v in divisor(c)} | {INFINITY}
+            assert C.degree == len(want) - 1
+            assert poly_height(C) == projective_height(want), C
+            for v in support:
+                assert poly_valuation(C, v) == min(valuation(c, v) for c in want if not c.is_zero), (C, v)
+            assert C.coeffs == want
+            fresh = built()
+            assert fresh == oracle and hash(fresh) == hash(oracle)
 
 
 # -- sums in K: Henrici's rule ------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import sys
 from collections import Counter
 
@@ -11,6 +12,10 @@ from skolemff import (
     PlaceSet,
     Polynomial,
     RationalFunction,
+    divisor,
+    field_for,
+    height,
+    valuation,
     verify_cz_gcd,
     verify_smt,
     verify_sunit_count,
@@ -21,8 +26,10 @@ from skolemff.errors import (
     NotSInteger,
     NotSUnit,
 )
-from skolemff import factor, verify_suites
+from skolemff import factor, funfield, verify_suites
+from skolemff.generate import rand_ratfunc
 from skolemff.verify_suites import run_suite
+from oracles import coeffwise_kmul, kpoly_from_roots, projective_height
 
 
 def c_of(fld, k):
@@ -109,6 +116,43 @@ def test_small_suites_clean():
         res = run_suite(suite, seed, count)
         assert res.violations == 0, (suite, res.reproducer)
         assert res.checked > 0
+
+
+def test_gauss_reduces_no_coefficient(monkeypatch):
+    """C = A * B and the from_roots product stay in numerator form: heights and
+    valuations read one content gcd, and no coefficient is reduced on seeds 0-9."""
+    calls = []
+    real = funfield._over
+    monkeypatch.setattr(funfield, "_over", lambda num, den: calls.append(1) or real(num, den))
+    for seed in range(10):
+        assert run_suite("gauss", seed, 4).violations == 0
+    assert calls == []
+
+
+def test_gauss_suite_matches_its_oracle_replay():
+    """The suite's draws replayed with the oracle height of the coefficient vector, the
+    per-coefficient valuation min and the coefficientwise products give its counts."""
+
+    def v_min(P, v):
+        return min(valuation(c, v) for c in P.coeffs if not c.is_zero)
+
+    for seed in range(50):
+        rng, checked, violations = random.Random(seed), 0, 0
+        for i in range(4):
+            fld = field_for(verify_suites._ALL_SPECS[i % len(verify_suites._ALL_SPECS)])
+            A = verify_suites._rand_kpoly(rng, fld, rng.randint(1, 3), verify_suites.MAX_DEG // 6)
+            B = verify_suites._rand_kpoly(rng, fld, rng.randint(1, 3), verify_suites.MAX_DEG // 6)
+            roots = [rand_ratfunc(rng, fld, verify_suites.MAX_DEG // 6) for _ in range(rng.randint(1, 3))]
+            C = coeffwise_kmul(A, B)
+            places = {v for c in A.coeffs + B.coeffs if not c.is_zero for v in divisor(c)} | {INFINITY}
+            holds = (
+                projective_height(C.coeffs) == projective_height(A.coeffs) + projective_height(B.coeffs)
+                and all(v_min(C, v) == v_min(A, v) + v_min(B, v) for v in places)
+                and projective_height(kpoly_from_roots(fld, roots).coeffs) == sum(height(b) for b in roots)
+            )
+            checked, violations = checked + 1, violations + (not holds)
+        res = run_suite("gauss", seed, 4)
+        assert (res.checked, res.violations) == (checked, violations), seed
 
 
 def test_suite_determinism():
