@@ -243,6 +243,10 @@ class Field:
     # its t^i coefficient, over one positive int denominator.  Characteristic 0:
     # the top row is nonzero and gcd(den, every entry) = 1, which makes the form
     # canonical.  Characteristic p: entries lie in [0, p) and den = 1.
+    # A monomial operand c t^k (one nonzero row, the top one) is a row shift:
+    # a product by it scales the other rows by c and moves them up k rows, and a
+    # division by it splits the dividend at row k, so neither runs the
+    # convolution or `_pseudo_divide`.
     def poly_normal(self, rows: list, den: int = 1) -> tuple[tuple, int]:
         """The canonical (rows, den) of rows / den: every entry mod p in characteristic p,
         the content pass in characteristic 0, zero top rows dropped."""
@@ -275,7 +279,24 @@ class Field:
         return self.poly_normal([tuple(map(add, ra, rb)) for ra, rb in zip(A, B)] + list(A[len(B):]), L)
 
     def poly_mul(self, A, B) -> list:
-        """The rows of the product of two nonzero row lists (entries mod p); the denominators multiply."""
+        """The rows of the product of two nonzero row lists (entries mod p); the denominators multiply.
+
+        A monomial operand shifts the other's rows (`_shift`); two others run `_convolve`.
+        """
+        if not any(map(any, B[:-1])):
+            return self._shift(A, B[-1], len(B) - 1)
+        if not any(map(any, A[:-1])):
+            return self._shift(B, A[-1], len(A) - 1)
+        return self._convolve(A, B)
+
+    def _shift(self, A, c: tuple, k: int) -> list:
+        """The rows of A c t^k: A's rows times the element c, below them k zero rows."""
+        if c != self.one_raw:
+            A = [self.mul_raw(r, c) for r in A]
+        return [self.zero_raw] * k + list(A)
+
+    def _convolve(self, A, B) -> list:
+        """The rows of the product of two row lists by the schoolbook convolution (entries mod p)."""
         n = self.degree
         if n == 1:
             b = [r[0] for r in B]
@@ -360,8 +381,17 @@ class Field:
         """Canonical (Q, dq, R, dr) with A/da = (Q/dq)(B/db) + R/dr and len(R) < len(B), for len(A) >= len(B).
 
         One `_pseudo_divide` run; the quotient is assembled from its top rows.
-        Callers that read only the remainder use `poly_rem`.
+        A monomial divisor c t^k runs none: the remainder is A's rows below k,
+        the quotient its rows from k up times db / c.  Callers that read only
+        the remainder use `poly_rem`.
         """
+        k = len(B) - 1
+        if not any(map(any, B[:k])):
+            w, d = self.inv_raw(B[k])
+            Q = self._shift(A[k:], w, 0)
+            if db != 1:
+                Q = [tuple(x * db for x in r) for r in Q]
+            return (*self.poly_normal(Q, da * d), *self.poly_normal(list(A[:k]), da))
         tops, R, w, d = self._pseudo_divide(A, B)
         den = da * d ** len(tops)
         return (*self._quotient(tops, w, d, db, den), *self.poly_normal(R, den))
@@ -370,8 +400,12 @@ class Field:
         """The canonical (R, dr) of A/da mod B, for len(A) >= len(B).
 
         One `_pseudo_divide` run whose top rows are dropped: no quotient is
-        built.  The remainder does not depend on B's denominator, so none is taken.
+        built.  The remainder does not depend on B's denominator, so none is
+        taken.  A monomial divisor c t^k runs none: the remainder is A's rows below k.
         """
+        k = len(B) - 1
+        if not any(map(any, B[:k])):
+            return self.poly_normal(list(A[:k]), da)
         tops, R, _, d = self._pseudo_divide(A, B)
         return self.poly_normal(R, da * d ** len(tops))
 

@@ -27,18 +27,20 @@ b exactly, then h | g and deg h = D >= deg g, so h = g.  Only finitely many P
 are unlucky (an image of degree above deg g), so D reaches deg g, the
 accumulated modulus outgrows g's coefficients, and the loop ends.
 
-Before any image is taken, powers of t split off.  t is prime in F[t] and
-v_t(a) is the number of zero bottom rows of a, so for a = t^i a' and
-b = t^j b' with t not dividing a' or b',
+Before any image is taken, and before Euclid in characteristic p, powers of
+t split off.  t is prime in F[t] and v_t(a) is the number of zero bottom rows
+of a, so for a = t^i a' and b = t^j b' with t not dividing a' or b',
     gcd(a, b) = t^min(i, j) gcd(a', b'),
 and the cofactors are row shifts of those of a' and b'.  When a' or b' is
-constant, gcd(a', b') = 1 and no prime is touched; monomial arguments (a
-power of t times a constant) are common in K normalisation.  Characteristic
-p keeps Euclid, whose steps are cheap there.
+constant, gcd(a', b') = 1 and no prime or Euclid step is taken; monomial
+arguments (a power of t times a constant) are common in K normalisation.
+Characteristic p runs Euclid, whose steps are cheap there, on a' and b'.
 
 The same reading serves the place t everywhere else: `divide_out` by t takes
 m = v_t from the zero bottom rows and the quotient as the rows above them,
-so valuations, S-stripping and S-unit tests at t run no division.
+so valuations, S-stripping and S-unit tests at t run no division.  The
+`Field` kernels read a monomial product or divisor c t^k the same way, as a
+row shift.
 """
 
 from __future__ import annotations
@@ -330,11 +332,13 @@ def _const(field: Field, v) -> ConstantValue:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd in F[t]: Euclid over F_{p^d}, the modular gcd over Q(zeta_M).
+    """Monic gcd in F[t]: powers of t split off, then Euclid over F_{p^d}, the modular gcd over Q(zeta_M).
 
-    In characteristic 0 the gcd is read off images modulo primes P of Z[zeta]
-    over p = 1 mod M.  Where both leading coefficients are P-units, Gauss's
-    lemma gives deg gcd(a mod P, b mod P) >= deg gcd(a, b) (module docstring):
+    Both arguments lose their powers of t first, in every characteristic
+    (`_split_gcd`, module docstring).  Over Q(zeta_M) the gcd of what is left
+    is read off images modulo primes P of Z[zeta] over p = 1 mod M.  Where
+    both leading coefficients are P-units, Gauss's lemma gives
+    deg gcd(a mod P, b mod P) >= deg gcd(a, b) (module docstring):
     - so an image of degree 0 proves that the gcd is 1;
     - otherwise the images of the least degree D seen are combined by CRT and
       rational reconstruction, and a candidate is returned only when it is
@@ -348,11 +352,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return a.monic()
     if a.degree == 0 or b.degree == 0:
         return Polynomial.one(a.field)
-    if a.field.char:
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-    return _modular_gcd(a, b)[0]
+    return _split_gcd(a, b, False)[0]
 
 
 def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -360,12 +360,43 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
 
     Over Q(zeta_M) the quotients are those of the trial divisions that accepted g.
     """
-    if a.field.char == 0 and a.degree > 0 and b.degree > 0:
-        return _modular_gcd(a, b)
+    if a.degree > 0 and b.degree > 0:
+        return _split_gcd(a, b, True)
     g = poly_gcd(a, b)
     if g.degree == 0:
         return g, a, b
     return g, a.exact_div(g), b.exact_div(g)
+
+
+def _split_gcd(a: Polynomial, b: Polynomial, cofactors: bool) -> tuple[Polynomial, ...]:
+    """(g, a / g, b / g) for the monic gcd g of a and b of positive degree; (g,) when not `cofactors`.
+
+    Powers of t split off first (module docstring), in every characteristic.
+    A constant t-free part makes the gcd a power of t with no prime and no
+    division; otherwise the t-free parts go to `_image_gcd` over Q(zeta_M),
+    whose trial divisions leave the cofactors, and to Euclid over F_{p^d},
+    which reads remainders only and divides for the cofactors when asked.
+    """
+    fld = a.field
+    i, j = _t_order(a.rows), _t_order(b.rows)
+    if i:
+        a = _poly(fld, a.rows[i:], a.den)
+    if j:
+        b = _poly(fld, b.rows[j:], b.den)
+    if a.degree == 0 or b.degree == 0:
+        g = Polynomial.one(fld)
+    elif fld.char == 0:
+        g, a, b = _image_gcd(a, b)
+    else:
+        x, y = a, b
+        while not y.is_zero:
+            x, y = y, x % y
+        g = x.monic()
+        if cofactors and g.degree:
+            a, b = a.exact_div(g), b.exact_div(g)
+    k = min(i, j)
+    g = _shifted(g, k)
+    return (g, _shifted(a, i - k), _shifted(b, j - k)) if cofactors else (g,)
 
 
 _GCD_PRIME_FLOOR = 2**61
@@ -429,21 +460,6 @@ def _t_order(rows: tuple) -> int:
 def _shifted(p: Polynomial, k: int) -> Polynomial:
     """t^k * p; the shifted rows stay canonical."""
     return _poly(p.field, (p.field.zero_raw,) * k + p.rows, p.den) if k else p
-
-
-def _modular_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(g, a / g, b / g) for the monic gcd g of a, b of positive degree over Q(zeta_M).
-
-    Powers of t split off first (module docstring); what is left, when both
-    parts keep a positive degree, goes to `_image_gcd`.
-    """
-    i, j = _t_order(a.rows), _t_order(b.rows)
-    if not (i or j):
-        return _image_gcd(a, b)
-    fld, k = a.field, min(i, j)
-    a, b = _poly(fld, a.rows[i:], a.den), _poly(fld, b.rows[j:], b.den)
-    g, a, b = (Polynomial.one(fld), a, b) if a.degree == 0 or b.degree == 0 else _image_gcd(a, b)
-    return _shifted(g, k), _shifted(a, i - k), _shifted(b, j - k)
 
 
 def _image_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:

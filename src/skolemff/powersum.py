@@ -104,7 +104,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from math import lcm
+from math import lcm, prod
 
 from .constants import ConstantValue, RootOfUnity
 from .errors import (
@@ -383,18 +383,25 @@ def _class_height(inst: PowerSumInstance, c: int) -> int | None:
 def eval_B(inst: PowerSumInstance, n: int) -> RationalFunction:
     """Exact value of B(n) in K (any integer n; f is a unit).
 
-    The terms are summed over the product of their distinct denominators and
-    the sum is reduced once.
+    With f = F / G and k_i = r_i n, lo = min(0, k_i) and hi = max(0, k_i),
+    the terms are summed over D = L F^(-lo) G^hi, L the product of the
+    distinct denominators of the lambda_i: term i is lambda_i's numerator
+    times eps_i^n, the cofactor of its denominator in L and
+    F^(k_i - lo) G^(hi - k_i).  Each power of F and G is built once, and the
+    sum is reduced once.
     """
-    num, den = Polynomial.zero(inst.field), Polynomial.one(inst.field)
-    for lam, eps, r in zip(inst.lambdas, inst.epsilons, inst.exponents):
-        x = inst.f ** (r * n)
-        term, term_den = lam.num * x.num * eps.value ** (n % eps.order), lam.den * x.den
-        if term_den == den:
-            num = num + term
-        else:
-            num, den = num * term_den + term * den, den * term_den
-    return RationalFunction(num, den)
+    fld, F, G = inst.field, inst.f.num, inst.f.den
+    ks = [r * n for r in inst.exponents]
+    lo, hi = min(0, *ks), max(0, *ks)
+    Fk = {e: F**e for e in {k - lo for k in (0, *ks)}}
+    Gk = {e: G**e for e in {hi - k for k in (0, *ks)}}
+    dens = list(dict.fromkeys(lam.den for lam in inst.lambdas))
+    cofactor = {d: prod((e for e in dens if e != d), start=Polynomial.one(fld)) for d in dens}
+    num = Polynomial.zero(fld)
+    for lam, eps, k in zip(inst.lambdas, inst.epsilons, ks):
+        c = lam.num * eps.value ** (n % eps.order)
+        num = num + c * cofactor[lam.den] * Fk[k - lo] * Gk[hi - k]
+    return RationalFunction(num, cofactor[dens[0]] * dens[0] * Fk[-lo] * Gk[hi])
 
 
 def class_reduction(inst: PowerSumInstance, c: int) -> tuple[KPolynomial, RationalFunction]:

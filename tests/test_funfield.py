@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from collections import Counter
 from fractions import Fraction
@@ -28,11 +30,12 @@ from skolemff import (
     truncated_counting,
     valuation,
 )
-from skolemff import funfield
+from skolemff import cli, funfield
 from skolemff.constants import Field, zeta
 from skolemff.errors import ConstantInput, InvalidInstance, NotSInteger, ZeroInput
 from skolemff.funfield import poly_gcd, radical, squarefree_decomposition
-from skolemff.generate import rand_const, rand_poly, rand_ratfunc
+from skolemff.generate import generate_instance, rand_const, rand_poly, rand_ratfunc
+from skolemff.serialize import save_instance
 from oracles import (
     coeffwise_divmod,
     coeffwise_kmul,
@@ -850,6 +853,85 @@ def test_t_place_and_remainders_skip_the_division_kernels(monkeypatch, Q, F3):
             assert RationalFunction(f) == f_k
             assert poly_gcd(f, Polynomial(t.field, (2,))) == Polynomial.one(t.field)
             assert not calls
+
+
+MONOMIAL_SPECS = {
+    "Q": FieldSpec(0, 1),
+    "Q(i)": FieldSpec(0, 4),
+    "Q(zeta_3)": FieldSpec(0, 3),
+    "F_3": FieldSpec(3, 1, 1),
+    "F_9": FieldSpec(3, 1, 2),
+    "F_25": FieldSpec(5, 1, 2),
+}
+
+
+def _is_monomial_rows(rows) -> bool:
+    return not any(map(any, rows[:-1]))
+
+
+def _count_monomial_kernel_operands(monkeypatch) -> tuple[Counter, Counter]:
+    """Wrap the general product and division paths: (calls, calls with an operand c t^k)."""
+    calls, monomial = Counter(), Counter()
+    for name, operands in (("_convolve", lambda A, B: (A, B)), ("_pseudo_divide", lambda A, B: (B,))):
+        def counted(self, A, B, _kernel=getattr(Field, name), _name=name, _operands=operands):
+            calls[_name] += 1
+            if any(map(_is_monomial_rows, _operands(A, B))):
+                monomial[_name] += 1
+            return _kernel(self, A, B)
+
+        monkeypatch.setattr(Field, name, counted)
+    return calls, monomial
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_SPECS))
+def test_monomial_operands_match_the_coefficientwise_oracles(name, monkeypatch):
+    """Products, divisions and gcds by c t^k are row shifts that agree with the
+    schoolbook product, long division and Euclid: c = 1 and not, k = 0 and not,
+    the monomial the longer and the shorter operand, zero remainders, and
+    gcd(t^v A', c t^k) for t not dividing A' and v = 0, below k and above k."""
+    fld = field_for(MONOMIAL_SPECS[name])
+    rng = random.Random(f"monomial-{name}")
+    t, one, zero = Polynomial.t(fld), Polynomial.one(fld), Polynomial.zero(fld)
+    sixth = ConstantValue.from_rationals(fld, [Fraction(1, 6 if fld.char == 0 else 2)])
+    calls, monomial = _count_monomial_kernel_operands(monkeypatch)
+    for k in (0, 1, 2, 5):
+        other = one
+        while other == one:
+            other = Polynomial(fld, [rand_const(rng, fld, nonzero=True)])
+        for c in (one, other, one * sixth):
+            m = c * t**k
+            assert m.is_monomial
+            for deg in (max(0, k - 2), k + 3):
+                a = rand_poly(rng, fld, deg) * rand_const(rng, fld, nonzero=True) * sixth
+                assert m * a == a * m == coeffwise_mul(a, m), (m, a)
+                assert a.divmod(m) == coeffwise_divmod(a, m), (m, a)
+                assert a % m == coeffwise_divmod(a, m)[1], (m, a)
+                assert (a * m).divmod(m) == (a, zero) and (a * m) % m == zero, (m, a)
+                a1 = a if not a.constant_coeff().is_zero else a + one
+                for v in {0, max(0, k - 1), k + 2}:
+                    A = a1 * t**v
+                    g = euclid_gcd(A, m)
+                    assert poly_gcd(A, m) == poly_gcd(m, A) == g, (m, A)
+                    for x, y in ((A, m), (m, A)):
+                        h, qx, qy = funfield._gcd_cofactors(x, y)
+                        assert h == g and (qx, zero) == coeffwise_divmod(x, g), (x, y)
+                        assert (qy, zero) == coeffwise_divmod(y, g), (x, y)
+    assert calls["_pseudo_divide"] and not monomial, monomial
+
+
+def test_monomial_operands_reach_no_convolution_or_pseudo_division(tmp_path, monkeypatch):
+    """S = {(t), inf} on the dep-heavy and charp profiles, so their S-units and
+    denominators are c t^k: over `certify --k-bound 100` and `smallcoef --rho 1/2`,
+    seeds 0-19, no product or division by one reaches the general kernels."""
+    calls, monomial = _count_monomial_kernel_operands(monkeypatch)
+    for profile, command, flags in (("dep-heavy", "certify", ["--k-bound", "100"]), ("charp", "smallcoef", ["--rho", "1/2"])):
+        for seed in range(20):
+            path = str(tmp_path / f"{profile}-{seed}.json")
+            save_instance(generate_instance(seed, profile)[0], path, {})
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main([command, path, *flags])
+    assert calls["_convolve"] and calls["_pseudo_divide"], calls
+    assert not monomial, monomial
 
 
 def test_kpoly_divmod_over_constants_matches_polynomial_divmod(Q, Qi, F3):

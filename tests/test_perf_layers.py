@@ -74,3 +74,30 @@ def test_solve_on_a_planted_zero_reaches_class_reduction_and_eval_B(tmp_path):
     assert code == 0 and json.loads(out.getvalue())["result"]["global_zero"] == "2"
     for name in ("powersum.class_reduction", "powersum.eval_B", "powersum.decide_global_zero"):
         assert tracer.stat(name).calls > 0, name
+
+
+def _traced_cli(argv) -> Tracer:
+    tracer = Tracer()
+    undo = bind(tracer, layers.make_layers(), "skolemff")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    finally:
+        unbind(undo)
+    return tracer
+
+
+def test_certify_and_smallcoef_reach_the_layers_their_workloads_require(tmp_path):
+    # a fast path that leaves these layers (say, a product by c t^k that never
+    # multiplies two field elements) would fail WORKS_MOST_IN under --trace 1
+    # (charp seed 8 passes the growth check and its local checks divide in F[t])
+    cases = (
+        ("dep-heavy", 1, ["certify", "--k-bound", "100"], ("constants.mul_raw", "constants.inv_raw")),
+        ("charp", 8, ["smallcoef", "--rho", "1/2"], ("funfield.Polynomial.mul", "funfield.Polynomial.divmod")),
+    )
+    for profile, seed, (command, *flags), names in cases:
+        path = str(tmp_path / f"{profile}-{seed}.json")
+        save_instance(generate_instance(seed, profile)[0], path, {})
+        tracer = _traced_cli([command, path, *flags])
+        for name in names:
+            assert tracer.stat(name).calls > 0, (profile, name)

@@ -209,16 +209,29 @@ def test_eval_B_examples(Q, ex1):
     assert eval_B(simple, 2) == 1 + t**2
     assert eval_B(ex1, 1) == t * (t + 1) * (t**2 - 1)
     assert eval_B(ex1, 0) == 4
-    # one normalisation of the sum over the term denominators gives the reduced
+    # one normalisation of the sum over one cleared denominator gives the reduced
     # fraction of the term-by-term sum in K
+    def term_by_term(inst, n):
+        terms = [lam * eps.value ** (n % eps.order) * inst.f ** (r * n)
+                 for lam, eps, r in zip(inst.lambdas, inst.epsilons, inst.exponents)]
+        return sum(terms[1:], terms[0])
+
     for profile in ("small", "dep-heavy", "charp"):
-        for seed in range(5):
+        for seed in range(50):
             inst, _ = generate_instance(seed, profile)
             for n in range(-3, 4):
-                terms = [lam * eps.value ** (n % eps.order) * inst.f ** (r * n)
-                         for lam, eps, r in zip(inst.lambdas, inst.epsilons, inst.exponents)]
-                want = sum(terms[1:], terms[0])
-                assert eval_B(inst, n) == want, (profile, seed, n)
+                assert eval_B(inst, n) == term_by_term(inst, n), (profile, seed, n)
+    # lambdas that share a denominator, one that does not, and f = (t + 1) / t,
+    # whose numerator is no monomial, on S = {t, t + 1, inf}
+    for fld in (Q, field_for(FieldSpec(3, 1, 1))):
+        t, u = RationalFunction.t(fld), RationalFunction.t(fld) + 1
+        S2 = PlaceSet([Place(t.num), Place(u.num), INFINITY])
+        ru = (one_ru(fld), neg_ru(fld))
+        for lambdas, f in (((1 / t, u / t, 2 / t**2, t / u), u / t), ((u / t, 1 / t, u**2), t * t / u)):
+            m = len(lambdas)
+            inst = PowerSumInstance(lambdas, (ru * 2)[:m], (0, 1, -2, 3)[:m], f, S2)
+            for n in range(-4, 5):
+                assert eval_B(inst, n) == term_by_term(inst, n), (fld, lambdas, f, n)
 
 
 def test_companion_examples(Q, ex1):
